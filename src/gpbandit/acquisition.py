@@ -36,12 +36,19 @@ def tau(z):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("tau argument must be finite")
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        direct = z * ndtr(z) + _phi(z)
-        tail = _phi(z) / np.square(z)
-    out = np.where(z < _TAIL_Z, tail, direct)
-    if out.ndim == 0:
-        return float(out)
+    zs = np.atleast_1d(z)
+    out = np.empty_like(zs)
+    tail = zs < _TAIL_Z
+    # each form only where it applies, so the tail's division never sees a
+    # tiny z; z^2 may still overflow for |z| > 1e154, where phi's exp(-inf)
+    # and the tail's phi/inf give the exact limit 0
+    with np.errstate(over="ignore", under="ignore"):
+        zd = zs[~tail]
+        out[~tail] = zd * ndtr(zd) + _phi(zd)
+        zt = zs[tail]
+        out[tail] = _phi(zt) / np.square(zt)
+    if z.ndim == 0:
+        return float(out[0])
     return out
 
 

@@ -162,8 +162,7 @@ def run_benchmark(config: BenchConfig) -> dict:
             noise_seed = config.noise_seed_offset + seed
             jobs.append((label, cfg, config.objective, noise_seed))
 
-    results: list[tuple[str, int, RunTrace]] = []
-    failed = False
+    failed_marker = out / "FAILED"
     try:
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -171,7 +170,7 @@ def run_benchmark(config: BenchConfig) -> dict:
         else:
             results = [_execute_one(j) for j in jobs]
     except Exception:
-        (out / "FAILED").write_text("benchmark run failed; partial outputs kept\n")
+        failed_marker.write_text("benchmark run failed; partial outputs kept\n")
         raise
 
     by_label: dict[str, list[RunTrace]] = {}
@@ -232,12 +231,12 @@ def run_benchmark(config: BenchConfig) -> dict:
     tmp = out / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, indent=2) + "\n")
     tmp.rename(manifest_path)
+    failed_marker.unlink(missing_ok=True)  # left by an earlier failed run
 
     return {
         "traces": trace_paths,
         "aggregates": aggregates,
         "manifest": str(manifest_path),
-        "failed": failed,
         "by_label": by_label,
         "true_optimum": true_opt,
     }

@@ -130,12 +130,15 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
     return best_x
 
 
-def _incumbent_mean(model: GpModel, sampled: np.ndarray) -> float:
-    """Best posterior mean over sampled points; prior mean 0 with no data."""
-    if model.n == 0 or len(sampled) == 0:
-        return 0.0
-    means, _ = model.posterior_many(sampled)
-    return float(np.max(means))
+def _best_sampled_mean(model: GpModel) -> tuple[np.ndarray, float] | None:
+    """The sampled point of largest posterior mean, and that mean; None
+    before the model has data."""
+    if model.n == 0:
+        return None
+    pts = model.points
+    means, _ = model.posterior_many(pts)
+    i = int(np.argmax(means))
+    return pts[i], float(means[i])
 
 
 def run_gp_ei(config: RunConfig, objective, true_optimum: float) -> RunTrace:
@@ -152,7 +155,8 @@ def run_gp_ei(config: RunConfig, objective, true_optimum: float) -> RunTrace:
         t0 = time.perf_counter()
         omega_t = omega_at(config.omega, t, model.accumulated_info_gain())
         sampled = model.points
-        incumbent = _incumbent_mean(model, sampled)
+        best = _best_sampled_mean(model)
+        incumbent = 0.0 if best is None else best[1]
 
         def score(xs):
             means, stds = model.posterior_many(xs)
@@ -165,10 +169,7 @@ def run_gp_ei(config: RunConfig, objective, true_optimum: float) -> RunTrace:
         _, sigma_sel = model.posterior(x_t)
         y_t = objective(x_t)
         model.update(x_t, y_t)
-        sampled = model.points
-        means_now, _ = model.posterior_many(sampled)
-        i_best = int(np.argmax(means_now))
-        x_plus = sampled[i_best]
+        x_plus = _best_sampled_mean(model)[0]
         f_plus = float(objective.target(x_plus))
         regret = true_optimum - f_plus
         cum_regret += regret
@@ -189,32 +190,34 @@ def _cell_budget(total_candidates: int, n_cells: int) -> int:
     return max(128, total_candidates // n_cells)
 
 
-def _report_best_across_cells(cover: Cover) -> tuple[np.ndarray, float] | None:
-    """Across-cells argmax of the local posterior mean at sampled points."""
-    best = None
-    for cell in cover.cells:
-        if cell.model.n == 0:
-            continue
-        pts = cell.model.points
-        means, _ = cell.model.posterior_many(pts)
-        i = int(np.argmax(means))
-        if best is None or means[i] > best[1]:
-            best = (pts[i], float(means[i]))
-    return best
-
-
 def _run_cover_loop(config: RunConfig, objective, true_optimum: float,
                     cell_score_factory) -> RunTrace:
     """Shared machinery of the partition-based loops.
 
-    cell_score_factory(cell, t) returns a vectorized score over points of
-    that cell; selection is the global argmax over (cell, point)."""
+    cell_score_factory(cell, omega_t, incumbent) returns a vectorized score
+    over points of that cell; selection is the global argmax over (cell,
+    point).  A cell's acquisition surface depends only on its own model and
+    omega_t, so each cell's search result is cached under (model.n, omega_t)
+    and a cell is searched again only when that key changes: after it
+    receives an observation, when it is newly created by a split, or at every
+    step when omega_t moves (theory_ei).  The search budget is left out of
+    the key: it sets the effort, not the surface.  Each cell's best posterior
+    mean at its sampled points is likewise computed once per model version;
+    it is both the cell's EI incumbent and its candidate for the report."""
     d = objective.dim
     rng = np.random.default_rng(config.seed)
     nu = config.kernel.nu
     cover = initial_cover(d, config.horizon_T, config.kernel, config.lam, nu)
     trace = RunTrace(config.algorithm, config.seed, d)
     trace.cover_q = cover.q
+    searched = {}  # cell -> ((n, omega_t), score, x)
+    best_seen = {}  # cell -> (n, _best_sampled_mean(cell.model))
+
+    def best_mean(cell):
+        if cell not in best_seen or best_seen[cell][0] != cell.model.n:
+            best_seen[cell] = (cell.model.n, _best_sampled_mean(cell.model))
+        return best_seen[cell][1]
+
     cum_regret = 0.0
     for t in range(1, config.horizon_T + 1):
         t0 = time.perf_counter()
@@ -222,30 +225,45 @@ def _run_cover_loop(config: RunConfig, objective, true_optimum: float,
         omega_t = cell_score_factory.omega(t, cover)
         winner = None  # (score, cell, x)
         for cell in cover.cells:
-            score_fn = cell_score_factory(cell, t, omega_t)
-            extra = cell.model.points if cell.model.n else None
-            x = maximize_acquisition(
-                score_fn, cell.lower, cell.upper, rng, budget,
-                config.acq_refinements, extra_points=extra,
-            )
-            # keep the point inside the half-open ownership region: an exact
-            # hit on a shared upper face would belong to the neighbour cell
-            interior_face = cell.upper < 1.0
-            x = np.where(
-                interior_face & (x >= cell.upper),
-                np.nextafter(cell.upper, cell.lower),
-                x,
-            )
-            s = float(np.asarray(score_fn(x[None, :]))[0])
+            key = (cell.model.n, omega_t)
+            if cell not in searched or searched[cell][0] != key:
+                best = best_mean(cell)
+                score_fn = cell_score_factory(
+                    cell, omega_t, 0.0 if best is None else best[1])
+                extra = cell.model.points if cell.model.n else None
+                x = maximize_acquisition(
+                    score_fn, cell.lower, cell.upper, rng, budget,
+                    config.acq_refinements, extra_points=extra,
+                )
+                # keep the point inside the half-open ownership region: an
+                # exact hit on a shared upper face would belong to the
+                # neighbour cell
+                interior_face = cell.upper < 1.0
+                x = np.where(
+                    interior_face & (x >= cell.upper),
+                    np.nextafter(cell.upper, cell.lower),
+                    x,
+                )
+                s = float(np.asarray(score_fn(x[None, :]))[0])
+                searched[cell] = (key, s, x)
+            _, s, x = searched[cell]
             if winner is None or s > winner[0]:
                 winner = (s, cell, x)
         _, win_cell, x_t = winner
-        assert win_cell.contains(x_t)
+        if not win_cell.contains(x_t):
+            raise RuntimeError(f"selected point {x_t} lies outside its cell")
         _, sigma_sel = win_cell.model.posterior(x_t)
         y_t = objective(x_t)
         win_cell.model.update(x_t, y_t)
-        split_pass(cover, iteration=t + 1)
-        reported = _report_best_across_cells(cover)
+        if split_pass(cover, iteration=t + 1):
+            for cache in (searched, best_seen):
+                for gone in cache.keys() - set(cover.cells):
+                    del cache[gone]
+        reported = None
+        for cell in cover.cells:
+            best = best_mean(cell)
+            if best is not None and (reported is None or best[1] > reported[1]):
+                reported = best
         x_plus = reported[0] if reported is not None else x_t
         f_plus = float(objective.target(x_plus))
         regret = true_optimum - f_plus
@@ -277,9 +295,7 @@ class _EiCellScores:
         gain = sum(c.model.accumulated_info_gain() for c in cover.cells)
         return omega_at(self.config.omega, t, gain)
 
-    def __call__(self, cell, t: int, omega_t: float):
-        incumbent = _incumbent_mean(cell.model, cell.model.points)
-
+    def __call__(self, cell, omega_t: float, incumbent: float):
         def score(xs):
             means, stds = cell.model.posterior_many(xs)
             return ei_scores(means, incumbent, omega_t * stds)
@@ -296,7 +312,7 @@ class _UcbCellScores:
     def omega(self, t: int, cover: Cover) -> float:
         return 1.0  # UCB has no global scale; column kept for the trace
 
-    def __call__(self, cell, t: int, omega_t: float):
+    def __call__(self, cell, omega_t: float, incumbent: float):
         beta = beta_value(
             self.config.B, self.config.R,
             cell.model.accumulated_info_gain(), self.config.delta,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ class TestTau:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             tau(float("nan"))
+
+    def test_extreme_arguments_raise_no_warning(self):
+        # a tiny z must not reach the tail's division, and an overflowing
+        # z^2 at |z| = 1e200 has the exact limit phi = 0
+        expected = {
+            1e-170: 1 / SQRT_2PI, -1e-170: 1 / SQRT_2PI, 0.0: 1 / SQRT_2PI,
+            -50.0: 0.0, 1e200: 1e200, -1e200: 0.0,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = tau(np.array(list(expected)))
+            scalars = [tau(z) for z in expected]
+        for got in (batch, scalars):
+            np.testing.assert_allclose(got, list(expected.values()), rtol=1e-15, atol=0)
 
 
 class TestEiScore:

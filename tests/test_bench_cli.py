@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpbandit.acquisition import OMEGA_FIXED, OmegaSchedule
+from gpbandit import bench
+from gpbandit.acquisition import OMEGA_FIXED, OMEGA_POLYLOG_T, OmegaSchedule
 from gpbandit.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -18,7 +19,7 @@ from gpbandit.bench import (
 )
 from gpbandit.cli import main
 from gpbandit.kernels import MATERN, KernelSpec
-from gpbandit.optimizers import ALG_GP_EI, RunConfig
+from gpbandit.optimizers import ALG_GP_EI, ALG_IMPROVED_GP_EI, RunConfig
 
 
 KERNEL = KernelSpec(MATERN, 0.2, 2.5)
@@ -65,6 +66,46 @@ class TestRunBenchmark:
             t1 = strip_wallclock(Path(p1).read_text())
             t2 = strip_wallclock(Path(p2).read_text())
             assert t1 == t2
+
+    def test_parallel_jobs_reproduce_serial_traces(self, tmp_path):
+        runs = [
+            RunConfig(
+                algorithm=ALG_GP_EI, horizon_T=4,
+                omega=OmegaSchedule(OMEGA_FIXED, c=1.0), kernel=KERNEL,
+                lam=0.01, acq_candidates=64, acq_refinements=2,
+            ),
+            RunConfig(
+                algorithm=ALG_IMPROVED_GP_EI, horizon_T=20,
+                omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=20), kernel=KERNEL,
+                lam=0.01, acq_candidates=64, acq_refinements=2,
+            ),
+        ]
+        serial = tiny_bench(tmp_path / "serial", repeats=2, algorithms=runs)
+        parallel = tiny_bench(tmp_path / "parallel", repeats=2, algorithms=runs)
+        parallel.jobs = 2
+        s1, s2 = run_benchmark(serial), run_benchmark(parallel)
+        names = [Path(p).name for p in s1["traces"]]
+        assert names == [Path(p).name for p in s2["traces"]]
+        assert len(names) == 4
+        for p1, p2 in zip(s1["traces"], s2["traces"]):
+            assert strip_wallclock(Path(p1).read_text()) == strip_wallclock(
+                Path(p2).read_text()
+            )
+
+    def test_successful_rerun_clears_failed_marker(self, tmp_path, monkeypatch):
+        config = tiny_bench(tmp_path)
+
+        def broken_run(*args):
+            raise RuntimeError("run failed")
+
+        with monkeypatch.context() as m:
+            m.setattr(bench, "run", broken_run)
+            with pytest.raises(RuntimeError):
+                run_benchmark(config)
+        marker = Path(config.output_dir) / "FAILED"
+        assert marker.exists()
+        run_benchmark(config)
+        assert not marker.exists()
 
     def test_aggregate_median_permutation_invariant(self, tmp_path):
         summary = run_benchmark(tiny_bench(tmp_path, T=3, repeats=3))

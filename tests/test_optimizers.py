@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from gpbandit.acquisition import (
     OMEGA_THEORY_EI,
     OmegaSchedule,
 )
+from gpbandit import optimizers, partition
+from gpbandit.bench import strip_wallclock, trace_csv_lines
 from gpbandit.kernels import MATERN, KernelSpec
 from gpbandit.optimizers import (
     ALG_GP_EI,
@@ -22,7 +25,7 @@ from gpbandit.optimizers import (
     run_pi_ucb_baseline,
 )
 from gpbandit.partition import initial_cover, locate
-from gpbandit.testbed import NoisyOracle, make_rkhs_function
+from gpbandit.testbed import NoisyOracle, make_rkhs_function, standard_function
 
 
 KERNEL = KernelSpec(MATERN, 0.2, 2.5)
@@ -230,6 +233,106 @@ class TestCoverLoops:
                 omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100),
                 kernel=KernelSpec(MATERN, 0.2, 0.5), lam=0.01,
             )
+
+
+class _StepRecorder:
+    """Oracle wrapper that notes, at each observation, how many acquisition
+    searches ran since the previous one and the cover as the previous step
+    left it."""
+
+    def __init__(self, oracle, monkeypatch):
+        self.oracle, self.dim = oracle, oracle.dim
+        self.target = oracle.target
+        self.searches, self.per_step, self.cover = 0, [], None
+        self.reports = []  # fresh across-cells argmax before each step
+        search, cover_fn = optimizers.maximize_acquisition, optimizers.initial_cover
+
+        def counting_search(*args, **kwargs):
+            self.searches += 1
+            return search(*args, **kwargs)
+
+        def capturing_cover(*args, **kwargs):
+            self.cover = cover_fn(*args, **kwargs)
+            self.initial_cells = self.cover.cell_count
+            return self.cover
+
+        monkeypatch.setattr(optimizers, "maximize_acquisition", counting_search)
+        monkeypatch.setattr(optimizers, "initial_cover", capturing_cover)
+
+    def fresh_report(self):
+        best = None
+        for cell in self.cover.cells:
+            if cell.model.n:
+                pts = cell.model.points
+                means, _ = cell.model.posterior_many(pts)
+                i = int(np.argmax(means))
+                if best is None or means[i] > best[1]:
+                    best = (pts[i], means[i])
+        return None if best is None else best[0]
+
+    def __call__(self, x):
+        self.reports.append(self.fresh_report())
+        self.per_step.append(self.searches)
+        self.searches = 0
+        return self.oracle(x)
+
+
+class TestCoverSearchCache:
+    def polylog_config(self, alg, T=25):
+        return RunConfig(
+            algorithm=alg, horizon_T=T,
+            omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100), kernel=KERNEL,
+            lam=0.01, seed=6, acq_candidates=256, acq_refinements=3,
+        )
+
+    @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_only_the_observed_cell_is_searched_again(self, alg, monkeypatch):
+        oracle, opt = rkhs_oracle(seed=404)
+        rec = _StepRecorder(oracle, monkeypatch)
+        trace = optimizers.run(self.polylog_config(alg), rec, opt)
+        counts = [rec.initial_cells] + [r.cell_count for r in trace.rows]
+        assert rec.per_step[0] == counts[0]
+        unsplit = 0
+        for t in range(2, trace.horizon + 1):
+            if counts[t - 1] == counts[t - 2]:  # step t-1 did not split
+                assert rec.per_step[t - 1] == 1, t
+                unsplit += 1
+            else:
+                assert rec.per_step[t - 1] >= 1, t
+        assert unsplit >= 5
+        assert sum(rec.per_step) < trace.horizon * counts[-1] / 2
+
+    @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_reported_point_is_fresh_argmax_of_posterior_means(self, alg, monkeypatch):
+        oracle, opt = rkhs_oracle(seed=405)
+        rec = _StepRecorder(oracle, monkeypatch)
+        trace = optimizers.run(self.polylog_config(alg), rec, opt)
+        fresh = rec.reports[1:] + [rec.fresh_report()]
+        for row, x_plus in zip(trace.rows, fresh):
+            np.testing.assert_array_equal(row.x_plus, x_plus)
+
+    def test_theory_schedule_trace_unchanged(self):
+        # omega_t moves with the global gain under theory_ei, so every cell
+        # is searched at every step, with the same rng draws as a loop that
+        # caches nothing; the stripped trace is pinned by its hash
+        target, d, opt, _ = standard_function("hartmann3")
+        cfg = RunConfig(
+            algorithm=ALG_IMPROVED_GP_EI, horizon_T=30,
+            omega=OmegaSchedule(OMEGA_THEORY_EI, delta=0.05), kernel=KERNEL,
+            lam=0.01, seed=3,
+        )
+        oracle = NoisyOracle(target, d, 0.1, np.random.default_rng(77))
+        trace = run_improved_gp_ei(cfg, oracle, opt)
+        text = strip_wallclock("\n".join(trace_csv_lines(trace, "x", opt)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7c0c34ec95d0f690dfab8fb1fb9aa154d91b8f65860d37cf4f233199f8c99e45"
+        )
+
+    def test_selected_point_outside_its_cell_raises(self, monkeypatch):
+        monkeypatch.setattr(partition.Cell, "contains", lambda self, x: False)
+        oracle, opt = rkhs_oracle(seed=406)
+        with pytest.raises(RuntimeError, match="outside its cell"):
+            run_improved_gp_ei(self.polylog_config(ALG_IMPROVED_GP_EI), oracle, opt)
 
 
 class TestRunConfigValidation:
