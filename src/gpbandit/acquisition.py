@@ -34,19 +34,19 @@ def _phi(z):
 def tau(z):
     """z*Phi(z) + phi(z); positive, nondecreasing.  Vectorized."""
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("tau argument must be finite")
     zs = np.atleast_1d(z)
-    out = np.empty_like(zs)
-    tail = zs < _TAIL_Z
-    # each form only where it applies, so the tail's division never sees a
-    # tiny z; z^2 may still overflow for |z| > 1e154, where phi's exp(-inf)
-    # and the tail's phi/inf give the exact limit 0
+    # the direct form everywhere, then the tail form over it where it
+    # applies, so the tail's division never sees a tiny z; z^2 may overflow
+    # for |z| > 1e154, where phi's exp(-inf) and the tail's phi/inf give the
+    # exact limit 0
     with np.errstate(over="ignore", under="ignore"):
-        zd = zs[~tail]
-        out[~tail] = zd * ndtr(zd) + _phi(zd)
-        zt = zs[tail]
-        out[tail] = _phi(zt) / np.square(zt)
+        out = zs * ndtr(zs) + _phi(zs)
+        tail = zs < _TAIL_Z
+        if tail.any():
+            zt = zs[tail]
+            out[tail] = _phi(zt) / np.square(zt)
     if z.ndim == 0:
         return float(out[0])
     return out
@@ -56,15 +56,16 @@ def ei_scores(means, incumbent: float, scaled_stddevs) -> np.ndarray:
     """Vectorized improvement score rho(mean - incumbent, scaled_stddev)."""
     u = np.asarray(means, dtype=float) - incumbent
     v = np.asarray(scaled_stddevs, dtype=float)
-    if np.any(v < 0):
+    if (v < 0).any():
         raise ValueError("scaled stddev must be nonnegative")
     u, v = np.broadcast_arrays(u, v)
     pos = v > 0
     with np.errstate(divide="ignore", under="ignore"):
         z = np.where(pos, u / np.where(pos, v, 1.0), 0.0)
-    out = np.where(pos, v * tau(z), np.maximum(0.0, u))
+    hinge = np.maximum(0.0, u)
+    out = np.where(pos, v * tau(z), hinge)
     # guard the analytic floor rho(u, v) >= max(0, u) against roundoff
-    return np.maximum(out, np.maximum(0.0, u))
+    return np.maximum(out, hinge, out=out)
 
 
 def ei_score(mean: float, incumbent: float, scaled_stddev: float) -> float:
@@ -75,7 +76,7 @@ def ei_score(mean: float, incumbent: float, scaled_stddev: float) -> float:
 def ucb_score(mean, stddev, beta: float):
     """mean + beta * stddev (vectorized)."""
     stddev = np.asarray(stddev, dtype=float)
-    if np.any(stddev < 0):
+    if (stddev < 0).any():
         raise ValueError("stddev must be nonnegative")
     out = np.asarray(mean, dtype=float) + beta * stddev
     if out.ndim == 0:

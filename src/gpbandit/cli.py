@@ -38,7 +38,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
-def _cmd_run(args) -> int:
+def _config_values(args) -> dict[str, str]:
+    """Config-file values, overridden by flags, then by GPBANDIT_OUTPUT_DIR."""
     values = load_config_file(args.config) if args.config else {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -47,7 +48,11 @@ def _cmd_run(args) -> int:
     env_out = os.environ.get("GPBANDIT_OUTPUT_DIR")
     if env_out:
         values["output_dir"] = env_out
-    config = build_bench_config(values)
+    return values
+
+
+def _cmd_run(args) -> int:
+    config = build_bench_config(_config_values(args))
     summary = bench.run_benchmark(config)
     print(f"manifest: {summary['manifest']}")
     for label, path in summary["aggregates"].items():
@@ -56,11 +61,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    values = load_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = _config_values(args)
     horizons = [int(h) for h in args.horizons.split(",")]
     if len(set(horizons)) < 2:
         print("diag needs at least two distinct horizons", file=sys.stderr)

@@ -8,7 +8,8 @@ posterior
 
 where lam is the regularizer (noise variance).  New observations extend the
 lower-triangular factor by one row instead of refitting; a full refit with a
-jitter ladder is the fallback when roundoff spoils the extension pivot.
+jitter ladder is the fallback when roundoff spoils the extension pivot, and
+later extensions keep the jitter that refit needed.
 
 The model also accumulates the information gain of the selected points,
 
@@ -60,8 +61,9 @@ class GpModel:
         self.lam = float(lam)
         self._X: np.ndarray | None = None  # (n, d)
         self._y: np.ndarray = np.zeros(0)
-        self._L: np.ndarray | None = None  # lower factor of K + lam*I
-        self._alpha: np.ndarray | None = None  # (K + lam*I)^{-1} y
+        self._L: np.ndarray | None = None  # lower factor of K + (lam+jitter)*I
+        self._jitter = 0.0  # added by the last refit; extensions keep it
+        self._alpha: np.ndarray | None = None  # (K + (lam+jitter)*I)^{-1} y
         self._info_gain = 0.0
 
     @classmethod
@@ -103,8 +105,7 @@ class GpModel:
         mean = kc.T @ self._ensure_alpha()
         v = solve_triangular(self._L, kc, lower=True)
         var = 1.0 - np.einsum("ij,ij->j", v, v)
-        var = np.clip(var, 0.0, None)
-        return mean, np.sqrt(var)
+        return mean, np.sqrt(np.maximum(var, 0.0, out=var))
 
     def posterior(self, x) -> tuple[float, float]:
         """Posterior (mean, stddev) at one point; (0, 1) with no data."""
@@ -118,6 +119,7 @@ class GpModel:
             A = K + (self.lam + jitter) * np.eye(self.n)
             try:
                 self._L = _cholesky_lower(A)
+                self._jitter = jitter
                 self._alpha = None
                 return
             except GpNumericsError as err:
@@ -142,7 +144,7 @@ class GpModel:
 
         c = cross_matrix(self.kernel, self._X, x[None, :])[:, 0]
         b = solve_triangular(self._L, c, lower=True)
-        pivot_sq = 1.0 + self.lam - float(b @ b)
+        pivot_sq = 1.0 + (self.lam + self._jitter) - float(b @ b)
         self._X = np.vstack([self._X, x[None, :]])
         self._y = np.append(self._y, float(y))
         if pivot_sq <= _PIVOT_FLOOR:

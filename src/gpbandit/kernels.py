@@ -56,15 +56,26 @@ class KernelSpec:
 
 
 def _matern_half_integer(s: np.ndarray, nu: float) -> np.ndarray:
-    """Closed forms for nu in {1/2, 3/2, 5/2}; s = r / l."""
+    """Closed forms for nu in {1/2, 3/2, 5/2}; s = r / l, overwritten."""
     if nu == 0.5:
-        return np.exp(-s)
+        return np.exp(np.negative(s, out=s), out=s)
     if nu == 1.5:
-        c = math.sqrt(3.0) * s
-        return (1.0 + c) * np.exp(-c)
+        c = np.multiply(s, math.sqrt(3.0), out=s)
+        e = np.negative(c)
+        np.exp(e, out=e)
+        c += 1.0
+        c *= e
+        return c  # (1 + c) * exp(-c)
     if nu == 2.5:
-        c = math.sqrt(5.0) * s
-        return (1.0 + c + c * c / 3.0) * np.exp(-c)
+        c = np.multiply(s, math.sqrt(5.0), out=s)
+        q = np.multiply(c, c)
+        q /= 3.0
+        e = np.negative(c)
+        np.exp(e, out=e)
+        c += 1.0
+        c += q
+        c *= e
+        return c  # (1 + c + c^2 / 3) * exp(-c)
     raise ValueError(f"no closed form for nu={nu}")
 
 
@@ -83,26 +94,41 @@ def _matern_bessel(s: np.ndarray, nu: float) -> np.ndarray:
             raise OverflowError(
                 f"Bessel evaluation out of range for nu={nu}"
             ) from exc
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise OverflowError(f"Bessel evaluation out of range for nu={nu}")
     return out
 
 
-def kernel_of_distance(spec: KernelSpec, r) -> np.ndarray:
-    """Evaluate the kernel as a function of Euclidean distance (vectorized)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or not np.all(np.isfinite(r)):
+def _kernel_in_place(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """Kernel values at the distances in the float array `r`, written over it."""
+    if (r < 0).any() or not np.isfinite(r).all():
         raise ValueError("distances must be finite and nonnegative")
-    s = r / spec.lengthscale
+    s = np.divide(r, spec.lengthscale, out=r)
     if spec.family == SQUARED_EXPONENTIAL:
-        return np.exp(-0.5 * s * s)
+        np.multiply(s, s, out=s)
+        s *= -0.5
+        return np.exp(s, out=s)  # exp(-s^2 / 2)
     zero = s < _ZERO_SNAP
-    s_safe = np.where(zero, 1.0, s)
+    snap = zero.any()
+    if snap:
+        s[zero] = 1.0
     if spec.nu in _HALF_INTEGER_NUS:
-        vals = _matern_half_integer(s_safe, spec.nu)
+        s = _matern_half_integer(s, spec.nu)
     else:
-        vals = _matern_bessel(s_safe, spec.nu)
-    return np.where(zero, 1.0, vals)
+        s[...] = _matern_bessel(s, spec.nu)
+    if snap:
+        s[zero] = 1.0
+    return s
+
+
+def kernel_of_distance(spec: KernelSpec, r) -> np.ndarray:
+    """Evaluate the kernel as a function of Euclidean distance (vectorized).
+
+    `r` is copied, never modified; the result has its shape.
+    """
+    r = np.array(r, dtype=float)
+    # work on a 1-d view: ufuncs on 0-d arrays return scalars, not views
+    return _kernel_in_place(spec, r.reshape(-1)).reshape(r.shape)
 
 
 def matern_via_bessel(spec: KernelSpec, r) -> np.ndarray:
@@ -122,7 +148,7 @@ def _check_points(x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("kernel inputs must be finite")
     return x, y
 
@@ -135,14 +161,30 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 
 
 def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
-    """Covariance matrix between two point sets, shape (len(xs), len(ys))."""
+    """Covariance matrix between two point sets, shape (len(xs), len(ys)).
+
+    Squared coordinate differences are summed one coordinate at a time, in
+    coordinate order, into a single (n, m) buffer that the kernel then
+    overwrites: no (n, m, d) array is built, and the rounding of a distance
+    does not depend on how a vectorized reduction would order the sum.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+    if xs.shape[1] != ys.shape[1]:
+        raise ValueError(f"dimension mismatch: {xs.shape[1]} vs {ys.shape[1]}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("kernel inputs must be finite")
-    diff = xs[:, None, :] - ys[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return kernel_of_distance(spec, r)
+    r = np.zeros((xs.shape[0], ys.shape[0]))
+    sq = np.empty_like(r)
+    # a square overflows to inf beyond |difference| ~ 1e154; the distance
+    # check in _kernel_in_place rejects it
+    with np.errstate(over="ignore"):
+        for k in range(xs.shape[1]):
+            np.subtract(xs[:, k, None], ys[None, :, k], out=sq)
+            np.multiply(sq, sq, out=sq)
+            r += sq
+    del sq  # freed before the kernel allocates its own temporaries
+    return _kernel_in_place(spec, np.sqrt(r, out=r))
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:

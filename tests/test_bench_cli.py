@@ -215,6 +215,20 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "env_out" / "manifest.json").exists()
 
+    def test_env_var_overrides_diag_output_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GPBANDIT_OUTPUT_DIR", str(tmp_path / "env_out"))
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "diag", "--horizons", "1,2", "--objective", "hartmann3",
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "flag_out"),
+        ])
+        assert rc == 0
+        for T in (1, 2):
+            assert (tmp_path / "env_out" / f"T{T}" / "manifest.json").exists()
+        assert not (tmp_path / "flag_out").exists()
+        assert not (tmp_path / "bench_out").exists()
+
     def test_gen_rkhs_and_optimum(self, tmp_path, capsys):
         target = tmp_path / "target.json"
         rc = main([

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpbandit.gp import GpModel
 from gpbandit.kernels import (
@@ -116,6 +118,36 @@ class TestPosterior:
         model = GpModel.fit(kernel, 1e-8, X, y)
         mean, _ = model.posterior_many(X)
         np.testing.assert_allclose(mean, y, atol=1e-3)
+
+
+class TestJitterRefit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log10_lam=st.floats(-16.0, 0.0),
+        offset=st.sampled_from([0.0, 1e-14, 1e-11, 1e-9]),
+        copies=st.integers(1, 3),
+        extra=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    @example(log10_lam=-16.0, offset=0.0, copies=1, extra=10, seed=0)
+    def test_factor_keeps_one_diagonal_shift(self, log10_lam, offset, copies,
+                                             extra, seed):
+        # near-duplicates push the extension pivot under the floor, so the
+        # model refits with jitter; the rows added after that refit must
+        # carry the same jitter, leaving L L^T - K a multiple of I
+        lam = 10.0 ** log10_lam
+        kernel = KernelSpec(MATERN, 0.2, 2.5)
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(size=2)
+        X = np.vstack([p, p + offset * rng.uniform(-1, 1, size=(copies, 2)),
+                       rng.uniform(size=(extra, 2))])
+        model = GpModel.fit(kernel, lam, X, rng.normal(size=len(X)))
+        L = model.chol_factor
+        D = L @ L.T - gram_matrix(kernel, model.points)
+        diag = np.diag(D)
+        assert np.max(np.abs(D - np.diag(diag))) <= 1e-12
+        assert np.ptp(diag) <= 1e-12
+        assert lam - 1e-12 <= diag.mean() <= lam + 1e-6 + 1e-12
 
 
 class TestVarianceMonotonicity:

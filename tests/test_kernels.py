@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,20 @@ from gpbandit.kernels import (
     MATERN,
     SQUARED_EXPONENTIAL,
     KernelSpec,
+    cross_matrix,
     gram_matrix,
     kernel_eval,
+    kernel_of_distance,
     matern_via_bessel,
 )
+
+SPECS = [
+    KernelSpec(SQUARED_EXPONENTIAL, 0.3),
+    KernelSpec(MATERN, 0.2, 0.5),
+    KernelSpec(MATERN, 0.2, 1.5),
+    KernelSpec(MATERN, 0.2, 2.5),
+    KernelSpec(MATERN, 0.3, 1.2),
+]
 
 
 @pytest.fixture
@@ -90,6 +101,81 @@ class TestHalfIntegerForms:
         ])
         bessel = matern_via_bessel(spec, radii)
         assert np.max(np.abs(closed - bessel)) < 1e-10
+
+
+def _spec_id(spec):
+    return spec.family if spec.nu is None else f"{spec.family}{spec.nu}"
+
+
+class TestCrossMatrix:
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_matches_per_pair_loop(self, spec, d):
+        rng = np.random.default_rng(d)
+        xs = rng.uniform(size=(9, d))
+        ys = np.vstack([rng.uniform(size=(12, d)), xs[:3]])
+        K = cross_matrix(spec, xs, ys)
+        assert K.shape == (9, 15)
+        ref = np.array([
+            [float(kernel_of_distance(spec, math.dist(x, y))) for y in ys]
+            for x in xs
+        ])
+        assert np.max(np.abs(K - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_one_at_coincident_and_snapped_pairs(self, spec):
+        xs = np.array([[0.1, 0.2, 0.3], [0.7, 0.5, 0.9]])
+        below_snap = xs + np.array([1e-14, 0.0, -1e-14])
+        K = cross_matrix(spec, xs, np.vstack([xs, below_snap]))
+        np.testing.assert_array_equal(K[:, :2].diagonal(), [1.0, 1.0])
+        np.testing.assert_array_equal(K[:, 2:].diagonal(), [1.0, 1.0])
+        assert K[0, 1] < 1.0
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cross_matrix(SPECS[0], np.zeros((4, 2)), np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_distance_overflow_raises(self, spec):
+        xs = np.array([[1e200, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            cross_matrix(spec, xs, -xs)
+
+    # the closed forms only; the Bessel route allocates freely
+    @pytest.mark.parametrize("spec", SPECS[:4], ids=_spec_id)
+    def test_peak_memory_stays_within_four_result_sizes(self, spec):
+        n, m = 100, 4096
+        rng = np.random.default_rng(0)
+        xs = rng.uniform(size=(n, 3))
+        ys = rng.uniform(size=(m, 3))
+        ys[:5] = xs[:5]  # coincident pairs take the zero-snap branch
+        tracemalloc.start()
+        try:
+            cross_matrix(spec, xs, ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * m * 8
+
+
+class TestKernelOfDistance:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_argument_unchanged_and_shape_kept(self, spec, shape):
+        rng = np.random.default_rng(5)
+        r = rng.uniform(0.0, 1.0, size=shape)
+        if r.ndim:
+            r.flat[0] = 0.0
+        before = r.copy()
+        k = kernel_of_distance(spec, r)
+        np.testing.assert_array_equal(r, before)
+        assert np.shape(k) == shape
+        assert np.all((k > 0) & (k <= 1))
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.inf, np.nan])
+    def test_bad_distance_rejected(self, bad):
+        with pytest.raises(ValueError):
+            kernel_of_distance(SPECS[1], np.array([0.1, bad]))
 
 
 class TestGramMatrix:
