@@ -56,16 +56,23 @@ def ei_scores(means, incumbent: float, scaled_stddevs) -> np.ndarray:
     """Vectorized improvement score rho(mean - incumbent, scaled_stddev)."""
     u = np.asarray(means, dtype=float) - incumbent
     v = np.asarray(scaled_stddevs, dtype=float)
-    if (v < 0).any():
+    if not (v >= 0).all():
         raise ValueError("scaled stddev must be nonnegative")
-    u, v = np.broadcast_arrays(u, v)
-    pos = v > 0
-    with np.errstate(divide="ignore", under="ignore"):
-        z = np.where(pos, u / np.where(pos, v, 1.0), 0.0)
+    if u.shape != v.shape:
+        u, v = np.broadcast_arrays(u, v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = u / v
     hinge = np.maximum(0.0, u)
-    out = np.where(pos, v * tau(z), hinge)
+    if np.isfinite(z).all():
+        out = v * tau(z)
+    else:
+        # v = 0, or a subnormal v that makes u / v overflow: rho(u, v) is at
+        # its limit max(0, u).  A z left non-finite (u not finite) makes tau
+        # raise.
+        limit = ~np.isfinite(z) & ((v == 0) | np.isfinite(u))
+        out = np.where(limit, hinge, v * tau(np.where(limit, 0.0, z)))
     # guard the analytic floor rho(u, v) >= max(0, u) against roundoff
-    return np.maximum(out, hinge, out=out)
+    return np.maximum(out, hinge)
 
 
 def ei_score(mean: float, incumbent: float, scaled_stddev: float) -> float:

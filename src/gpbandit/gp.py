@@ -23,12 +23,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .kernels import KernelSpec, cross_matrix, gram_matrix
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _PIVOT_FLOOR = 1e-14
+# posterior_many scores query points in column blocks of this many: at
+# n <= ~100 observations an n x _BLOCK float64 kernel block (400 KB at n=100)
+# stays in L2 through the kernel's elementwise passes and the solve.  A
+# multiple of 4, so that block edges never cut BLAS's 4-row unrolling.
+_BLOCK = 512
 
 
 class GpNumericsError(RuntimeError):
@@ -48,7 +53,30 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
         )
     if info < 0:
         raise GpNumericsError(f"bad argument {-info} to dpotrf")
+    if not np.isfinite(c).all():
+        raise GpNumericsError("Cholesky factor is not finite")
     return c
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """x with L x = b (trans=0) or L^T x = b (trans=1); L lower triangular.
+
+    Makes the LAPACK dtrtrs call scipy.linalg.solve_triangular makes for L's
+    memory order, so the result is the same to the bit, without that
+    wrapper's per-call validation.  L is checked finite where it is built;
+    b is checked here.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side of a triangular solve must be finite")
+    if L.flags.f_contiguous:
+        x, info = lapack.dtrtrs(L, b, lower=1, trans=trans)
+    else:
+        x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1 - trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular factor at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"bad argument {-info} to dtrtrs")
+    return x
 
 
 class GpModel:
@@ -92,19 +120,33 @@ class GpModel:
 
     def _ensure_alpha(self) -> np.ndarray:
         if self._alpha is None:
-            z = solve_triangular(self._L, self._y, lower=True)
-            self._alpha = solve_triangular(self._L, z, lower=True, trans="T")
+            z = _solve_lower(self._L, self._y)
+            self._alpha = _solve_lower(self._L, z, trans=1)
         return self._alpha
 
     def posterior_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior (means, stddevs) at a batch of query points."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        m = xs.shape[0]
         if self.n == 0:
-            return np.zeros(xs.shape[0]), np.ones(xs.shape[0])
-        kc = cross_matrix(self.kernel, self._X, xs)  # (n, m)
-        mean = kc.T @ self._ensure_alpha()
-        v = solve_triangular(self._L, kc, lower=True)
-        var = 1.0 - np.einsum("ij,ij->j", v, v)
+            return np.zeros(m), np.ones(m)
+        alpha = self._ensure_alpha()
+        mean = np.empty(m)
+        var = np.empty(m)
+        # blocks of _BLOCK columns; the remainder joins the last block, since
+        # a narrow tail block would take other BLAS paths (gemv's row tail,
+        # dtrtrs's single right-hand side) and round its columns differently
+        # from one call over all m
+        start = 0
+        while start < m:
+            stop = start + _BLOCK if m - start >= 2 * _BLOCK else m
+            kc = cross_matrix(self.kernel, self._X, xs[start:stop])  # (n, block)
+            np.matmul(kc.T, alpha, out=mean[start:stop])
+            v = _solve_lower(self._L, kc)
+            np.einsum("ij,ij->j", v, v, out=var[start:stop])
+            del kc, v  # freed before the next block is built
+            start = stop
+        np.subtract(1.0, var, out=var)
         return mean, np.sqrt(np.maximum(var, 0.0, out=var))
 
     def posterior(self, x) -> tuple[float, float]:
@@ -126,8 +168,10 @@ class GpModel:
                 last_err = err
         raise last_err
 
-    def update(self, x, y: float) -> None:
-        """Condition on one more (x, y) pair; O(n^2) factor extension."""
+    def update(self, x, y: float) -> float:
+        """Condition on one more (x, y) pair; O(n^2) factor extension.
+
+        Returns the posterior stddev at x before conditioning."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if not (np.all(np.isfinite(x)) and np.isfinite(y)):
             raise ValueError("update inputs must be finite")
@@ -140,16 +184,18 @@ class GpModel:
             self._y = np.array([float(y)])
             self._L = np.array([[math.sqrt(1.0 + self.lam)]])
             self._alpha = None
-            return
+            return sigma_prev
 
         c = cross_matrix(self.kernel, self._X, x[None, :])[:, 0]
-        b = solve_triangular(self._L, c, lower=True)
+        b = _solve_lower(self._L, c)
         pivot_sq = 1.0 + (self.lam + self._jitter) - float(b @ b)
+        if not (np.isfinite(b).all() and math.isfinite(pivot_sq)):
+            raise GpNumericsError("factor extension is not finite")
         self._X = np.vstack([self._X, x[None, :]])
         self._y = np.append(self._y, float(y))
         if pivot_sq <= _PIVOT_FLOOR:
             self._refit()
-            return
+            return sigma_prev
         n = self._L.shape[0]
         L = np.zeros((n + 1, n + 1))
         L[:n, :n] = self._L
@@ -157,6 +203,7 @@ class GpModel:
         L[n, n] = math.sqrt(pivot_sq)
         self._L = L
         self._alpha = None
+        return sigma_prev
 
     def accumulated_info_gain(self) -> float:
         """Running 1/2 * sum ln(1 + var_prev(x_i)/lam) over inserted points."""

@@ -33,6 +33,11 @@ _ZERO_SNAP = 1e-12
 
 _HALF_INTEGER_NUS = (0.5, 1.5, 2.5)
 
+# exp(-c) is exactly 0 for c >= 745.2, so the SE and closed-form Matern values
+# are exactly 0 from this scaled distance on; clamping there keeps r / l,
+# s * s and c * c from overflowing into inf * 0
+_EXP_ZERO = 745.2
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -103,6 +108,9 @@ def _kernel_in_place(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """Kernel values at the distances in the float array `r`, written over it."""
     if (r < 0).any() or not np.isfinite(r).all():
         raise ValueError("distances must be finite and nonnegative")
+    closed_form = spec.family == SQUARED_EXPONENTIAL or spec.nu in _HALF_INTEGER_NUS
+    if closed_form:
+        np.minimum(r, _EXP_ZERO * spec.lengthscale, out=r)
     s = np.divide(r, spec.lengthscale, out=r)
     if spec.family == SQUARED_EXPONENTIAL:
         np.multiply(s, s, out=s)
@@ -112,7 +120,7 @@ def _kernel_in_place(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     snap = zero.any()
     if snap:
         s[zero] = 1.0
-    if spec.nu in _HALF_INTEGER_NUS:
+    if closed_form:
         s = _matern_half_integer(s, spec.nu)
     else:
         s[...] = _matern_bessel(s, spec.nu)

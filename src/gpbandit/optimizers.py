@@ -151,11 +151,11 @@ def run_gp_ei(config: RunConfig, objective, true_optimum: float) -> RunTrace:
     lower, upper = np.zeros(d), np.ones(d)
     trace = RunTrace(config.algorithm, config.seed, d)
     cum_regret = 0.0
+    best = None  # _best_sampled_mean(model) of the current model version
     for t in range(1, config.horizon_T + 1):
         t0 = time.perf_counter()
         omega_t = omega_at(config.omega, t, model.accumulated_info_gain())
         sampled = model.points
-        best = _best_sampled_mean(model)
         incumbent = 0.0 if best is None else best[1]
 
         def score(xs):
@@ -166,10 +166,10 @@ def run_gp_ei(config: RunConfig, objective, true_optimum: float) -> RunTrace:
             score, lower, upper, rng, config.acq_candidates,
             config.acq_refinements, extra_points=sampled if model.n else None,
         )
-        _, sigma_sel = model.posterior(x_t)
         y_t = objective(x_t)
-        model.update(x_t, y_t)
-        x_plus = _best_sampled_mean(model)[0]
+        sigma_sel = model.update(x_t, y_t)
+        best = _best_sampled_mean(model)
+        x_plus = best[0]
         f_plus = float(objective.target(x_plus))
         regret = true_optimum - f_plus
         cum_regret += regret
@@ -252,9 +252,8 @@ def _run_cover_loop(config: RunConfig, objective, true_optimum: float,
         _, win_cell, x_t = winner
         if not win_cell.contains(x_t):
             raise RuntimeError(f"selected point {x_t} lies outside its cell")
-        _, sigma_sel = win_cell.model.posterior(x_t)
         y_t = objective(x_t)
-        win_cell.model.update(x_t, y_t)
+        sigma_sel = win_cell.model.update(x_t, y_t)
         if split_pass(cover, iteration=t + 1):
             for cache in (searched, best_seen):
                 for gone in cache.keys() - set(cover.cells):

@@ -111,6 +111,19 @@ class TestEiScore:
     def test_negative_stddev_rejected(self):
         with pytest.raises(ValueError):
             ei_score(0.0, 0.0, -0.1)
+        with pytest.raises(ValueError):
+            ei_score(0.0, 0.0, float("nan"))
+
+    @pytest.mark.parametrize("v", [1e-310, 5e-324])
+    def test_subnormal_stddev_gives_hinge_limit(self, v):
+        # u / v overflows; rho(u, v) -> max(0, u) as v -> 0
+        got = ei_scores(np.array([1.0, -1.0, 2.5]), 0.0, np.full(3, v))
+        assert got.tolist() == [1.0, 0.0, 2.5]
+
+    def test_nonfinite_mean_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ei_scores(np.array([0.0, bad]), 0.0, np.array([1.0, 1.0]))
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
+from gpbandit import gp
 from gpbandit.gp import GpModel
 from gpbandit.kernels import (
     MATERN,
@@ -25,6 +28,19 @@ def dense_posterior(kernel, lam, X, y, xq):
     mean = sol.T @ y
     var = 1.0 - np.einsum("ij,ij->j", kq, sol)
     return mean, np.sqrt(np.clip(var, 0.0, None))
+
+
+def unblocked_posterior(model, xq):
+    """Reference: the whole batch in one kernel block and one SciPy solve."""
+    L = model.chol_factor
+    alpha = solve_triangular(
+        L, solve_triangular(L, model.observations, lower=True), lower=True, trans="T"
+    )
+    kc = cross_matrix(model.kernel, model.points, xq)
+    mean = kc.T @ alpha
+    v = solve_triangular(L, kc, lower=True)
+    var = 1.0 - np.einsum("ij,ij->j", v, v)
+    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
 @pytest.fixture
@@ -120,6 +136,59 @@ class TestPosterior:
         np.testing.assert_allclose(mean, y, atol=1e-3)
 
 
+class TestBlockedPosterior:
+    B = gp._BLOCK
+
+    @pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("family,nu", [(MATERN, 2.5), (SQUARED_EXPONENTIAL, None)])
+    def test_matches_unblocked_reference_to_the_bit(self, family, nu, m):
+        kernel = KernelSpec(family, 0.3, nu)
+        rng = np.random.default_rng(m)
+        X = rng.uniform(size=(40, 3))
+        y = rng.normal(size=40)
+        model = GpModel.fit(kernel, 0.01, X, y)
+        xq = rng.uniform(size=(m, 3))
+        mean, std = model.posterior_many(xq)
+        mean_r, std_r = unblocked_posterior(model, xq)
+        assert mean.tobytes() == mean_r.tobytes()
+        assert std.tobytes() == std_r.tobytes()
+        mean_o, std_o = dense_posterior(kernel, 0.01, X, y, xq)
+        np.testing.assert_allclose(mean, mean_o, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(std, std_o, rtol=0, atol=1e-10)
+
+    def test_nan_right_hand_side_raises(self, matern25, monkeypatch):
+        rng = np.random.default_rng(19)
+        model = GpModel.fit(matern25, 0.01, rng.uniform(size=(5, 2)), rng.normal(size=5))
+        real = gp.cross_matrix
+
+        def poisoned(*args):
+            k = real(*args)
+            k[0, -1] = np.nan
+            return k
+
+        monkeypatch.setattr(gp, "cross_matrix", poisoned)
+        with pytest.raises(ValueError):
+            model.posterior_many(rng.uniform(size=(3, 2)))
+        with pytest.raises(ValueError):
+            model.update(rng.uniform(size=2), 0.5)
+
+    def test_peak_memory_is_a_few_blocks(self, matern25):
+        # a kernel block and its two Matern-5/2 temporaries, plus the two
+        # outputs; the whole n x m kernel matrix alone would be 8 blocks here
+        n, m = 100, 4096
+        rng = np.random.default_rng(20)
+        model = GpModel.fit(matern25, 0.01, rng.uniform(size=(n, 3)), rng.normal(size=n))
+        xq = rng.uniform(size=(m, 3))
+        model.posterior_many(xq[:1])  # the cached alpha is not part of the peak
+        tracemalloc.start()
+        try:
+            model.posterior_many(xq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (n * self.B * 8 + m * 8)
+
+
 class TestJitterRefit:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -168,6 +237,14 @@ class TestInfoGain:
     def test_empty_is_zero(self):
         model = GpModel(KernelSpec(SQUARED_EXPONENTIAL, 1.0), 1.0)
         assert model.accumulated_info_gain() == 0.0
+
+    def test_update_returns_the_prior_stddev_at_the_point(self, matern25):
+        rng = np.random.default_rng(21)
+        model = GpModel(matern25, 0.01)
+        for _ in range(6):
+            x = rng.uniform(size=2)
+            _, before = model.posterior(x)
+            assert model.update(x, rng.normal()) == before
 
     def test_first_point_half_ln_two(self):
         model = GpModel(KernelSpec(SQUARED_EXPONENTIAL, 1.0), 1.0)

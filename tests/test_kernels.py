@@ -141,6 +141,16 @@ class TestCrossMatrix:
         with pytest.raises(ValueError, match="finite"):
             cross_matrix(spec, xs, -xs)
 
+    @pytest.mark.parametrize("spec", SPECS[:4], ids=_spec_id)
+    def test_far_pairs_are_exactly_zero(self, spec):
+        # c * c (or r / l) would overflow; exp(-c) is already 0 there
+        r = [745.2 * spec.lengthscale, 1e155, 1e300, 1e308, np.finfo(float).max]
+        assert kernel_of_distance(spec, r).tolist() == [0.0] * 5
+        assert cross_matrix(spec, [[1e153]], [[-1e153]]).tolist() == [[0.0]]
+
+    def test_far_clamp_leaves_nonzero_values(self):
+        assert kernel_of_distance(KernelSpec(MATERN, 1.0, 0.5), 745.0) == math.exp(-745.0) > 0
+
     # the closed forms only; the Bessel route allocates freely
     @pytest.mark.parametrize("spec", SPECS[:4], ids=_spec_id)
     def test_peak_memory_stays_within_four_result_sizes(self, spec):

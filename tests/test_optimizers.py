@@ -12,6 +12,7 @@ from gpbandit.acquisition import (
 )
 from gpbandit import optimizers, partition
 from gpbandit.bench import strip_wallclock, trace_csv_lines
+from gpbandit.gp import GpModel
 from gpbandit.kernels import MATERN, KernelSpec
 from gpbandit.optimizers import (
     ALG_GP_EI,
@@ -333,6 +334,44 @@ class TestCoverSearchCache:
         oracle, opt = rkhs_oracle(seed=406)
         with pytest.raises(RuntimeError, match="outside its cell"):
             run_improved_gp_ei(self.polylog_config(ALG_IMPROVED_GP_EI), oracle, opt)
+
+
+class TestPosteriorReads:
+    @pytest.mark.parametrize("alg", [ALG_GP_EI, ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_selected_point_is_read_once_per_step(self, alg, monkeypatch):
+        # the read inside update, which also yields the trace's sigma; the
+        # updates that refit the cells a split creates are not counted
+        reads, splitting = [], []
+        real_posterior, real_split = GpModel.posterior, optimizers.split_pass
+
+        def split_pass(*args, **kwargs):
+            splitting.append(1)
+            try:
+                return real_split(*args, **kwargs)
+            finally:
+                splitting.pop()
+
+        def posterior(self, x):
+            if not splitting:
+                reads.append(1)
+            return real_posterior(self, x)
+
+        monkeypatch.setattr(GpModel, "posterior", posterior)
+        monkeypatch.setattr(optimizers, "split_pass", split_pass)
+        oracle, opt = rkhs_oracle(seed=407)
+        trace = optimizers.run(small_config(alg, T=8), oracle, opt)
+        assert len(reads) == trace.horizon
+
+    def test_gp_ei_reads_best_sampled_mean_once_per_model_version(self, monkeypatch):
+        calls, real = [], GpModel.posterior_many
+        monkeypatch.setattr(GpModel, "posterior_many",
+                            lambda self, xs: calls.append(1) or real(self, xs))
+        oracle, opt = rkhs_oracle(seed=408)
+        cfg = small_config(T=6)
+        run_gp_ei(cfg, oracle, opt)
+        # per step: the candidate batch, one call per refinement, the
+        # update's read and the best sampled mean after it
+        assert len(calls) == cfg.horizon_T * (cfg.acq_refinements + 3)
 
 
 class TestRunConfigValidation:
