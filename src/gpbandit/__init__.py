@@ -23,9 +23,6 @@ from .optimizers import (
     RunTrace,
     maximize_acquisition,
     run,
-    run_gp_ei,
-    run_improved_gp_ei,
-    run_pi_ucb_baseline,
 )
 from .partition import Cell, Cover, initial_cover, locate, maybe_split
 from .testbed import (
@@ -68,9 +65,6 @@ __all__ = [
     "maybe_split",
     "omega_at",
     "run",
-    "run_gp_ei",
-    "run_improved_gp_ei",
-    "run_pi_ucb_baseline",
     "standard_function",
     "tau",
     "ucb_score",

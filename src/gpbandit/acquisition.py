@@ -67,9 +67,10 @@ def ei_scores(means, incumbent: float, scaled_stddevs) -> np.ndarray:
         out = v * tau(z)
     else:
         # v = 0, or a subnormal v that makes u / v overflow: rho(u, v) is at
-        # its limit max(0, u).  A z left non-finite (u not finite) makes tau
-        # raise.
-        limit = ~np.isfinite(z) & ((v == 0) | np.isfinite(u))
+        # its limit max(0, u)
+        if not np.isfinite(u).all():
+            raise ValueError("means and incumbent must be finite")
+        limit = ~np.isfinite(z)
         out = np.where(limit, hinge, v * tau(np.where(limit, 0.0, z)))
     # guard the analytic floor rho(u, v) >= max(0, u) against roundoff
     return np.maximum(out, hinge)

@@ -18,7 +18,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,6 @@ class BenchConfig:
     seed_base: int = 0
     noise_seed_offset: int = 10_000
     output_dir: str = "bench_out"
-    metric: str = "log_distance"
     jobs: int = 1
 
     def __post_init__(self):
@@ -146,21 +145,8 @@ def run_benchmark(config: BenchConfig) -> dict:
         label = run_label(run_cfg)
         for rep in range(config.repeats):
             seed = config.seed_base + rep
-            cfg = RunConfig(
-                algorithm=run_cfg.algorithm,
-                horizon_T=run_cfg.horizon_T,
-                omega=run_cfg.omega,
-                kernel=run_cfg.kernel,
-                lam=run_cfg.lam,
-                delta=run_cfg.delta,
-                seed=seed,
-                acq_candidates=run_cfg.acq_candidates,
-                acq_refinements=run_cfg.acq_refinements,
-                B=run_cfg.B,
-                R=run_cfg.R,
-            )
             noise_seed = config.noise_seed_offset + seed
-            jobs.append((label, cfg, config.objective, noise_seed))
+            jobs.append((label, replace(run_cfg, seed=seed), config.objective, noise_seed))
 
     failed_marker = out / "FAILED"
     try:
@@ -202,7 +188,6 @@ def run_benchmark(config: BenchConfig) -> dict:
         },
         "repeats": config.repeats,
         "seed_base": config.seed_base,
-        "metric": config.metric,
         "runs": [
             {
                 "algorithm": c.algorithm,
@@ -374,7 +359,6 @@ _DEFAULTS = {
     "rkhs_file": "",
     "noise_stddev": "0.1",
     "output_dir": "bench_out",
-    "metric": "log_distance",
     "jobs": "1",
 }
 
@@ -436,5 +420,5 @@ def build_bench_config(values: dict[str, str]) -> BenchConfig:
     return BenchConfig(
         runs=runs, objective=objective, repeats=int(cfg["repeats"]),
         seed_base=int(cfg["seed_base"]), output_dir=cfg["output_dir"],
-        metric=cfg["metric"], jobs=int(cfg["jobs"]),
+        jobs=int(cfg["jobs"]),
     )

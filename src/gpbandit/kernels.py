@@ -90,11 +90,15 @@ def _matern_bessel(s: np.ndarray, nu: float) -> np.ndarray:
     Uses the standard sqrt(2 nu) argument scaling, so nu = 1/2 reduces to
     exp(-r/l) and the half-integer closed forms agree with this route.
     """
-    z = math.sqrt(2.0 * nu) * s
+    with np.errstate(over="ignore"):
+        z = math.sqrt(2.0 * nu) * s  # inf past the float range; K_nu(inf) = 0
     coef = 2.0 ** (1.0 - nu) / _gamma(nu)
+    k = _bessel_kv(nu, z)
+    # K_nu is 0 past z ~ 698 (the value there is below 1e-284 for nu <= 10),
+    # where z^nu may overflow: 1 stands in for it, giving 0, not inf * 0
     with np.errstate(over="raise", invalid="raise"):
         try:
-            out = coef * np.power(z, nu) * _bessel_kv(nu, z)
+            out = coef * np.power(np.where(k == 0.0, 1.0, z), nu) * k
         except FloatingPointError as exc:
             raise OverflowError(
                 f"Bessel evaluation out of range for nu={nu}"
@@ -111,7 +115,9 @@ def _kernel_in_place(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     closed_form = spec.family == SQUARED_EXPONENTIAL or spec.nu in _HALF_INTEGER_NUS
     if closed_form:
         np.minimum(r, _EXP_ZERO * spec.lengthscale, out=r)
-    s = np.divide(r, spec.lengthscale, out=r)
+    # unclamped only on the Bessel route, where r / l = inf gives the exact 0
+    with np.errstate(over="ignore"):
+        s = np.divide(r, spec.lengthscale, out=r)
     if spec.family == SQUARED_EXPONENTIAL:
         np.multiply(s, s, out=s)
         s *= -0.5

@@ -1,14 +1,16 @@
-"""Sequential run loops: EI on a global GP, EI on an adaptive cover, and the
-cover-reusing UCB baseline, plus the inner acquisition maximizer.
+"""The sequential run loop and its inner acquisition maximizer.
 
-Each loop is a single-writer decision process: score candidates, pick the
-argmax, observe a noisy value, refresh the model(s), and report the point
-whose current posterior mean is largest among everything sampled so far.
-Regret rows are exact because the testbed supplies the true optimum.
+One loop runs every algorithm on a cover of the unit box with a GP per cell:
+GP-EI is EI on one cell that never splits, Improved GP-EI is EI per cell on
+the adaptive cover, and pi-GP-UCB scores that cover's cells by UCB.  Each
+step searches the cells, observes the argmax, refreshes its cell's model,
+applies the split rule, and reports the sampled point of largest current
+posterior mean.  Regret rows are exact: the testbed supplies the optimum.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +19,7 @@ import numpy as np
 from .acquisition import OmegaSchedule, beta_value, ei_scores, omega_at, ucb_score
 from .gp import GpModel
 from .kernels import KernelSpec
-from .partition import Cover, initial_cover, split_pass
+from .partition import Cell, Cover, initial_cover, split_pass
 
 ALG_GP_EI = "gp_ei"
 ALG_IMPROVED_GP_EI = "improved_gp_ei"
@@ -82,7 +84,7 @@ class RunTrace:
     seed: int
     dim: int
     rows: list[TraceRow] = field(default_factory=list)
-    # run-level diagnostics filled by the loops
+    # run-level diagnostics filled by the loop
     sum_sigma_selected: float = 0.0
     final_info_gain: float = 0.0
     max_cell_info_gain: float = 0.0
@@ -100,10 +102,11 @@ class RunTrace:
 
 def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
                          n_candidates: int, n_refinements: int,
-                         extra_points=None) -> np.ndarray:
+                         extra_points=None) -> tuple[np.ndarray, float]:
     """Random multi-start argmax over a box: uniform candidates plus any
     previously sampled points, then shrinking-radius perturbation rounds.
-    Ties go to the first-seen point; deterministic given the rng state."""
+    Returns the best point and its score.  Ties go to the first-seen point;
+    deterministic given the rng state."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     d = lower.shape[0]
@@ -127,124 +130,105 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
         if pv[i] > best_score:
             best_score, best_x = float(pv[i]), probes[i].copy()
         radius *= 0.5
-    return best_x
-
-
-def _best_sampled_mean(model: GpModel) -> tuple[np.ndarray, float] | None:
-    """The sampled point of largest posterior mean, and that mean; None
-    before the model has data."""
-    if model.n == 0:
-        return None
-    pts = model.points
-    means, _ = model.posterior_many(pts)
-    i = int(np.argmax(means))
-    return pts[i], float(means[i])
-
-
-def run_gp_ei(config: RunConfig, objective, true_optimum: float) -> RunTrace:
-    """EI with a single global GP over the unit box."""
-    if config.algorithm != ALG_GP_EI:
-        raise ValueError("config.algorithm must be gp_ei")
-    d = objective.dim
-    rng = np.random.default_rng(config.seed)
-    model = GpModel(config.kernel, config.lam)
-    lower, upper = np.zeros(d), np.ones(d)
-    trace = RunTrace(config.algorithm, config.seed, d)
-    cum_regret = 0.0
-    best = None  # _best_sampled_mean(model) of the current model version
-    for t in range(1, config.horizon_T + 1):
-        t0 = time.perf_counter()
-        omega_t = omega_at(config.omega, t, model.accumulated_info_gain())
-        sampled = model.points
-        incumbent = 0.0 if best is None else best[1]
-
-        def score(xs):
-            means, stds = model.posterior_many(xs)
-            return ei_scores(means, incumbent, omega_t * stds)
-
-        x_t = maximize_acquisition(
-            score, lower, upper, rng, config.acq_candidates,
-            config.acq_refinements, extra_points=sampled if model.n else None,
-        )
-        y_t = objective(x_t)
-        sigma_sel = model.update(x_t, y_t)
-        best = _best_sampled_mean(model)
-        x_plus = best[0]
-        f_plus = float(objective.target(x_plus))
-        regret = true_optimum - f_plus
-        cum_regret += regret
-        trace.sum_sigma_selected += sigma_sel
-        trace.rows.append(TraceRow(
-            t=t, x=x_t, y=y_t, x_plus=x_plus, f_at_x_plus=f_plus,
-            instantaneous_regret=regret, cumulative_regret=cum_regret,
-            omega=omega_t, info_gain=model.accumulated_info_gain(),
-            cell_count=1, wallclock_ms=1e3 * (time.perf_counter() - t0),
-            sigma_at_selected=sigma_sel,
-        ))
-    trace.final_info_gain = model.accumulated_info_gain()
-    trace.max_cell_info_gain = model.accumulated_info_gain()
-    return trace
+    return best_x, best_score
 
 
 def _cell_budget(total_candidates: int, n_cells: int) -> int:
-    return max(128, total_candidates // n_cells)
+    """Candidates per cell search: an equal share of the total, floored at
+    128 but never above the total."""
+    return max(min(128, total_candidates), total_candidates // n_cells)
 
 
-def _run_cover_loop(config: RunConfig, objective, true_optimum: float,
-                    cell_score_factory) -> RunTrace:
-    """Shared machinery of the partition-based loops.
+def _omega(config: RunConfig, t: int, cover: Cover) -> float:
+    """EI's exploration scale at step t from the gain summed over cells; UCB
+    has no global scale, and the trace column reads 1."""
+    if config.algorithm == ALG_PI_UCB:
+        return 1.0
+    gain = sum(c.model.accumulated_info_gain() for c in cover.cells)
+    return omega_at(config.omega, t, gain)
 
-    cell_score_factory(cell, omega_t, incumbent) returns a vectorized score
-    over points of that cell; selection is the global argmax over (cell,
-    point).  A cell's acquisition surface depends only on its own model and
-    omega_t, so each cell's search result is cached under (model.n, omega_t)
-    and a cell is searched again only when that key changes: after it
-    receives an observation, when it is newly created by a split, or at every
-    step when omega_t moves (theory_ei).  The search budget is left out of
-    the key: it sets the effort, not the surface.  Each cell's best posterior
-    mean at its sampled points is likewise computed once per model version;
-    it is both the cell's EI incumbent and its candidate for the report."""
+
+def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: float):
+    """Vectorized score over points of one cell with this model: EI against
+    the cell's own incumbent mean, or UCB with a width from the cell's gain."""
+    if config.algorithm == ALG_PI_UCB:
+        beta = beta_value(config.B, config.R, model.accumulated_info_gain(), config.delta)
+
+        def score(xs):
+            means, stds = model.posterior_many(xs)
+            return ucb_score(means, stds, beta)
+    else:
+        def score(xs):
+            means, stds = model.posterior_many(xs)
+            return ei_scores(means, incumbent, omega_t * stds)
+    return score
+
+
+def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
+    """Run config.algorithm for config.horizon_T steps on its cover.
+
+    Selection is the global argmax of the cell scores over (cell, point).  A
+    cell's acquisition surface depends only on its own model and omega_t, so
+    each cell's search result is cached under (model.n, omega_t) and a cell
+    is searched again only when that key changes: after it receives an
+    observation, when it is newly created by a split, or at every step when
+    omega_t moves (theory_ei).  The search budget is left out of the key: it
+    sets the effort, not the surface.  Each cell's best posterior mean at its
+    sampled points is likewise computed once per model version; it is both
+    the cell's EI incumbent and its candidate for the report."""
     d = objective.dim
     rng = np.random.default_rng(config.seed)
-    nu = config.kernel.nu
-    cover = initial_cover(d, config.horizon_T, config.kernel, config.lam, nu)
+    splits = config.algorithm != ALG_GP_EI
+    if splits:
+        cover = initial_cover(d, config.horizon_T, config.kernel, config.lam,
+                              config.kernel.nu)
+    else:  # one cell over the unit box, without split constants
+        cell = Cell(np.zeros(d), np.ones(d), GpModel(config.kernel, config.lam))
+        cover = Cover([cell], math.nan, math.nan, config.horizon_T, config.kernel,
+                      config.lam, d)
     trace = RunTrace(config.algorithm, config.seed, d)
     trace.cover_q = cover.q
     searched = {}  # cell -> ((n, omega_t), score, x)
-    best_seen = {}  # cell -> (n, _best_sampled_mean(cell.model))
+    best_seen = {}  # cell -> (n, best_mean(cell))
 
     def best_mean(cell):
-        if cell not in best_seen or best_seen[cell][0] != cell.model.n:
-            best_seen[cell] = (cell.model.n, _best_sampled_mean(cell.model))
+        """The cell's sampled point of largest posterior mean, and that
+        mean; None before the cell has data."""
+        model = cell.model
+        if cell not in best_seen or best_seen[cell][0] != model.n:
+            best = None
+            if model.n:
+                pts = model.points
+                means, _ = model.posterior_many(pts)
+                i = int(np.argmax(means))
+                best = pts[i], float(means[i])
+            best_seen[cell] = (model.n, best)
         return best_seen[cell][1]
 
     cum_regret = 0.0
     for t in range(1, config.horizon_T + 1):
         t0 = time.perf_counter()
         budget = _cell_budget(config.acq_candidates, cover.cell_count)
-        omega_t = cell_score_factory.omega(t, cover)
+        omega_t = _omega(config, t, cover)
         winner = None  # (score, cell, x)
         for cell in cover.cells:
             key = (cell.model.n, omega_t)
             if cell not in searched or searched[cell][0] != key:
                 best = best_mean(cell)
-                score_fn = cell_score_factory(
-                    cell, omega_t, 0.0 if best is None else best[1])
+                score_fn = _cell_score(config, cell.model, omega_t,
+                                       0.0 if best is None else best[1])
                 extra = cell.model.points if cell.model.n else None
-                x = maximize_acquisition(
+                x, s = maximize_acquisition(
                     score_fn, cell.lower, cell.upper, rng, budget,
                     config.acq_refinements, extra_points=extra,
                 )
                 # keep the point inside the half-open ownership region: an
                 # exact hit on a shared upper face would belong to the
                 # neighbour cell
-                interior_face = cell.upper < 1.0
-                x = np.where(
-                    interior_face & (x >= cell.upper),
-                    np.nextafter(cell.upper, cell.lower),
-                    x,
-                )
-                s = float(np.asarray(score_fn(x[None, :]))[0])
+                clamp = (cell.upper < 1.0) & (x >= cell.upper)
+                if clamp.any():
+                    x = np.where(clamp, np.nextafter(cell.upper, cell.lower), x)
+                    s = float(np.asarray(score_fn(x[None, :]))[0])
                 searched[cell] = (key, s, x)
             _, s, x = searched[cell]
             if winner is None or s > winner[0]:
@@ -254,7 +238,7 @@ def _run_cover_loop(config: RunConfig, objective, true_optimum: float,
             raise RuntimeError(f"selected point {x_t} lies outside its cell")
         y_t = objective(x_t)
         sigma_sel = win_cell.model.update(x_t, y_t)
-        if split_pass(cover, iteration=t + 1):
+        if splits and split_pass(cover, iteration=t + 1):
             for cache in (searched, best_seen):
                 for gone in cache.keys() - set(cover.cells):
                     del cache[gone]
@@ -276,72 +260,7 @@ def _run_cover_loop(config: RunConfig, objective, true_optimum: float,
             wallclock_ms=1e3 * (time.perf_counter() - t0),
             sigma_at_selected=sigma_sel,
         ))
-    trace.final_info_gain = sum(c.model.accumulated_info_gain() for c in cover.cells)
-    trace.max_cell_info_gain = max(
-        c.model.accumulated_info_gain() for c in cover.cells
-    )
+    gains = [c.model.accumulated_info_gain() for c in cover.cells]
+    trace.final_info_gain, trace.max_cell_info_gain = sum(gains), max(gains)
     trace.total_cells_created = cover.total_created
     return trace
-
-
-class _EiCellScores:
-    """Per-cell EI against the cell's own incumbent mean."""
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-
-    def omega(self, t: int, cover: Cover) -> float:
-        gain = sum(c.model.accumulated_info_gain() for c in cover.cells)
-        return omega_at(self.config.omega, t, gain)
-
-    def __call__(self, cell, omega_t: float, incumbent: float):
-        def score(xs):
-            means, stds = cell.model.posterior_many(xs)
-            return ei_scores(means, incumbent, omega_t * stds)
-
-        return score
-
-
-class _UcbCellScores:
-    """Per-cell UCB with a width driven by the cell's own information gain."""
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-
-    def omega(self, t: int, cover: Cover) -> float:
-        return 1.0  # UCB has no global scale; column kept for the trace
-
-    def __call__(self, cell, omega_t: float, incumbent: float):
-        beta = beta_value(
-            self.config.B, self.config.R,
-            cell.model.accumulated_info_gain(), self.config.delta,
-        )
-
-        def score(xs):
-            means, stds = cell.model.posterior_many(xs)
-            return ucb_score(means, stds, beta)
-
-        return score
-
-
-def run_improved_gp_ei(config: RunConfig, objective, true_optimum: float) -> RunTrace:
-    """EI over an adaptive hypercube cover with independent per-cell GPs."""
-    if config.algorithm != ALG_IMPROVED_GP_EI:
-        raise ValueError("config.algorithm must be improved_gp_ei")
-    return _run_cover_loop(config, objective, true_optimum, _EiCellScores(config))
-
-
-def run_pi_ucb_baseline(config: RunConfig, objective, true_optimum: float) -> RunTrace:
-    """UCB baseline reusing the same cover machinery."""
-    if config.algorithm != ALG_PI_UCB:
-        raise ValueError("config.algorithm must be pi_ucb")
-    return _run_cover_loop(config, objective, true_optimum, _UcbCellScores(config))
-
-
-def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
-    """Dispatch on config.algorithm."""
-    if config.algorithm == ALG_GP_EI:
-        return run_gp_ei(config, objective, true_optimum)
-    if config.algorithm == ALG_IMPROVED_GP_EI:
-        return run_improved_gp_ei(config, objective, true_optimum)
-    return run_pi_ucb_baseline(config, objective, true_optimum)

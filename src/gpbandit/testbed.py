@@ -12,6 +12,7 @@ an (m,) array, or a single d-vector and return a scalar.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,14 +134,9 @@ def make_rkhs_function(kernel: KernelSpec, d: int, m: int, rng: np.random.Genera
     weights = rng.uniform(-1.0, 1.0, size=m)
     K = gram_matrix(kernel, centers)
     norm_sq = float(weights @ K @ weights)
-
-    def f(x):
-        xb, single = _as_batch(x)
-        vals = cross_matrix(kernel, centers, xb).T @ weights
-        return float(vals[0]) if single else vals
-
-    opt_val, opt_x = estimate_optimum(f, d, optimum_budget, rng)
-    return RkhsFunction(kernel, centers, weights, norm_sq, opt_val, opt_x)
+    f = RkhsFunction(kernel, centers, weights, norm_sq, math.nan, np.full(d, math.nan))
+    f.optimum_value, f.optimum_point = estimate_optimum(f, d, optimum_budget, rng)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,7 @@ from gpbandit.optimizers import (
     ALG_IMPROVED_GP_EI,
     ALG_PI_UCB,
     RunConfig,
-    run_gp_ei,
-    run_improved_gp_ei,
-    run_pi_ucb_baseline,
+    run,
 )
 from gpbandit.partition import initial_cover, locate, should_split, split_pass
 from gpbandit.testbed import NoisyOracle, make_rkhs_function
@@ -70,12 +68,7 @@ def _ei_run(target, T, seed, omega, lam=0.01, alg=ALG_GP_EI,
         algorithm=alg, horizon_T=T, omega=omega, kernel=KERNEL, lam=lam,
         seed=seed, acq_candidates=candidates, acq_refinements=refinements,
     )
-    runner = {
-        ALG_GP_EI: run_gp_ei,
-        ALG_IMPROVED_GP_EI: run_improved_gp_ei,
-        ALG_PI_UCB: run_pi_ucb_baseline,
-    }[alg]
-    return runner(cfg, oracle, target.optimum_value)
+    return run(cfg, oracle, target.optimum_value)
 
 
 def test_criterion_01_ei_vs_monte_carlo():

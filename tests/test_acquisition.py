@@ -125,6 +125,13 @@ class TestEiScore:
             with pytest.raises(ValueError):
                 ei_scores(np.array([0.0, bad]), 0.0, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_mean_rejected_at_zero_stddev(self, bad):
+        with pytest.raises(ValueError):
+            ei_scores(np.array([bad]), 0.0, np.array([0.0]))
+        with pytest.raises(ValueError):
+            ei_scores(np.array([1.0]), bad, np.array([0.0]))
+
     @settings(max_examples=50, deadline=None)
     @given(
         u=st.floats(-2.0, 2.0),

@@ -148,6 +148,13 @@ class TestCrossMatrix:
         assert kernel_of_distance(spec, r).tolist() == [0.0] * 5
         assert cross_matrix(spec, [[1e153]], [[-1e153]]).tolist() == [[0.0]]
 
+    def test_bessel_far_values_are_exactly_zero(self):
+        # z^nu overflows and r / l may too, where K_nu is already 0; the
+        # suite turns any RuntimeWarning into an error
+        spec = KernelSpec(MATERN, 0.2, 1.2)
+        r = [1e250, 1e300, 1e308, np.finfo(float).max]
+        assert kernel_of_distance(spec, r).tolist() == [0.0] * 4
+
     def test_far_clamp_leaves_nonzero_values(self):
         assert kernel_of_distance(KernelSpec(MATERN, 1.0, 0.5), 745.0) == math.exp(-745.0) > 0
 

@@ -21,9 +21,7 @@ from gpbandit.optimizers import (
     AcquisitionNumericsError,
     RunConfig,
     maximize_acquisition,
-    run_gp_ei,
-    run_improved_gp_ei,
-    run_pi_ucb_baseline,
+    run,
 )
 from gpbandit.partition import initial_cover, locate
 from gpbandit.testbed import NoisyOracle, make_rkhs_function, standard_function
@@ -56,7 +54,7 @@ class TestMaximizeAcquisition:
         def score(xs):
             return -np.sum((np.atleast_2d(xs) - center) ** 2, axis=1)
 
-        best = maximize_acquisition(
+        best, _ = maximize_acquisition(
             score, np.zeros(2), np.ones(2), np.random.default_rng(61),
             n_candidates=4096, n_refinements=20,
         )
@@ -68,7 +66,7 @@ class TestMaximizeAcquisition:
 
         rng = np.random.default_rng(62)
         extra = np.array([[0.99]])
-        best = maximize_acquisition(
+        best, _ = maximize_acquisition(
             score, np.zeros(1), np.ones(1), rng, 1, 0, extra_points=extra
         )
         # the prior sample point scores 0.99; a uniform draw rarely beats it
@@ -80,17 +78,17 @@ class TestMaximizeAcquisition:
 
         rng = np.random.default_rng(63)
         cands_preview = np.random.default_rng(63).uniform(size=(8, 2))
-        best = maximize_acquisition(score, np.zeros(2), np.ones(2), rng, 8, 0)
+        best, _ = maximize_acquisition(score, np.zeros(2), np.ones(2), rng, 8, 0)
         np.testing.assert_allclose(best, cands_preview[0])
 
     def test_deterministic_given_rng(self):
         def score(xs):
             return np.sin(np.sum(np.atleast_2d(xs), axis=1))
 
-        a = maximize_acquisition(
+        a, _ = maximize_acquisition(
             score, np.zeros(3), np.ones(3), np.random.default_rng(64), 128, 5
         )
-        b = maximize_acquisition(
+        b, _ = maximize_acquisition(
             score, np.zeros(3), np.ones(3), np.random.default_rng(64), 128, 5
         )
         np.testing.assert_array_equal(a, b)
@@ -109,21 +107,21 @@ class TestMaximizeAcquisition:
 class TestRunGpEi:
     def test_horizon_one(self):
         oracle, opt = rkhs_oracle()
-        trace = run_gp_ei(small_config(T=1), oracle, opt)
+        trace = run(small_config(T=1), oracle, opt)
         assert trace.horizon == 1
         row = trace.rows[0]
         np.testing.assert_array_equal(row.x, row.x_plus)
 
     def test_flat_zero_objective_zero_regret(self):
         oracle = NoisyOracle(lambda x: 0.0, 2, 0.0, np.random.default_rng(0))
-        trace = run_gp_ei(small_config(T=6), oracle, 0.0)
+        trace = run(small_config(T=6), oracle, 0.0)
         assert all(r.instantaneous_regret == 0.0 for r in trace.rows)
         assert trace.rows[-1].cumulative_regret == 0.0
 
     def test_determinism(self):
         for _ in range(2):
             oracle, opt = rkhs_oracle(seed=200)
-            traces = [run_gp_ei(small_config(T=5, seed=3), rkhs_oracle(seed=200)[0], opt)
+            traces = [run(small_config(T=5, seed=3), rkhs_oracle(seed=200)[0], opt)
                       for _ in range(2)]
         a, b = traces
         for ra, rb in zip(a.rows, b.rows):
@@ -135,7 +133,7 @@ class TestRunGpEi:
         oracle, opt = rkhs_oracle(seed=201)
         from gpbandit.gp import GpModel
 
-        trace = run_gp_ei(small_config(T=8), oracle, opt)
+        trace = run(small_config(T=8), oracle, opt)
         # rebuild the model over the trace and check each reported point
         model = GpModel(KERNEL, 0.01)
         for row in trace.rows:
@@ -147,7 +145,7 @@ class TestRunGpEi:
     def test_omega_nondecreasing_under_theory_schedule(self):
         oracle, opt = rkhs_oracle(seed=202)
         cfg = small_config(T=10, omega=OmegaSchedule(OMEGA_THEORY_EI, delta=0.05))
-        trace = run_gp_ei(cfg, oracle, opt)
+        trace = run(cfg, oracle, opt)
         omegas = [r.omega for r in trace.rows]
         assert all(a <= b + 1e-12 for a, b in zip(omegas, omegas[1:]))
 
@@ -159,7 +157,7 @@ class TestRunGpEi:
             algorithm=ALG_GP_EI, horizon_T=T, omega=FIXED1, kernel=KERNEL,
             lam=1 + 2 / T, seed=1, acq_candidates=256, acq_refinements=5,
         )
-        trace = run_gp_ei(cfg, oracle, opt)
+        trace = run(cfg, oracle, opt)
         bound = math.sqrt(4 * (T + 2) * trace.final_info_gain)
         assert trace.sum_sigma_selected <= bound
 
@@ -168,24 +166,48 @@ class TestRunGpEi:
         for seed in range(5):
             oracle, opt = rkhs_oracle(seed=300 + seed)
             cfg = small_config(T=30, seed=seed, acq_candidates=512)
-            trace = run_gp_ei(cfg, oracle, opt)
+            trace = run(cfg, oracle, opt)
             gap = lambda r: max(opt - r.f_at_x_plus, 1e-12)
             earlies.append(math.log10(gap(trace.rows[4])))
             finals.append(math.log10(gap(trace.rows[-1])))
         assert np.median(finals) < np.median(earlies)
+
+    @pytest.mark.parametrize("kernel, omega, candidates, digest", [
+        (KERNEL, FIXED1, 4096,
+         "bea7f0ab4ecbb054c7f75aa7d0cb0ef8b4e8e43a4300870e559d614f38533d30"),
+        (KERNEL, OmegaSchedule(OMEGA_THEORY_EI, delta=0.05), 4096,
+         "6b759993edc4822335dcada27c4220c6691fd75277f96f64d4a6b6c685eb3179"),
+        (KernelSpec("se", 0.2), FIXED1, 4096,
+         "1118270397b294c4cb71423ebeb0350e8ba32840980aa6bf91222ce79963749d"),
+        (KERNEL, FIXED1, 64,
+         "65ecfcc50398388587fb4f8608f20da45b501e09d640cba91368bad1077efe8d"),
+    ], ids=["matern_fixed", "theory_ei", "se", "candidates64"])
+    def test_trace_unchanged(self, kernel, omega, candidates, digest):
+        # GP-EI as the one-cell cover: the stripped trace is pinned by the
+        # hashes of the loop it replaced
+        target, d, opt, _ = standard_function("hartmann3")
+        cfg = RunConfig(
+            algorithm=ALG_GP_EI, horizon_T=30, omega=omega, kernel=kernel,
+            lam=0.01, seed=3, acq_candidates=candidates,
+        )
+        oracle = NoisyOracle(target, d, 0.1, np.random.default_rng(77))
+        trace = run(cfg, oracle, opt)
+        assert trace.total_cells_created == 1 and math.isnan(trace.cover_q)
+        text = strip_wallclock("\n".join(trace_csv_lines(trace, "x", opt)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCoverLoops:
     def test_horizon_one_single_cell_matches_gp_ei_first_point(self):
         oracle, opt = rkhs_oracle(seed=400)
         cfg_a = small_config(T=1, seed=5)
-        trace_a = run_gp_ei(cfg_a, rkhs_oracle(seed=400)[0], opt)
+        trace_a = run(cfg_a, rkhs_oracle(seed=400)[0], opt)
         cfg_b = RunConfig(
             algorithm=ALG_IMPROVED_GP_EI, horizon_T=1,
             omega=OmegaSchedule(OMEGA_FIXED, c=1.0), kernel=KERNEL,
             lam=0.01, seed=5, acq_candidates=256, acq_refinements=5,
         )
-        trace_b = run_improved_gp_ei(cfg_b, rkhs_oracle(seed=400)[0], opt)
+        trace_b = run(cfg_b, rkhs_oracle(seed=400)[0], opt)
         np.testing.assert_array_equal(trace_a.rows[0].x, trace_b.rows[0].x)
 
     def test_initial_cell_count_and_monotone_growth(self):
@@ -195,7 +217,7 @@ class TestCoverLoops:
             omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=25), kernel=KERNEL,
             lam=0.01, seed=2, acq_candidates=256, acq_refinements=3,
         )
-        trace = run_improved_gp_ei(cfg, oracle, opt)
+        trace = run(cfg, oracle, opt)
         counts = [r.cell_count for r in trace.rows]
         # d=3, T=25: one initial cell, but its diameter sqrt(3) > 1 gives
         # capacity below 1, so the first split pass already fires
@@ -209,7 +231,7 @@ class TestCoverLoops:
             omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100), kernel=KERNEL,
             lam=0.01, seed=3, acq_candidates=256, acq_refinements=3,
         )
-        trace = run_improved_gp_ei(cfg, oracle, opt)
+        trace = run(cfg, oracle, opt)
         cover = initial_cover(2, 100, KERNEL, 0.01, 2.5)
         for row in trace.rows:
             assert np.all(row.x >= 0.0) and np.all(row.x <= 1.0)
@@ -221,8 +243,8 @@ class TestCoverLoops:
             omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100), kernel=KERNEL,
             lam=0.01, seed=4, acq_candidates=256, acq_refinements=3,
         )
-        traces = [run_pi_ucb_baseline(cfg, rkhs_oracle(seed=403)[0],
-                                      rkhs_oracle(seed=403)[1]) for _ in range(2)]
+        traces = [run(cfg, rkhs_oracle(seed=403)[0],
+                      rkhs_oracle(seed=403)[1]) for _ in range(2)]
         for ra, rb in zip(traces[0].rows, traces[1].rows):
             np.testing.assert_array_equal(ra.x, rb.x)
             assert ra.cumulative_regret == rb.cumulative_regret
@@ -323,17 +345,77 @@ class TestCoverSearchCache:
             lam=0.01, seed=3,
         )
         oracle = NoisyOracle(target, d, 0.1, np.random.default_rng(77))
-        trace = run_improved_gp_ei(cfg, oracle, opt)
+        trace = run(cfg, oracle, opt)
         text = strip_wallclock("\n".join(trace_csv_lines(trace, "x", opt)))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "7c0c34ec95d0f690dfab8fb1fb9aa154d91b8f65860d37cf4f233199f8c99e45"
         )
 
+    @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_cell_budget_never_exceeds_the_total(self, alg, monkeypatch):
+        budgets, search = [], optimizers.maximize_acquisition
+
+        def recording_search(score_fn, lower, upper, rng, n_candidates, *args, **kwargs):
+            budgets.append(n_candidates)
+            return search(score_fn, lower, upper, rng, n_candidates, *args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "maximize_acquisition", recording_search)
+        oracle, opt = rkhs_oracle(seed=409)
+        cfg = RunConfig(
+            algorithm=alg, horizon_T=25,
+            omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100), kernel=KERNEL,
+            lam=0.01, seed=6, acq_candidates=64, acq_refinements=3,
+        )
+        trace = run(cfg, oracle, opt)
+        assert trace.rows[-1].cell_count > 1
+        assert budgets and max(budgets) <= 64
+
+    @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_search_reuses_the_maximizer_score(self, alg, monkeypatch):
+        # without a split or a face clamp, each searched cell costs the
+        # candidate batch and one call per refinement, and no re-score
+        state = {"reads": 0, "searches": 0, "clamped": False}
+        steps = []
+        real_posterior_many = GpModel.posterior_many
+        search = optimizers.maximize_acquisition
+
+        def posterior_many(self, xs):
+            state["reads"] += 1
+            return real_posterior_many(self, xs)
+
+        def counting_search(score_fn, lower, upper, *args, **kwargs):
+            if state["searches"] == 0:  # drop the reads of the previous step
+                state["reads"] = 0
+            state["searches"] += 1
+            x, s = search(score_fn, lower, upper, *args, **kwargs)
+            state["clamped"] |= bool(np.any((upper < 1.0) & (x >= upper)))
+            return x, s
+
+        oracle, opt = rkhs_oracle(seed=410)
+
+        def observe(x):
+            steps.append(dict(state))
+            state.update(reads=0, searches=0, clamped=False)
+            return oracle(x)
+
+        observe.dim, observe.target = oracle.dim, oracle.target
+        monkeypatch.setattr(GpModel, "posterior_many", posterior_many)
+        monkeypatch.setattr(optimizers, "maximize_acquisition", counting_search)
+        cfg = self.polylog_config(alg)
+        trace = run(cfg, observe, opt)
+        counts = [r.cell_count for r in trace.rows]
+        checked = 0
+        for t, step in enumerate(steps[1:], start=2):
+            if counts[t - 1] == counts[t - 2] and not step["clamped"]:
+                assert step["reads"] == step["searches"] * (cfg.acq_refinements + 1), t
+                checked += 1
+        assert checked >= 5
+
     def test_selected_point_outside_its_cell_raises(self, monkeypatch):
         monkeypatch.setattr(partition.Cell, "contains", lambda self, x: False)
         oracle, opt = rkhs_oracle(seed=406)
         with pytest.raises(RuntimeError, match="outside its cell"):
-            run_improved_gp_ei(self.polylog_config(ALG_IMPROVED_GP_EI), oracle, opt)
+            run(self.polylog_config(ALG_IMPROVED_GP_EI), oracle, opt)
 
 
 class TestPosteriorReads:
@@ -368,7 +450,7 @@ class TestPosteriorReads:
                             lambda self, xs: calls.append(1) or real(self, xs))
         oracle, opt = rkhs_oracle(seed=408)
         cfg = small_config(T=6)
-        run_gp_ei(cfg, oracle, opt)
+        run(cfg, oracle, opt)
         # per step: the candidate batch, one call per refinement, the
         # update's read and the best sampled mean after it
         assert len(calls) == cfg.horizon_T * (cfg.acq_refinements + 3)
