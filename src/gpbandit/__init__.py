@@ -7,14 +7,13 @@ from .acquisition import (
     OMEGA_THEORY_EI,
     OmegaSchedule,
     beta_value,
-    ei_score,
     ei_scores,
     omega_at,
     tau,
     ucb_score,
 )
 from .gp import GpModel, GpNumericsError
-from .kernels import MATERN, SQUARED_EXPONENTIAL, KernelSpec, gram_matrix, kernel_eval
+from .kernels import MATERN, SQUARED_EXPONENTIAL, KernelSpec, gram_matrix
 from .optimizers import (
     ALG_GP_EI,
     ALG_IMPROVED_GP_EI,
@@ -24,7 +23,7 @@ from .optimizers import (
     maximize_acquisition,
     run,
 )
-from .partition import Cell, Cover, initial_cover, locate, maybe_split
+from .partition import Cell, Cover, initial_cover
 from .testbed import (
     NoisyOracle,
     RkhsFunction,
@@ -53,16 +52,12 @@ __all__ = [
     "RunConfig",
     "RunTrace",
     "beta_value",
-    "ei_score",
     "ei_scores",
     "estimate_optimum",
     "gram_matrix",
     "initial_cover",
-    "kernel_eval",
-    "locate",
     "make_rkhs_function",
     "maximize_acquisition",
-    "maybe_split",
     "omega_at",
     "run",
     "standard_function",

@@ -76,11 +76,6 @@ def ei_scores(means, incumbent: float, scaled_stddevs) -> np.ndarray:
     return np.maximum(out, hinge)
 
 
-def ei_score(mean: float, incumbent: float, scaled_stddev: float) -> float:
-    """Closed-form expected improvement of mean over incumbent at scale v."""
-    return float(ei_scores(np.array([mean]), incumbent, np.array([scaled_stddev]))[0])
-
-
 def ucb_score(mean, stddev, beta: float):
     """mean + beta * stddev (vectorized)."""
     stddev = np.asarray(stddev, dtype=float)

@@ -161,13 +161,15 @@ def run_benchmark(config: BenchConfig) -> dict:
 
     by_label: dict[str, list[RunTrace]] = {}
     trace_paths = []
+    trace_sha256 = {}
     clamped_rows = 0
     for label, seed, trace in results:
         run_id = f"{label}_s{seed}"
-        lines = trace_csv_lines(trace, run_id, true_opt)
+        text = "\n".join(trace_csv_lines(trace, run_id, true_opt)) + "\n"
         path = out / f"trace_{run_id}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(text)
         trace_paths.append(str(path))
+        trace_sha256[run_id] = hashlib.sha256(strip_wallclock(text).encode()).hexdigest()
         by_label.setdefault(label, []).append(trace)
         clamped_rows += sum(
             1 for row in trace.rows
@@ -179,15 +181,21 @@ def run_benchmark(config: BenchConfig) -> dict:
         agg_path = out / f"aggregate_{label}.csv"
         aggregates[label] = write_aggregate(traces, true_opt, agg_path)
 
+    objective = config.objective
+    rkhs_sha256 = None
+    if objective.name == "rkhs":
+        rkhs_sha256 = hashlib.sha256(Path(objective.rkhs_file).read_bytes()).hexdigest()
     manifest = {
         "objective": {
-            "name": config.objective.name,
-            "rkhs_file": config.objective.rkhs_file,
-            "noise_stddev": config.objective.noise_stddev,
+            "name": objective.name,
+            "rkhs_file": objective.rkhs_file,
+            "rkhs_sha256": rkhs_sha256,
+            "noise_stddev": objective.noise_stddev,
             "true_optimum": true_opt,
         },
         "repeats": config.repeats,
         "seed_base": config.seed_base,
+        "noise_seed_offset": config.noise_seed_offset,
         "runs": [
             {
                 "algorithm": c.algorithm,
@@ -208,6 +216,7 @@ def run_benchmark(config: BenchConfig) -> dict:
             for c in config.runs
         ],
         "clamped_log_rows": clamped_rows,
+        "trace_sha256": trace_sha256,
     }
     manifest["content_hash"] = hashlib.sha256(
         json.dumps(manifest, sort_keys=True).encode()

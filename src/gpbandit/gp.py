@@ -15,7 +15,8 @@ The model also accumulates the information gain of the selected points,
 
     gain_t = 1/2 * sum_{i<=t} ln(1 + var_{i-1}(x_i) / lam),
 
-which equals 1/2 * ln det(I + K_t / lam).
+which equals 1/2 * ln det(I + K_t / lam) as long as no jitter refit has
+happened; after one, the two differ, and the running sum is the value kept.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import kv as _bessel_kv
+from scipy.special import kve as _bessel_kve
 
 SQUARED_EXPONENTIAL = "se"
 MATERN = "matern"
@@ -32,6 +33,10 @@ MATERN = "matern"
 _ZERO_SNAP = 1e-12
 
 _HALF_INTEGER_NUS = (0.5, 1.5, 2.5)
+
+# scipy's kve(nu, z) turns NaN past z ~ 1.07e9; the Matern value is 0 long
+# before that for any nu the Bessel route can evaluate
+_KVE_LIMIT = 1e9
 
 # exp(-c) is exactly 0 for c >= 745.2, so the SE and closed-form Matern values
 # are exactly 0 from this scaled distance on; clamping there keeps r / l,
@@ -55,9 +60,6 @@ class KernelSpec:
         if self.family == MATERN:
             if self.nu is None or not (np.isfinite(self.nu) and self.nu > 0):
                 raise ValueError(f"Matern kernel needs nu > 0, got {self.nu}")
-
-    def __call__(self, x, y):
-        return kernel_eval(self, x, y)
 
 
 def _matern_half_integer(s: np.ndarray, nu: float) -> np.ndarray:
@@ -94,17 +96,26 @@ def _matern_bessel(s: np.ndarray, nu: float) -> np.ndarray:
         z = math.sqrt(2.0 * nu) * s  # inf past the float range; K_nu(inf) = 0
     coef = 2.0 ** (1.0 - nu) / _gamma(nu)
     k = _bessel_kv(nu, z)
-    # K_nu is 0 past z ~ 698 (the value there is below 1e-284 for nu <= 10),
-    # where z^nu may overflow: 1 stands in for it, giving 0, not inf * 0
+    # kv flushes to 0 from z ~ 698, where z^nu may overflow: 1 stands in for
+    # it, giving 0, not inf * 0
     with np.errstate(over="raise", invalid="raise"):
         try:
-            out = coef * np.power(np.where(k == 0.0, 1.0, z), nu) * k
+            out = np.asarray(coef * np.power(np.where(k == 0.0, 1.0, z), nu) * k)
         except FloatingPointError as exc:
             raise OverflowError(
                 f"Bessel evaluation out of range for nu={nu}"
             ) from exc
     if not np.isfinite(out).all():
         raise OverflowError(f"Bessel evaluation out of range for nu={nu}")
+    # the Matern value stays nonzero some way past that flush (to z ~ 750
+    # at nu = 1.5): take it there in log form from the scaled
+    # kve(nu, z) = kv(nu, z) * e^z
+    flushed = (k == 0.0) & (z < _KVE_LIMIT)
+    if flushed.any():
+        zf = z[flushed]
+        log_coef = (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
+        out[flushed] = np.exp(log_coef + nu * np.log(zf)
+                              + np.log(_bessel_kve(nu, zf)) - zf)
     return out
 
 
@@ -151,27 +162,11 @@ def matern_via_bessel(spec: KernelSpec, r) -> np.ndarray:
     Used to cross-check the half-integer closed forms.
     """
     r = np.asarray(r, dtype=float)
-    s = r / spec.lengthscale
+    with np.errstate(over="ignore"):
+        s = r / spec.lengthscale  # inf past the float range; K_nu(inf) = 0
     zero = s < _ZERO_SNAP
     s_safe = np.where(zero, 1.0, s)
     return np.where(zero, 1.0, _matern_bessel(s_safe, spec.nu))
-
-
-def _check_points(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("kernel inputs must be finite")
-    return x, y
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Covariance between two points; always in (0, 1]."""
-    x, y = _check_points(x, y)
-    r = float(np.linalg.norm(x - y))
-    return float(kernel_of_distance(spec, r))
 
 
 def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:

@@ -75,7 +75,6 @@ class TraceRow:
     info_gain: float
     cell_count: int
     wallclock_ms: float
-    sigma_at_selected: float = 0.0
 
 
 @dataclass
@@ -180,12 +179,10 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
     rng = np.random.default_rng(config.seed)
     splits = config.algorithm != ALG_GP_EI
     if splits:
-        cover = initial_cover(d, config.horizon_T, config.kernel, config.lam,
-                              config.kernel.nu)
+        cover = initial_cover(d, config.horizon_T, config.kernel, config.lam)
     else:  # one cell over the unit box, without split constants
         cell = Cell(np.zeros(d), np.ones(d), GpModel(config.kernel, config.lam))
-        cover = Cover([cell], math.nan, math.nan, config.horizon_T, config.kernel,
-                      config.lam, d)
+        cover = Cover([cell], math.nan, math.nan)
     trace = RunTrace(config.algorithm, config.seed, d)
     trace.cover_q = cover.q
     searched = {}  # cell -> ((n, omega_t), score, x)
@@ -238,7 +235,7 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
             raise RuntimeError(f"selected point {x_t} lies outside its cell")
         y_t = objective(x_t)
         sigma_sel = win_cell.model.update(x_t, y_t)
-        if splits and split_pass(cover, iteration=t + 1):
+        if splits and split_pass(cover):
             for cache in (searched, best_seen):
                 for gone in cache.keys() - set(cover.cells):
                     del cache[gone]
@@ -258,7 +255,6 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
             instantaneous_regret=regret, cumulative_regret=cum_regret,
             omega=omega_t, info_gain=gain, cell_count=cover.cell_count,
             wallclock_ms=1e3 * (time.perf_counter() - t0),
-            sigma_at_selected=sigma_sel,
         ))
     gains = [c.model.accumulated_info_gain() for c in cover.cells]
     trace.final_info_gain, trace.max_cell_info_gain = sum(gains), max(gains)

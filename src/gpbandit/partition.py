@@ -1,9 +1,11 @@
 """Adaptive hypercube cover of the unit box.
 
-The cover starts as a uniform grid whose cardinality stays within T^q and is
-refined by bisecting any cell whose sample count outgrows its diameter-derived
-capacity: a cell of diameter rho splits once rho^(-1/b) < count + 1.  Each
-cell owns an independent GP over the observations falling inside it.
+The cover starts as a uniform grid whose cardinality stays within T^q.  After
+each observation one split pass bisects every cell whose sample count has
+outgrown its diameter-derived capacity: a cell of diameter rho splits once
+rho^(-1/b) < count + 1.  Each cell owns an independent GP over the
+observations falling inside it; a split hands the parent's data to its 2^d
+children in insertion order.
 
 Cell ownership is half-open ([lower, upper) per axis) except on faces that
 coincide with the domain's upper boundary, which are closed; this gives every
@@ -36,7 +38,6 @@ class Cell:
     lower: np.ndarray
     upper: np.ndarray
     model: GpModel
-    created_at: int = 1
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -47,10 +48,6 @@ class Cell:
     @property
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))
-
-    @property
-    def local_count(self) -> int:
-        return self.model.n
 
     def contains(self, x: np.ndarray) -> bool:
         """Ownership test: half-open, closed on domain-boundary upper faces."""
@@ -69,10 +66,6 @@ class Cover:
     cells: list[Cell]
     b: float
     q: float
-    horizon_T: int
-    kernel: KernelSpec
-    lam: float
-    dim: int
     total_created: int = field(init=False)
 
     def __post_init__(self):
@@ -83,79 +76,45 @@ class Cover:
         return len(self.cells)
 
 
-def initial_cover(d: int, T: int, kernel: KernelSpec, lam: float, nu: float) -> Cover:
+def initial_cover(d: int, T: int, kernel: KernelSpec, lam: float) -> Cover:
     """Uniform grid with max(1, floor(T^(q/d))) cells per side."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    b, q = split_constants(d, nu)
+    b, q = split_constants(d, kernel.nu)
     m = max(1, math.floor(T ** (q / d)))
     edges = np.linspace(0.0, 1.0, m + 1)
     cells = []
     for idx in itertools.product(range(m), repeat=d):
         lower = np.array([edges[i] for i in idx])
         upper = np.array([edges[i + 1] for i in idx])
-        cells.append(Cell(lower, upper, GpModel(kernel, lam), created_at=1))
-    return Cover(cells, b, q, T, kernel, lam, d)
+        cells.append(Cell(lower, upper, GpModel(kernel, lam)))
+    return Cover(cells, b, q)
 
 
-def locate(cover: Cover, x) -> Cell:
-    """Unique cell owning x; raises if x falls outside the unit box."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError(f"point outside domain: {x}")
-    for cell in cover.cells:
-        if cell.contains(x):
-            return cell
-    raise ValueError(f"no cell owns point {x}")  # tiling violated
-
-
-def should_split(cover: Cover, cell: Cell) -> bool:
-    """Diameter-vs-count capacity rule, strict inequality."""
-    return cell.diameter ** (-1.0 / cover.b) < cell.local_count + 1
-
-
-def split_cell(cover: Cover, cell: Cell, iteration: int) -> list[Cell]:
-    """Bisect every side into 2^d children, redistributing the local data."""
-    mid = 0.5 * (cell.lower + cell.upper)
-    d = cover.dim
-    children = []
-    for corner in itertools.product((0, 1), repeat=d):
-        corner = np.asarray(corner)
-        lower = np.where(corner == 0, cell.lower, mid)
-        upper = np.where(corner == 0, mid, cell.upper)
-        children.append(
-            Cell(lower, upper, GpModel(cover.kernel, cover.lam), created_at=iteration)
-        )
-    pts, obs = cell.model.points, cell.model.observations
-    for x, y in zip(pts, obs):
-        for child in children:
-            if child.contains(x):
-                child.model.update(x, y)
-                break
-        else:
-            raise RuntimeError(f"orphaned point {x} during split")
-    return children
-
-
-def maybe_split(cover: Cover, cell: Cell, iteration: int) -> list[Cell]:
-    """Apply the split rule to one cell, updating the cover in place.
-
-    Returns the replacement cells ([cell] itself when no split happens).
-    Children that immediately violate the rule are left for later passes.
-    """
-    if not should_split(cover, cell):
-        return [cell]
-    children = split_cell(cover, cell, iteration)
-    pos = cover.cells.index(cell)
-    cover.cells[pos : pos + 1] = children
-    cover.total_created += len(children)
-    return children
-
-
-def split_pass(cover: Cover, iteration: int) -> int:
-    """One pass of the split rule over all cells; returns cells split."""
+def split_pass(cover: Cover) -> int:
+    """Bisect, in place, every cell that breaks the capacity rule (strict
+    inequality) into 2^d children; returns the number of cells split.
+    Children that break the rule at once are left for the next pass."""
     n_split = 0
     for cell in list(cover.cells):
-        if len(maybe_split(cover, cell, iteration)) > 1:
-            n_split += 1
+        if not cell.diameter ** (-1.0 / cover.b) < cell.model.n + 1:
+            continue
+        mid = 0.5 * (cell.lower + cell.upper)
+        children = []
+        for corner in itertools.product((False, True), repeat=mid.size):
+            corner = np.asarray(corner)
+            children.append(Cell(np.where(corner, mid, cell.lower),
+                                 np.where(corner, cell.upper, mid),
+                                 GpModel(cell.model.kernel, cell.model.lam)))
+        for x, y in zip(cell.model.points, cell.model.observations):
+            for child in children:
+                if child.contains(x):
+                    child.model.update(x, y)
+                    break
+            else:
+                raise RuntimeError(f"orphaned point {x} during split")
+        pos = cover.cells.index(cell)
+        cover.cells[pos : pos + 1] = children
+        cover.total_created += len(children)
+        n_split += 1
     return n_split

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import MATERN, SQUARED_EXPONENTIAL, KernelSpec, cross_matrix, gram_matrix
+from .kernels import KernelSpec, cross_matrix, gram_matrix
 
 STANDARD_FUNCTIONS = ("hartmann3", "shekel", "hartmann6", "ackley10")
 
@@ -237,8 +237,3 @@ def standard_function(name: str):
         opt_x = np.full(10, 0.5)
         return _ackley10, 10, 0.0, opt_x
     raise ValueError(f"unknown test function: {name!r}")
-
-
-def default_kernel() -> KernelSpec:
-    """Matern nu=2.5, lengthscale 0.2: the benchmark default."""
-    return KernelSpec(MATERN, 0.2, 2.5)

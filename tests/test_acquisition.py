@@ -12,7 +12,6 @@ from gpbandit.acquisition import (
     OMEGA_THEORY_EI,
     OmegaSchedule,
     beta_value,
-    ei_score,
     ei_scores,
     omega_at,
     tau,
@@ -72,18 +71,18 @@ class TestTau:
 
 class TestEiScore:
     def test_zero_stddev_is_hinge(self):
-        assert ei_score(5.0, 3.0, 0.0) == 2.0
-        assert ei_score(1.0, 3.0, 0.0) == 0.0
+        assert ei_scores(5.0, 3.0, 0.0) == 2.0
+        assert ei_scores(1.0, 3.0, 0.0) == 0.0
 
     def test_at_incumbent(self):
-        assert ei_score(0.7, 0.7, 1.0) == pytest.approx(1 / SQRT_2PI, abs=1e-12)
+        assert ei_scores(0.7, 0.7, 1.0) == pytest.approx(1 / SQRT_2PI, abs=1e-12)
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(21)
         samples = rng.normal(0.3, 0.4, size=1_000_000)
         imp = np.maximum(0.0, samples - 0.5)
         mc, se = float(np.mean(imp)), float(np.std(imp) / 1000)
-        assert abs(ei_score(0.3, 0.5, 0.4) - mc) <= 3 * se
+        assert abs(ei_scores(0.3, 0.5, 0.4) - mc) <= 3 * se
 
     def test_floor_max_zero_u(self):
         rng = np.random.default_rng(22)
@@ -105,14 +104,14 @@ class TestEiScore:
     def test_deep_negative_ratio_stable(self):
         for ratio in (-1e2, -1e4, -1e6):
             v = 1.0
-            s = ei_score(ratio * v, 0.0, v)
+            s = ei_scores(ratio * v, 0.0, v)
             assert np.isfinite(s) and s >= 0.0
 
     def test_negative_stddev_rejected(self):
         with pytest.raises(ValueError):
-            ei_score(0.0, 0.0, -0.1)
+            ei_scores(0.0, 0.0, -0.1)
         with pytest.raises(ValueError):
-            ei_score(0.0, 0.0, float("nan"))
+            ei_scores(0.0, 0.0, float("nan"))
 
     @pytest.mark.parametrize("v", [1e-310, 5e-324])
     def test_subnormal_stddev_gives_hinge_limit(self, v):
@@ -146,7 +145,7 @@ class TestEiScore:
 
         # integrand vanishes below 0, so start the quadrature at the kink
         oracle, _ = quad(integrand, 0.0, u + 12 * v, limit=200)
-        assert ei_score(u, 0.0, v) == pytest.approx(oracle, abs=1e-9)
+        assert ei_scores(u, 0.0, v) == pytest.approx(oracle, abs=1e-9)
 
 
 class TestUcbScore:

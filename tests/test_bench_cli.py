@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -20,6 +21,7 @@ from gpbandit.bench import (
 from gpbandit.cli import main
 from gpbandit.kernels import MATERN, KernelSpec
 from gpbandit.optimizers import ALG_GP_EI, ALG_IMPROVED_GP_EI, RunConfig
+from gpbandit.testbed import make_rkhs_function
 
 
 KERNEL = KernelSpec(MATERN, 0.2, 2.5)
@@ -58,6 +60,32 @@ class TestRunBenchmark:
         manifest = json.loads(Path(summary["manifest"]).read_text())
         assert "content_hash" in manifest
         assert manifest["repeats"] == 1
+
+    def test_content_hash_covers_noise_seed_offset(self, tmp_path):
+        # the offset moves every observation, so the traces and the hash
+        hashes = []
+        for offset in (10_000, 20_000):
+            config = tiny_bench(tmp_path / str(offset), T=5)
+            config.noise_seed_offset = offset
+            manifest = json.loads(Path(run_benchmark(config)["manifest"]).read_text())
+            assert manifest["noise_seed_offset"] == offset
+            hashes.append(manifest["content_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_content_hash_covers_rkhs_file_bytes(self, tmp_path):
+        # the same file name with other contents is another objective
+        path = tmp_path / "target.json"
+        hashes = []
+        for seed in (1, 2):
+            make_rkhs_function(KERNEL, 3, 5, np.random.default_rng(seed),
+                               optimum_budget=1000).save(path)
+            config = tiny_bench(tmp_path / str(seed), T=2)
+            config.objective = ObjectiveSpec(name="rkhs", rkhs_file=str(path))
+            manifest = json.loads(Path(run_benchmark(config)["manifest"]).read_text())
+            expected = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert manifest["objective"]["rkhs_sha256"] == expected
+            hashes.append(manifest["content_hash"])
+        assert hashes[0] != hashes[1]
 
     def test_rerun_reproduces_traces_modulo_wallclock(self, tmp_path):
         s1 = run_benchmark(tiny_bench(tmp_path / "a", T=3, repeats=2))

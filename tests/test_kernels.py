@@ -10,7 +10,6 @@ from gpbandit.kernels import (
     KernelSpec,
     cross_matrix,
     gram_matrix,
-    kernel_eval,
     kernel_of_distance,
     matern_via_bessel,
 )
@@ -36,58 +35,57 @@ def se1():
 
 class TestKernelEval:
     def test_distance_zero_is_one(self, se1, matern25):
-        x = np.array([0.3, -1.2, 4.0])
-        assert kernel_eval(se1, x, x) == 1.0
-        assert kernel_eval(matern25, x, x) == 1.0
+        x = np.array([[0.3, -1.2, 4.0]])
+        assert cross_matrix(se1, x, x).tolist() == [[1.0]]
+        assert cross_matrix(matern25, x, x).tolist() == [[1.0]]
 
     def test_matern_half_is_exponential(self):
         # nu = 1/2 reduces to exp(-r/l); at r = l the value is e^-1
         spec = KernelSpec(MATERN, 0.7, 0.5)
-        got = kernel_eval(spec, np.array([0.7]), np.array([0.0]))
+        got = float(kernel_of_distance(spec, 0.7))
         assert got == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_matern_52_closed_form_vs_bessel(self, matern25):
-        got = kernel_eval(matern25, np.array([0.2, 0.0]), np.zeros(2))
+        got = float(cross_matrix(matern25, [[0.2, 0.0]], [[0.0, 0.0]])[0, 0])
         closed = (1 + math.sqrt(5) + 5.0 / 3.0) * math.exp(-math.sqrt(5))
         assert got == pytest.approx(closed, abs=1e-12)
         via_bessel = float(matern_via_bessel(matern25, 0.2))
         assert abs(got - via_bessel) < 1e-10
 
     def test_se_at_one_lengthscale(self, se1):
-        got = kernel_eval(se1, np.array([1.0]), np.array([0.0]))
+        got = float(kernel_of_distance(se1, 1.0))
         assert got == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_symmetry(self, matern25):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            x, y = rng.uniform(size=3), rng.uniform(size=3)
-            assert kernel_eval(matern25, x, y) == kernel_eval(matern25, y, x)
+        xs, ys = rng.uniform(size=(20, 3)), rng.uniform(size=(20, 3))
+        np.testing.assert_array_equal(
+            cross_matrix(matern25, xs, ys), cross_matrix(matern25, ys, xs).T)
 
     def test_bounds(self, se1, matern25):
         rng = np.random.default_rng(1)
         for spec in (se1, matern25):
-            for _ in range(50):
-                x, y = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
-                v = kernel_eval(spec, x, y)
-                assert 0.0 < v <= 1.0
-                if not np.allclose(x, y):
-                    assert v < 1.0
+            xs, ys = rng.uniform(-2, 2, (50, 4)), rng.uniform(-2, 2, (50, 4))
+            v = np.diagonal(cross_matrix(spec, xs, ys))
+            assert np.all((0.0 < v) & (v <= 1.0))
+            distinct = ~np.all(np.isclose(xs, ys), axis=1)
+            assert np.all(v[distinct] < 1.0)
 
     def test_monotone_decay(self, se1, matern25):
         radii = np.linspace(0.01, 3.0, 200)
         for spec in (se1, matern25):
-            vals = [kernel_eval(spec, np.array([r]), np.array([0.0])) for r in radii]
-            assert all(a > b for a, b in zip(vals, vals[1:]))
+            vals = cross_matrix(spec, radii[:, None], [[0.0]])[:, 0]
+            assert np.all(np.diff(vals) < 0)
 
     def test_nonfinite_rejected(self, se1):
         with pytest.raises(ValueError):
-            kernel_eval(se1, np.array([np.nan]), np.array([0.0]))
+            cross_matrix(se1, [[np.nan]], [[0.0]])
         with pytest.raises(ValueError):
-            kernel_eval(se1, np.array([np.inf]), np.array([0.0]))
+            cross_matrix(se1, [[np.inf]], [[0.0]])
 
     def test_dimension_mismatch(self, se1):
         with pytest.raises(ValueError):
-            kernel_eval(se1, np.zeros(2), np.zeros(3))
+            cross_matrix(se1, np.zeros((1, 2)), np.zeros((1, 3)))
 
 
 class TestHalfIntegerForms:
@@ -96,11 +94,20 @@ class TestHalfIntegerForms:
         spec = KernelSpec(MATERN, 0.3, nu)
         rng = np.random.default_rng(7)
         radii = rng.uniform(1e-6, 10 * spec.lengthscale, 1000)
-        closed = np.array([
-            kernel_eval(spec, np.array([r]), np.array([0.0])) for r in radii
-        ])
+        closed = kernel_of_distance(spec, radii)
         bessel = matern_via_bessel(spec, radii)
         assert np.max(np.abs(closed - bessel)) < 1e-10
+
+    @pytest.mark.parametrize("nu", [1.5, 2.5])
+    def test_agrees_with_bessel_route_where_kv_underflows(self, nu):
+        # scipy's kv flushes to 0 from z = sqrt(2 nu) r / l ~ 698, while the
+        # Matern value stays a normal double past z = 705
+        spec = KernelSpec(MATERN, 1.0, nu)
+        radii = np.linspace(690.0, 705.0, 151) / math.sqrt(2.0 * nu)
+        closed = kernel_of_distance(spec, radii)
+        assert np.all(closed >= np.finfo(float).tiny)
+        np.testing.assert_allclose(matern_via_bessel(spec, radii), closed,
+                                   rtol=1e-9, atol=0)
 
 
 def _spec_id(spec):
@@ -154,6 +161,7 @@ class TestCrossMatrix:
         spec = KernelSpec(MATERN, 0.2, 1.2)
         r = [1e250, 1e300, 1e308, np.finfo(float).max]
         assert kernel_of_distance(spec, r).tolist() == [0.0] * 4
+        assert matern_via_bessel(spec, r).tolist() == [0.0] * 4
 
     def test_far_clamp_leaves_nonzero_values(self):
         assert kernel_of_distance(KernelSpec(MATERN, 1.0, 0.5), 745.0) == math.exp(-745.0) > 0

@@ -23,7 +23,7 @@ from gpbandit.optimizers import (
     maximize_acquisition,
     run,
 )
-from gpbandit.partition import initial_cover, locate
+from gpbandit.partition import initial_cover
 from gpbandit.testbed import NoisyOracle, make_rkhs_function, standard_function
 
 
@@ -232,10 +232,11 @@ class TestCoverLoops:
             lam=0.01, seed=3, acq_candidates=256, acq_refinements=3,
         )
         trace = run(cfg, oracle, opt)
-        cover = initial_cover(2, 100, KERNEL, 0.01, 2.5)
+        cover = initial_cover(2, 100, KERNEL, 0.01)
         for row in trace.rows:
             assert np.all(row.x >= 0.0) and np.all(row.x <= 1.0)
-            locate(cover, row.x)  # every point owned by exactly one cell
+            # every point owned by exactly one cell
+            assert sum(c.contains(row.x) for c in cover.cells) == 1
 
     def test_ucb_baseline_runs_and_is_deterministic(self):
         cfg = RunConfig(

@@ -3,15 +3,7 @@ import pytest
 
 from gpbandit.gp import GpModel
 from gpbandit.kernels import MATERN, KernelSpec
-from gpbandit.partition import (
-    Cell,
-    initial_cover,
-    locate,
-    maybe_split,
-    should_split,
-    split_constants,
-    split_pass,
-)
+from gpbandit.partition import Cell, initial_cover, split_constants, split_pass
 
 
 @pytest.fixture
@@ -21,7 +13,12 @@ def kernel():
 
 def make_cover(d=2, T=100, nu=2.5, kernel=None, lam=0.01):
     kernel = kernel or KernelSpec(MATERN, 0.2, nu)
-    return initial_cover(d, T, kernel, lam, nu)
+    return initial_cover(d, T, kernel, lam)
+
+
+def breaks_capacity(cover, cell):
+    """The split rule restated as an oracle: rho^(-1/b) < count + 1."""
+    return cell.diameter ** (-1.0 / cover.b) < cell.model.n + 1
 
 
 class TestSplitConstants:
@@ -52,7 +49,7 @@ class TestInitialCover:
 
     def test_cells_start_empty(self):
         cover = make_cover(d=3, T=100)
-        assert all(c.local_count == 0 for c in cover.cells)
+        assert all(c.model.n == 0 for c in cover.cells)
 
     def test_diameter_matches_bounds(self):
         cover = make_cover(d=3, T=100)
@@ -65,13 +62,13 @@ class TestLocate:
     def test_interior_boundary_goes_right(self, kernel):
         cover = make_cover(d=1, T=50)  # 1d grid with >= 2 cells
         assert cover.cell_count >= 2
-        cell = locate(cover, np.array([cover.cells[0].upper[0]]))
-        assert cell is cover.cells[1]
+        x = np.array([cover.cells[0].upper[0]])
+        assert [c for c in cover.cells if c.contains(x)] == [cover.cells[1]]
 
     def test_domain_corners(self):
         cover = make_cover(d=1, T=50)
-        assert locate(cover, np.array([0.0])) is cover.cells[0]
-        assert locate(cover, np.array([1.0])) is cover.cells[-1]
+        for x, cell in ((0.0, cover.cells[0]), (1.0, cover.cells[-1])):
+            assert [c for c in cover.cells if c.contains(np.array([x]))] == [cell]
 
     def test_every_point_owned_once(self):
         cover = make_cover(d=3, T=100)
@@ -82,8 +79,7 @@ class TestLocate:
 
     def test_outside_rejected(self):
         cover = make_cover(d=2, T=10)
-        with pytest.raises(ValueError):
-            locate(cover, np.array([1.2, 0.5]))
+        assert not any(c.contains(np.array([1.2, 0.5])) for c in cover.cells)
 
 
 class TestSplitRule:
@@ -95,7 +91,8 @@ class TestSplitRule:
             cell = Cell(np.zeros(2), np.full(2, side), GpModel(kernel, 0.01))
             assert cell.diameter <= 1.0 + 1e-12
             cover.cells = [cell]
-            assert not should_split(cover, cell)
+            assert not breaks_capacity(cover, cell)
+            assert split_pass(cover) == 0 and cover.cells == [cell]
 
     def test_strict_inequality_boundary(self, kernel):
         cover = make_cover(d=2, T=1)
@@ -103,7 +100,8 @@ class TestSplitRule:
         cell = Cell(np.zeros(2), np.full(2, 1 / np.sqrt(2)), GpModel(kernel, 0.01))
         cover.cells = [cell]
         assert cell.diameter == pytest.approx(1.0)
-        assert not should_split(cover, cell)  # 1 < 0 + 1 fails
+        assert not breaks_capacity(cover, cell)  # 1 < 0 + 1 fails
+        assert split_pass(cover) == 0 and cover.cells == [cell]
 
     def test_split_fires_and_halves_diameter(self, kernel):
         cover = make_cover(d=2, T=1)
@@ -116,31 +114,36 @@ class TestSplitRule:
         for _ in range(4):
             cell.model.update(rng.uniform(0, side, size=2), rng.normal())
         # rho^-2 = 4 < 5 -> split into 4 children of half the diameter
-        children = maybe_split(cover, cell, iteration=2)
+        assert breaks_capacity(cover, cell)
+        assert split_pass(cover) == 1
+        children = cover.cells
         assert len(children) == 4
         assert cover.cell_count == 4
         for child in children:
             assert child.diameter == pytest.approx(cell.diameter / 2)
-            assert child.created_at == 2
 
     def test_point_conservation_across_splits(self):
         cover = make_cover(d=2, T=100)
         rng = np.random.default_rng(33)
         total = 0
-        for t in range(60):
+        for _ in range(60):
             x = rng.uniform(size=2)
-            locate(cover, x).model.update(x, rng.normal())
+            owners = [c for c in cover.cells if c.contains(x)]
+            assert len(owners) == 1
+            owners[0].model.update(x, rng.normal())
             total += 1
-            split_pass(cover, iteration=t + 2)
-            assert sum(c.local_count for c in cover.cells) == total
+            split_pass(cover)
+            assert sum(c.model.n for c in cover.cells) == total
 
     def test_tiling_preserved_after_splits(self):
         cover = make_cover(d=2, T=100)
         rng = np.random.default_rng(34)
-        for t in range(80):
+        for _ in range(80):
             x = rng.uniform(size=2)
-            locate(cover, x).model.update(x, rng.normal())
-            split_pass(cover, iteration=t + 2)
+            owners = [c for c in cover.cells if c.contains(x)]
+            assert len(owners) == 1
+            owners[0].model.update(x, rng.normal())
+            split_pass(cover)
         for x in rng.uniform(size=(500, 2)):
             owners = [c for c in cover.cells if c.contains(x)]
             assert len(owners) == 1
@@ -152,20 +155,25 @@ class TestSplitRule:
         xs = [0.1, 0.3, 0.6, 0.9]
         for x in xs:
             cell.model.update(np.array([x]), float(x))
-        children = maybe_split(cover, cell, iteration=2)
+        split_pass(cover)
+        children = cover.cells
         assert len(children) == 2
         left, right = children
         np.testing.assert_allclose(left.model.points.ravel(), [0.1, 0.3])
         np.testing.assert_allclose(right.model.points.ravel(), [0.6, 0.9])
+        assert left.model.observations.tolist() == [0.1, 0.3]
+        assert right.model.observations.tolist() == [0.6, 0.9]
 
     def test_total_created_counts_children(self):
         cover = make_cover(d=2, T=100)
         before = cover.total_created
         rng = np.random.default_rng(35)
-        for t in range(60):
+        for _ in range(60):
             x = rng.uniform(size=2)
-            locate(cover, x).model.update(x, rng.normal())
-            split_pass(cover, iteration=t + 2)
+            owners = [c for c in cover.cells if c.contains(x)]
+            assert len(owners) == 1
+            owners[0].model.update(x, rng.normal())
+            split_pass(cover)
         grown = cover.total_created - before
         assert grown % 4 == 0
         assert cover.total_created >= cover.cell_count

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from gpbandit.kernels import MATERN, KernelSpec, kernel_eval
+from gpbandit.kernels import MATERN, KernelSpec, kernel_of_distance
 from gpbandit.testbed import (
     NoisyOracle,
     RkhsFunction,
@@ -24,7 +26,7 @@ class TestRkhsFunction:
 
     def test_two_center_norm_quadratic_form(self, kernel):
         centers = np.array([[0.0, 0.0], [0.3, 0.4]])
-        k12 = kernel_eval(kernel, centers[0], centers[1])
+        k12 = float(kernel_of_distance(kernel, 0.5))  # |c1 - c0| = 0.5
         f = RkhsFunction(kernel, centers, np.array([1.0, 1.0]),
                         rkhs_norm_sq=0.0, optimum_value=0.0,
                         optimum_point=np.zeros(2))
@@ -44,7 +46,7 @@ class TestRkhsFunction:
         f = make_rkhs_function(kernel, 2, 30, rng, optimum_budget=1000)
         x = rng.uniform(size=2)
         direct = sum(
-            w * kernel_eval(kernel, c, x)
+            w * float(kernel_of_distance(kernel, math.dist(c, x)))
             for w, c in sorted(
                 zip(f.weights, map(tuple, f.centers)), key=lambda p: p[0]
             )
