@@ -38,6 +38,21 @@ _HALF_INTEGER_NUS = (0.5, 1.5, 2.5)
 # before that for any nu the Bessel route can evaluate
 _KVE_LIMIT = 1e9
 
+# the least positive normal double; a smaller Matern coefficient has lost bits
+_TINY = np.finfo(float).tiny
+
+# the Debye polynomials of the uniform large-order expansion of K_nu (DLMF
+# 10.41.10), u_k(p) = p^k * polyval(coefficients, p^2) / denominator
+_DEBYE_U = (
+    (1, (1,)),
+    (24, (-5, 3)),
+    (1152, (385, -462, 81)),
+    (414720, (-425425, 765765, -369603, 30375)),
+    (39813120, (185910725, -446185740, 349922430, -94121676, 4465125)),
+    (6688604160, (-188699385875, 566098157625, -614135872350, 284499769554,
+                  -49286948607, 1519035525)),
+)
+
 # exp(-c) is exactly 0 for c >= 745.2, so the SE and closed-form Matern values
 # are exactly 0 from this scaled distance on; clamping there keeps r / l,
 # s * s and c * c from overflowing into inf * 0
@@ -86,6 +101,23 @@ def _matern_half_integer(s: np.ndarray, nu: float) -> np.ndarray:
     raise ValueError(f"no closed form for nu={nu}")
 
 
+def _debye_log_kve(nu: float, z: np.ndarray) -> np.ndarray:
+    """log(K_nu(z) e^z) from the uniform large-order expansion (DLMF 10.41.4)
+    to six terms, for the large nu where kve itself overflows.  Good to
+    about 1e-10 relative from nu ~ 25, the least order at which kve
+    overflows for a z the kernel passes (z >= sqrt(2 nu) * 1e-12)."""
+    x = z / nu
+    w = np.sqrt(1.0 + x * x)
+    p = 1.0 / w
+    series = np.zeros_like(p)
+    for k in reversed(range(len(_DEBYE_U))):
+        den, coeffs = _DEBYE_U[k]
+        series = series / -nu + p**k * np.polyval(coeffs, p * p) / den
+    eta = w + np.log(x / (1.0 + w))
+    return (0.5 * math.log(math.pi / (2.0 * nu)) - nu * eta - 0.5 * np.log(w)
+            + np.log(series) + z)
+
+
 def _matern_bessel(s: np.ndarray, nu: float) -> np.ndarray:
     """General-nu Matern via the modified Bessel function; s = r / l, s > 0.
 
@@ -94,28 +126,29 @@ def _matern_bessel(s: np.ndarray, nu: float) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         z = math.sqrt(2.0 * nu) * s  # inf past the float range; K_nu(inf) = 0
-    coef = 2.0 ** (1.0 - nu) / _gamma(nu)
-    k = _bessel_kv(nu, z)
-    # kv flushes to 0 from z ~ 698, where z^nu may overflow: 1 stands in for
-    # it, giving 0, not inf * 0
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            out = np.asarray(coef * np.power(np.where(k == 0.0, 1.0, z), nu) * k)
-        except FloatingPointError as exc:
-            raise OverflowError(
-                f"Bessel evaluation out of range for nu={nu}"
-            ) from exc
+    with np.errstate(all="ignore"):
+        # 0 once Gamma(nu) overflows, from nu ~ 171.6
+        coef = 2.0 ** (1.0 - nu) / _gamma(nu)
+        k = _bessel_kv(nu, z)
+        # kv flushes to 0 from z ~ 698, where z^nu may overflow: 1 stands
+        # in for it, giving 0, not inf * 0
+        out = np.asarray(coef * np.power(np.where(k == 0.0, 1.0, z), nu) * k)
+    # that product is lost where kv flushed to 0 (the Matern value stays
+    # nonzero to z ~ 750 at nu = 1.5), where the coefficient fell below the
+    # normal range (nu > ~151), or where kv or z^nu overflowed (large nu at
+    # short distances); take it there in log form, from the scaled
+    # kve(nu, z) = kv(nu, z) * e^z while that is finite
+    logged = (z < _KVE_LIMIT) & ((k == 0.0) | (coef < _TINY) | ~np.isfinite(out))
+    if logged.any():
+        zl = z[logged]
+        log_coef = (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
+        log_kve = np.log(_bessel_kve(nu, zl))
+        big = np.isinf(log_kve)
+        if big.any():
+            log_kve[big] = _debye_log_kve(nu, zl[big])
+        out[logged] = np.exp(log_coef + nu * np.log(zl) + log_kve - zl)
     if not np.isfinite(out).all():
         raise OverflowError(f"Bessel evaluation out of range for nu={nu}")
-    # the Matern value stays nonzero some way past that flush (to z ~ 750
-    # at nu = 1.5): take it there in log form from the scaled
-    # kve(nu, z) = kv(nu, z) * e^z
-    flushed = (k == 0.0) & (z < _KVE_LIMIT)
-    if flushed.any():
-        zf = z[flushed]
-        log_coef = (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
-        out[flushed] = np.exp(log_coef + nu * np.log(zf)
-                              + np.log(_bessel_kve(nu, zf)) - zf)
     return out
 
 

@@ -57,6 +57,8 @@ class RunConfig:
             raise ValueError("horizon must be >= 1")
         if self.acq_candidates < 1:
             raise ValueError("need at least one acquisition candidate")
+        if self.acq_refinements < 0:
+            raise ValueError("acquisition refinements must be >= 0")
         if self.algorithm in (ALG_IMPROVED_GP_EI, ALG_PI_UCB):
             if self.kernel.nu is None or not self.kernel.nu > 1:
                 raise ValueError("partition-based runs need a Matern kernel with nu > 1")
@@ -101,26 +103,39 @@ class RunTrace:
 
 def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
                          n_candidates: int, n_refinements: int,
-                         extra_points=None) -> tuple[np.ndarray, float]:
+                         extra_points=None, flat: bool = False) -> tuple[np.ndarray, float]:
     """Random multi-start argmax over a box: uniform candidates plus any
     previously sampled points, then shrinking-radius perturbation rounds.
     Returns the best point and its score.  Ties go to the first-seen point;
-    deterministic given the rng state."""
+    deterministic given the rng state.
+
+    All uniforms are drawn in one call: the candidates take the first
+    n_candidates rows, and each round's probe offsets 2u - 1 the next
+    n_probes rows, the same doubles as one call per pass.  `flat` says the
+    score is the same everywhere in the box (a GP with no data): the draw is
+    still made, so the rng advances as in a full search, but only the first
+    candidate, which wins every tie, is scored."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     d = lower.shape[0]
-    cands = lower + rng.uniform(size=(n_candidates, d)) * (upper - lower)
-    if extra_points is not None and len(extra_points):
+    n_probes = max(8, 2 * d)
+    u = rng.uniform(size=(n_candidates + n_refinements * n_probes, d))
+    cands = lower + u[:n_candidates] * (upper - lower)
+    if flat:
+        cands = cands[:1]
+    elif extra_points is not None and len(extra_points):
         cands = np.vstack([cands, np.atleast_2d(np.asarray(extra_points, dtype=float))])
     scores = np.asarray(score_fn(cands), dtype=float)
     if np.any(np.isnan(scores)):
         raise AcquisitionNumericsError(cands[int(np.argmax(np.isnan(scores)))])
     best = int(np.argmax(scores))
     best_x, best_score = cands[best].copy(), float(scores[best])
+    if flat:
+        return best_x, best_score
     radius = 0.25 * (upper - lower)
-    n_probes = max(8, 2 * d)
-    for _ in range(n_refinements):
-        probes = best_x + rng.uniform(-1.0, 1.0, size=(n_probes, d)) * radius
+    offsets = 2.0 * u[n_candidates:] - 1.0
+    for r in range(n_refinements):
+        probes = best_x + offsets[r * n_probes:(r + 1) * n_probes] * radius
         np.clip(probes, lower, upper, out=probes)
         pv = np.asarray(score_fn(probes), dtype=float)
         if np.any(np.isnan(pv)):
@@ -172,9 +187,11 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
     is searched again only when that key changes: after it receives an
     observation, when it is newly created by a split, or at every step when
     omega_t moves (theory_ei).  The search budget is left out of the key: it
-    sets the effort, not the surface.  Each cell's best posterior mean at its
-    sampled points is likewise computed once per model version; it is both
-    the cell's EI incumbent and its candidate for the report."""
+    sets the effort, not the surface.  A cell without data has the prior's
+    flat surface, so its search scores only its first candidate, while
+    drawing the same uniforms as any other.  Each cell's best posterior mean
+    at its sampled points is likewise computed once per model version; it is
+    both the cell's EI incumbent and its candidate for the report."""
     d = objective.dim
     rng = np.random.default_rng(config.seed)
     splits = config.algorithm != ALG_GP_EI
@@ -218,6 +235,7 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
                 x, s = maximize_acquisition(
                     score_fn, cell.lower, cell.upper, rng, budget,
                     config.acq_refinements, extra_points=extra,
+                    flat=cell.model.n == 0,
                 )
                 # keep the point inside the half-open ownership region: an
                 # exact hit on a shared upper face would belong to the

@@ -278,6 +278,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert json.loads(out)["value"] <= 3.862780
 
+    def test_negative_refinements_return_error(self, tmp_path, capsys):
+        rc = main([
+            "run", "--objective", "hartmann3", "--T", "2",
+            "--acq-candidates", "64", "--acq-refinements", "-3",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "refinements" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_returns_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "missing.cfg")])
         assert rc == 1

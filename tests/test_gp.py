@@ -265,6 +265,22 @@ class TestInfoGain:
             direct = 0.5 * np.linalg.slogdet(np.eye(len(X)) + K / lam)[1]
             assert model.accumulated_info_gain() == pytest.approx(direct, abs=1e-6)
 
+    def test_running_sum_is_kept_after_a_jitter_refit(self, matern25):
+        # a duplicate point at lam = 1e-16 spoils the extension pivot; the
+        # refit needs jitter, so the factor no longer carries the
+        # log-det gain of the points, and the model keeps the running sum
+        rng = np.random.default_rng(0)
+        p = rng.uniform(size=2)
+        X = np.vstack([p, p, rng.uniform(size=(20, 2))])
+        model = GpModel(matern25, 1e-16)
+        running = 0.0
+        for x in X:
+            sigma = model.update(x, 0.0)
+            running += 0.5 * math.log1p(sigma * sigma / 1e-16)
+        assert model._jitter > 0
+        assert model.accumulated_info_gain() == running
+        assert abs(model.log_det_info_gain() - running) > 1.0
+
     def test_chol_factor_reconstructs_system(self):
         kernel = KernelSpec(MATERN, 0.2, 2.5)
         rng = np.random.default_rng(18)

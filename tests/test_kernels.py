@@ -110,6 +110,35 @@ class TestHalfIntegerForms:
                                    rtol=1e-9, atol=0)
 
 
+def _matern_mp(mpmath, nu, r):
+    """The Matern value at distance r, lengthscale 1, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(nu)
+        z = mpmath.sqrt(2 * nu) * mpmath.mpf(float(r))
+        return float(2 ** (1 - nu) / mpmath.gamma(nu) * z**nu * mpmath.besselk(nu, z))
+
+
+class TestLargeNu:
+    # the coefficient 2^(1-nu) / Gamma(nu) leaves the normal range from
+    # nu ~ 151 and Gamma(nu) overflows from nu ~ 171.6, while kv(nu, z) and
+    # z^nu overflow at short distances; the value is still a plain double
+    @pytest.mark.parametrize("nu", [50, 150, 156, 170, 171, 200])
+    def test_agrees_with_mpmath(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        radii = [0.1, 0.5, 2.0]
+        got = kernel_of_distance(KernelSpec(MATERN, 1.0, nu), radii)
+        want = [_matern_mp(mpmath, nu, r) for r in radii]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("nu", [30, 60])
+    def test_agrees_with_mpmath_where_kv_overflows(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        radii = np.logspace(-11, -3, 9)
+        got = kernel_of_distance(KernelSpec(MATERN, 1.0, nu), radii)
+        want = [_matern_mp(mpmath, nu, r) for r in radii]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
 def _spec_id(spec):
     return spec.family if spec.nu is None else f"{spec.family}{spec.nu}"
 

@@ -104,6 +104,111 @@ class TestMaximizeAcquisition:
         assert err.value.point.shape == (2,)
 
 
+def _interleaved_maximizer(score_fn, lower, upper, rng, n_candidates,
+                           n_refinements, extra_points=None):
+    """The maximizer as it was before it drew its uniforms in one call: one
+    rng call for the candidates, then one per refinement round.  Kept
+    verbatim as the reference for the one-draw version."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    d = lower.shape[0]
+    cands = lower + rng.uniform(size=(n_candidates, d)) * (upper - lower)
+    if extra_points is not None and len(extra_points):
+        cands = np.vstack([cands, np.atleast_2d(np.asarray(extra_points, dtype=float))])
+    scores = np.asarray(score_fn(cands), dtype=float)
+    if np.any(np.isnan(scores)):
+        raise AcquisitionNumericsError(cands[int(np.argmax(np.isnan(scores)))])
+    best = int(np.argmax(scores))
+    best_x, best_score = cands[best].copy(), float(scores[best])
+    radius = 0.25 * (upper - lower)
+    n_probes = max(8, 2 * d)
+    for _ in range(n_refinements):
+        probes = best_x + rng.uniform(-1.0, 1.0, size=(n_probes, d)) * radius
+        np.clip(probes, lower, upper, out=probes)
+        pv = np.asarray(score_fn(probes), dtype=float)
+        if np.any(np.isnan(pv)):
+            raise AcquisitionNumericsError(probes[int(np.argmax(np.isnan(pv)))])
+        i = int(np.argmax(pv))
+        if pv[i] > best_score:
+            best_score, best_x = float(pv[i]), probes[i].copy()
+        radius *= 0.5
+    return best_x, best_score
+
+
+class TestOneDraw:
+    """The one-draw maximizer against the interleaved reference: the same
+    point to the byte, the same score and the same rng state after."""
+
+    @staticmethod
+    def box(rng, d):
+        a, b = rng.uniform(size=(2, d))
+        return np.minimum(a, b), np.maximum(a, b) + 1e-3
+
+    @pytest.mark.parametrize("with_extra", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_matches_interleaved_draws(self, d, with_extra):
+        setup = np.random.default_rng(1000 + d)
+        center = setup.uniform(size=d)
+
+        def peaked(xs):
+            return -np.sum((np.atleast_2d(xs) - center) ** 2, axis=1)
+
+        def constant(xs):
+            return np.full(np.atleast_2d(xs).shape[0], 0.25)
+
+        for n_candidates in (1, 7, 128):
+            for n_refinements in (0, 1, 30):
+                lower, upper = self.box(setup, d)
+                extra = (lower + setup.uniform(size=(3, d)) * (upper - lower)
+                         if with_extra else None)
+                seed = int(setup.integers(2**32))
+                for score in (peaked, constant):
+                    ref_rng = np.random.default_rng(seed)
+                    rng = np.random.default_rng(seed)
+                    want = _interleaved_maximizer(score, lower, upper, ref_rng,
+                                                  n_candidates, n_refinements, extra)
+                    got = maximize_acquisition(score, lower, upper, rng, n_candidates,
+                                               n_refinements, extra_points=extra)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1] == want[1]
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_flat_search_scores_only_the_first_candidate(self, d):
+        setup = np.random.default_rng(2000 + d)
+        for n_candidates in (1, 7, 128):
+            for n_refinements in (0, 1, 30):
+                lower, upper = self.box(setup, d)
+                seed = int(setup.integers(2**32))
+                calls = []
+
+                def constant(xs):
+                    calls.append(np.atleast_2d(xs).shape[0])
+                    return np.full(calls[-1], 0.25)
+
+                ref_rng = np.random.default_rng(seed)
+                want = _interleaved_maximizer(constant, lower, upper, ref_rng,
+                                              n_candidates, n_refinements)
+                calls.clear()
+                rng = np.random.default_rng(seed)
+                got = maximize_acquisition(constant, lower, upper, rng, n_candidates,
+                                           n_refinements, flat=True)
+                assert calls == [1]
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1] == want[1]
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_flat_search_raises_on_nan_at_the_first_candidate(self):
+        def nan_score(xs):
+            return np.full(np.atleast_2d(xs).shape[0], np.nan)
+
+        first = np.random.default_rng(66).uniform(size=(5, 2))[0]
+        with pytest.raises(AcquisitionNumericsError) as err:
+            maximize_acquisition(nan_score, np.zeros(2), np.ones(2),
+                                 np.random.default_rng(66), 5, 3, flat=True)
+        np.testing.assert_array_equal(err.value.point, first)
+
+
 class TestRunGpEi:
     def test_horizon_one(self):
         oracle, opt = rkhs_oracle()
@@ -373,22 +478,32 @@ class TestCoverSearchCache:
 
     @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
     def test_search_reuses_the_maximizer_score(self, alg, monkeypatch):
-        # without a split or a face clamp, each searched cell costs the
-        # candidate batch and one call per refinement, and no re-score
-        state = {"reads": 0, "searches": 0, "clamped": False}
-        steps = []
+        # a search of a cell with data costs the candidate batch and one call
+        # per refinement, a search of a cell without data (flat) one call;
+        # without a face clamp nothing is re-scored after the searches
+        state = {"reads": 0, "searches": 0, "expected": 0, "clamped": False}
+        steps, flat_searches = [], []
         real_posterior_many = GpModel.posterior_many
         search = optimizers.maximize_acquisition
+        cfg = self.polylog_config(alg)
 
         def posterior_many(self, xs):
             state["reads"] += 1
             return real_posterior_many(self, xs)
 
-        def counting_search(score_fn, lower, upper, *args, **kwargs):
+        def counting_search(score_fn, lower, upper, *args, extra_points=None,
+                            flat=False):
             if state["searches"] == 0:  # drop the reads of the previous step
                 state["reads"] = 0
             state["searches"] += 1
-            x, s = search(score_fn, lower, upper, *args, **kwargs)
+            before = state["reads"]
+            x, s = search(score_fn, lower, upper, *args,
+                          extra_points=extra_points, flat=flat)
+            assert flat == (extra_points is None)
+            reads = state["reads"] - before
+            assert reads == (1 if flat else cfg.acq_refinements + 1)
+            state["expected"] += reads
+            flat_searches.append(flat)
             state["clamped"] |= bool(np.any((upper < 1.0) & (x >= upper)))
             return x, s
 
@@ -396,27 +511,48 @@ class TestCoverSearchCache:
 
         def observe(x):
             steps.append(dict(state))
-            state.update(reads=0, searches=0, clamped=False)
+            state.update(reads=0, searches=0, expected=0, clamped=False)
             return oracle(x)
 
         observe.dim, observe.target = oracle.dim, oracle.target
         monkeypatch.setattr(GpModel, "posterior_many", posterior_many)
         monkeypatch.setattr(optimizers, "maximize_acquisition", counting_search)
-        cfg = self.polylog_config(alg)
-        trace = run(cfg, observe, opt)
-        counts = [r.cell_count for r in trace.rows]
+        run(cfg, observe, opt)
         checked = 0
-        for t, step in enumerate(steps[1:], start=2):
-            if counts[t - 1] == counts[t - 2] and not step["clamped"]:
-                assert step["reads"] == step["searches"] * (cfg.acq_refinements + 1), t
+        for t, step in enumerate(steps, start=1):
+            if not step["clamped"]:
+                assert step["reads"] == step["expected"], t
                 checked += 1
         assert checked >= 5
+        assert any(flat_searches) and not all(flat_searches)
 
     def test_selected_point_outside_its_cell_raises(self, monkeypatch):
         monkeypatch.setattr(partition.Cell, "contains", lambda self, x: False)
         oracle, opt = rkhs_oracle(seed=406)
         with pytest.raises(RuntimeError, match="outside its cell"):
             run(self.polylog_config(ALG_IMPROVED_GP_EI), oracle, opt)
+
+
+class TestInfoGainColumn:
+    @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_row_reads_the_sum_of_the_cells_running_gains(self, alg, monkeypatch):
+        # the running gain, not the log-det one: the two part after a jitter
+        # refit (tests/test_gp.py pins such a case)
+        oracle, opt = rkhs_oracle(seed=411)
+        rec = _StepRecorder(oracle, monkeypatch)
+        sums = []
+
+        def cell_gain_sum():
+            return sum(c.model.accumulated_info_gain() for c in rec.cover.cells)
+
+        def observe(x):
+            sums.append(cell_gain_sum())  # as the previous step left the cover
+            return rec(x)
+
+        observe.dim, observe.target = oracle.dim, oracle.target
+        trace = run(small_config(alg, T=20), observe, opt)
+        assert trace.rows[-1].cell_count > rec.initial_cells
+        assert [r.info_gain for r in trace.rows] == sums[1:] + [cell_gain_sum()]
 
 
 class TestPosteriorReads:
@@ -453,8 +589,10 @@ class TestPosteriorReads:
         cfg = small_config(T=6)
         run(cfg, oracle, opt)
         # per step: the candidate batch, one call per refinement, the
-        # update's read and the best sampled mean after it
-        assert len(calls) == cfg.horizon_T * (cfg.acq_refinements + 3)
+        # update's read and the best sampled mean after it; step 1's cell
+        # has no data, so its search scores one point and no refinement
+        assert len(calls) == (cfg.horizon_T * (cfg.acq_refinements + 3)
+                              - cfg.acq_refinements)
 
 
 class TestRunConfigValidation:
@@ -465,3 +603,10 @@ class TestRunConfigValidation:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             RunConfig(algorithm=ALG_GP_EI, horizon_T=0, omega=FIXED1, kernel=KERNEL)
+
+    def test_negative_refinements_rejected(self):
+        with pytest.raises(ValueError, match="refinements"):
+            RunConfig(algorithm=ALG_GP_EI, horizon_T=10, omega=FIXED1, kernel=KERNEL,
+                      acq_refinements=-3)
+        assert RunConfig(algorithm=ALG_GP_EI, horizon_T=10, omega=FIXED1,
+                         kernel=KERNEL, acq_refinements=0).acq_refinements == 0
