@@ -31,11 +31,8 @@ def _phi(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
 
 
-def tau(z):
-    """z*Phi(z) + phi(z); positive, nondecreasing.  Vectorized."""
-    z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
-        raise ValueError("tau argument must be finite")
+def _tau(z: np.ndarray) -> np.ndarray:
+    """tau at finite z of any shape; callers check that z is finite."""
     zs = np.atleast_1d(z)
     # the direct form everywhere, then the tail form over it where it
     # applies, so the tail's division never sees a tiny z; z^2 may overflow
@@ -47,8 +44,17 @@ def tau(z):
         if tail.any():
             zt = zs[tail]
             out[tail] = _phi(zt) / np.square(zt)
+    return out.reshape(np.shape(z))
+
+
+def tau(z):
+    """z*Phi(z) + phi(z); positive, nondecreasing.  Vectorized."""
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("tau argument must be finite")
+    out = _tau(z)
     if z.ndim == 0:
-        return float(out[0])
+        return float(out)
     return out
 
 
@@ -64,14 +70,14 @@ def ei_scores(means, incumbent: float, scaled_stddevs) -> np.ndarray:
         z = u / v
     hinge = np.maximum(0.0, u)
     if np.isfinite(z).all():
-        out = v * tau(z)
+        out = v * _tau(z)
     else:
         # v = 0, or a subnormal v that makes u / v overflow: rho(u, v) is at
         # its limit max(0, u)
         if not np.isfinite(u).all():
             raise ValueError("means and incumbent must be finite")
         limit = ~np.isfinite(z)
-        out = np.where(limit, hinge, v * tau(np.where(limit, 0.0, z)))
+        out = np.where(limit, hinge, v * _tau(np.where(limit, 0.0, z)))
     # guard the analytic floor rho(u, v) >= max(0, u) against roundoff
     return np.maximum(out, hinge)
 

@@ -18,7 +18,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -264,24 +264,33 @@ def write_aggregate(traces: list[RunTrace], true_opt: float, path: Path) -> str:
 
 
 @dataclass
-class Diagnostics:
+class Growth:
+    """One run label's regret growth across horizons."""
+
     slope: float
     degenerate: bool
-    horizons: list[int]
     mean_final_regret: dict[int, float]
+    mean_wallclock_ms: float
+
+
+@dataclass
+class Diagnostics:
+    horizons: list[int]
+    growth: dict[str, Growth]  # by run label
     sigma_sum_margins: list[float]
     max_cell_info_gain: float
     cover_cardinality_ratio: float
-    mean_wallclock_ms: dict[str, float] = field(default_factory=dict)
 
     def as_text(self) -> str:
         lines = ["growth-rate diagnostics", "======================="]
-        if self.degenerate:
-            lines.append("regret identically zero at some horizon; slope degenerate")
-        else:
-            lines.append(f"fitted slope of log R_T vs log T: {self.slope:.4f}")
-        for T in self.horizons:
-            lines.append(f"  T={T}: mean final cumulative regret {self.mean_final_regret[T]:.6g}")
+        for label, g in self.growth.items():
+            if g.degenerate:
+                lines.append(f"[{label}] regret identically zero at some horizon; "
+                             "slope degenerate")
+            else:
+                lines.append(f"[{label}] fitted slope of log R_T vs log T: {g.slope:.4f}")
+            for T, regret in g.mean_final_regret.items():
+                lines.append(f"  T={T}: mean final cumulative regret {regret:.6g}")
         if self.sigma_sum_margins:
             lines.append(
                 "stddev-sum bound margins (bound - sum, >= 0 expected): "
@@ -291,16 +300,14 @@ class Diagnostics:
         lines.append(
             f"cover cardinality / T^q ratio (max over runs): {self.cover_cardinality_ratio:.4g}"
         )
-        for label, ms in self.mean_wallclock_ms.items():
-            lines.append(f"mean per-iteration wallclock [{label}]: {ms:.3f} ms")
+        for label, g in self.growth.items():
+            lines.append(f"mean per-iteration wallclock [{label}]: "
+                         f"{g.mean_wallclock_ms:.3f} ms")
         return "\n".join(lines) + "\n"
 
 
-def diagnostics_report(traces: list[RunTrace]) -> Diagnostics:
-    """Empirical growth-rate check across horizons plus bound margins."""
+def _growth(traces: list[RunTrace]) -> Growth:
     horizons = sorted({tr.horizon for tr in traces})
-    if len(horizons) < 2:
-        raise ValueError("diagnostics need at least two distinct horizons")
     mean_final = {}
     for T in horizons:
         finals = [tr.final_cumulative_regret for tr in traces if tr.horizon == T]
@@ -312,7 +319,23 @@ def diagnostics_report(traces: list[RunTrace]) -> Diagnostics:
         xs = np.log([float(T) for T in horizons])
         ys = np.log([mean_final[T] for T in horizons])
         slope = float(np.polyfit(xs, ys, 1)[0])
+    wallclock = statistics.fmean(row.wallclock_ms for tr in traces for row in tr.rows)
+    return Growth(slope, degenerate, mean_final, wallclock)
 
+
+def diagnostics_report(by_label: dict[str, list[RunTrace]]) -> Diagnostics:
+    """Empirical growth-rate check across horizons plus bound margins.
+
+    Regret growth and wallclock are fitted per run label, each from that
+    label's traces alone; every label needs at least two distinct
+    horizons."""
+    for label, traces in by_label.items():
+        if len({tr.horizon for tr in traces}) < 2:
+            raise ValueError(
+                f"diagnostics need at least two distinct horizons; {label} has fewer")
+    traces = [tr for trs in by_label.values() for tr in trs]
+    if not traces:
+        raise ValueError("diagnostics need at least two distinct horizons")
     margins = []
     for tr in traces:
         T = tr.horizon
@@ -324,23 +347,12 @@ def diagnostics_report(traces: list[RunTrace]) -> Diagnostics:
     for tr in traces:
         if not math.isnan(tr.cover_q):
             ratio = max(ratio, tr.total_cells_created / tr.horizon ** tr.cover_q)
-
-    wallclock: dict[str, list[float]] = {}
-    for tr in traces:
-        wallclock.setdefault(tr.algorithm, []).extend(
-            row.wallclock_ms for row in tr.rows
-        )
-    mean_wc = {k: statistics.fmean(v) for k, v in wallclock.items()}
-
     return Diagnostics(
-        slope=slope,
-        degenerate=degenerate,
-        horizons=horizons,
-        mean_final_regret=mean_final,
+        horizons=sorted({tr.horizon for tr in traces}),
+        growth={label: _growth(trs) for label, trs in by_label.items()},
         sigma_sum_margins=margins,
         max_cell_info_gain=max_cell_gain,
         cover_cardinality_ratio=ratio,
-        mean_wallclock_ms=mean_wc,
     )
 
 

@@ -66,7 +66,7 @@ def _cmd_diag(args) -> int:
     if len(set(horizons)) < 2:
         print("diag needs at least two distinct horizons", file=sys.stderr)
         return 2
-    traces = []
+    by_label = {}
     for T in horizons:
         values["T"] = str(T)
         values["output_dir"] = os.path.join(
@@ -74,10 +74,10 @@ def _cmd_diag(args) -> int:
         )
         config = build_bench_config(values)
         summary = bench.run_benchmark(config)
-        for trs in summary["by_label"].values():
-            traces.extend(trs)
+        for label, trs in summary["by_label"].items():
+            by_label.setdefault(label, []).extend(trs)
         values["output_dir"] = os.path.dirname(values["output_dir"])
-    report = bench.diagnostics_report(traces)
+    report = bench.diagnostics_report(by_label)
     text = report.as_text()
     if args.out:
         with open(args.out, "w") as fh:

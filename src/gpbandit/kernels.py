@@ -154,21 +154,31 @@ def _matern_bessel(s: np.ndarray, nu: float) -> np.ndarray:
 
 def _kernel_in_place(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     """Kernel values at the distances in the float array `r`, written over it."""
-    if (r < 0).any() or not np.isfinite(r).all():
+    if not r.size:
+        return r
+    # one min/max pair rejects negative, infinite and NaN distances (min and
+    # max propagate NaN) and says which of the passes below can change
+    # anything; min(r) / l is min(r / l), as division by l > 0 is monotone
+    lo, hi = float(r.min()), float(r.max())
+    if not (lo >= 0.0 and hi < math.inf):
         raise ValueError("distances must be finite and nonnegative")
+    ell = spec.lengthscale
     closed_form = spec.family == SQUARED_EXPONENTIAL or spec.nu in _HALF_INTEGER_NUS
     if closed_form:
-        np.minimum(r, _EXP_ZERO * spec.lengthscale, out=r)
-    # unclamped only on the Bessel route, where r / l = inf gives the exact 0
-    with np.errstate(over="ignore"):
-        s = np.divide(r, spec.lengthscale, out=r)
+        if hi > _EXP_ZERO * ell:
+            np.minimum(r, _EXP_ZERO * ell, out=r)
+        s = np.divide(r, ell, out=r)
+    else:
+        # unclamped on the Bessel route, where r / l = inf gives the exact 0
+        with np.errstate(over="ignore"):
+            s = np.divide(r, ell, out=r)
     if spec.family == SQUARED_EXPONENTIAL:
         np.multiply(s, s, out=s)
         s *= -0.5
         return np.exp(s, out=s)  # exp(-s^2 / 2)
-    zero = s < _ZERO_SNAP
-    snap = zero.any()
+    snap = lo / ell < _ZERO_SNAP
     if snap:
+        zero = s < _ZERO_SNAP
         s[zero] = 1.0
     if closed_form:
         s = _matern_half_integer(s, spec.nu)
@@ -212,20 +222,26 @@ def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if xs.shape[1] != ys.shape[1]:
-        raise ValueError(f"dimension mismatch: {xs.shape[1]} vs {ys.shape[1]}")
+    d = xs.shape[1]
+    if ys.shape[1] != d:
+        raise ValueError(f"dimension mismatch: {d} vs {ys.shape[1]}")
+    if d == 0:
+        raise ValueError("kernel inputs need at least one coordinate")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("kernel inputs must be finite")
-    r = np.zeros((xs.shape[0], ys.shape[0]))
-    sq = np.empty_like(r)
     # a square overflows to inf beyond |difference| ~ 1e154; the distance
     # check in _kernel_in_place rejects it
     with np.errstate(over="ignore"):
-        for k in range(xs.shape[1]):
-            np.subtract(xs[:, k, None], ys[None, :, k], out=sq)
-            np.multiply(sq, sq, out=sq)
-            r += sq
-    del sq  # freed before the kernel allocates its own temporaries
+        # the first coordinate's square starts the sum, as 0 + a == a
+        r = np.subtract(xs[:, 0, None], ys[None, :, 0])
+        np.multiply(r, r, out=r)
+        if d > 1:
+            sq = np.empty_like(r)
+            for k in range(1, d):
+                np.subtract(xs[:, k, None], ys[None, :, k], out=sq)
+                np.multiply(sq, sq, out=sq)
+                r += sq
+            del sq  # freed before the kernel allocates its own temporaries
     return _kernel_in_place(spec, np.sqrt(r, out=r))
 
 

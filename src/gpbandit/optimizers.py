@@ -114,7 +114,21 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
     n_probes rows, the same doubles as one call per pass.  `flat` says the
     score is the same everywhere in the box (a GP with no data): the draw is
     still made, so the rng advances as in a full search, but only the first
-    candidate, which wins every tie, is scored."""
+    candidate, which wins every tie, is scored.
+
+    Rounds are scored in look-ahead windows, several rounds per score_fn
+    call.  The radius halves every round whether or not the round improves,
+    so a round's probes depend only on the best point at its start, and a
+    window's rounds are those a one-round-at-a-time search would score until
+    one of them improves.  The first improving round in the window is taken
+    and the rounds after it are dropped; a NaN raises only in a round before
+    that.  The window is one round after an improvement and doubles after a
+    window without one, capped at the rounds left.  The result is that of
+    the one-round search as long as score_fn scores each row of a batch to
+    the same bits wherever the row sits; GpModel.posterior_many does so for
+    probe groups of a multiple of 4 rows (n_probes = max(8, 2 d)), while for
+    odd d >= 5 a row's score can move by an ulp with its place in the
+    batch."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     d = lower.shape[0]
@@ -130,20 +144,30 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
         raise AcquisitionNumericsError(cands[int(np.argmax(np.isnan(scores)))])
     best = int(np.argmax(scores))
     best_x, best_score = cands[best].copy(), float(scores[best])
-    if flat:
+    if flat or n_refinements == 0:
         return best_x, best_score
-    radius = 0.25 * (upper - lower)
-    offsets = 2.0 * u[n_candidates:] - 1.0
-    for r in range(n_refinements):
-        probes = best_x + offsets[r * n_probes:(r + 1) * n_probes] * radius
+    offsets = (2.0 * u[n_candidates:] - 1.0).reshape(n_refinements, n_probes, d)
+    # round r's radius, 0.25 (upper - lower) halved r times
+    radii = np.full((n_refinements, 1, d), 0.5)
+    radii[0] = 0.25 * (upper - lower)
+    np.cumprod(radii, axis=0, out=radii)
+    r, window = 0, 1
+    while r < n_refinements:
+        stop = min(r + window, n_refinements)
+        probes = best_x + offsets[r:stop] * radii[r:stop]
         np.clip(probes, lower, upper, out=probes)
-        pv = np.asarray(score_fn(probes), dtype=float)
-        if np.any(np.isnan(pv)):
-            raise AcquisitionNumericsError(probes[int(np.argmax(np.isnan(pv)))])
-        i = int(np.argmax(pv))
-        if pv[i] > best_score:
-            best_score, best_x = float(pv[i]), probes[i].copy()
-        radius *= 0.5
+        pv = np.asarray(score_fn(probes.reshape(-1, d)), dtype=float)
+        window *= 2
+        for round_probes, round_pv in zip(probes, pv.reshape(stop - r, n_probes)):
+            r += 1
+            if np.any(np.isnan(round_pv)):
+                raise AcquisitionNumericsError(
+                    round_probes[int(np.argmax(np.isnan(round_pv)))])
+            i = int(np.argmax(round_pv))
+            if round_pv[i] > best_score:
+                best_score, best_x = float(round_pv[i]), round_probes[i].copy()
+                window = 1
+                break
     return best_x, best_score
 
 

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import statistics
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpbandit import bench
-from gpbandit.acquisition import OMEGA_FIXED, OMEGA_POLYLOG_T, OmegaSchedule
+from gpbandit.acquisition import OMEGA_FIXED, OMEGA_POLYLOG_T, OMEGA_THEORY_EI, OmegaSchedule
 from gpbandit.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -159,13 +161,14 @@ class TestRunBenchmark:
 
 
 class TestDiagnostics:
-    def _traces(self, tmp_path, horizons):
-        traces = []
+    def _traces(self, tmp_path, horizons, algorithms=None):
+        by_label = {}
         for T in horizons:
-            summary = run_benchmark(tiny_bench(tmp_path / f"T{T}", T=T))
-            for trs in summary["by_label"].values():
-                traces.extend(trs)
-        return traces
+            runs = algorithms and [replace(c, horizon_T=T) for c in algorithms]
+            summary = run_benchmark(tiny_bench(tmp_path / f"T{T}", T=T, algorithms=runs))
+            for label, trs in summary["by_label"].items():
+                by_label.setdefault(label, []).extend(trs)
+        return by_label
 
     def test_requires_two_horizons(self, tmp_path):
         traces = self._traces(tmp_path, [3])
@@ -193,9 +196,48 @@ class TestDiagnostics:
                 ))
             return tr
 
-        report = diagnostics_report([flat_trace(3), flat_trace(6)])
-        assert report.degenerate
+        report = diagnostics_report({"gp_ei_fixed1": [flat_trace(3), flat_trace(6)]})
+        assert report.growth["gp_ei_fixed1"].degenerate
         assert "degenerate" in report.as_text()
+
+    def test_figures_are_kept_per_run_label(self, tmp_path):
+        # two GP-EI runs that differ only in the omega schedule share an
+        # algorithm, not a label; each label's growth figures come from its
+        # own traces alone
+        theory = OmegaSchedule(OMEGA_THEORY_EI, delta=0.05)
+        runs = [RunConfig(algorithm=ALG_GP_EI, horizon_T=1, omega=omega, kernel=KERNEL,
+                          lam=0.01, acq_candidates=64, acq_refinements=2)
+                for omega in (OmegaSchedule(OMEGA_FIXED, c=1.0), theory)]
+        by_label = self._traces(tmp_path, [3, 6], runs)
+        assert list(by_label) == ["gp_ei_fixed1", "gp_ei_theory_ei"]
+        report = diagnostics_report(by_label)
+        for label, traces in by_label.items():
+            alone = diagnostics_report({label: traces}).growth[label]
+            assert report.growth[label] == alone
+            assert alone.mean_final_regret == {
+                tr.horizon: tr.final_cumulative_regret for tr in traces}
+            assert alone.mean_wallclock_ms == statistics.fmean(
+                row.wallclock_ms for tr in traces for row in tr.rows)
+        fixed, theory = report.growth.values()
+        assert fixed.mean_final_regret != theory.mean_final_regret
+        text = report.as_text()
+        for label in by_label:
+            assert text.count(f"[{label}]") == 2  # its slope and wallclock lines
+        assert "[gp_ei]" not in text
+
+    def test_cli_reports_each_label(self, tmp_path, capsys):
+        rc = main([
+            "diag", "--horizons", "2,3", "--objective", "hartmann3",
+            "--algorithms", "gp_ei,gp_ei_theory",
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        text = capsys.readouterr().out
+        for label in ("gp_ei_fixed1", "gp_ei_theory_ei"):
+            assert f"[{label}] fitted slope" in text
+            assert f"mean per-iteration wallclock [{label}]" in text
+        assert text.count("mean final cumulative regret") == 4
 
 
 class TestConfigFile:

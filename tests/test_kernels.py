@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gpbandit import kernels
 from gpbandit.kernels import (
     MATERN,
     SQUARED_EXPONENTIAL,
@@ -171,6 +172,10 @@ class TestCrossMatrix:
         with pytest.raises(ValueError, match="dimension mismatch"):
             cross_matrix(SPECS[0], np.zeros((4, 2)), np.zeros((5, 3)))
 
+    def test_points_without_coordinates_raise(self):
+        with pytest.raises(ValueError, match="coordinate"):
+            cross_matrix(SPECS[0], np.zeros((4, 0)), np.zeros((5, 0)))
+
     @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
     def test_distance_overflow_raises(self, spec):
         xs = np.array([[1e200, 0.0], [0.0, 0.0]])
@@ -194,6 +199,39 @@ class TestCrossMatrix:
 
     def test_far_clamp_leaves_nonzero_values(self):
         assert kernel_of_distance(KernelSpec(MATERN, 1.0, 0.5), 745.0) == math.exp(-745.0) > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_trimmed_passes_keep_the_bits(self, spec, d):
+        # against every pass made unconditionally: a zero-filled sum of
+        # squares, the far clamp and the zero snap; coincident pairs, pairs
+        # below the snap and pairs past the clamp included
+        def untrimmed(xs, ys):
+            r = np.zeros((len(xs), len(ys)))
+            for k in range(d):
+                r += np.square(xs[:, k, None] - ys[None, :, k])
+            r = np.sqrt(r)
+            closed = spec.family == SQUARED_EXPONENTIAL or spec.nu in (0.5, 1.5, 2.5)
+            if closed:
+                r = np.minimum(r, kernels._EXP_ZERO * spec.lengthscale)
+            with np.errstate(over="ignore"):
+                s = r / spec.lengthscale
+            if spec.family == SQUARED_EXPONENTIAL:
+                return np.exp(s * s * -0.5)
+            zero = s < kernels._ZERO_SNAP
+            s = np.where(zero, 1.0, s)
+            if closed:
+                s = kernels._matern_half_integer(s, spec.nu)
+            else:
+                s = kernels._matern_bessel(s, spec.nu)
+            return np.where(zero, 1.0, s)
+
+        rng = np.random.default_rng(d)
+        xs = rng.uniform(size=(30, d))
+        ys = np.vstack([rng.uniform(size=(40, d)), xs[:3], xs[3:6] + 1e-14,
+                        xs[6:8] + 1e3])
+        for a, b in ((xs, ys), (ys, xs), (xs[:1], ys), (xs, ys[:1]), (ys[:5], ys[5:])):
+            assert cross_matrix(spec, a, b).tobytes() == untrimmed(a, b).tobytes()
 
     # the closed forms only; the Bessel route allocates freely
     @pytest.mark.parametrize("spec", SPECS[:4], ids=_spec_id)
@@ -230,6 +268,15 @@ class TestKernelOfDistance:
     def test_bad_distance_rejected(self, bad):
         with pytest.raises(ValueError):
             kernel_of_distance(SPECS[1], np.array([0.1, bad]))
+
+    @pytest.mark.parametrize("bad", [-1e-3, -np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_bad_distance_rejected_anywhere(self, spec, bad):
+        # the min/max check sees a bad value at any place, next to values
+        # below the zero snap and past the far clamp
+        for r in ([bad, 0.1], [0.0, bad, 2e3], [1e-20, 0.5, bad]):
+            with pytest.raises(ValueError):
+                kernel_of_distance(spec, np.array(r))
 
 
 class TestGramMatrix:

@@ -135,6 +135,30 @@ def _interleaved_maximizer(score_fn, lower, upper, rng, n_candidates,
     return best_x, best_score
 
 
+def _replayed_row_counts(scores, n_probes, n_refinements):
+    """Row counts of one search's score calls, replayed from the scores those
+    calls returned: the candidate batch, then windows of rounds, one round
+    after an improvement, twice the last window after none, at most the
+    rounds left; a window ends at its first round whose best score beats the
+    best so far (strictly)."""
+    want = [len(scores[0])]
+    best, r, window, later = max(scores[0]), 0, 1, iter(scores[1:])
+    while r < n_refinements:
+        rounds = min(window, n_refinements - r)
+        want.append(rounds * n_probes)
+        pv = next(later, None)
+        if pv is None or len(pv) != want[-1]:
+            break  # the caller's comparison shows the mismatch
+        window *= 2
+        for k in range(rounds):
+            r += 1
+            top = max(pv[k * n_probes:(k + 1) * n_probes])
+            if top > best:
+                best, window = top, 1
+                break
+    return want
+
+
 class TestOneDraw:
     """The one-draw maximizer against the interleaved reference: the same
     point to the byte, the same score and the same rng state after."""
@@ -207,6 +231,127 @@ class TestOneDraw:
             maximize_acquisition(nan_score, np.zeros(2), np.ones(2),
                                  np.random.default_rng(66), 5, 3, flat=True)
         np.testing.assert_array_equal(err.value.point, first)
+
+
+class TestLookAheadWindows:
+    """Rounds scored in look-ahead windows against the one-round-at-a-time
+    reference (_interleaved_maximizer): the same point to the byte, the same
+    score, the same rng state after, and a NaN raises only in a round the
+    reference scores, at the point it reports."""
+
+    @staticmethod
+    def scores(d, setup):
+        center = setup.uniform(size=d)
+
+        def peaked(xs):  # smooth: nearly every round improves
+            return -np.sum((xs - center) ** 2, axis=1)
+
+        def rough(xs):  # wavy: improves often once the radius is small
+            return np.sin(4000.0 * xs @ np.arange(1.0, d + 1.0))
+
+        def chaotic(xs):  # uncorrelated at every probe scale: improves rarely
+            return np.sin(1e9 * xs @ np.arange(1.0, d + 1.0))
+
+        def terraced(xs):  # ties with the best, where only > improves
+            return np.floor(4.0 * peaked(xs))
+
+        def constant(xs):  # never improves
+            return np.full(xs.shape[0], 0.25)
+
+        return peaked, rough, chaotic, terraced, constant
+
+    @staticmethod
+    def outcome(search, score, lower, upper, seed, n_candidates, n_refinements,
+                extra=None):
+        """The result and the rng state after one search, or the point of
+        the NaN it raised at (the one-draw search has drawn every round's
+        uniforms by then, the reference only those up to that round)."""
+        rng = np.random.default_rng(seed)
+        try:
+            x, s = search(score, lower, upper, rng, n_candidates, n_refinements,
+                          extra_points=extra)
+        except AcquisitionNumericsError as err:
+            return "nan", err.point.tobytes()
+        return "ok", x.tobytes(), s, rng.bit_generator.state
+
+    @staticmethod
+    def recording(score, calls):
+        def recorded(xs):
+            calls.append(np.array(xs))
+            return score(xs)
+        return recorded
+
+    @staticmethod
+    def nan_at(score, points):
+        """score, but NaN at the rows whose bytes are in `points`."""
+        def with_nans(xs):
+            out = np.array(score(xs), dtype=float)
+            out[[x.tobytes() in points for x in xs]] = np.nan
+            return out
+        return with_nans
+
+    def cases(self, d):
+        setup = np.random.default_rng(3000 + d)
+        scores = self.scores(d, setup)
+        for n_candidates in (1, 7, 128):
+            for n_refinements in (0, 1, 2, 30):
+                lower, upper = TestOneDraw.box(setup, d)
+                extra = lower + setup.uniform(size=(2, d)) * (upper - lower)
+                seed = int(setup.integers(2**32))
+                for score in scores:
+                    yield score, (lower, upper, seed, n_candidates, n_refinements,
+                                  extra)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_matches_one_round_at_a_time(self, d):
+        n_probes = max(8, 2 * d)
+        windows = 0
+        for score, args in self.cases(d):
+            calls = []
+            want = self.outcome(_interleaved_maximizer, score, *args)
+            got = self.outcome(maximize_acquisition, self.recording(score, calls),
+                               *args)
+            assert got == want
+            windows += any(len(c) > n_probes for c in calls[1:])
+        assert windows >= 10  # searches that scored several rounds at once
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_nan_in_a_dropped_round_does_not_raise(self, d):
+        # NaN at every point the windowed search scores but the reference
+        # never does: the probes of rounds after an improving one in the
+        # same window
+        dropped_cases = 0
+        for score, args in self.cases(d):
+            ref_calls, calls = [], []
+            want = self.outcome(_interleaved_maximizer,
+                                self.recording(score, ref_calls), *args)
+            self.outcome(maximize_acquisition, self.recording(score, calls), *args)
+            seen = {x.tobytes() for c in ref_calls for x in c}
+            dropped = {x.tobytes() for c in calls for x in c} - seen
+            if not dropped:
+                continue
+            dropped_cases += 1
+            got = self.outcome(maximize_acquisition, self.nan_at(score, dropped),
+                               *args)
+            assert got == want
+        assert dropped_cases >= 4
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_nan_in_a_consumed_round_raises_at_the_same_point(self, d):
+        raised = 0
+        for score, args in self.cases(d):
+            ref_calls = []
+            self.outcome(_interleaved_maximizer, self.recording(score, ref_calls),
+                         *args)
+            rounds = ref_calls[1:]  # the candidate batch comes first
+            for k in sorted({0, len(rounds) // 2, len(rounds) - 1} if rounds else ()):
+                nan_score = self.nan_at(score, {x.tobytes() for x in rounds[k]})
+                want = self.outcome(_interleaved_maximizer, nan_score, *args)
+                got = self.outcome(maximize_acquisition, nan_score, *args)
+                assert want[0] == "nan"
+                assert got == want
+                raised += 1
+        assert raised >= 10
 
 
 class TestRunGpEi:
@@ -478,14 +623,17 @@ class TestCoverSearchCache:
 
     @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
     def test_search_reuses_the_maximizer_score(self, alg, monkeypatch):
-        # a search of a cell with data costs the candidate batch and one call
-        # per refinement, a search of a cell without data (flat) one call;
-        # without a face clamp nothing is re-scored after the searches
+        # a search of a cell with data reads the posterior once for the
+        # candidate batch and once per window of refinement rounds, with the
+        # row counts the window rule gives for the scores it saw; a search of
+        # a cell without data (flat) reads one point; without a face clamp
+        # nothing is re-scored after the searches
         state = {"reads": 0, "searches": 0, "expected": 0, "clamped": False}
-        steps, flat_searches = [], []
+        steps, flat_searches, windows = [], [], []
         real_posterior_many = GpModel.posterior_many
         search = optimizers.maximize_acquisition
         cfg = self.polylog_config(alg)
+        n_probes = 8  # max(8, 2 d) at d = 2
 
         def posterior_many(self, xs):
             state["reads"] += 1
@@ -496,12 +644,24 @@ class TestCoverSearchCache:
             if state["searches"] == 0:  # drop the reads of the previous step
                 state["reads"] = 0
             state["searches"] += 1
-            before = state["reads"]
-            x, s = search(score_fn, lower, upper, *args,
+            before, scores = state["reads"], []
+
+            def recorded(xs):
+                scores.append(np.asarray(score_fn(xs)))
+                return scores[-1]
+
+            x, s = search(recorded, lower, upper, *args,
                           extra_points=extra_points, flat=flat)
             assert flat == (extra_points is None)
             reads = state["reads"] - before
-            assert reads == (1 if flat else cfg.acq_refinements + 1)
+            assert reads == len(scores)
+            rows = [len(pv) for pv in scores]
+            if flat:
+                assert rows == [1]
+            else:
+                assert rows == _replayed_row_counts(scores, n_probes,
+                                                    cfg.acq_refinements)
+                windows.extend(rows[1:])
             state["expected"] += reads
             flat_searches.append(flat)
             state["clamped"] |= bool(np.any((upper < 1.0) & (x >= upper)))
@@ -525,6 +685,8 @@ class TestCoverSearchCache:
                 checked += 1
         assert checked >= 5
         assert any(flat_searches) and not all(flat_searches)
+        # both one-round windows and wider ones occur
+        assert n_probes in windows and max(windows) > n_probes
 
     def test_selected_point_outside_its_cell_raises(self, monkeypatch):
         monkeypatch.setattr(partition.Cell, "contains", lambda self, x: False)
@@ -585,14 +747,32 @@ class TestPosteriorReads:
         calls, real = [], GpModel.posterior_many
         monkeypatch.setattr(GpModel, "posterior_many",
                             lambda self, xs: calls.append(1) or real(self, xs))
+        searches, search = [], optimizers.maximize_acquisition
+
+        def recording_search(score_fn, *args, **kwargs):
+            scores = []
+            searches.append(scores)
+
+            def recorded(xs):
+                scores.append(np.asarray(score_fn(xs)))
+                return scores[-1]
+
+            return search(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "maximize_acquisition", recording_search)
         oracle, opt = rkhs_oracle(seed=408)
         cfg = small_config(T=6)
         run(cfg, oracle, opt)
-        # per step: the candidate batch, one call per refinement, the
-        # update's read and the best sampled mean after it; step 1's cell
-        # has no data, so its search scores one point and no refinement
-        assert len(calls) == (cfg.horizon_T * (cfg.acq_refinements + 3)
-                              - cfg.acq_refinements)
+        # per step: the search's score calls (the candidate batch, then one
+        # per window of refinement rounds), the update's read and the best
+        # sampled mean after it; step 1's cell has no data, so its search
+        # scores one point and no refinement
+        assert len(searches) == cfg.horizon_T
+        assert [len(pv) for pv in searches[0]] == [1]
+        for scores in searches[1:]:
+            assert [len(pv) for pv in scores] == _replayed_row_counts(
+                scores, 8, cfg.acq_refinements)
+        assert len(calls) == sum(map(len, searches)) + 2 * cfg.horizon_T
 
 
 class TestRunConfigValidation:
