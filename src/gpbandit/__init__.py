@@ -1,23 +1,16 @@
 """Gaussian-process bandit optimization with expected-improvement acquisition,
 adaptive domain partitioning, and a reproducible benchmark harness."""
 
-from .acquisition import (
-    OMEGA_FIXED,
-    OMEGA_POLYLOG_T,
-    OMEGA_THEORY_EI,
-    OmegaSchedule,
-    beta_value,
-    ei_scores,
-    omega_at,
-    tau,
-    ucb_score,
-)
+from .acquisition import beta_value, ei_scores, tau, ucb_score
 from .gp import GpModel, GpNumericsError
 from .kernels import MATERN, SQUARED_EXPONENTIAL, KernelSpec, gram_matrix
 from .optimizers import (
     ALG_GP_EI,
     ALG_IMPROVED_GP_EI,
     ALG_PI_UCB,
+    OMEGA_FIXED,
+    OMEGA_POLYLOG_T,
+    OMEGA_THEORY_EI,
     RunConfig,
     RunTrace,
     maximize_acquisition,
@@ -47,7 +40,6 @@ __all__ = [
     "GpNumericsError",
     "KernelSpec",
     "NoisyOracle",
-    "OmegaSchedule",
     "RkhsFunction",
     "RunConfig",
     "RunTrace",
@@ -58,7 +50,6 @@ __all__ = [
     "initial_cover",
     "make_rkhs_function",
     "maximize_acquisition",
-    "omega_at",
     "run",
     "standard_function",
     "tau",

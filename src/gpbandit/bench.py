@@ -23,12 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import OMEGA_FIXED, OMEGA_POLYLOG_T, OMEGA_THEORY_EI, OmegaSchedule
 from .kernels import KernelSpec
 from .optimizers import (
     ALG_GP_EI,
     ALG_IMPROVED_GP_EI,
     ALG_PI_UCB,
+    OMEGA_FIXED,
+    OMEGA_POLYLOG_T,
+    OMEGA_THEORY_EI,
     RunConfig,
     RunTrace,
     run,
@@ -75,17 +77,22 @@ class BenchConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _log_distance(true_opt: float, f: float) -> float:
+    """log10 of the distance to the optimum, floored at LOG_DISTANCE_FLOOR."""
+    return math.log10(max(true_opt - f, LOG_DISTANCE_FLOOR))
+
+
 def trace_csv_lines(trace: RunTrace, run_id: str, true_optimum: float) -> list[str]:
     lines = [CSV_HEADER]
     for row in trace.rows:
-        gap = true_optimum - row.f_at_x_plus
-        log_dist = math.log10(max(gap, LOG_DISTANCE_FLOOR))
         coords = ";".join(_fmt(c) for c in row.x)
         lines.append(",".join([
             run_id,
@@ -95,7 +102,7 @@ def trace_csv_lines(trace: RunTrace, run_id: str, true_optimum: float) -> list[s
             coords,
             _fmt(row.y),
             _fmt(row.f_at_x_plus),
-            _fmt(log_dist),
+            _fmt(_log_distance(true_optimum, row.f_at_x_plus)),
             _fmt(row.instantaneous_regret),
             _fmt(row.cumulative_regret),
             _fmt(row.omega),
@@ -113,10 +120,9 @@ def strip_wallclock(csv_text: str) -> str:
 
 def run_label(config: RunConfig) -> str:
     if config.algorithm == ALG_GP_EI:
-        mode = config.omega.mode
-        if mode == OMEGA_FIXED:
-            return f"gp_ei_fixed{config.omega.c:g}"
-        return f"gp_ei_{mode}"
+        if config.omega_mode == OMEGA_FIXED:
+            return f"gp_ei_fixed{config.omega_c:g}"
+        return f"gp_ei_{config.omega_mode}"
     return config.algorithm
 
 
@@ -201,8 +207,8 @@ def run_benchmark(config: BenchConfig) -> dict:
                 "algorithm": c.algorithm,
                 "label": run_label(c),
                 "horizon_T": c.horizon_T,
-                "omega_mode": c.omega.mode,
-                "omega_c": c.omega.c,
+                "omega_mode": c.omega_mode,
+                "omega_c": c.omega_c,
                 "delta": c.delta,
                 "lambda": c.lam,
                 "kernel_family": c.kernel.family,
@@ -245,10 +251,7 @@ def write_aggregate(traces: list[RunTrace], true_opt: float, path: Path) -> str:
         "cum_regret_median,cum_regret_mean,cum_regret_std"
     ]
     for i in range(T):
-        logs = sorted(
-            math.log10(max(true_opt - tr.rows[i].f_at_x_plus, LOG_DISTANCE_FLOOR))
-            for tr in traces
-        )
+        logs = sorted(_log_distance(true_opt, tr.rows[i].f_at_x_plus) for tr in traces)
         regs = sorted(tr.rows[i].cumulative_regret for tr in traces)
         lines.append(",".join([
             str(i + 1),
@@ -407,28 +410,20 @@ def build_bench_config(values: dict[str, str]) -> BenchConfig:
         float(cfg["lengthscale"]),
         float(cfg["nu"]) if cfg["kernel_family"] == "matern" else None,
     )
-    T = int(cfg["T"])
-    delta = float(cfg["delta"])
-
-    def schedule(mode: str) -> OmegaSchedule:
-        return OmegaSchedule(
-            mode=mode, c=float(cfg["omega_c"]), delta=delta,
-            horizon_T=T if mode == OMEGA_POLYLOG_T else None,
-        )
-
     runs = []
     for alg in (a.strip() for a in cfg["algorithms"].split(",")):
         if alg == ALG_GP_EI:
-            omega = schedule(cfg["omega_mode"])
+            mode = cfg["omega_mode"]
         elif alg == "gp_ei_theory":  # convenience alias
-            alg, omega = ALG_GP_EI, schedule(OMEGA_THEORY_EI)
+            alg, mode = ALG_GP_EI, OMEGA_THEORY_EI
         elif alg in (ALG_IMPROVED_GP_EI, ALG_PI_UCB):
-            omega = schedule(OMEGA_POLYLOG_T)
+            mode = OMEGA_POLYLOG_T
         else:
             raise ValueError(f"unknown algorithm: {alg!r}")
         runs.append(RunConfig(
-            algorithm=alg, horizon_T=T, omega=omega, kernel=kernel,
-            lam=float(cfg["lambda"]), delta=delta,
+            algorithm=alg, horizon_T=int(cfg["T"]), omega_mode=mode,
+            omega_c=float(cfg["omega_c"]), kernel=kernel,
+            lam=float(cfg["lambda"]), delta=float(cfg["delta"]),
             acq_candidates=int(cfg["acq_candidates"]),
             acq_refinements=int(cfg["acq_refinements"]),
             B=float(cfg["B"]), R=float(cfg["R"]),

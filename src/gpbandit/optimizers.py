@@ -1,4 +1,5 @@
-"""The sequential run loop and its inner acquisition maximizer.
+"""The sequential run loop, its inner acquisition maximizer, and the
+exploration scale omega_t.
 
 One loop runs every algorithm on a cover of the unit box with a GP per cell:
 GP-EI is EI on one cell that never splits, Improved GP-EI is EI per cell on
@@ -6,6 +7,12 @@ the adaptive cover, and pi-GP-UCB scores that cover's cells by UCB.  Each
 step searches the cells, observes the argmax, refreshes its cell's model,
 applies the split rule, and reports the sampled point of largest current
 posterior mean.  Regret rows are exact: the testbed supplies the optimum.
+
+EI scales the posterior stddev by omega_t, which RunConfig.omega_mode
+computes from the run's own parameters: the constant omega_c (fixed),
+sqrt(gain + 1 + ln(1/delta)) with the gain summed over the cells after the
+previous step (theory_ei), or sqrt(ln T * ln ln T) for the horizon T >= 16
+(polylog_t).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import OmegaSchedule, beta_value, ei_scores, omega_at, ucb_score
+from .acquisition import beta_value, ei_scores, ucb_score
 from .gp import GpModel
 from .kernels import KernelSpec
 from .partition import Cell, Cover, initial_cover, split_pass
@@ -26,6 +33,10 @@ ALG_IMPROVED_GP_EI = "improved_gp_ei"
 ALG_PI_UCB = "pi_ucb"
 
 _ALGORITHMS = (ALG_GP_EI, ALG_IMPROVED_GP_EI, ALG_PI_UCB)
+
+OMEGA_FIXED = "fixed"
+OMEGA_THEORY_EI = "theory_ei"
+OMEGA_POLYLOG_T = "polylog_t"
 
 
 class AcquisitionNumericsError(ArithmeticError):
@@ -40,7 +51,7 @@ class AcquisitionNumericsError(ArithmeticError):
 class RunConfig:
     algorithm: str
     horizon_T: int
-    omega: OmegaSchedule
+    omega_mode: str
     kernel: KernelSpec
     lam: float = 0.01
     delta: float = 0.05
@@ -49,6 +60,7 @@ class RunConfig:
     acq_refinements: int = 30
     B: float = 1.0
     R: float = 1.0
+    omega_c: float = 1.0
 
     def __post_init__(self):
         if self.algorithm not in _ALGORITHMS:
@@ -62,6 +74,18 @@ class RunConfig:
         if self.algorithm in (ALG_IMPROVED_GP_EI, ALG_PI_UCB):
             if self.kernel.nu is None or not self.kernel.nu > 1:
                 raise ValueError("partition-based runs need a Matern kernel with nu > 1")
+        if self.algorithm == ALG_PI_UCB:  # UCB reads no omega
+            return
+        mode = self.omega_mode
+        if mode not in (OMEGA_FIXED, OMEGA_THEORY_EI, OMEGA_POLYLOG_T):
+            raise ValueError(f"unknown omega mode: {mode!r}")
+        if mode == OMEGA_FIXED and not self.omega_c > 0:
+            raise ValueError("fixed omega needs c > 0")
+        if mode == OMEGA_THEORY_EI and not 0.0 < self.delta < 1.0:
+            raise ValueError("theory_ei omega needs delta in (0, 1)")
+        if mode == OMEGA_POLYLOG_T and self.horizon_T < 16:
+            raise ValueError(
+                "polylog_t omega needs horizon_T >= 16 (ln ln T must be positive)")
 
 
 @dataclass
@@ -126,9 +150,9 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
     window without one, capped at the rounds left.  The result is that of
     the one-round search as long as score_fn scores each row of a batch to
     the same bits wherever the row sits; GpModel.posterior_many does so for
-    probe groups of a multiple of 4 rows (n_probes = max(8, 2 d)), while for
-    odd d >= 5 a row's score can move by an ulp with its place in the
-    batch."""
+    probe groups of a multiple of 4 rows (n_probes = max(8, 2 d)).  Other
+    group sizes keep the window at one round, so there the search is the
+    one-round search by construction."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     d = lower.shape[0]
@@ -151,13 +175,14 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
     radii = np.full((n_refinements, 1, d), 0.5)
     radii[0] = 0.25 * (upper - lower)
     np.cumprod(radii, axis=0, out=radii)
+    growth = 2 if n_probes % 4 == 0 else 1
     r, window = 0, 1
     while r < n_refinements:
         stop = min(r + window, n_refinements)
         probes = best_x + offsets[r:stop] * radii[r:stop]
         np.clip(probes, lower, upper, out=probes)
         pv = np.asarray(score_fn(probes.reshape(-1, d)), dtype=float)
-        window *= 2
+        window *= growth
         for round_probes, round_pv in zip(probes, pv.reshape(stop - r, n_probes)):
             r += 1
             if np.any(np.isnan(round_pv)):
@@ -177,13 +202,17 @@ def _cell_budget(total_candidates: int, n_cells: int) -> int:
     return max(min(128, total_candidates), total_candidates // n_cells)
 
 
-def _omega(config: RunConfig, t: int, cover: Cover) -> float:
-    """EI's exploration scale at step t from the gain summed over cells; UCB
-    has no global scale, and the trace column reads 1."""
+def _omega(config: RunConfig, gain: float) -> float:
+    """EI's exploration scale for a step, from the gain summed over the
+    cells before it; UCB has no global scale, and the trace column reads 1."""
     if config.algorithm == ALG_PI_UCB:
         return 1.0
-    gain = sum(c.model.accumulated_info_gain() for c in cover.cells)
-    return omega_at(config.omega, t, gain)
+    if config.omega_mode == OMEGA_FIXED:
+        return config.omega_c
+    if config.omega_mode == OMEGA_THEORY_EI:
+        return math.sqrt(gain + 1.0 + math.log(1.0 / config.delta))
+    ln_t = math.log(config.horizon_T)
+    return math.sqrt(ln_t * math.log(ln_t))
 
 
 def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: float):
@@ -243,11 +272,11 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
             best_seen[cell] = (model.n, best)
         return best_seen[cell][1]
 
-    cum_regret = 0.0
+    cum_regret, gain = 0.0, 0.0
     for t in range(1, config.horizon_T + 1):
         t0 = time.perf_counter()
         budget = _cell_budget(config.acq_candidates, cover.cell_count)
-        omega_t = _omega(config, t, cover)
+        omega_t = _omega(config, gain)
         winner = None  # (score, cell, x)
         for cell in cover.cells:
             key = (cell.model.n, omega_t)
@@ -298,7 +327,7 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
             omega=omega_t, info_gain=gain, cell_count=cover.cell_count,
             wallclock_ms=1e3 * (time.perf_counter() - t0),
         ))
-    gains = [c.model.accumulated_info_gain() for c in cover.cells]
-    trace.final_info_gain, trace.max_cell_info_gain = sum(gains), max(gains)
+    trace.final_info_gain = gain
+    trace.max_cell_info_gain = max(c.model.accumulated_info_gain() for c in cover.cells)
     trace.total_cells_created = cover.total_created
     return trace

@@ -12,13 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from gpbandit.acquisition import (
-    OMEGA_FIXED,
-    OMEGA_POLYLOG_T,
-    OMEGA_THEORY_EI,
-    OmegaSchedule,
-    ei_scores,
-)
+from gpbandit.acquisition import ei_scores
 from gpbandit.bench import BenchConfig, ObjectiveSpec, run_benchmark, strip_wallclock
 from gpbandit.gp import GpModel
 from gpbandit.kernels import (
@@ -33,6 +27,9 @@ from gpbandit.optimizers import (
     ALG_GP_EI,
     ALG_IMPROVED_GP_EI,
     ALG_PI_UCB,
+    OMEGA_FIXED,
+    OMEGA_POLYLOG_T,
+    OMEGA_THEORY_EI,
     RunConfig,
     run,
 )
@@ -63,11 +60,11 @@ def rkhs_target():
     return make_rkhs_function(KERNEL, 2, 10, rng, optimum_budget=200_000)
 
 
-def _ei_run(target, T, seed, omega, lam=0.01, alg=ALG_GP_EI,
+def _ei_run(target, T, seed, omega_mode, lam=0.01, alg=ALG_GP_EI,
             candidates=1024, refinements=12):
     oracle = NoisyOracle(target, target.dim, 0.1, np.random.default_rng(seed + 50_000))
     cfg = RunConfig(
-        algorithm=alg, horizon_T=T, omega=omega, kernel=KERNEL, lam=lam,
+        algorithm=alg, horizon_T=T, omega_mode=omega_mode, kernel=KERNEL, lam=lam,
         seed=seed, acq_candidates=candidates, acq_refinements=refinements,
     )
     return run(cfg, oracle, target.optimum_value)
@@ -165,7 +162,7 @@ def test_criterion_05_stddev_sum_bound(rkhs_target):
     for T in (50, 100):
         lam = 1.0 + 2.0 / T
         trace = _ei_run(rkhs_target, T, seed=5, lam=lam,
-                        omega=OmegaSchedule(OMEGA_FIXED, c=1.0),
+                        omega_mode=OMEGA_FIXED,
                         candidates=512, refinements=8)
         bound = math.sqrt(4.0 * (T + 2) * trace.final_info_gain)
         assert trace.sum_sigma_selected <= bound
@@ -198,7 +195,7 @@ def test_criterion_07_cover_invariants(rkhs_target):
         )
         for T in (100, 200, 400):
             trace = _ei_run(target, T, seed=7, alg=ALG_IMPROVED_GP_EI,
-                            omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=T),
+                            omega_mode=OMEGA_POLYLOG_T,
                             candidates=512, refinements=6)
             # replay the selected points through a fresh cover, asserting the
             # invariants after every iteration
@@ -233,19 +230,17 @@ def test_criterion_07_cover_invariants(rkhs_target):
 def _desk_scale_medians(target, seed_base):
     """Final and t=10 median log-distances per algorithm over 15 seeds."""
     algs = {
-        "gp_ei_fixed1": (ALG_GP_EI, OmegaSchedule(OMEGA_FIXED, c=1.0)),
-        "gp_ei_theory": (ALG_GP_EI, OmegaSchedule(OMEGA_THEORY_EI, delta=0.05)),
-        "improved_gp_ei": (
-            ALG_IMPROVED_GP_EI, OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100)
-        ),
-        "pi_ucb": (ALG_PI_UCB, OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100)),
+        "gp_ei_fixed1": (ALG_GP_EI, OMEGA_FIXED),
+        "gp_ei_theory": (ALG_GP_EI, OMEGA_THEORY_EI),
+        "improved_gp_ei": (ALG_IMPROVED_GP_EI, OMEGA_POLYLOG_T),
+        "pi_ucb": (ALG_PI_UCB, OMEGA_POLYLOG_T),
     }
     out = {}
-    for label, (alg, omega) in algs.items():
+    for label, (alg, omega_mode) in algs.items():
         at10, at100 = [], []
         for rep in range(15):
             trace = _ei_run(target, 100, seed=seed_base + rep, alg=alg,
-                            omega=omega, candidates=768, refinements=8)
+                            omega_mode=omega_mode, candidates=768, refinements=8)
             gap = lambda row: max(target.optimum_value - row.f_at_x_plus, 1e-12)
             at10.append(math.log10(gap(trace.rows[9])))
             at100.append(math.log10(gap(trace.rows[99])))
@@ -288,7 +283,7 @@ def test_criterion_09_sublinear_regret_trend(rkhs_target):
         finals = []
         for rep in range(10):
             trace = _ei_run(rkhs_target, T, seed=900 + rep,
-                            omega=OmegaSchedule(OMEGA_FIXED, c=1.0),
+                            omega_mode=OMEGA_FIXED,
                             candidates=512, refinements=8)
             finals.append(trace.final_cumulative_regret)
         means[T] = float(np.mean(finals))
@@ -306,7 +301,7 @@ def test_criterion_10_determinism(tmp_path):
         return BenchConfig(
             runs=[RunConfig(
                 algorithm=ALG_GP_EI, horizon_T=5,
-                omega=OmegaSchedule(OMEGA_FIXED, c=1.0), kernel=KERNEL,
+                omega_mode=OMEGA_FIXED, kernel=KERNEL,
                 lam=0.01, acq_candidates=128, acq_refinements=4,
             )],
             objective=ObjectiveSpec(name="hartmann3", noise_stddev=0.1),

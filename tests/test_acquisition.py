@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpbandit.acquisition import (
+from gpbandit.acquisition import beta_value, ei_scores, tau, ucb_score
+from gpbandit.kernels import MATERN, KernelSpec
+from gpbandit.optimizers import (
+    ALG_GP_EI,
+    ALG_PI_UCB,
     OMEGA_FIXED,
     OMEGA_POLYLOG_T,
     OMEGA_THEORY_EI,
-    OmegaSchedule,
-    beta_value,
-    ei_scores,
-    omega_at,
-    tau,
-    ucb_score,
+    RunConfig,
+    _omega,
 )
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -174,41 +174,52 @@ class TestUcbScore:
 
 
 class TestOmegaSchedule:
+    """omega_t, the scale EI puts on the stddev, is computed from the run's
+    own parameters by optimizers._omega and checked by RunConfig."""
+
+    @staticmethod
+    def config(mode, T=100, alg=ALG_GP_EI, **kw):
+        return RunConfig(algorithm=alg, horizon_T=T, omega_mode=mode,
+                         kernel=KernelSpec(MATERN, 0.2, 2.5), **kw)
+
     def test_fixed(self):
-        sched = OmegaSchedule(OMEGA_FIXED, c=1.0)
-        assert omega_at(sched, 1, 0.0) == 1.0
-        assert omega_at(sched, 57, 12.0) == 1.0
+        cfg = self.config(OMEGA_FIXED, omega_c=1.0)
+        assert _omega(cfg, 0.0) == 1.0
+        assert _omega(cfg, 12.0) == 1.0
 
     def test_theory_first_step(self):
-        sched = OmegaSchedule(OMEGA_THEORY_EI, delta=0.05)
-        assert omega_at(sched, 1, 0.0) == pytest.approx(
+        cfg = self.config(OMEGA_THEORY_EI, delta=0.05)
+        assert _omega(cfg, 0.0) == pytest.approx(
             math.sqrt(1 + math.log(20)), abs=1e-4
         )
-        assert omega_at(sched, 1, 0.0) == pytest.approx(1.9989, abs=1e-3)
+        assert _omega(cfg, 0.0) == pytest.approx(1.9989, abs=1e-3)
 
     def test_theory_grows_with_gain(self):
-        sched = OmegaSchedule(OMEGA_THEORY_EI, delta=0.05)
+        cfg = self.config(OMEGA_THEORY_EI, delta=0.05)
         gains = np.linspace(0, 30, 50)
-        vals = [omega_at(sched, t + 1, g) for t, g in enumerate(gains)]
+        vals = [_omega(cfg, g) for g in gains]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_polylog_horizon_100(self):
-        sched = OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100)
+        cfg = self.config(OMEGA_POLYLOG_T, T=100)
         expected = math.sqrt(math.log(100) * math.log(math.log(100)))
-        assert omega_at(sched, 1, 0.0) == pytest.approx(expected, abs=1e-12)
-        assert omega_at(sched, 1, 0.0) == pytest.approx(2.6520, abs=1e-3)
+        assert _omega(cfg, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert _omega(cfg, 0.0) == pytest.approx(2.6520, abs=1e-3)
 
     def test_polylog_requires_large_horizon(self):
-        with pytest.raises(ValueError):
-            OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=15)
+        with pytest.raises(ValueError, match="horizon_T >= 16"):
+            self.config(OMEGA_POLYLOG_T, T=15)
+        assert self.config(OMEGA_POLYLOG_T, T=16).horizon_T == 16
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            OmegaSchedule(OMEGA_FIXED, c=0.0)
-        with pytest.raises(ValueError):
-            OmegaSchedule(OMEGA_THEORY_EI, delta=1.5)
-        with pytest.raises(ValueError):
-            OmegaSchedule("warp", c=1.0)
-        sched = OmegaSchedule(OMEGA_FIXED, c=1.0)
-        with pytest.raises(ValueError):
-            omega_at(sched, 0, 0.0)
+        with pytest.raises(ValueError, match="c > 0"):
+            self.config(OMEGA_FIXED, omega_c=0.0)
+        with pytest.raises(ValueError, match="delta in"):
+            self.config(OMEGA_THEORY_EI, delta=1.5)
+        with pytest.raises(ValueError, match="unknown omega mode"):
+            self.config("warp", omega_c=1.0)
+        # pi-GP-UCB has no global scale, so none of them is checked there
+        for mode, T, c in ((OMEGA_POLYLOG_T, 15, 1.0), (OMEGA_FIXED, 100, 0.0),
+                           ("warp", 100, 1.0)):
+            cfg = self.config(mode, T=T, alg=ALG_PI_UCB, omega_c=c)
+            assert _omega(cfg, 3.0) == 1.0

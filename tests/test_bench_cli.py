@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gpbandit import bench
-from gpbandit.acquisition import OMEGA_FIXED, OMEGA_POLYLOG_T, OMEGA_THEORY_EI, OmegaSchedule
 from gpbandit.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -22,7 +21,14 @@ from gpbandit.bench import (
 )
 from gpbandit.cli import main
 from gpbandit.kernels import MATERN, KernelSpec
-from gpbandit.optimizers import ALG_GP_EI, ALG_IMPROVED_GP_EI, RunConfig
+from gpbandit.optimizers import (
+    ALG_GP_EI,
+    ALG_IMPROVED_GP_EI,
+    OMEGA_FIXED,
+    OMEGA_POLYLOG_T,
+    OMEGA_THEORY_EI,
+    RunConfig,
+)
 from gpbandit.testbed import make_rkhs_function
 
 
@@ -31,7 +37,7 @@ KERNEL = KernelSpec(MATERN, 0.2, 2.5)
 
 def tiny_bench(tmp_path, T=1, repeats=1, algorithms=None, seed_base=0):
     runs = algorithms or [RunConfig(
-        algorithm=ALG_GP_EI, horizon_T=T, omega=OmegaSchedule(OMEGA_FIXED, c=1.0),
+        algorithm=ALG_GP_EI, horizon_T=T, omega_mode=OMEGA_FIXED,
         kernel=KERNEL, lam=0.01, acq_candidates=64, acq_refinements=2,
     )]
     return BenchConfig(
@@ -101,12 +107,12 @@ class TestRunBenchmark:
         runs = [
             RunConfig(
                 algorithm=ALG_GP_EI, horizon_T=4,
-                omega=OmegaSchedule(OMEGA_FIXED, c=1.0), kernel=KERNEL,
+                omega_mode=OMEGA_FIXED, kernel=KERNEL,
                 lam=0.01, acq_candidates=64, acq_refinements=2,
             ),
             RunConfig(
                 algorithm=ALG_IMPROVED_GP_EI, horizon_T=20,
-                omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=20), kernel=KERNEL,
+                omega_mode=OMEGA_POLYLOG_T, kernel=KERNEL,
                 lam=0.01, acq_candidates=64, acq_refinements=2,
             ),
         ]
@@ -204,10 +210,9 @@ class TestDiagnostics:
         # two GP-EI runs that differ only in the omega schedule share an
         # algorithm, not a label; each label's growth figures come from its
         # own traces alone
-        theory = OmegaSchedule(OMEGA_THEORY_EI, delta=0.05)
-        runs = [RunConfig(algorithm=ALG_GP_EI, horizon_T=1, omega=omega, kernel=KERNEL,
-                          lam=0.01, acq_candidates=64, acq_refinements=2)
-                for omega in (OmegaSchedule(OMEGA_FIXED, c=1.0), theory)]
+        runs = [RunConfig(algorithm=ALG_GP_EI, horizon_T=1, omega_mode=mode,
+                          kernel=KERNEL, lam=0.01, acq_candidates=64, acq_refinements=2)
+                for mode in (OMEGA_FIXED, OMEGA_THEORY_EI)]
         by_label = self._traces(tmp_path, [3, 6], runs)
         assert list(by_label) == ["gp_ei_fixed1", "gp_ei_theory_ei"]
         report = diagnostics_report(by_label)
@@ -255,7 +260,7 @@ class TestConfigFile:
         config = build_bench_config(values)
         assert config.repeats == 2
         assert len(config.runs) == 2
-        assert config.runs[1].omega.mode == "polylog_t"
+        assert config.runs[1].omega_mode == "polylog_t"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -328,6 +333,28 @@ class TestCli:
         ])
         assert rc == 1
         assert "refinements" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ucb_runs_below_the_polylog_horizon(self, tmp_path):
+        # pi-GP-UCB reads no omega, so the polylog_t bound T >= 16 is not its
+        rc = main([
+            "run", "--objective", "hartmann3", "--algorithms", "pi_ucb", "--T", "10",
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        rows = (tmp_path / "out" / "trace_pi_ucb_s0.csv").read_text().splitlines()
+        assert rows[0] == CSV_HEADER and len(rows) == 1 + 10
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_return_error(self, tmp_path, capsys, jobs):
+        rc = main([
+            "run", "--objective", "hartmann3", "--T", "2", "--jobs", jobs,
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_config_returns_error(self, tmp_path, capsys):

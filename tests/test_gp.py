@@ -165,15 +165,8 @@ class TestBlockedPosterior:
         maximize_acquisition score several refinement rounds (n_probes =
         max(8, 2 d) rows each) in one call.
 
-        It holds for groups of a multiple of 4 rows.  It does not for the
-        10 and 14 rows of d = 5 and d = 7 (n_probes = 2 d, d odd): the
-        means of a group's last two rows, which a call over the group alone
-        takes through BLAS gemv's remainder path, differed in 150 of 150
-        and 149 of 150 random batches of Matern-5/2 posteriors (OpenBLAS
-        0.3.31, Haswell kernels), while the stddevs kept their bits.  Every
-        d = 5 and d = 7 trace compared against the one-round-at-a-time
-        search kept its hash all the same; `gpbandit gen-rkhs` defaults to
-        --dim 5."""
+        It holds for groups of a multiple of 4 rows; maximize_acquisition
+        scores other group sizes one round per call."""
         kernel = KernelSpec(family, 0.2, nu)
         rng = np.random.default_rng(1000 * group + d)
         for n in (1, 2, 3, 4, 5, 7, 9, 16, 31, 50, 64, 99, 100):

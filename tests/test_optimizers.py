@@ -4,12 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from gpbandit.acquisition import (
-    OMEGA_FIXED,
-    OMEGA_POLYLOG_T,
-    OMEGA_THEORY_EI,
-    OmegaSchedule,
-)
 from gpbandit import optimizers, partition
 from gpbandit.bench import strip_wallclock, trace_csv_lines
 from gpbandit.gp import GpModel
@@ -18,6 +12,9 @@ from gpbandit.optimizers import (
     ALG_GP_EI,
     ALG_IMPROVED_GP_EI,
     ALG_PI_UCB,
+    OMEGA_FIXED,
+    OMEGA_POLYLOG_T,
+    OMEGA_THEORY_EI,
     AcquisitionNumericsError,
     RunConfig,
     maximize_acquisition,
@@ -28,14 +25,13 @@ from gpbandit.testbed import NoisyOracle, make_rkhs_function, standard_function
 
 
 KERNEL = KernelSpec(MATERN, 0.2, 2.5)
-FIXED1 = OmegaSchedule(OMEGA_FIXED, c=1.0)
 
 
-def small_config(alg=ALG_GP_EI, T=5, omega=FIXED1, seed=0, **kw):
+def small_config(alg=ALG_GP_EI, T=5, omega_mode=OMEGA_FIXED, seed=0, **kw):
     kw.setdefault("acq_candidates", 256)
     kw.setdefault("acq_refinements", 5)
     return RunConfig(
-        algorithm=alg, horizon_T=T, omega=omega, kernel=KERNEL,
+        algorithm=alg, horizon_T=T, omega_mode=omega_mode, kernel=KERNEL,
         lam=0.01, seed=seed, **kw
     )
 
@@ -138,9 +134,10 @@ def _interleaved_maximizer(score_fn, lower, upper, rng, n_candidates,
 def _replayed_row_counts(scores, n_probes, n_refinements):
     """Row counts of one search's score calls, replayed from the scores those
     calls returned: the candidate batch, then windows of rounds, one round
-    after an improvement, twice the last window after none, at most the
-    rounds left; a window ends at its first round whose best score beats the
-    best so far (strictly)."""
+    after an improvement, twice the last window after none (one round
+    throughout unless n_probes is a multiple of 4), at most the rounds left;
+    a window ends at its first round whose best score beats the best so far
+    (strictly)."""
     want = [len(scores[0])]
     best, r, window, later = max(scores[0]), 0, 1, iter(scores[1:])
     while r < n_refinements:
@@ -149,7 +146,7 @@ def _replayed_row_counts(scores, n_probes, n_refinements):
         pv = next(later, None)
         if pv is None or len(pv) != want[-1]:
             break  # the caller's comparison shows the mismatch
-        window *= 2
+        window *= 2 if n_probes % 4 == 0 else 1
         for k in range(rounds):
             r += 1
             top = max(pv[k * n_probes:(k + 1) * n_probes])
@@ -237,7 +234,8 @@ class TestLookAheadWindows:
     """Rounds scored in look-ahead windows against the one-round-at-a-time
     reference (_interleaved_maximizer): the same point to the byte, the same
     score, the same rng state after, and a NaN raises only in a round the
-    reference scores, at the point it reports."""
+    reference scores, at the point it reports.  Probe groups that are not a
+    multiple of 4 rows (d = 5, 7) are scored one round per call."""
 
     @staticmethod
     def scores(d, setup):
@@ -302,7 +300,7 @@ class TestLookAheadWindows:
                     yield score, (lower, upper, seed, n_candidates, n_refinements,
                                   extra)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_matches_one_round_at_a_time(self, d):
         n_probes = max(8, 2 * d)
         windows = 0
@@ -313,9 +311,12 @@ class TestLookAheadWindows:
                                *args)
             assert got == want
             windows += any(len(c) > n_probes for c in calls[1:])
-        assert windows >= 10  # searches that scored several rounds at once
+            if n_probes % 4:
+                assert all(len(c) == n_probes for c in calls[1:])
+        if n_probes % 4 == 0:
+            assert windows >= 10  # searches that scored several rounds at once
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_nan_in_a_dropped_round_does_not_raise(self, d):
         # NaN at every point the windowed search scores but the reference
         # never does: the probes of rounds after an improving one in the
@@ -334,9 +335,10 @@ class TestLookAheadWindows:
             got = self.outcome(maximize_acquisition, self.nan_at(score, dropped),
                                *args)
             assert got == want
-        assert dropped_cases >= 4
+        # one-round windows drop no round
+        assert dropped_cases >= 4 if max(8, 2 * d) % 4 == 0 else dropped_cases == 0
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_nan_in_a_consumed_round_raises_at_the_same_point(self, d):
         raised = 0
         for score, args in self.cases(d):
@@ -394,7 +396,7 @@ class TestRunGpEi:
 
     def test_omega_nondecreasing_under_theory_schedule(self):
         oracle, opt = rkhs_oracle(seed=202)
-        cfg = small_config(T=10, omega=OmegaSchedule(OMEGA_THEORY_EI, delta=0.05))
+        cfg = small_config(T=10, omega_mode=OMEGA_THEORY_EI)
         trace = run(cfg, oracle, opt)
         omegas = [r.omega for r in trace.rows]
         assert all(a <= b + 1e-12 for a, b in zip(omegas, omegas[1:]))
@@ -404,7 +406,7 @@ class TestRunGpEi:
         T = 20
         oracle, opt = rkhs_oracle(seed=203)
         cfg = RunConfig(
-            algorithm=ALG_GP_EI, horizon_T=T, omega=FIXED1, kernel=KERNEL,
+            algorithm=ALG_GP_EI, horizon_T=T, omega_mode=OMEGA_FIXED, kernel=KERNEL,
             lam=1 + 2 / T, seed=1, acq_candidates=256, acq_refinements=5,
         )
         trace = run(cfg, oracle, opt)
@@ -422,22 +424,22 @@ class TestRunGpEi:
             finals.append(math.log10(gap(trace.rows[-1])))
         assert np.median(finals) < np.median(earlies)
 
-    @pytest.mark.parametrize("kernel, omega, candidates, digest", [
-        (KERNEL, FIXED1, 4096,
+    @pytest.mark.parametrize("kernel, omega_mode, candidates, digest", [
+        (KERNEL, OMEGA_FIXED, 4096,
          "bea7f0ab4ecbb054c7f75aa7d0cb0ef8b4e8e43a4300870e559d614f38533d30"),
-        (KERNEL, OmegaSchedule(OMEGA_THEORY_EI, delta=0.05), 4096,
+        (KERNEL, OMEGA_THEORY_EI, 4096,
          "6b759993edc4822335dcada27c4220c6691fd75277f96f64d4a6b6c685eb3179"),
-        (KernelSpec("se", 0.2), FIXED1, 4096,
+        (KernelSpec("se", 0.2), OMEGA_FIXED, 4096,
          "1118270397b294c4cb71423ebeb0350e8ba32840980aa6bf91222ce79963749d"),
-        (KERNEL, FIXED1, 64,
+        (KERNEL, OMEGA_FIXED, 64,
          "65ecfcc50398388587fb4f8608f20da45b501e09d640cba91368bad1077efe8d"),
     ], ids=["matern_fixed", "theory_ei", "se", "candidates64"])
-    def test_trace_unchanged(self, kernel, omega, candidates, digest):
+    def test_trace_unchanged(self, kernel, omega_mode, candidates, digest):
         # GP-EI as the one-cell cover: the stripped trace is pinned by the
         # hashes of the loop it replaced
         target, d, opt, _ = standard_function("hartmann3")
         cfg = RunConfig(
-            algorithm=ALG_GP_EI, horizon_T=30, omega=omega, kernel=kernel,
+            algorithm=ALG_GP_EI, horizon_T=30, omega_mode=omega_mode, kernel=kernel,
             lam=0.01, seed=3, acq_candidates=candidates,
         )
         oracle = NoisyOracle(target, d, 0.1, np.random.default_rng(77))
@@ -454,7 +456,7 @@ class TestCoverLoops:
         trace_a = run(cfg_a, rkhs_oracle(seed=400)[0], opt)
         cfg_b = RunConfig(
             algorithm=ALG_IMPROVED_GP_EI, horizon_T=1,
-            omega=OmegaSchedule(OMEGA_FIXED, c=1.0), kernel=KERNEL,
+            omega_mode=OMEGA_FIXED, kernel=KERNEL,
             lam=0.01, seed=5, acq_candidates=256, acq_refinements=5,
         )
         trace_b = run(cfg_b, rkhs_oracle(seed=400)[0], opt)
@@ -464,7 +466,7 @@ class TestCoverLoops:
         oracle, opt = rkhs_oracle(seed=401, d=3)
         cfg = RunConfig(
             algorithm=ALG_IMPROVED_GP_EI, horizon_T=25,
-            omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=25), kernel=KERNEL,
+            omega_mode=OMEGA_POLYLOG_T, kernel=KERNEL,
             lam=0.01, seed=2, acq_candidates=256, acq_refinements=3,
         )
         trace = run(cfg, oracle, opt)
@@ -477,8 +479,8 @@ class TestCoverLoops:
     def test_selected_point_inside_winning_cell(self):
         oracle, opt = rkhs_oracle(seed=402)
         cfg = RunConfig(
-            algorithm=ALG_IMPROVED_GP_EI, horizon_T=15,
-            omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100), kernel=KERNEL,
+            algorithm=ALG_IMPROVED_GP_EI, horizon_T=16,
+            omega_mode=OMEGA_POLYLOG_T, kernel=KERNEL,
             lam=0.01, seed=3, acq_candidates=256, acq_refinements=3,
         )
         trace = run(cfg, oracle, opt)
@@ -491,7 +493,7 @@ class TestCoverLoops:
     def test_ucb_baseline_runs_and_is_deterministic(self):
         cfg = RunConfig(
             algorithm=ALG_PI_UCB, horizon_T=10,
-            omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100), kernel=KERNEL,
+            omega_mode=OMEGA_POLYLOG_T, kernel=KERNEL,
             lam=0.01, seed=4, acq_candidates=256, acq_refinements=3,
         )
         traces = [run(cfg, rkhs_oracle(seed=403)[0],
@@ -501,10 +503,10 @@ class TestCoverLoops:
             assert ra.cumulative_regret == rb.cumulative_regret
 
     def test_partition_algorithms_need_smooth_matern(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Matern"):
             RunConfig(
                 algorithm=ALG_IMPROVED_GP_EI, horizon_T=10,
-                omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100),
+                omega_mode=OMEGA_POLYLOG_T,
                 kernel=KernelSpec(MATERN, 0.2, 0.5), lam=0.01,
             )
 
@@ -555,7 +557,7 @@ class TestCoverSearchCache:
     def polylog_config(self, alg, T=25):
         return RunConfig(
             algorithm=alg, horizon_T=T,
-            omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100), kernel=KERNEL,
+            omega_mode=OMEGA_POLYLOG_T, kernel=KERNEL,
             lam=0.01, seed=6, acq_candidates=256, acq_refinements=3,
         )
 
@@ -592,7 +594,7 @@ class TestCoverSearchCache:
         target, d, opt, _ = standard_function("hartmann3")
         cfg = RunConfig(
             algorithm=ALG_IMPROVED_GP_EI, horizon_T=30,
-            omega=OmegaSchedule(OMEGA_THEORY_EI, delta=0.05), kernel=KERNEL,
+            omega_mode=OMEGA_THEORY_EI, kernel=KERNEL,
             lam=0.01, seed=3,
         )
         oracle = NoisyOracle(target, d, 0.1, np.random.default_rng(77))
@@ -614,7 +616,7 @@ class TestCoverSearchCache:
         oracle, opt = rkhs_oracle(seed=409)
         cfg = RunConfig(
             algorithm=alg, horizon_T=25,
-            omega=OmegaSchedule(OMEGA_POLYLOG_T, horizon_T=100), kernel=KERNEL,
+            omega_mode=OMEGA_POLYLOG_T, kernel=KERNEL,
             lam=0.01, seed=6, acq_candidates=64, acq_refinements=3,
         )
         trace = run(cfg, oracle, opt)
@@ -778,15 +780,17 @@ class TestPosteriorReads:
 class TestRunConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            RunConfig(algorithm="annealing", horizon_T=10, omega=FIXED1, kernel=KERNEL)
+            RunConfig(algorithm="annealing", horizon_T=10, omega_mode=OMEGA_FIXED,
+                      kernel=KERNEL)
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
-            RunConfig(algorithm=ALG_GP_EI, horizon_T=0, omega=FIXED1, kernel=KERNEL)
+            RunConfig(algorithm=ALG_GP_EI, horizon_T=0, omega_mode=OMEGA_FIXED,
+                      kernel=KERNEL)
 
     def test_negative_refinements_rejected(self):
         with pytest.raises(ValueError, match="refinements"):
-            RunConfig(algorithm=ALG_GP_EI, horizon_T=10, omega=FIXED1, kernel=KERNEL,
-                      acq_refinements=-3)
-        assert RunConfig(algorithm=ALG_GP_EI, horizon_T=10, omega=FIXED1,
+            RunConfig(algorithm=ALG_GP_EI, horizon_T=10, omega_mode=OMEGA_FIXED,
+                      kernel=KERNEL, acq_refinements=-3)
+        assert RunConfig(algorithm=ALG_GP_EI, horizon_T=10, omega_mode=OMEGA_FIXED,
                          kernel=KERNEL, acq_refinements=0).acq_refinements == 0
