@@ -18,7 +18,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,10 @@ CSV_HEADER = (
 )
 
 LOG_DISTANCE_FLOOR = 1e-12
+
+# the run with seed s draws its observation noise from a generator seeded
+# NOISE_SEED_OFFSET + s, apart from its own search stream
+NOISE_SEED_OFFSET = 10_000
 
 
 @dataclass
@@ -70,7 +74,6 @@ class BenchConfig:
     objective: ObjectiveSpec
     repeats: int = 1
     seed_base: int = 0
-    noise_seed_offset: int = 10_000
     output_dir: str = "bench_out"
     jobs: int = 1
 
@@ -126,6 +129,15 @@ def run_label(config: RunConfig) -> str:
     return config.algorithm
 
 
+def _manifest_entry(config: RunConfig) -> dict:
+    """Every field of a run config as built, so that a new field enters the
+    content hash, less the seed: each job's is seed_base + repeat."""
+    entry = asdict(config)
+    del entry["seed"]
+    entry["label"] = run_label(config)
+    return entry
+
+
 def _execute_one(args) -> tuple[str, int, RunTrace]:
     label, config, objective_spec, noise_seed = args
     target, d, opt = objective_spec.build()
@@ -142,17 +154,17 @@ def run_benchmark(config: BenchConfig) -> dict:
 
     Returns a summary dict with output paths and per-algorithm aggregates.
     """
+    _, _, true_opt = config.objective.build()  # a bad objective writes nothing
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, _, true_opt = config.objective.build()
 
     jobs = []
     for run_cfg in config.runs:
         label = run_label(run_cfg)
         for rep in range(config.repeats):
             seed = config.seed_base + rep
-            noise_seed = config.noise_seed_offset + seed
-            jobs.append((label, replace(run_cfg, seed=seed), config.objective, noise_seed))
+            jobs.append((label, replace(run_cfg, seed=seed), config.objective,
+                         NOISE_SEED_OFFSET + seed))
 
     failed_marker = out / "FAILED"
     try:
@@ -192,35 +204,12 @@ def run_benchmark(config: BenchConfig) -> dict:
     if objective.name == "rkhs":
         rkhs_sha256 = hashlib.sha256(Path(objective.rkhs_file).read_bytes()).hexdigest()
     manifest = {
-        "objective": {
-            "name": objective.name,
-            "rkhs_file": objective.rkhs_file,
-            "rkhs_sha256": rkhs_sha256,
-            "noise_stddev": objective.noise_stddev,
-            "true_optimum": true_opt,
-        },
+        "objective": dict(asdict(objective), rkhs_sha256=rkhs_sha256,
+                          true_optimum=true_opt),
         "repeats": config.repeats,
         "seed_base": config.seed_base,
-        "noise_seed_offset": config.noise_seed_offset,
-        "runs": [
-            {
-                "algorithm": c.algorithm,
-                "label": run_label(c),
-                "horizon_T": c.horizon_T,
-                "omega_mode": c.omega_mode,
-                "omega_c": c.omega_c,
-                "delta": c.delta,
-                "lambda": c.lam,
-                "kernel_family": c.kernel.family,
-                "kernel_nu": c.kernel.nu,
-                "kernel_lengthscale": c.kernel.lengthscale,
-                "acq_candidates": c.acq_candidates,
-                "acq_refinements": c.acq_refinements,
-                "B": c.B,
-                "R": c.R,
-            }
-            for c in config.runs
-        ],
+        "noise_seed_offset": NOISE_SEED_OFFSET,
+        "runs": [_manifest_entry(c) for c in config.runs],
         "clamped_log_rows": clamped_rows,
         "trace_sha256": trace_sha256,
     }

@@ -6,8 +6,8 @@ Subcommands:
   gen-rkhs  emit a reproducible kernel-expansion target file
   optimum   certify a target's optimum by dense random search
 
-Every config-file key is also a flag; flags win.  GPBANDIT_OUTPUT_DIR
-overrides the output directory.
+Every config-file key is also a flag; flags win.  `optimum` builds its
+target the way `run` does, from the objective name and the target file.
 """
 
 from __future__ import annotations
@@ -20,15 +20,9 @@ import sys
 import numpy as np
 
 from . import bench
-from .bench import BenchConfig, ObjectiveSpec, build_bench_config, load_config_file
+from .bench import ObjectiveSpec, build_bench_config, load_config_file
 from .kernels import KernelSpec
-from .testbed import (
-    STANDARD_FUNCTIONS,
-    RkhsFunction,
-    estimate_optimum,
-    make_rkhs_function,
-    standard_function,
-)
+from .testbed import STANDARD_FUNCTIONS, estimate_optimum, make_rkhs_function
 
 _CONFIG_KEYS = sorted(bench._DEFAULTS)
 
@@ -39,15 +33,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_values(args) -> dict[str, str]:
-    """Config-file values, overridden by flags, then by GPBANDIT_OUTPUT_DIR."""
+    """Config-file values, overridden by flags."""
     values = load_config_file(args.config) if args.config else {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    env_out = os.environ.get("GPBANDIT_OUTPUT_DIR")
-    if env_out:
-        values["output_dir"] = env_out
     return values
 
 
@@ -68,15 +59,11 @@ def _cmd_diag(args) -> int:
         return 2
     by_label = {}
     for T in horizons:
-        values["T"] = str(T)
-        values["output_dir"] = os.path.join(
-            values.get("output_dir", "bench_out"), f"T{T}"
-        )
-        config = build_bench_config(values)
+        config = build_bench_config(dict(values, T=str(T)))
+        config.output_dir = os.path.join(config.output_dir, f"T{T}")
         summary = bench.run_benchmark(config)
         for label, trs in summary["by_label"].items():
             by_label.setdefault(label, []).extend(trs)
-        values["output_dir"] = os.path.dirname(values["output_dir"])
     report = bench.diagnostics_report(by_label)
     text = report.as_text()
     if args.out:
@@ -107,12 +94,8 @@ def _cmd_gen_rkhs(args) -> int:
 
 
 def _cmd_optimum(args) -> int:
+    target, d, _ = ObjectiveSpec(args.objective, args.rkhs_file).build()
     rng = np.random.default_rng(args.seed)
-    if args.objective == "rkhs":
-        f = RkhsFunction.load(args.rkhs_file)
-        target, d = f, f.dim
-    else:
-        target, d, _, _ = standard_function(args.objective)
     value, point = estimate_optimum(target, d, args.budget, rng)
     print(json.dumps({
         "objective": args.objective,

@@ -246,12 +246,12 @@ def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
-    """Symmetric PSD covariance matrix of a point set, unit diagonal."""
+    """Symmetric PSD covariance matrix of a point set, unit diagonal.
+
+    Both hold exactly: fl(a - b) = -fl(b - a), `cross_matrix` sums the squares
+    in one coordinate order, and the kernel is exactly 1 at distance 0.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 1:
         raise ValueError("need at least one point")
-    K = cross_matrix(spec, points, points)
-    # enforce exact symmetry and unit diagonal against roundoff
-    K = 0.5 * (K + K.T)
-    np.fill_diagonal(K, 1.0)
-    return K
+    return cross_matrix(spec, points, points)

@@ -75,6 +75,8 @@ class RunConfig:
             if self.kernel.nu is None or not self.kernel.nu > 1:
                 raise ValueError("partition-based runs need a Matern kernel with nu > 1")
         if self.algorithm == ALG_PI_UCB:  # UCB reads no omega
+            if not 0.0 < self.delta < 1.0:
+                raise ValueError("pi_ucb needs delta in (0, 1)")
             return
         mode = self.omega_mode
         if mode not in (OMEGA_FIXED, OMEGA_THEORY_EI, OMEGA_POLYLOG_T):

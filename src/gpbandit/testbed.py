@@ -20,8 +20,6 @@ import numpy as np
 
 from .kernels import KernelSpec, cross_matrix, gram_matrix
 
-STANDARD_FUNCTIONS = ("hartmann3", "shekel", "hartmann6", "ackley10")
-
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
@@ -96,12 +94,17 @@ class NoisyOracle:
         return value + self.rng.normal(0.0, self.noise_stddev)
 
 
-def estimate_optimum(f, d: int, budget: int, rng: np.random.Generator,
-                     n_starts: int = 10, n_rounds: int = 40):
+_OPTIMUM_STARTS = 10
+_OPTIMUM_ROUNDS = 40
+
+
+def estimate_optimum(f, d: int, budget: int, rng: np.random.Generator):
     """Numerical certificate for the maximum of f on the unit box.
 
-    Dense random search followed by shrinking-radius refinement from the top
-    starts.  Re-checkable by re-running with a larger budget.
+    Dense random search over `budget` uniform points, then shrinking-radius
+    refinement from the best `_OPTIMUM_STARTS` of them, `_OPTIMUM_ROUNDS`
+    rounds of 16 probes each.  Re-checkable by re-running with a larger
+    budget.
     """
     if budget < 1000:
         raise ValueError("budget must be >= 1000")
@@ -110,10 +113,10 @@ def estimate_optimum(f, d: int, budget: int, rng: np.random.Generator,
     order = np.argsort(vals)[::-1]
     best_val = float(vals[order[0]])
     best_x = xs[order[0]].copy()
-    for start in order[:n_starts]:
+    for start in order[:_OPTIMUM_STARTS]:
         x, v = xs[start].copy(), float(vals[start])
         radius = 0.2
-        for _ in range(n_rounds):
+        for _ in range(_OPTIMUM_ROUNDS):
             probes = np.clip(x + rng.uniform(-radius, radius, size=(16, d)), 0.0, 1.0)
             pv = np.asarray(f(probes), dtype=float)
             i = int(np.argmax(pv))
@@ -213,27 +216,28 @@ def _ackley10(x):
     return float(vals[0]) if single else vals
 
 
+# name -> (target, dim, certified optimum value, optimizer in the unit box);
+# optima certified numerically (dense search + local polish), the well-known
+# published values serve as the cross-check
+_STANDARD = {
+    "hartmann3": (_hartmann3, 3, 3.862779787332663, np.array(
+        [0.11458887133078371, 0.5556488955562107, 0.852546983879289])),
+    "shekel": (_shekel, 4, 10.536443153483528, np.array(
+        [0.4000746868558176, 0.39995094808955844,
+         0.40007468652711525, 0.399950948043284])),
+    "hartmann6": (_hartmann6, 6, 3.3223680114155147, np.array(
+        [0.20168950727076385, 0.1500106906696684, 0.4768739744606124,
+         0.2753324274670498, 0.31165161654643087, 0.6573005330187832])),
+    "ackley10": (_ackley10, 10, 0.0, np.full(10, 0.5)),
+}
+
+STANDARD_FUNCTIONS = tuple(_STANDARD)
+
+
 def standard_function(name: str):
     """(target, dim, certified optimum value, optimizer in the unit box)."""
     name = name.lower()
-    # optima certified numerically (dense search + local polish); the
-    # well-known published values serve as the cross-check
-    if name == "hartmann3":
-        opt_x = np.array([0.11458887133078371, 0.5556488955562107, 0.852546983879289])
-        return _hartmann3, 3, 3.862779787332663, opt_x
-    if name == "hartmann6":
-        opt_x = np.array([
-            0.20168950727076385, 0.1500106906696684, 0.4768739744606124,
-            0.2753324274670498, 0.31165161654643087, 0.6573005330187832,
-        ])
-        return _hartmann6, 6, 3.3223680114155147, opt_x
-    if name == "shekel":
-        opt_x = np.array([
-            0.4000746868558176, 0.39995094808955844,
-            0.40007468652711525, 0.399950948043284,
-        ])
-        return _shekel, 4, 10.536443153483528, opt_x
-    if name == "ackley10":
-        opt_x = np.full(10, 0.5)
-        return _ackley10, 10, 0.0, opt_x
-    raise ValueError(f"unknown test function: {name!r}")
+    if name not in _STANDARD:
+        raise ValueError(f"unknown test function: {name!r}")
+    target, d, opt, opt_x = _STANDARD[name]
+    return target, d, opt, opt_x.copy()

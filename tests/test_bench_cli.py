@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,16 +69,37 @@ class TestRunBenchmark:
         assert "content_hash" in manifest
         assert manifest["repeats"] == 1
 
-    def test_content_hash_covers_noise_seed_offset(self, tmp_path):
+    def test_content_hash_covers_noise_seed_offset(self, tmp_path, monkeypatch):
         # the offset moves every observation, so the traces and the hash
         hashes = []
         for offset in (10_000, 20_000):
             config = tiny_bench(tmp_path / str(offset), T=5)
-            config.noise_seed_offset = offset
+            monkeypatch.setattr(bench, "NOISE_SEED_OFFSET", offset)
             manifest = json.loads(Path(run_benchmark(config)["manifest"]).read_text())
             assert manifest["noise_seed_offset"] == offset
             hashes.append(manifest["content_hash"])
         assert hashes[0] != hashes[1]
+
+    def test_manifest_records_each_run_config_as_built(self, tmp_path):
+        # every RunConfig field but the per-job seed, so a new field enters
+        # the content hash without an edit to the manifest code
+        runs = [
+            RunConfig(algorithm=ALG_GP_EI, horizon_T=3, omega_mode=OMEGA_THEORY_EI,
+                      kernel=KERNEL, acq_candidates=64, acq_refinements=2, seed=9),
+            RunConfig(algorithm=ALG_IMPROVED_GP_EI, horizon_T=16,
+                      omega_mode=OMEGA_POLYLOG_T, kernel=KERNEL, omega_c=7.0,
+                      acq_candidates=64, acq_refinements=2),
+        ]
+        config = tiny_bench(tmp_path, algorithms=runs)
+        manifest = json.loads(Path(run_benchmark(config)["manifest"]).read_text())
+        expected = {f.name for f in fields(RunConfig)} - {"seed"} | {"label"}
+        assert [set(entry) for entry in manifest["runs"]] == [expected, expected]
+        first, second = manifest["runs"]
+        assert first["label"] == "gp_ei_theory_ei"
+        assert first["kernel"] == {"family": MATERN, "lengthscale": 0.2, "nu": 2.5}
+        assert second["omega_c"] == 7.0  # recorded although polylog_t ignores it
+        assert set(manifest["objective"]) == {
+            "name", "rkhs_file", "noise_stddev", "rkhs_sha256", "true_optimum"}
 
     def test_content_hash_covers_rkhs_file_bytes(self, tmp_path):
         # the same file name with other contents is another objective
@@ -281,16 +302,19 @@ class TestCli:
         assert "manifest" in out
         assert (tmp_path / "out" / "manifest.json").exists()
 
-    def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch, capsys):
+    def test_output_dir_flag_ignores_env_var(self, tmp_path, monkeypatch, capsys):
+        # the output directory has no environment override
         monkeypatch.setenv("GPBANDIT_OUTPUT_DIR", str(tmp_path / "env_out"))
         rc = main([
             "run", "--objective", "hartmann3", "--T", "1",
             "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "flag_out"),
         ])
         assert rc == 0
-        assert (tmp_path / "env_out" / "manifest.json").exists()
+        assert (tmp_path / "flag_out" / "manifest.json").exists()
+        assert not (tmp_path / "env_out").exists()
 
-    def test_env_var_overrides_diag_output_dir(self, tmp_path, monkeypatch, capsys):
+    def test_diag_output_dir_flag_ignores_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GPBANDIT_OUTPUT_DIR", str(tmp_path / "env_out"))
         monkeypatch.chdir(tmp_path)
         rc = main([
@@ -300,8 +324,8 @@ class TestCli:
         ])
         assert rc == 0
         for T in (1, 2):
-            assert (tmp_path / "env_out" / f"T{T}" / "manifest.json").exists()
-        assert not (tmp_path / "flag_out").exists()
+            assert (tmp_path / "flag_out" / f"T{T}" / "manifest.json").exists()
+        assert not (tmp_path / "env_out").exists()
         assert not (tmp_path / "bench_out").exists()
 
     def test_gen_rkhs_and_optimum(self, tmp_path, capsys):
@@ -324,6 +348,36 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert json.loads(out)["value"] <= 3.862780
+
+    def test_optimum_rkhs_without_file_returns_error(self, capsys):
+        rc = main(["optimum", "--objective", "rkhs", "--budget", "2000"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rkhs objective needs a target file\n"
+
+    @pytest.mark.parametrize("objective, message", [
+        (["--objective", "nope"], "unknown test function: 'nope'"),
+        (["--objective", "rkhs"], "rkhs objective needs a target file"),
+    ])
+    def test_bad_objective_writes_nothing(self, tmp_path, capsys, objective, message):
+        rc = main([
+            "run", *objective, "--T", "2",
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ucb_delta_outside_unit_interval_writes_nothing(self, tmp_path, capsys):
+        rc = main([
+            "run", "--objective", "hartmann3", "--algorithms", "pi_ucb",
+            "--delta", "1.5", "--T", "3",
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "pi_ucb needs delta in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_refinements_return_error(self, tmp_path, capsys):
         rc = main([

@@ -296,6 +296,26 @@ class TestGramMatrix:
         np.testing.assert_allclose(K, K.T)
         assert np.min(np.linalg.eigvalsh(K)) >= -1e-10
 
+    @pytest.mark.parametrize("family,nu", [
+        (SQUARED_EXPONENTIAL, None), (MATERN, 0.5), (MATERN, 1.5), (MATERN, 2.5),
+        (MATERN, 1.2), (MATERN, 60.0),
+    ])
+    def test_exactly_symmetric_with_unit_diagonal(self, family, nu):
+        # no symmetrizing pass: fl(a - b) = -fl(b - a), the squares are
+        # summed in one coordinate order, and the kernel is exactly 1 at 0
+        spec = KernelSpec(family, 0.3, nu)
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            n, d = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+            pts = rng.uniform(size=(n, d))
+            if trial % 3 == 1:
+                pts[rng.integers(n, size=n // 2)] = pts[0]  # duplicated points
+            if trial % 3 == 2:
+                pts *= 1e-9
+            K = gram_matrix(spec, pts)
+            assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+            assert np.all(np.diagonal(K) == 1.0)
+
     @pytest.mark.parametrize("family,nu", [(SQUARED_EXPONENTIAL, None), (MATERN, 2.5)])
     def test_psd_larger_sets(self, family, nu):
         spec = KernelSpec(family, 0.5, nu)

@@ -794,3 +794,10 @@ class TestRunConfigValidation:
                       kernel=KERNEL, acq_refinements=-3)
         assert RunConfig(algorithm=ALG_GP_EI, horizon_T=10, omega_mode=OMEGA_FIXED,
                          kernel=KERNEL, acq_refinements=0).acq_refinements == 0
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5])
+    def test_ucb_delta_outside_unit_interval_rejected(self, delta):
+        # beta_value would raise at step 1, after the outputs were started
+        with pytest.raises(ValueError, match="delta"):
+            RunConfig(algorithm=ALG_PI_UCB, horizon_T=10, omega_mode=OMEGA_POLYLOG_T,
+                      kernel=KERNEL, delta=delta)

@@ -5,6 +5,7 @@ import pytest
 
 from gpbandit.kernels import MATERN, KernelSpec, kernel_of_distance
 from gpbandit.testbed import (
+    STANDARD_FUNCTIONS,
     NoisyOracle,
     RkhsFunction,
     estimate_optimum,
@@ -152,5 +153,14 @@ class TestStandardFunctions:
         assert np.max(f(rng.uniform(size=(200_000, d)))) <= opt + 1e-9
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            standard_function("rosenbrock")
+        with pytest.raises(ValueError, match="unknown test function: 'rosenbrock'"):
+            standard_function("Rosenbrock")
+
+    def test_names_and_lookup_share_one_table(self):
+        assert STANDARD_FUNCTIONS == ("hartmann3", "shekel", "hartmann6", "ackley10")
+        for name in STANDARD_FUNCTIONS:
+            assert standard_function(name.upper())[1] == standard_function(name)[1]
+        # each call hands out its own optimizer array
+        _, _, _, opt_x = standard_function("ackley10")
+        opt_x[:] = 0.0
+        assert np.all(standard_function("ackley10")[3] == 0.5)
