@@ -35,6 +35,9 @@ _PIVOT_FLOOR = 1e-14
 # stays in L2 through the kernel's elementwise passes and the solve.  A
 # multiple of 4, so that block edges never cut BLAS's 4-row unrolling.
 _BLOCK = 512
+# added to posterior_bound's variance bound: the rounding of posterior_many's
+# 1 - v.v, at most a few n ulps of 1, stays far below it
+_VAR_MARGIN = 1e-12
 
 
 class GpNumericsError(RuntimeError):
@@ -81,7 +84,11 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 
 
 class GpModel:
-    """GP regressor owned by a single run loop; posterior reads are const."""
+    """GP regressor owned by a single run loop; posterior reads are const.
+
+    posterior_many gives means and stddevs; posterior_bound gives the same
+    means and an upper bound on the stddevs from the kernel blocks alone,
+    without the O(n^2) triangular solve per query point."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         if not (np.isfinite(lam) and lam > 0):
@@ -125,8 +132,25 @@ class GpModel:
             self._alpha = _solve_lower(self._L, z, trans=1)
         return self._alpha
 
+    def _kernel_blocks(self, xs: np.ndarray):
+        """(start, stop, kernel block) over the columns of xs, in blocks of
+        _BLOCK; the remainder joins the last block, since a narrow tail block
+        would take other BLAS paths (gemv's row tail, dtrtrs's single
+        right-hand side) and round its columns differently from one call
+        over all of xs.  The caller drops each block before the next."""
+        m = xs.shape[0]
+        start = 0
+        while start < m:
+            stop = start + _BLOCK if m - start >= 2 * _BLOCK else m
+            yield start, stop, cross_matrix(self.kernel, self._X, xs[start:stop])
+            start = stop
+
     def posterior_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior (means, stddevs) at a batch of query points."""
+        """Posterior (means, stddevs) at a batch of query points.
+
+        A stddev's bytes do not depend on the other columns of a batch of
+        two or more: posterior_many(xs[idx])[1] is posterior_many(xs)[1][idx]
+        for any idx of at least two entries."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         m = xs.shape[0]
         if self.n == 0:
@@ -134,21 +158,38 @@ class GpModel:
         alpha = self._ensure_alpha()
         mean = np.empty(m)
         var = np.empty(m)
-        # blocks of _BLOCK columns; the remainder joins the last block, since
-        # a narrow tail block would take other BLAS paths (gemv's row tail,
-        # dtrtrs's single right-hand side) and round its columns differently
-        # from one call over all m
-        start = 0
-        while start < m:
-            stop = start + _BLOCK if m - start >= 2 * _BLOCK else m
-            kc = cross_matrix(self.kernel, self._X, xs[start:stop])  # (n, block)
+        for start, stop, kc in self._kernel_blocks(xs):  # kc is (n, block)
             np.matmul(kc.T, alpha, out=mean[start:stop])
             v = _solve_lower(self._L, kc)
             np.einsum("ij,ij->j", v, v, out=var[start:stop])
             del kc, v  # freed before the next block is built
-            start = stop
         np.subtract(1.0, var, out=var)
         return mean, np.sqrt(np.maximum(var, 0.0, out=var))
+
+    def posterior_bound(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means, with the bytes of posterior_many's, and an upper
+        bound on its stddevs at a batch of query points, without the solve.
+
+        Conditioning on more data only lowers the variance, so at x it is at
+        most that of a model of the one sampled point x_j nearest in kernel
+        value: 1 - max_j k(x, x_j)^2 / (1 + lam + jitter), as kernel values
+        are >= 0.  The bound adds _VAR_MARGIN to that, which covers the
+        rounding of posterior_many's 1 - v.v."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        m = xs.shape[0]
+        if self.n == 0:
+            return np.zeros(m), np.ones(m)
+        alpha = self._ensure_alpha()
+        mean = np.empty(m)
+        kmax = np.empty(m)
+        for start, stop, kc in self._kernel_blocks(xs):
+            np.matmul(kc.T, alpha, out=mean[start:stop])
+            np.max(kc, axis=0, out=kmax[start:stop])
+            del kc
+        np.square(kmax, out=kmax)
+        kmax /= 1.0 + (self.lam + self._jitter)
+        np.subtract(1.0 + _VAR_MARGIN, kmax, out=kmax)
+        return mean, np.sqrt(np.maximum(kmax, 0.0, out=kmax))
 
     def posterior(self, x) -> tuple[float, float]:
         """Posterior (mean, stddev) at one point; (0, 1) with no data."""

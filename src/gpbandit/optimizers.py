@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import beta_value, ei_scores, ucb_score
-from .gp import GpModel
+from .gp import _BLOCK, GpModel
 from .kernels import KernelSpec
 from .partition import Cell, Cover, initial_cover, split_pass
 
@@ -37,6 +37,18 @@ _ALGORITHMS = (ALG_GP_EI, ALG_IMPROVED_GP_EI, ALG_PI_UCB)
 OMEGA_FIXED = "fixed"
 OMEGA_THEORY_EI = "theory_ei"
 OMEGA_POLYLOG_T = "polylog_t"
+
+# the EI candidate pass is pruned when it spans more than one posterior
+# block; on a cover's per-cell passes of ~128 points the prune's extra calls
+# cost more than the solve they skip
+_PRUNE_MIN = 2 * _BLOCK
+# relative slack on an EI bound: the computed EI tracks the exact one to
+# ~1e-12 relative (cancellation in tau at z >= -38), so a computed score
+# never exceeds its computed bound by this much
+_BOUND_RTOL = 1e-9
+# normal doubles far above EI's subnormal tail, where that relative
+# accuracy holds
+_SCORE_FLOOR = 1e-280
 
 
 class AcquisitionNumericsError(ArithmeticError):
@@ -154,7 +166,11 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
     the same bits wherever the row sits; GpModel.posterior_many does so for
     probe groups of a multiple of 4 rows (n_probes = max(8, 2 d)).  Other
     group sizes keep the window at one round, so there the search is the
-    one-round search by construction."""
+    one-round search by construction.
+
+    A score_fn may carry an `argmax(points)` attribute, a shortcut for the
+    candidate pass: it returns the (index, score) that the first-index
+    argmax of score_fn(points) gives, or None to have that full pass made."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     d = lower.shape[0]
@@ -165,11 +181,16 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
         cands = cands[:1]
     elif extra_points is not None and len(extra_points):
         cands = np.vstack([cands, np.atleast_2d(np.asarray(extra_points, dtype=float))])
-    scores = np.asarray(score_fn(cands), dtype=float)
-    if np.any(np.isnan(scores)):
-        raise AcquisitionNumericsError(cands[int(np.argmax(np.isnan(scores)))])
-    best = int(np.argmax(scores))
-    best_x, best_score = cands[best].copy(), float(scores[best])
+    argmax = getattr(score_fn, "argmax", None)
+    found = None if argmax is None else argmax(cands)
+    if found is None:
+        scores = np.asarray(score_fn(cands), dtype=float)
+        if np.any(np.isnan(scores)):
+            raise AcquisitionNumericsError(cands[int(np.argmax(np.isnan(scores)))])
+        best = int(np.argmax(scores))
+        found = best, float(scores[best])
+    best, best_score = found
+    best_x = cands[best].copy()
     if flat or n_refinements == 0:
         return best_x, best_score
     offsets = (2.0 * u[n_candidates:] - 1.0).reshape(n_refinements, n_probes, d)
@@ -217,9 +238,43 @@ def _omega(config: RunConfig, gain: float) -> float:
     return math.sqrt(ln_t * math.log(ln_t))
 
 
+def _pruned_ei_argmax(model: GpModel, incumbent: float, omega_t: float, xs):
+    """(index, score) of the first-index argmax of EI at xs, the bytes the
+    full pass gives, with stddevs solved only where a candidate can win; None
+    where the pass is too small for that to pay or the bound is unusable.
+
+    EI does not decrease in the stddev, so EI at posterior_bound's stddev
+    bound bounds each candidate's score from above.  The two candidates of
+    largest bound are scored exactly; a candidate whose bound, raised by
+    _BOUND_RTOL for the rounding of the scores, stays below their best score
+    cannot reach the maximum.  The rest are scored exactly, with the two
+    always among them: posterior_many solves a single column with another
+    rounding.  Below _SCORE_FLOOR scores lose their relative accuracy (the
+    EI tail nears the subnormals), and the full pass is made."""
+    if len(xs) < _PRUNE_MIN:
+        return None
+    means, sbar = model.posterior_bound(xs)
+    if not np.isfinite(means).all():
+        return None  # the full pass raises where it would have
+    bound = ei_scores(means, incumbent, omega_t * sbar)
+
+    def exact(idx):
+        return ei_scores(means[idx], incumbent, omega_t * model.posterior_many(xs[idx])[1])
+
+    seeds = np.argpartition(bound, -2)[-2:]
+    best = float(np.max(exact(seeds)))
+    if not best >= _SCORE_FLOOR:
+        return None
+    idx = np.union1d(np.flatnonzero(bound * (1.0 + _BOUND_RTOL) >= best), seeds)
+    scores = exact(idx)
+    i = int(np.argmax(scores))
+    return int(idx[i]), float(scores[i])
+
+
 def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: float):
     """Vectorized score over points of one cell with this model: EI against
-    the cell's own incumbent mean, or UCB with a width from the cell's gain."""
+    the cell's own incumbent mean, with the pruned candidate pass as its
+    argmax, or UCB with a width from the cell's gain."""
     if config.algorithm == ALG_PI_UCB:
         beta = beta_value(config.B, config.R, model.accumulated_info_gain(), config.delta)
 
@@ -230,6 +285,8 @@ def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: fl
         def score(xs):
             means, stds = model.posterior_many(xs)
             return ei_scores(means, incumbent, omega_t * stds)
+
+        score.argmax = lambda xs: _pruned_ei_argmax(model, incumbent, omega_t, xs)
     return score
 
 

@@ -65,16 +65,58 @@ class RkhsFunction:
 
     @classmethod
     def load(cls, path) -> "RkhsFunction":
+        """Read a target written by `save`.  A file of any other shape raises
+        ValueError naming the field at fault."""
         payload = json.loads(Path(path).read_text())
-        kspec = payload["kernel"]
-        kernel = KernelSpec(kspec["family"], kspec["lengthscale"], kspec["nu"])
+        if not isinstance(payload, dict):
+            raise ValueError("rkhs target file must hold a JSON object")
+
+        def field(name):
+            if name not in payload:
+                raise ValueError(f"rkhs target file lacks field {name!r}")
+            return payload[name]
+
+        def number(name):
+            value = field(name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(f"rkhs target field {name!r} must be a finite number")
+            return float(value)
+
+        def array(name, ndim):
+            value = field(name)
+            try:
+                a = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):  # ragged or not numeric
+                a = np.empty(0)
+            if a.ndim != ndim or not a.size or not np.isfinite(a).all():
+                raise ValueError(
+                    f"rkhs target field {name!r} must be a nonempty {ndim}-d array "
+                    "of finite numbers")
+            return a
+
+        kspec = field("kernel")
+        if not isinstance(kspec, dict):
+            raise ValueError("rkhs target field 'kernel' must be an object")
+        try:
+            kernel = KernelSpec(kspec.get("family"), kspec.get("lengthscale"), kspec.get("nu"))
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"rkhs target field 'kernel': {err}") from None
+        centers = array("centers", 2)
+        weights = array("weights", 1)
+        optimum_point = array("optimum_point", 1)
+        if len(weights) != len(centers):
+            raise ValueError(f"rkhs target field 'weights' has {len(weights)} entries "
+                             f"for {len(centers)} centers")
+        if len(optimum_point) != centers.shape[1]:
+            raise ValueError(f"rkhs target field 'optimum_point' has {len(optimum_point)} "
+                             f"coordinates for {centers.shape[1]}-d centers")
         return cls(
             kernel=kernel,
-            centers=np.asarray(payload["centers"], dtype=float),
-            weights=np.asarray(payload["weights"], dtype=float),
-            rkhs_norm_sq=float(payload["rkhs_norm_sq"]),
-            optimum_value=float(payload["optimum_value"]),
-            optimum_point=np.asarray(payload["optimum_point"], dtype=float),
+            centers=centers,
+            weights=weights,
+            rkhs_norm_sq=number("rkhs_norm_sq"),
+            optimum_value=number("optimum_value"),
+            optimum_point=optimum_point,
         )
 
 

@@ -368,6 +368,37 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "optimum"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda good: [1], "must hold a JSON object"),
+        (lambda good: {"centers": [[0.1]]}, "lacks field 'kernel'"),
+        (lambda good: dict(good, kernel={"family": "matern", "nu": 2.5}),
+         "field 'kernel'"),
+        (lambda good: {k: v for k, v in good.items() if k != "optimum_value"},
+         "lacks field 'optimum_value'"),
+        (lambda good: {k: v for k, v in good.items() if k != "weights"},
+         "lacks field 'weights'"),
+        (lambda good: dict(good, centers=good["centers"][0]), "field 'centers'"),
+        (lambda good: dict(good, weights=good["weights"][1:]), "field 'weights'"),
+        (lambda good: dict(good, optimum_point=[0.5]), "field 'optimum_point'"),
+    ], ids=["not_object", "no_kernel", "no_lengthscale", "no_optimum_value",
+            "no_weights", "centers_1d", "short_weights", "short_optimum_point"])
+    def test_malformed_rkhs_file_returns_error(self, tmp_path, capsys, command,
+                                               edit, message):
+        # valid JSON of the wrong shape fails in the loader with the field
+        # named, before any output exists
+        path = tmp_path / "target.json"
+        make_rkhs_function(KERNEL, 2, 5, np.random.default_rng(3),
+                           optimum_budget=1000).save(path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        extra = (["--T", "2", "--output-dir", str(tmp_path / "out")] if command == "run"
+                 else ["--budget", "1000"])
+        rc = main([command, "--objective", "rkhs", "--rkhs-file", str(path), *extra])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rkhs target") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_ucb_delta_outside_unit_interval_writes_nothing(self, tmp_path, capsys):
         rc = main([
             "run", "--objective", "hartmann3", "--algorithms", "pi_ucb",

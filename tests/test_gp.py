@@ -216,6 +216,67 @@ class TestBlockedPosterior:
         assert peak <= 4 * (n * self.B * 8 + m * 8)
 
 
+def jitter_refit_model(kernel, d, rng, extra=20):
+    """A model at lam = 1e-16 whose duplicated first point forces a jitter
+    refit, with `extra` uniform points after it."""
+    p = rng.uniform(size=d)
+    model = GpModel(kernel, 1e-16)
+    for x in np.vstack([p, p, rng.uniform(size=(extra, d))]):
+        model.update(x, rng.normal())
+    assert model._jitter > 0
+    return model
+
+
+class TestPosteriorBound:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("family,nu", [(SQUARED_EXPONENTIAL, None), (MATERN, 1.5),
+                                           (MATERN, 2.5)])
+    def test_bound_covers_the_computed_stddev(self, family, nu, d):
+        """Oracle: at every candidate and every sampled point the stddev
+        posterior_many computes is at most posterior_bound's, which carries
+        the _VAR_MARGIN for rounding; the means have the same bytes."""
+        rng = np.random.default_rng([d, int(2 * (nu or 0))])
+        models = [jitter_refit_model(KernelSpec(family, ell, nu), d, rng)
+                  for ell in (0.1, 0.5)]
+        for n, ell, lam in ((1, 0.2, 0.01), (7, 0.05, 1e-6), (40, 0.3, 0.01),
+                            (90, 1.0, 1e-4), (30, 0.2, 1.0)):
+            kernel = KernelSpec(family, ell, nu)
+            models.append(GpModel.fit(kernel, lam, rng.uniform(size=(n, d)),
+                                      rng.normal(size=n)))
+        for model in models:
+            pts = model.points
+            near = np.clip(pts + 1e-7 * rng.normal(size=pts.shape), 0.0, 1.0)
+            xs = np.vstack([rng.uniform(size=(1100, d)), pts, near])
+            mean, std = model.posterior_many(xs)
+            mean_b, bound = model.posterior_bound(xs)
+            assert mean_b.tobytes() == mean.tobytes()
+            assert np.all(std <= bound)
+            # and at least half the margin is left over
+            assert np.all(std * std <= bound * bound - 0.5 * gp._VAR_MARGIN)
+
+    def test_empty_model_bound_is_the_prior(self, matern25):
+        mean, bound = GpModel(matern25, 0.01).posterior_bound(np.zeros((3, 2)))
+        assert mean.tolist() == [0.0] * 3 and bound.tolist() == [1.0] * 3
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_stddevs_of_a_subset_read_alike(self, matern25, jitter):
+        """posterior_many(xs[idx])[1] is posterior_many(xs)[1][idx] to the
+        byte for |idx| >= 2, wherever the columns sit in xs's blocks; the
+        pruned EI pass solves survivor columns on that property."""
+        rng = np.random.default_rng(21 + jitter)
+        if jitter:
+            model = jitter_refit_model(matern25, 3, rng, extra=60)
+        else:
+            model = GpModel.fit(matern25, 0.01, rng.uniform(size=(100, 3)),
+                                rng.normal(size=100))
+        xs = np.vstack([rng.uniform(size=(4096, 3)), model.points])
+        _, std = model.posterior_many(xs)
+        for size in (2, 3, 4, 5, 7, 9, 31, 200, 513, 1100):
+            for _ in range(3):
+                idx = np.sort(rng.choice(len(xs), size=size, replace=False))
+                assert model.posterior_many(xs[idx])[1].tobytes() == std[idx].tobytes()
+
+
 class TestJitterRefit:
     @settings(max_examples=60, deadline=None)
     @given(

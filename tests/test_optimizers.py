@@ -449,6 +449,162 @@ class TestRunGpEi:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def full_argmax(score, xs):
+    """First-index argmax of the full candidate pass: (index, score)."""
+    scores = score(xs)
+    i = int(np.argmax(scores))
+    return i, float(scores[i])
+
+
+def assert_same_pick(got, want, xs):
+    assert got is not None
+    assert got[0] == want[0]
+    assert xs[got[0]].tobytes() == xs[want[0]].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+def pass_model(kind, rng):
+    """(model, EI incumbent) for the pruned-pass checks: random data, or a
+    duplicated point at lam = 1e-16 that forces a jitter refit."""
+    if kind == "jitter":
+        p = rng.uniform(size=2)
+        model = GpModel(KERNEL, 1e-16)
+        for x in np.vstack([p, p, rng.uniform(size=(25, 2))]):
+            model.update(x, rng.normal())
+        assert model._jitter > 0
+    else:
+        kernel, d, n = {
+            "matern25_d3": (KERNEL, 3, 100),
+            "matern15_d6": (KernelSpec(MATERN, 0.5, 1.5), 6, 60),
+            "se_d1": (KernelSpec("se", 0.1), 1, 20),
+        }[kind]
+        X = rng.uniform(size=(n, d))
+        model = GpModel.fit(kernel, 0.01, X, np.sin(5 * X).sum(axis=1)
+                            + 0.1 * rng.normal(size=n))
+    return model, float(np.max(model.posterior_many(model.points)[0]))
+
+
+POLYLOG_OMEGA = optimizers._omega(
+    RunConfig(algorithm=ALG_GP_EI, horizon_T=100, omega_mode=OMEGA_POLYLOG_T,
+              kernel=KERNEL), 0.0)
+
+
+class TestPrunedCandidatePass:
+    """The EI candidate pass that solves stddevs only for candidates whose
+    bound can reach the best exact score returns the full pass's pick to
+    the byte."""
+
+    @pytest.mark.parametrize("kind", ["matern25_d3", "matern15_d6", "se_d1", "jitter"])
+    @pytest.mark.parametrize("omega", [1.0, 3.0, 4.5, 6.0, POLYLOG_OMEGA],
+                             ids=["fixed", "theory3", "theory4.5", "theory6", "polylog"])
+    def test_matches_the_full_pass(self, kind, omega):
+        rng = np.random.default_rng([sum(map(ord, kind)), int(1000 * omega)])
+        model, incumbent = pass_model(kind, rng)
+        score = optimizers._cell_score(small_config(), model, omega, incumbent)
+        d = model.points.shape[1]
+        for m in (1024, 1025, 4096 + model.n):
+            xs = np.vstack([rng.uniform(size=(m - model.n, d)), model.points])
+            assert_same_pick(optimizers._pruned_ei_argmax(model, incumbent, omega, xs),
+                             full_argmax(score, xs), xs)
+
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 6, 7, 8, 9, 200])
+    def test_forced_survivor_counts(self, copies, monkeypatch):
+        # copies of the best point among candidates whose bound is far below
+        # its score: exactly the copies survive, and the first one wins
+        rng = np.random.default_rng(copies)
+        model, incumbent = pass_model("matern25_d3", rng)
+        pool = rng.uniform(size=(8000, 3))
+        means, sbar = model.posterior_bound(pool)
+        bound = optimizers.ei_scores(means, incumbent, sbar)
+        score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
+        star, best = full_argmax(score, pool)
+        low = pool[bound < 0.5 * best]
+        at = np.sort(rng.choice(4096, size=copies, replace=False))
+        xs = np.insert(low[:4096 - copies], at - np.arange(copies), pool[star], axis=0)
+        assert len(xs) == 4096 and np.all(xs[at] == pool[star])
+        solved, real = [], GpModel.posterior_many
+        monkeypatch.setattr(GpModel, "posterior_many",
+                            lambda self, q: solved.append(len(q)) or real(self, q))
+        got = optimizers._pruned_ei_argmax(model, incumbent, 1.0, xs)
+        assert solved == [2, max(copies, 2)]
+        monkeypatch.undo()
+        want = full_argmax(score, xs)
+        assert want[0] == at[0]
+        assert_same_pick(got, want, xs)
+
+    def test_small_passes_take_the_full_pass(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        model, incumbent = pass_model("matern25_d3", rng)
+        monkeypatch.setattr(GpModel, "posterior_bound", None)
+        assert optimizers._pruned_ei_argmax(
+            model, incumbent, 1.0, rng.uniform(size=(1023, 3))) is None
+
+    def test_vanished_ei_takes_the_full_pass(self):
+        # an incumbent far above every mean makes every EI 0: no score can
+        # prune another, and the search is the full pass's
+        rng = np.random.default_rng(6)
+        model, incumbent = pass_model("matern25_d3", rng)
+        incumbent += 1e3
+        score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
+        xs = rng.uniform(size=(4096, 3))
+        assert np.all(score(xs) == 0.0)
+        assert optimizers._pruned_ei_argmax(model, incumbent, 1.0, xs) is None
+        plain = lambda q: score(q)  # noqa: E731  (no argmax attribute)
+        got, want = (maximize_acquisition(fn, np.zeros(3), np.ones(3),
+                                          np.random.default_rng(7), 4096, 5,
+                                          extra_points=model.points)
+                     for fn in (score, plain))
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+    @pytest.mark.parametrize("omega", [1.0, 4.5])
+    def test_search_matches_the_unpruned_search(self, omega):
+        rng = np.random.default_rng(8)
+        model, incumbent = pass_model("matern25_d3", rng)
+        score = optimizers._cell_score(small_config(), model, omega, incumbent)
+        plain = lambda q: score(q)  # noqa: E731
+        for seed in range(5):
+            got, want = (maximize_acquisition(fn, np.zeros(3), np.ones(3),
+                                              np.random.default_rng(seed), 4096, 30,
+                                              extra_points=model.points)
+                         for fn in (score, plain))
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+    def test_non_finite_means_raise_where_the_full_pass_does(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        model, incumbent = pass_model("matern25_d3", rng)
+        score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
+        alpha = model._ensure_alpha().copy()
+        alpha[3] = np.nan
+        monkeypatch.setattr(model, "_alpha", alpha)
+        xs = rng.uniform(size=(4096, 3))
+        assert optimizers._pruned_ei_argmax(model, incumbent, 1.0, xs) is None
+        for fn in (score, lambda q: score(q)):
+            with pytest.raises(ValueError, match="means and incumbent must be finite"):
+                maximize_acquisition(fn, np.zeros(3), np.ones(3),
+                                     np.random.default_rng(0), 4096, 5)
+
+    @pytest.mark.parametrize("omega_mode, digest", [
+        (OMEGA_FIXED, "6a35aef6813efc644204b3fcf95230e92857d8d74a6f4a0a83b1e9f631847d45"),
+        (OMEGA_THEORY_EI,
+         "a6f9168972727f4ab2aaf151bc43cdc6090e8491d3e2e7176c6c7f8ca5e9cfe3"),
+    ])
+    def test_pruned_run_trace_unchanged(self, omega_mode, digest, monkeypatch):
+        # GP-EI on Hartmann-3 at the default 4096 candidates takes the
+        # pruned pass at every step with data; the hashes were recorded
+        # with the full pass
+        picks, real = [], optimizers._pruned_ei_argmax
+        monkeypatch.setattr(optimizers, "_pruned_ei_argmax",
+                            lambda *a: picks.append(real(*a)) or picks[-1])
+        target, d, opt, _ = standard_function("hartmann3")
+        cfg = RunConfig(algorithm=ALG_GP_EI, horizon_T=40, omega_mode=omega_mode,
+                        kernel=KERNEL, lam=0.01, seed=0)
+        trace = run(cfg, NoisyOracle(target, d, 0.1, np.random.default_rng(5)), opt)
+        assert sum(pick is not None for pick in picks) == cfg.horizon_T - 1
+        text = strip_wallclock("\n".join(trace_csv_lines(trace, "x", opt)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestCoverLoops:
     def test_horizon_one_single_cell_matches_gp_ei_first_point(self):
         oracle, opt = rkhs_oracle(seed=400)
