@@ -35,7 +35,7 @@ _PIVOT_FLOOR = 1e-14
 # stays in L2 through the kernel's elementwise passes and the solve.  A
 # multiple of 4, so that block edges never cut BLAS's 4-row unrolling.
 _BLOCK = 512
-# added to posterior_bound's variance bound: the rounding of posterior_many's
+# added to posterior_argmax's variance bound: the rounding of the computed
 # 1 - v.v, at most a few n ulps of 1, stays far below it
 _VAR_MARGIN = 1e-12
 
@@ -86,9 +86,9 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 class GpModel:
     """GP regressor owned by a single run loop; posterior reads are const.
 
-    posterior_many gives means and stddevs; posterior_bound gives the same
-    means and an upper bound on the stddevs from the kernel blocks alone,
-    without the O(n^2) triangular solve per query point."""
+    posterior_many gives means and stddevs; posterior_argmax gives the
+    argmax of a score of them, solving the O(n^2) triangular system only at
+    the query points whose stddev bound lets them win."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         if not (np.isfinite(lam) and lam > 0):
@@ -145,6 +145,28 @@ class GpModel:
             yield start, stop, cross_matrix(self.kernel, self._X, xs[start:stop])
             start = stop
 
+    def _block_stddevs(self, kc: np.ndarray) -> np.ndarray:
+        """Posterior stddevs at the columns of a kernel block.  A column's
+        bytes do not depend on the other columns of a block of two or more;
+        dtrtrs rounds a single right-hand side differently."""
+        v = _solve_lower(self._L, kc)
+        var = np.einsum("ij,ij->j", v, v)
+        np.subtract(1.0, var, out=var)
+        return np.sqrt(np.maximum(var, 0.0, out=var))
+
+    def _stddev_bound(self, kc: np.ndarray) -> np.ndarray:
+        """Upper bounds on _block_stddevs(kc), from the block alone.
+
+        Conditioning on more data only lowers the variance, so at x it is at
+        most that of a model of the one sampled point x_j of largest kernel
+        value: 1 - max_j k(x, x_j)^2 / (1 + lam + jitter), as kernel values
+        are >= 0.  _VAR_MARGIN is added for the rounding of 1 - v.v."""
+        kmax = np.max(kc, axis=0)
+        np.square(kmax, out=kmax)
+        kmax /= 1.0 + (self.lam + self._jitter)
+        np.subtract(1.0 + _VAR_MARGIN, kmax, out=kmax)
+        return np.sqrt(np.maximum(kmax, 0.0, out=kmax))
+
     def posterior_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior (means, stddevs) at a batch of query points.
 
@@ -157,39 +179,65 @@ class GpModel:
             return np.zeros(m), np.ones(m)
         alpha = self._ensure_alpha()
         mean = np.empty(m)
-        var = np.empty(m)
+        std = np.empty(m)
         for start, stop, kc in self._kernel_blocks(xs):  # kc is (n, block)
             np.matmul(kc.T, alpha, out=mean[start:stop])
-            v = _solve_lower(self._L, kc)
-            np.einsum("ij,ij->j", v, v, out=var[start:stop])
-            del kc, v  # freed before the next block is built
-        np.subtract(1.0, var, out=var)
-        return mean, np.sqrt(np.maximum(var, 0.0, out=var))
+            std[start:stop] = self._block_stddevs(kc)
+            del kc  # freed before the next block is built
+        return mean, std
 
-    def posterior_bound(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means, with the bytes of posterior_many's, and an upper
-        bound on its stddevs at a batch of query points, without the solve.
+    def posterior_argmax(self, xs, score, rtol: float, floor: float):
+        """(index, value) of the first-index argmax of
+        score(*posterior_many(xs)), to the bit, with stddevs solved only at
+        the points that can reach it; None without data, for fewer than two
+        points, or with a mean that is not finite.
 
-        Conditioning on more data only lowers the variance, so at x it is at
-        most that of a model of the one sampled point x_j nearest in kernel
-        value: 1 - max_j k(x, x_j)^2 / (1 + lam + jitter), as kernel values
-        are >= 0.  The bound adds _VAR_MARGIN to that, which covers the
-        rounding of posterior_many's 1 - v.v."""
+        score(means, stds) must act elementwise, not decrease in stds, and
+        have every computed value v >= floor > 0 at most (1 + rtol) times its
+        computed value at a larger stddev.  Then score(mean, _stddev_bound)
+        bounds each point's value from above, and a point whose bound, times
+        1 + rtol, stays below a value already computed cannot win.  The two
+        points of largest bound in the first block are scored exactly to set
+        that threshold; each block keeps the kernel columns of the points
+        that pass it, and the kept columns are solved in batches of about
+        _BLOCK, after each of which the threshold rises to the best value.
+        While the threshold is below floor every point is kept.  A batch of
+        one column is solved beside a copy of itself, since dtrtrs rounds a
+        single right-hand side differently."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        m = xs.shape[0]
-        if self.n == 0:
-            return np.zeros(m), np.ones(m)
+        if self.n == 0 or len(xs) < 2:
+            return None
         alpha = self._ensure_alpha()
-        mean = np.empty(m)
-        kmax = np.empty(m)
+        top = -math.inf  # the threshold: the best value computed so far
+        best_i, best = -1, -math.inf
+        held = []  # (indices, means, kernel columns) of points that may win
         for start, stop, kc in self._kernel_blocks(xs):
-            np.matmul(kc.T, alpha, out=mean[start:stop])
-            np.max(kc, axis=0, out=kmax[start:stop])
+            mean = np.matmul(kc.T, alpha)
+            if not np.isfinite(mean).all():
+                return None
+            bound = score(mean, self._stddev_bound(kc))
+            if start == 0:
+                seeds = np.argpartition(bound, -2)[-2:]
+                top = float(np.max(score(mean[seeds], self._block_stddevs(kc[:, seeds]))))
+            if top >= floor:
+                keep = np.flatnonzero(bound * (1.0 + rtol) >= top)
+            else:
+                keep = np.arange(stop - start)
+            if len(keep):
+                held.append((start + keep, mean[keep], kc[:, keep]))
             del kc
-        np.square(kmax, out=kmax)
-        kmax /= 1.0 + (self.lam + self._jitter)
-        np.subtract(1.0 + _VAR_MARGIN, kmax, out=kmax)
-        return mean, np.sqrt(np.maximum(kmax, 0.0, out=kmax))
+            if not held or (stop < len(xs) and sum(len(h[0]) for h in held) < _BLOCK):
+                continue
+            idx, held_mean, cols = (np.concatenate(part, axis=-1) for part in zip(*held))
+            held.clear()
+            if len(idx) == 1:
+                cols = np.repeat(cols, 2, axis=1)
+            values = score(held_mean, self._block_stddevs(cols)[:len(idx)])
+            i = int(np.argmax(values))
+            if values[i] > best:  # batches go in index order: the first wins ties
+                best_i, best = int(idx[i]), float(values[i])
+                top = max(top, best)
+        return best_i, best
 
     def posterior(self, x) -> tuple[float, float]:
         """Posterior (mean, stddev) at one point; (0, 1) with no data."""

@@ -78,7 +78,9 @@ class RkhsFunction:
 
         def number(name):
             value = field(name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            # bool is an int subclass, and JSON's true would read as 1.0
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
                 raise ValueError(f"rkhs target field {name!r} must be a finite number")
             return float(value)
 

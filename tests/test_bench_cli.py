@@ -381,8 +381,10 @@ class TestCli:
         (lambda good: dict(good, centers=good["centers"][0]), "field 'centers'"),
         (lambda good: dict(good, weights=good["weights"][1:]), "field 'weights'"),
         (lambda good: dict(good, optimum_point=[0.5]), "field 'optimum_point'"),
+        (lambda good: dict(good, rkhs_norm_sq=True), "field 'rkhs_norm_sq'"),
     ], ids=["not_object", "no_kernel", "no_lengthscale", "no_optimum_value",
-            "no_weights", "centers_1d", "short_weights", "short_optimum_point"])
+            "no_weights", "centers_1d", "short_weights", "short_optimum_point",
+            "bool_norm"])
     def test_malformed_rkhs_file_returns_error(self, tmp_path, capsys, command,
                                                edit, message):
         # valid JSON of the wrong shape fails in the loader with the field

@@ -233,8 +233,8 @@ class TestPosteriorBound:
                                            (MATERN, 2.5)])
     def test_bound_covers_the_computed_stddev(self, family, nu, d):
         """Oracle: at every candidate and every sampled point the stddev
-        posterior_many computes is at most posterior_bound's, which carries
-        the _VAR_MARGIN for rounding; the means have the same bytes."""
+        posterior_many computes is at most _stddev_bound's, which carries
+        the _VAR_MARGIN for rounding."""
         rng = np.random.default_rng([d, int(2 * (nu or 0))])
         models = [jitter_refit_model(KernelSpec(family, ell, nu), d, rng)
                   for ell in (0.1, 0.5)]
@@ -247,22 +247,25 @@ class TestPosteriorBound:
             pts = model.points
             near = np.clip(pts + 1e-7 * rng.normal(size=pts.shape), 0.0, 1.0)
             xs = np.vstack([rng.uniform(size=(1100, d)), pts, near])
-            mean, std = model.posterior_many(xs)
-            mean_b, bound = model.posterior_bound(xs)
-            assert mean_b.tobytes() == mean.tobytes()
+            _, std = model.posterior_many(xs)
+            bound = model._stddev_bound(cross_matrix(model.kernel, pts, xs))
             assert np.all(std <= bound)
             # and at least half the margin is left over
             assert np.all(std * std <= bound * bound - 0.5 * gp._VAR_MARGIN)
 
-    def test_empty_model_bound_is_the_prior(self, matern25):
-        mean, bound = GpModel(matern25, 0.01).posterior_bound(np.zeros((3, 2)))
-        assert mean.tolist() == [0.0] * 3 and bound.tolist() == [1.0] * 3
+    def test_argmax_needs_data_and_two_points(self, matern25):
+        def score(means, stds):
+            return means + stds
+
+        assert GpModel(matern25, 0.01).posterior_argmax(np.zeros((3, 2)), score, 0.0, 1.0) is None
+        model = GpModel.fit(matern25, 0.01, [[0.5, 0.5]], [1.0])
+        assert model.posterior_argmax(np.zeros((1, 2)), score, 0.0, 1.0) is None
 
     @pytest.mark.parametrize("jitter", [False, True])
     def test_stddevs_of_a_subset_read_alike(self, matern25, jitter):
         """posterior_many(xs[idx])[1] is posterior_many(xs)[1][idx] to the
-        byte for |idx| >= 2, wherever the columns sit in xs's blocks; the
-        pruned EI pass solves survivor columns on that property."""
+        byte for |idx| >= 2, wherever the columns sit in xs's blocks;
+        posterior_argmax solves the columns it keeps on that property."""
         rng = np.random.default_rng(21 + jitter)
         if jitter:
             model = jitter_refit_model(matern25, 3, rng, extra=60)
@@ -275,6 +278,9 @@ class TestPosteriorBound:
             for _ in range(3):
                 idx = np.sort(rng.choice(len(xs), size=size, replace=False))
                 assert model.posterior_many(xs[idx])[1].tobytes() == std[idx].tobytes()
+        # a lone column solved beside a copy of itself
+        for i in rng.choice(len(xs), size=20, replace=False):
+            assert model.posterior_many(xs[[i, i]])[1][0] == std[i]
 
 
 class TestJitterRefit:

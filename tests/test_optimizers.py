@@ -7,7 +7,7 @@ import pytest
 from gpbandit import optimizers, partition
 from gpbandit.bench import strip_wallclock, trace_csv_lines
 from gpbandit.gp import GpModel
-from gpbandit.kernels import MATERN, KernelSpec
+from gpbandit.kernels import MATERN, KernelSpec, cross_matrix
 from gpbandit.optimizers import (
     ALG_GP_EI,
     ALG_IMPROVED_GP_EI,
@@ -495,8 +495,9 @@ class TestPrunedCandidatePass:
     the byte."""
 
     @pytest.mark.parametrize("kind", ["matern25_d3", "matern15_d6", "se_d1", "jitter"])
-    @pytest.mark.parametrize("omega", [1.0, 3.0, 4.5, 6.0, POLYLOG_OMEGA],
-                             ids=["fixed", "theory3", "theory4.5", "theory6", "polylog"])
+    @pytest.mark.parametrize("omega", [1.0, 3.0, 4.5, 6.0, 15.0, POLYLOG_OMEGA],
+                             ids=["fixed", "theory3", "theory4.5", "theory6", "theory15",
+                                  "polylog"])
     def test_matches_the_full_pass(self, kind, omega):
         rng = np.random.default_rng([sum(map(ord, kind)), int(1000 * omega)])
         model, incumbent = pass_model(kind, rng)
@@ -509,22 +510,26 @@ class TestPrunedCandidatePass:
 
     @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 6, 7, 8, 9, 200])
     def test_forced_survivor_counts(self, copies, monkeypatch):
-        # copies of the best point among candidates whose bound is far below
-        # its score: exactly the copies survive, and the first one wins
+        # copies of the best point, the first in the first block, among
+        # candidates whose bound is far below its score: the first block's
+        # two largest bounds are solved, then exactly the copies (a lone one
+        # beside a copy of itself), and the first copy wins
         rng = np.random.default_rng(copies)
         model, incumbent = pass_model("matern25_d3", rng)
         pool = rng.uniform(size=(8000, 3))
-        means, sbar = model.posterior_bound(pool)
+        means, _ = model.posterior_many(pool)
+        sbar = model._stddev_bound(cross_matrix(model.kernel, model.points, pool))
         bound = optimizers.ei_scores(means, incumbent, sbar)
         score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
         star, best = full_argmax(score, pool)
         low = pool[bound < 0.5 * best]
         at = np.sort(rng.choice(4096, size=copies, replace=False))
+        at[0] = min(at[0], 511)
         xs = np.insert(low[:4096 - copies], at - np.arange(copies), pool[star], axis=0)
         assert len(xs) == 4096 and np.all(xs[at] == pool[star])
-        solved, real = [], GpModel.posterior_many
-        monkeypatch.setattr(GpModel, "posterior_many",
-                            lambda self, q: solved.append(len(q)) or real(self, q))
+        solved, real = [], GpModel._block_stddevs
+        monkeypatch.setattr(GpModel, "_block_stddevs",
+                            lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
         got = optimizers._pruned_ei_argmax(model, incumbent, 1.0, xs)
         assert solved == [2, max(copies, 2)]
         monkeypatch.undo()
@@ -535,20 +540,27 @@ class TestPrunedCandidatePass:
     def test_small_passes_take_the_full_pass(self, monkeypatch):
         rng = np.random.default_rng(5)
         model, incumbent = pass_model("matern25_d3", rng)
-        monkeypatch.setattr(GpModel, "posterior_bound", None)
+        monkeypatch.setattr(GpModel, "posterior_argmax", None)
         assert optimizers._pruned_ei_argmax(
             model, incumbent, 1.0, rng.uniform(size=(1023, 3))) is None
 
-    def test_vanished_ei_takes_the_full_pass(self):
+    def test_vanished_ei_solves_every_candidate(self, monkeypatch):
         # an incumbent far above every mean makes every EI 0: no score can
-        # prune another, and the search is the full pass's
+        # prune another, every column is solved in batches of _BLOCK, and the
+        # search is the full pass's
         rng = np.random.default_rng(6)
         model, incumbent = pass_model("matern25_d3", rng)
         incumbent += 1e3
         score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
         xs = rng.uniform(size=(4096, 3))
         assert np.all(score(xs) == 0.0)
-        assert optimizers._pruned_ei_argmax(model, incumbent, 1.0, xs) is None
+        solved, real = [], GpModel._block_stddevs
+        monkeypatch.setattr(GpModel, "_block_stddevs",
+                            lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
+        got = optimizers._pruned_ei_argmax(model, incumbent, 1.0, xs)
+        assert solved == [2] + [512] * 8
+        monkeypatch.undo()
+        assert_same_pick(got, full_argmax(score, xs), xs)
         plain = lambda q: score(q)  # noqa: E731  (no argmax attribute)
         got, want = (maximize_acquisition(fn, np.zeros(3), np.ones(3),
                                           np.random.default_rng(7), 4096, 5,
