@@ -57,6 +57,10 @@ class ObjectiveSpec:
     rkhs_file: str | None = None
     noise_stddev: float = 0.1
 
+    def __post_init__(self):
+        if not (math.isfinite(self.noise_stddev) and self.noise_stddev >= 0):
+            raise ValueError(f"noise stddev must be finite and >= 0, got {self.noise_stddev}")
+
     def build(self):
         """Returns (target callable, dim, true optimum)."""
         if self.name == "rkhs":
@@ -82,6 +86,10 @@ class BenchConfig:
             raise ValueError("repeats must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        labels = [run_label(run_cfg) for run_cfg in self.runs]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"two runs share the label {label!r}")
 
 
 def _fmt(x: float) -> str:

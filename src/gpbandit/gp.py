@@ -189,8 +189,11 @@ class GpModel:
     def posterior_argmax(self, xs, score, rtol: float, floor: float):
         """(index, value) of the first-index argmax of
         score(*posterior_many(xs)), to the bit, with stddevs solved only at
-        the points that can reach it; None without data, for fewer than two
-        points, or with a mean that is not finite.
+        the points that can reach it; None without data, with a mean that is
+        not finite, or for a pass of one block (fewer than 2 * _BLOCK
+        points): on a cover's per-cell passes of ~128 points the bound's
+        extra calls cost more than the solve they skip (Improved GP-EI on
+        Hartmann-3, T=20, read +14% run time without this gate).
 
         score(means, stds) must act elementwise, not decrease in stds, and
         have every computed value v >= floor > 0 at most (1 + rtol) times its
@@ -198,20 +201,18 @@ class GpModel:
         bounds each point's value from above, and a point whose bound, times
         1 + rtol, stays below a value already computed cannot win.  The two
         points of largest bound in the first block are scored exactly to set
-        that threshold; each block keeps the kernel columns of the points
-        that pass it, and the kept columns are solved in batches of about
-        _BLOCK, after each of which the threshold rises to the best value.
-        While the threshold is below floor every point is kept.  A batch of
-        one column is solved beside a copy of itself, since dtrtrs rounds a
+        that threshold; each block then solves the columns of the points that
+        pass it, and the threshold rises to the best value before the next
+        block.  While the threshold is below floor every point is kept.  A
+        lone column is solved beside a copy of itself, since dtrtrs rounds a
         single right-hand side differently."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.n == 0 or len(xs) < 2:
+        if self.n == 0 or len(xs) < 2 * _BLOCK:
             return None
         alpha = self._ensure_alpha()
         top = -math.inf  # the threshold: the best value computed so far
         best_i, best = -1, -math.inf
-        held = []  # (indices, means, kernel columns) of points that may win
-        for start, stop, kc in self._kernel_blocks(xs):
+        for start, _, kc in self._kernel_blocks(xs):
             mean = np.matmul(kc.T, alpha)
             if not np.isfinite(mean).all():
                 return None
@@ -221,22 +222,16 @@ class GpModel:
                 top = float(np.max(score(mean[seeds], self._block_stddevs(kc[:, seeds]))))
             if top >= floor:
                 keep = np.flatnonzero(bound * (1.0 + rtol) >= top)
+                kc = kc[:, np.repeat(keep, 2) if len(keep) == 1 else keep]
             else:
-                keep = np.arange(stop - start)
+                keep = np.arange(len(mean))
             if len(keep):
-                held.append((start + keep, mean[keep], kc[:, keep]))
+                values = score(mean[keep], self._block_stddevs(kc)[:len(keep)])
+                i = int(np.argmax(values))
+                if values[i] > best:  # blocks go in index order: the first wins ties
+                    best_i, best = start + int(keep[i]), float(values[i])
+                    top = max(top, best)
             del kc
-            if not held or (stop < len(xs) and sum(len(h[0]) for h in held) < _BLOCK):
-                continue
-            idx, held_mean, cols = (np.concatenate(part, axis=-1) for part in zip(*held))
-            held.clear()
-            if len(idx) == 1:
-                cols = np.repeat(cols, 2, axis=1)
-            values = score(held_mean, self._block_stddevs(cols)[:len(idx)])
-            i = int(np.argmax(values))
-            if values[i] > best:  # batches go in index order: the first wins ties
-                best_i, best = int(idx[i]), float(values[i])
-                top = max(top, best)
         return best_i, best
 
     def posterior(self, x) -> tuple[float, float]:

@@ -38,11 +38,6 @@ OMEGA_FIXED = "fixed"
 OMEGA_THEORY_EI = "theory_ei"
 OMEGA_POLYLOG_T = "polylog_t"
 
-# the EI candidate pass is pruned from this many points on: on a cover's
-# per-cell passes of ~128 points the prune's extra calls cost more than the
-# solve they skip (Improved GP-EI on Hartmann-3, T=20, read +14% run time
-# with no such gate)
-_PRUNE_MIN = 1024
 # relative slack on an EI bound: the computed EI tracks the exact one to
 # ~1e-12 relative (cancellation in tau at z >= -38), so a computed score
 # never exceeds its computed bound by this much
@@ -84,6 +79,8 @@ class RunConfig:
             raise ValueError("need at least one acquisition candidate")
         if self.acq_refinements < 0:
             raise ValueError("acquisition refinements must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         if self.algorithm in (ALG_IMPROVED_GP_EI, ALG_PI_UCB):
             if self.kernel.nu is None or not self.kernel.nu > 1:
                 raise ValueError("partition-based runs need a Matern kernel with nu > 1")
@@ -239,19 +236,6 @@ def _omega(config: RunConfig, gain: float) -> float:
     return math.sqrt(ln_t * math.log(ln_t))
 
 
-def _pruned_ei_argmax(model: GpModel, incumbent: float, omega_t: float, xs):
-    """(index, score) of the first-index argmax of EI at xs, the bytes the
-    full pass gives, from GpModel.posterior_argmax, which solves stddevs
-    only where a candidate can win.  None below _PRUNE_MIN candidates, and
-    where a mean is not finite, so that the full pass raises where it
-    would have."""
-    if len(xs) < _PRUNE_MIN:
-        return None
-    return model.posterior_argmax(
-        xs, lambda means, stds: ei_scores(means, incumbent, omega_t * stds),
-        _BOUND_RTOL, _SCORE_FLOOR)
-
-
 def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: float):
     """Vectorized score over points of one cell with this model: EI against
     the cell's own incumbent mean, with the pruned candidate pass as its
@@ -263,11 +247,13 @@ def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: fl
             means, stds = model.posterior_many(xs)
             return ucb_score(means, stds, beta)
     else:
-        def score(xs):
-            means, stds = model.posterior_many(xs)
+        def ei(means, stds):
             return ei_scores(means, incumbent, omega_t * stds)
 
-        score.argmax = lambda xs: _pruned_ei_argmax(model, incumbent, omega_t, xs)
+        def score(xs):
+            return ei(*model.posterior_many(xs))
+
+        score.argmax = lambda xs: model.posterior_argmax(xs, ei, _BOUND_RTOL, _SCORE_FLOOR)
     return score
 
 

@@ -357,6 +357,11 @@ class TestCli:
     @pytest.mark.parametrize("objective, message", [
         (["--objective", "nope"], "unknown test function: 'nope'"),
         (["--objective", "rkhs"], "rkhs objective needs a target file"),
+        (["--lambda", "0"], "lam must be finite and > 0, got 0.0"),
+        (["--lambda", "nan"], "lam must be finite and > 0, got nan"),
+        (["--noise-stddev", "-1"], "noise stddev must be finite and >= 0, got -1.0"),
+        (["--noise-stddev", "nan"], "noise stddev must be finite and >= 0, got nan"),
+        (["--algorithms", "gp_ei,gp_ei"], "two runs share the label 'gp_ei_fixed1'"),
     ])
     def test_bad_objective_writes_nothing(self, tmp_path, capsys, objective, message):
         rc = main([

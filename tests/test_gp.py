@@ -253,13 +253,22 @@ class TestPosteriorBound:
             # and at least half the margin is left over
             assert np.all(std * std <= bound * bound - 0.5 * gp._VAR_MARGIN)
 
-    def test_argmax_needs_data_and_two_points(self, matern25):
+    def test_argmax_needs_data_and_two_blocks(self, matern25):
+        # a pass of one block, fewer than 2 * _BLOCK = 1024 points, is left
+        # to the caller's full pass; from 1024 points on the pick is the
+        # full pass's to the byte
         def score(means, stds):
             return means + stds
 
-        assert GpModel(matern25, 0.01).posterior_argmax(np.zeros((3, 2)), score, 0.0, 1.0) is None
-        model = GpModel.fit(matern25, 0.01, [[0.5, 0.5]], [1.0])
-        assert model.posterior_argmax(np.zeros((1, 2)), score, 0.0, 1.0) is None
+        rng = np.random.default_rng(24)
+        xs = rng.uniform(size=(2 * gp._BLOCK, 2))
+        assert GpModel(matern25, 0.01).posterior_argmax(xs, score, 0.0, 1.0) is None
+        model = GpModel.fit(matern25, 0.01, rng.uniform(size=(30, 2)), rng.normal(size=30))
+        assert model.posterior_argmax(xs[:-1], score, 0.0, 1.0) is None
+        values = score(*model.posterior_many(xs))
+        i, value = model.posterior_argmax(xs, score, 0.0, 1.0)
+        assert i == int(np.argmax(values))
+        assert np.float64(value).tobytes() == values[i].tobytes()
 
     @pytest.mark.parametrize("jitter", [False, True])
     def test_stddevs_of_a_subset_read_alike(self, matern25, jitter):

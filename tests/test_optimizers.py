@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gpbandit import optimizers, partition
+from gpbandit import gp, optimizers, partition
 from gpbandit.bench import strip_wallclock, trace_csv_lines
 from gpbandit.gp import GpModel
 from gpbandit.kernels import MATERN, KernelSpec, cross_matrix
@@ -505,15 +505,14 @@ class TestPrunedCandidatePass:
         d = model.points.shape[1]
         for m in (1024, 1025, 4096 + model.n):
             xs = np.vstack([rng.uniform(size=(m - model.n, d)), model.points])
-            assert_same_pick(optimizers._pruned_ei_argmax(model, incumbent, omega, xs),
-                             full_argmax(score, xs), xs)
+            assert_same_pick(score.argmax(xs), full_argmax(score, xs), xs)
 
     @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 6, 7, 8, 9, 200])
     def test_forced_survivor_counts(self, copies, monkeypatch):
         # copies of the best point, the first in the first block, among
         # candidates whose bound is far below its score: the first block's
-        # two largest bounds are solved, then exactly the copies (a lone one
-        # beside a copy of itself), and the first copy wins
+        # two largest bounds are solved, then each block solves exactly its
+        # copies (a lone one beside a copy of itself), and the first copy wins
         rng = np.random.default_rng(copies)
         model, incumbent = pass_model("matern25_d3", rng)
         pool = rng.uniform(size=(8000, 3))
@@ -530,19 +529,28 @@ class TestPrunedCandidatePass:
         solved, real = [], GpModel._block_stddevs
         monkeypatch.setattr(GpModel, "_block_stddevs",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
-        got = optimizers._pruned_ei_argmax(model, incumbent, 1.0, xs)
-        assert solved == [2, max(copies, 2)]
+        got = score.argmax(xs)
+        per_block = np.bincount(at // gp._BLOCK)
+        assert solved == [2] + [max(c, 2) for c in per_block if c]
         monkeypatch.undo()
         want = full_argmax(score, xs)
         assert want[0] == at[0]
         assert_same_pick(got, want, xs)
 
-    def test_small_passes_take_the_full_pass(self, monkeypatch):
+    def test_small_passes_take_the_full_pass(self):
+        # a pass of one block, fewer than 2 * _BLOCK = 1024 points, is left
+        # to the full pass; from 1024 points on the pruned pass gives its pick
         rng = np.random.default_rng(5)
         model, incumbent = pass_model("matern25_d3", rng)
-        monkeypatch.setattr(GpModel, "posterior_argmax", None)
-        assert optimizers._pruned_ei_argmax(
-            model, incumbent, 1.0, rng.uniform(size=(1023, 3))) is None
+        score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
+
+        def ei(means, stds):
+            return optimizers.ei_scores(means, incumbent, stds)
+
+        xs = rng.uniform(size=(1024, 3))
+        args = ei, optimizers._BOUND_RTOL, optimizers._SCORE_FLOOR
+        assert model.posterior_argmax(xs[:1023], *args) is None
+        assert_same_pick(model.posterior_argmax(xs, *args), full_argmax(score, xs), xs)
 
     def test_vanished_ei_solves_every_candidate(self, monkeypatch):
         # an incumbent far above every mean makes every EI 0: no score can
@@ -557,7 +565,7 @@ class TestPrunedCandidatePass:
         solved, real = [], GpModel._block_stddevs
         monkeypatch.setattr(GpModel, "_block_stddevs",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
-        got = optimizers._pruned_ei_argmax(model, incumbent, 1.0, xs)
+        got = score.argmax(xs)
         assert solved == [2] + [512] * 8
         monkeypatch.undo()
         assert_same_pick(got, full_argmax(score, xs), xs)
@@ -590,7 +598,7 @@ class TestPrunedCandidatePass:
         alpha[3] = np.nan
         monkeypatch.setattr(model, "_alpha", alpha)
         xs = rng.uniform(size=(4096, 3))
-        assert optimizers._pruned_ei_argmax(model, incumbent, 1.0, xs) is None
+        assert score.argmax(xs) is None
         for fn in (score, lambda q: score(q)):
             with pytest.raises(ValueError, match="means and incumbent must be finite"):
                 maximize_acquisition(fn, np.zeros(3), np.ones(3),
@@ -605,8 +613,8 @@ class TestPrunedCandidatePass:
         # GP-EI on Hartmann-3 at the default 4096 candidates takes the
         # pruned pass at every step with data; the hashes were recorded
         # with the full pass
-        picks, real = [], optimizers._pruned_ei_argmax
-        monkeypatch.setattr(optimizers, "_pruned_ei_argmax",
+        picks, real = [], GpModel.posterior_argmax
+        monkeypatch.setattr(GpModel, "posterior_argmax",
                             lambda *a: picks.append(real(*a)) or picks[-1])
         target, d, opt, _ = standard_function("hartmann3")
         cfg = RunConfig(algorithm=ALG_GP_EI, horizon_T=40, omega_mode=omega_mode,
