@@ -30,9 +30,11 @@ from .kernels import KernelSpec, cross_matrix, gram_matrix
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _PIVOT_FLOOR = 1e-14
-# posterior_many scores query points in column blocks of this many: at
-# n <= ~100 observations an n x _BLOCK float64 kernel block (400 KB at n=100)
-# stays in L2 through the kernel's elementwise passes and the solve.  A
+# posterior_many scores query points in column blocks of this many, so a
+# pass holds a few n x _BLOCK float64 arrays (400 KB each at n = 100) however
+# many points it scores.  The kernel's temporaries for a block live in the
+# kernels module's per-thread scratch, kept between blocks and passes; the
+# block itself and the solve's column-major copy of it are fresh arrays.  A
 # multiple of 4, so that block edges never cut BLAS's 4-row unrolling.
 _BLOCK = 512
 # added to posterior_argmax's variance bound: the rounding of the computed

@@ -18,6 +18,7 @@ forms; any other nu goes through the Bessel routine.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,45 @@ _DEBYE_U = (
 # s * s and c * c from overflowing into inf * 0
 _EXP_ZERO = 745.2
 
+# A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements is a view of
+# a per-thread scratch buffer kept between calls.  Freed and allocated
+# afresh, such blocks go back to the OS (from 128 KiB, glibc's default mmap
+# threshold) and fault their pages in again: a GP-EI candidate pass at
+# n = 100 took 2,083 minor faults, and about half again the time it takes
+# without them.  Smaller temporaries are fresh arrays, whose memory malloc
+# reuses without faults; the lookup would only slow a cover search's many
+# small calls.  Larger ones (4 MiB: the GP's n x 512 blocks reach it at
+# n = 1024) are fresh too, so that a one-shot call, such as a target's
+# dense optimum search, neither raises its peak nor leaves its temporaries
+# behind: a thread keeps at most two of these, 8 MiB.
+_SCRATCH_MIN = 16384
+_SCRATCH_MAX = 1 << 19
+_scratch = threading.local()
+
+
+def _scratch_out(like: np.ndarray, count: int) -> tuple:
+    """`count` C-order views of this thread's scratch buffer, each shaped
+    like `like` and none overlapping another, or `count` Nones outside
+    _SCRATCH_MIN to _SCRATCH_MAX elements: passed as a ufunc's `out`, None
+    has it allocate a fresh array.  A view is valid until the next call in
+    this thread, so it may neither outlive the function that took it nor be
+    returned."""
+    size = like.size
+    if not _SCRATCH_MIN <= size <= _SCRATCH_MAX:
+        return (None,) * count
+    need = count * size
+    buf = getattr(_scratch, "buf", None)
+    if buf is None:
+        buf = _scratch.buf = np.empty(need)
+    elif buf.size < need:
+        # grown by at least a quarter: the GP gains one point per step, so
+        # its blocks grow a little each time.  The first buffer is exact, so
+        # a first call peaks where fresh temporaries would.
+        grown = max(need, min(buf.size + buf.size // 4, 2 * _SCRATCH_MAX))
+        buf = _scratch.buf = None  # freed before its successor is allocated
+        buf = _scratch.buf = np.empty(grown)
+    return tuple(buf[i * size:(i + 1) * size].reshape(like.shape) for i in range(count))
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -83,16 +123,18 @@ def _matern_half_integer(s: np.ndarray, nu: float) -> np.ndarray:
         return np.exp(np.negative(s, out=s), out=s)
     if nu == 1.5:
         c = np.multiply(s, math.sqrt(3.0), out=s)
-        e = np.negative(c)
+        [e] = _scratch_out(c, 1)
+        e = np.negative(c, out=e)
         np.exp(e, out=e)
         c += 1.0
         c *= e
         return c  # (1 + c) * exp(-c)
     if nu == 2.5:
         c = np.multiply(s, math.sqrt(5.0), out=s)
-        q = np.multiply(c, c)
+        q, e = _scratch_out(c, 2)
+        q = np.multiply(c, c, out=q)
         q /= 3.0
-        e = np.negative(c)
+        e = np.negative(c, out=e)
         np.exp(e, out=e)
         c += 1.0
         c += q
@@ -124,8 +166,12 @@ def _matern_bessel(s: np.ndarray, nu: float) -> np.ndarray:
     Uses the standard sqrt(2 nu) argument scaling, so nu = 1/2 reduces to
     exp(-r/l) and the half-integer closed forms agree with this route.
     """
+    # in the scratch that cross_matrix's squares were in, so that this route
+    # peaks where it did when they were freed
+    [z] = _scratch_out(s, 1)
     with np.errstate(over="ignore"):
-        z = math.sqrt(2.0 * nu) * s  # inf past the float range; K_nu(inf) = 0
+        # inf past the float range; K_nu(inf) = 0
+        z = np.multiply(math.sqrt(2.0 * nu), s, out=z)
     with np.errstate(all="ignore"):
         # 0 once Gamma(nu) overflows, from nu ~ 171.6
         coef = 2.0 ** (1.0 - nu) / _gamma(nu)
@@ -218,7 +264,12 @@ def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     Squared coordinate differences are summed one coordinate at a time, in
     coordinate order, into a single (n, m) buffer that the kernel then
     overwrites: no (n, m, d) array is built, and the rounding of a distance
-    does not depend on how a vectorized reduction would order the sum.
+    does not depend on how a vectorized reduction would order the sum.  That
+    buffer is the result, a fresh array the caller owns.  The (n, m)
+    temporaries beside it (one square, and the closed-form Matern's exp and
+    c^2 terms, or the Bessel route's scaled distance) are reused between
+    calls of this thread when they hold 16,384 to 2^19 elements (128 KiB to
+    4 MiB), which changes where they are stored, not a bit of the result.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -236,12 +287,12 @@ def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
         r = np.subtract(xs[:, 0, None], ys[None, :, 0])
         np.multiply(r, r, out=r)
         if d > 1:
-            sq = np.empty_like(r)
+            [sq] = _scratch_out(r, 1)
             for k in range(1, d):
-                np.subtract(xs[:, k, None], ys[None, :, k], out=sq)
+                sq = np.subtract(xs[:, k, None], ys[None, :, k], out=sq)
                 np.multiply(sq, sq, out=sq)
                 r += sq
-            del sq  # freed before the kernel allocates its own temporaries
+            del sq  # the kernel's temporaries may take its memory
     return _kernel_in_place(spec, np.sqrt(r, out=r))
 
 

@@ -136,6 +136,12 @@ class TestRunBenchmark:
                 omega_mode=OMEGA_POLYLOG_T, kernel=KERNEL,
                 lam=0.01, acq_candidates=64, acq_refinements=2,
             ),
+            # real sizes: 4096 candidates take the pruned multi-block pass,
+            # and from n = 32 its n x 512 kernel blocks reuse scratch memory
+            RunConfig(
+                algorithm=ALG_GP_EI, horizon_T=40,
+                omega_mode=OMEGA_THEORY_EI, kernel=KERNEL, lam=0.01,
+            ),
         ]
         serial = tiny_bench(tmp_path / "serial", repeats=2, algorithms=runs)
         parallel = tiny_bench(tmp_path / "parallel", repeats=2, algorithms=runs)
@@ -143,7 +149,7 @@ class TestRunBenchmark:
         s1, s2 = run_benchmark(serial), run_benchmark(parallel)
         names = [Path(p).name for p in s1["traces"]]
         assert names == [Path(p).name for p in s2["traces"]]
-        assert len(names) == 4
+        assert len(names) == 6
         for p1, p2 in zip(s1["traces"], s2["traces"]):
             assert strip_wallclock(Path(p1).read_text()) == strip_wallclock(
                 Path(p2).read_text()

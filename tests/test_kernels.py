@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -144,6 +146,38 @@ def _spec_id(spec):
     return spec.family if spec.nu is None else f"{spec.family}{spec.nu}"
 
 
+def fresh_cross_matrix(spec, xs, ys):
+    """cross_matrix with every pass made unconditionally and every temporary
+    a fresh array: a zero-filled sum of squares, the far clamp, the zero snap
+    and the closed forms written out, with the same ufuncs in the same order
+    on the same operands as the library."""
+    d = xs.shape[1]
+    r = np.zeros((len(xs), len(ys)))
+    for k in range(d):
+        r += np.square(xs[:, k, None] - ys[None, :, k])
+    r = np.sqrt(r)
+    closed = spec.family == SQUARED_EXPONENTIAL or spec.nu in (0.5, 1.5, 2.5)
+    if closed:
+        r = np.minimum(r, kernels._EXP_ZERO * spec.lengthscale)
+    with np.errstate(over="ignore"):
+        s = r / spec.lengthscale
+    if spec.family == SQUARED_EXPONENTIAL:
+        return np.exp(s * s * -0.5)
+    zero = s < kernels._ZERO_SNAP
+    s = np.where(zero, 1.0, s)
+    if spec.nu == 0.5:
+        s = np.exp(-s)
+    elif spec.nu == 1.5:
+        c = s * math.sqrt(3.0)
+        s = (c + 1.0) * np.exp(-c)
+    elif spec.nu == 2.5:
+        c = s * math.sqrt(5.0)
+        s = (c + 1.0 + c * c / 3.0) * np.exp(-c)
+    else:
+        s = kernels._matern_bessel(s, spec.nu)
+    return np.where(zero, 1.0, s)
+
+
 class TestCrossMatrix:
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
@@ -206,32 +240,127 @@ class TestCrossMatrix:
         # against every pass made unconditionally: a zero-filled sum of
         # squares, the far clamp and the zero snap; coincident pairs, pairs
         # below the snap and pairs past the clamp included
-        def untrimmed(xs, ys):
-            r = np.zeros((len(xs), len(ys)))
-            for k in range(d):
-                r += np.square(xs[:, k, None] - ys[None, :, k])
-            r = np.sqrt(r)
-            closed = spec.family == SQUARED_EXPONENTIAL or spec.nu in (0.5, 1.5, 2.5)
-            if closed:
-                r = np.minimum(r, kernels._EXP_ZERO * spec.lengthscale)
-            with np.errstate(over="ignore"):
-                s = r / spec.lengthscale
-            if spec.family == SQUARED_EXPONENTIAL:
-                return np.exp(s * s * -0.5)
-            zero = s < kernels._ZERO_SNAP
-            s = np.where(zero, 1.0, s)
-            if closed:
-                s = kernels._matern_half_integer(s, spec.nu)
-            else:
-                s = kernels._matern_bessel(s, spec.nu)
-            return np.where(zero, 1.0, s)
-
         rng = np.random.default_rng(d)
         xs = rng.uniform(size=(30, d))
         ys = np.vstack([rng.uniform(size=(40, d)), xs[:3], xs[3:6] + 1e-14,
                         xs[6:8] + 1e3])
         for a, b in ((xs, ys), (ys, xs), (xs[:1], ys), (xs, ys[:1]), (ys[:5], ys[5:])):
-            assert cross_matrix(spec, a, b).tobytes() == untrimmed(a, b).tobytes()
+            assert cross_matrix(spec, a, b).tobytes() == fresh_cross_matrix(spec, a, b).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_reused_temporaries_keep_the_bits(self, spec, d):
+        # blocks below, at and above the size from which temporaries come
+        # from the scratch buffer (127 x 129 is one element short of it,
+        # 32 x 512 reaches it), growing it and then fitting inside it
+        assert kernels._SCRATCH_MIN == 128 * 128
+        rng = np.random.default_rng(10 + d)
+        xs = rng.uniform(size=(130, d))
+        ys = np.vstack([rng.uniform(size=(700, d)), xs[:4], xs[4:6] + 1e-14])
+        shapes = [(2, 3), (127, 129), (32, 512), (1, 706), (64, 706), (130, 706)]
+        for n, m in shapes + shapes[::-1]:
+            a, b = xs[:n], ys[:m]
+            assert cross_matrix(spec, a, b).tobytes() == fresh_cross_matrix(spec, a, b).tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_results_do_not_share_the_scratch(self, spec):
+        rng = np.random.default_rng(12)
+        xs, ys = rng.uniform(size=(100, 3)), rng.uniform(size=(600, 3))
+        first = cross_matrix(spec, xs, ys)
+        kept = first.copy()
+        second = cross_matrix(spec, ys[:300], xs)
+        dist = kernel_of_distance(spec, rng.uniform(size=(200, 100)))
+        assert first.tobytes() == kept.tobytes()
+        for a, b in ((first, second), (first, dist), (second, dist)):
+            assert not np.shares_memory(a, b)
+        for a in (first, second, dist):
+            assert not np.shares_memory(a, kernels._scratch.buf)
+
+    def test_threads_reproduce_the_serial_bits(self):
+        # each thread has its own scratch buffer: four threads on two cores
+        # score different blocks at once, switching often, and must get the
+        # bytes of the serial calls; numpy releases the GIL inside the
+        # kernel's passes over blocks this large
+        spec = KernelSpec(MATERN, 0.2, 2.5)
+        rng = np.random.default_rng(13)
+        inputs = [(rng.uniform(size=(n, 3)), rng.uniform(size=(m, 3)))
+                  for n, m in ((100, 612), (80, 700), (120, 520), (64, 1024))]
+        want = [cross_matrix(spec, a, b).tobytes() for a, b in inputs]
+        barrier = threading.Barrier(len(inputs))
+        done, wrong = [], []
+
+        def score(i):
+            barrier.wait(timeout=30)
+            for _ in range(25):
+                if cross_matrix(spec, *inputs[i]).tobytes() != want[i]:
+                    wrong.append(i)
+            done.append(i)
+
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(len(inputs)))
+        assert wrong == []
+
+    # the temporaries a call holds beside its result at once, and how many
+    # of them are scratch views
+    @pytest.mark.parametrize("spec,temporaries,views",
+                             [pytest.param(s, t, v, id=_spec_id(s))
+                              for s, t, v in zip(SPECS, (1, 1, 1, 2, 4), (1, 1, 1, 2, 1))])
+    def test_calls_peak_where_fresh_temporaries_do(self, spec, temporaries, views):
+        # in a new thread, whose scratch is empty: a first call sizes it
+        # exactly, and a call past _SCRATCH_MAX neither uses nor keeps it,
+        # so both peak at the result and the temporaries a fresh-allocation
+        # evaluation holds beside it at once
+        rng = np.random.default_rng(14)
+        kept = {}
+
+        def traced(n, m):
+            xs, ys = rng.uniform(size=(n, 3)), rng.uniform(size=(m, 3))
+            tracemalloc.start()
+            try:
+                cross_matrix(spec, xs, ys)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            buf = getattr(kernels._scratch, "buf", None)
+            kept[n, m] = (peak, None if buf is None else buf.nbytes)
+
+        for n, m in ((130, 4100), (100, 5000)):  # above, then below the ceiling
+            thread = threading.Thread(target=traced, args=(n, m))
+            thread.start()
+            thread.join(timeout=60)
+        assert 100 * 5000 <= kernels._SCRATCH_MAX < 130 * 4100
+        for (n, m), (peak, buf_bytes) in kept.items():
+            assert peak <= (1 + temporaries) * n * m * 8 + 64 * 1024
+        assert kept[130, 4100][1] is None
+        assert kept[100, 5000][1] == views * 100 * 5000 * 8
+
+    def test_scratch_grows_by_a_quarter_up_to_its_ceiling(self):
+        spec = KernelSpec(MATERN, 0.2, 2.5)  # two temporaries per call
+        rng = np.random.default_rng(15)
+        ys = rng.uniform(size=(512, 3))
+        sizes = []
+
+        def grow():
+            for n in (100, 101, 102, 1024, 1025, 40):
+                cross_matrix(spec, rng.uniform(size=(n, 3)), ys)
+                sizes.append(kernels._scratch.buf.size)
+
+        thread = threading.Thread(target=grow)
+        thread.start()
+        thread.join(timeout=60)
+        assert 1024 * 512 == kernels._SCRATCH_MAX
+        first = 2 * 100 * 512
+        assert sizes == [first, first * 5 // 4, first * 5 // 4] + [2 * kernels._SCRATCH_MAX] * 3
 
     # the closed forms only; the Bessel route allocates freely
     @pytest.mark.parametrize("spec", SPECS[:4], ids=_spec_id)
