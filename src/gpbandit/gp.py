@@ -40,6 +40,11 @@ _BLOCK = 512
 # added to posterior_argmax's variance bound: the rounding of the computed
 # 1 - v.v, at most a few n ulps of 1, stays far below it
 _VAR_MARGIN = 1e-12
+# posterior_argmax's relative slack on a score bound, held at or above
+# _SCORE_FLOOR, far above EI's subnormal tail: computed EI tracks the exact
+# one to ~1e-12 relative, and computed UCB (beta >= 0) is monotone in std
+_BOUND_RTOL = 1e-9
+_SCORE_FLOOR = 1e-280
 
 
 class GpNumericsError(RuntimeError):
@@ -188,7 +193,7 @@ class GpModel:
             del kc  # freed before the next block is built
         return mean, std
 
-    def posterior_argmax(self, xs, score, rtol: float, floor: float):
+    def posterior_argmax(self, xs, score):
         """(index, value) of the first-index argmax of
         score(*posterior_many(xs)), to the bit, with stddevs solved only at
         the points that can reach it; None without data, with a mean that is
@@ -198,16 +203,17 @@ class GpModel:
         Hartmann-3, T=20, read +14% run time without this gate).
 
         score(means, stds) must act elementwise, not decrease in stds, and
-        have every computed value v >= floor > 0 at most (1 + rtol) times its
+        be accurate to _BOUND_RTOL relative at or above _SCORE_FLOOR: a
+        computed value v >= _SCORE_FLOOR is at most 1 + _BOUND_RTOL times the
         computed value at a larger stddev.  Then score(mean, _stddev_bound)
         bounds each point's value from above, and a point whose bound, times
-        1 + rtol, stays below a value already computed cannot win.  The two
-        points of largest bound in the first block are scored exactly to set
-        that threshold; each block then solves the columns of the points that
-        pass it, and the threshold rises to the best value before the next
-        block.  While the threshold is below floor every point is kept.  A
-        lone column is solved beside a copy of itself, since dtrtrs rounds a
-        single right-hand side differently."""
+        1 + _BOUND_RTOL, stays below a value already computed cannot win.
+        The two points of largest bound in the first block are scored exactly
+        to set that threshold; each block then solves the columns of the
+        points that pass it, and the threshold rises to the best value before
+        the next block.  While the threshold is below _SCORE_FLOOR every
+        point is kept.  A lone column is solved beside a copy of itself, since
+        dtrtrs rounds a single right-hand side differently."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self.n == 0 or len(xs) < 2 * _BLOCK:
             return None
@@ -222,8 +228,8 @@ class GpModel:
             if start == 0:
                 seeds = np.argpartition(bound, -2)[-2:]
                 top = float(np.max(score(mean[seeds], self._block_stddevs(kc[:, seeds]))))
-            if top >= floor:
-                keep = np.flatnonzero(bound * (1.0 + rtol) >= top)
+            if top >= _SCORE_FLOOR:
+                keep = np.flatnonzero(bound * (1.0 + _BOUND_RTOL) >= top)
                 kc = kc[:, np.repeat(keep, 2) if len(keep) == 1 else keep]
             else:
                 keep = np.arange(len(mean))

@@ -38,14 +38,6 @@ OMEGA_FIXED = "fixed"
 OMEGA_THEORY_EI = "theory_ei"
 OMEGA_POLYLOG_T = "polylog_t"
 
-# relative slack on an EI bound: the computed EI tracks the exact one to
-# ~1e-12 relative (cancellation in tau at z >= -38), so a computed score
-# never exceeds its computed bound by this much
-_BOUND_RTOL = 1e-9
-# normal doubles far above EI's subnormal tail, where that relative
-# accuracy holds
-_SCORE_FLOOR = 1e-280
-
 
 class AcquisitionNumericsError(ArithmeticError):
     """Score function returned NaN; carries the offending point."""
@@ -84,20 +76,32 @@ class RunConfig:
         if self.algorithm in (ALG_IMPROVED_GP_EI, ALG_PI_UCB):
             if self.kernel.nu is None or not self.kernel.nu > 1:
                 raise ValueError("partition-based runs need a Matern kernel with nu > 1")
+        # the scales below must be finite, or every score is infinite and a
+        # step picks its search's first draw; UCB's width must be >= 0, or
+        # its score decreases in the stddev
         if self.algorithm == ALG_PI_UCB:  # UCB reads no omega
-            if not 0.0 < self.delta < 1.0:
-                raise ValueError("pi_ucb needs delta in (0, 1)")
+            self._check_delta("pi_ucb")
+            for name in ("B", "R"):
+                value = getattr(self, name)
+                if not (math.isfinite(value) and value >= 0):
+                    raise ValueError(f"pi_ucb needs {name} finite and >= 0, got {value}")
             return
         mode = self.omega_mode
         if mode not in (OMEGA_FIXED, OMEGA_THEORY_EI, OMEGA_POLYLOG_T):
             raise ValueError(f"unknown omega mode: {mode!r}")
-        if mode == OMEGA_FIXED and not self.omega_c > 0:
-            raise ValueError("fixed omega needs c > 0")
-        if mode == OMEGA_THEORY_EI and not 0.0 < self.delta < 1.0:
-            raise ValueError("theory_ei omega needs delta in (0, 1)")
+        if mode == OMEGA_FIXED and not (math.isfinite(self.omega_c) and self.omega_c > 0):
+            raise ValueError(f"fixed omega needs c > 0 and finite, got {self.omega_c}")
+        if mode == OMEGA_THEORY_EI:
+            self._check_delta("theory_ei omega")
         if mode == OMEGA_POLYLOG_T and self.horizon_T < 16:
             raise ValueError(
                 "polylog_t omega needs horizon_T >= 16 (ln ln T must be positive)")
+
+    def _check_delta(self, user: str) -> None:
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"{user} needs delta in (0, 1)")
+        if not math.isfinite(1.0 / self.delta):
+            raise ValueError(f"{user} needs 1/delta finite, got delta={self.delta}")
 
 
 @dataclass
@@ -238,22 +242,22 @@ def _omega(config: RunConfig, gain: float) -> float:
 
 def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: float):
     """Vectorized score over points of one cell with this model: EI against
-    the cell's own incumbent mean, with the pruned candidate pass as its
-    argmax, or UCB with a width from the cell's gain."""
+    the cell's own incumbent mean, or UCB with a width from the cell's gain.
+    Either is elementwise in (means, stds) and does not decrease in stds, so
+    the pruned candidate pass is its argmax."""
     if config.algorithm == ALG_PI_UCB:
         beta = beta_value(config.B, config.R, model.accumulated_info_gain(), config.delta)
 
-        def score(xs):
-            means, stds = model.posterior_many(xs)
+        def of(means, stds):
             return ucb_score(means, stds, beta)
     else:
-        def ei(means, stds):
+        def of(means, stds):
             return ei_scores(means, incumbent, omega_t * stds)
 
-        def score(xs):
-            return ei(*model.posterior_many(xs))
+    def score(xs):
+        return of(*model.posterior_many(xs))
 
-        score.argmax = lambda xs: model.posterior_argmax(xs, ei, _BOUND_RTOL, _SCORE_FLOOR)
+    score.argmax = lambda xs: model.posterior_argmax(xs, of)
     return score
 
 

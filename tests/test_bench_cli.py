@@ -368,6 +368,20 @@ class TestCli:
         (["--noise-stddev", "-1"], "noise stddev must be finite and >= 0, got -1.0"),
         (["--noise-stddev", "nan"], "noise stddev must be finite and >= 0, got nan"),
         (["--algorithms", "gp_ei,gp_ei"], "two runs share the label 'gp_ei_fixed1'"),
+        # an infinite scale makes every score infinite, so a step would take
+        # its search's first draw; a negative UCB width makes the score
+        # decrease in the stddev
+        (["--omega-c", "inf"], "fixed omega needs c > 0 and finite, got inf"),
+        (["--omega-c", "nan"], "fixed omega needs c > 0 and finite, got nan"),
+        (["--omega-mode", "theory_ei", "--delta", "1e-320"],
+         "theory_ei omega needs 1/delta finite"),
+        (["--algorithms", "pi_ucb", "--delta", "1e-320"], "pi_ucb needs 1/delta finite"),
+        (["--algorithms", "pi_ucb", "--B", "inf"], "pi_ucb needs B finite and >= 0, got inf"),
+        (["--algorithms", "pi_ucb", "--R", "inf"], "pi_ucb needs R finite and >= 0, got inf"),
+        (["--algorithms", "pi_ucb", "--B", "nan"], "pi_ucb needs B finite and >= 0, got nan"),
+        (["--algorithms", "pi_ucb", "--B", "-1"], "pi_ucb needs B finite and >= 0, got -1.0"),
+        (["--algorithms", "pi_ucb", "--R", "-0.5"],
+         "pi_ucb needs R finite and >= 0, got -0.5"),
     ])
     def test_bad_objective_writes_nothing(self, tmp_path, capsys, objective, message):
         rc = main([

@@ -266,11 +266,11 @@ class TestPosteriorBound:
 
         rng = np.random.default_rng(24)
         xs = rng.uniform(size=(2 * gp._BLOCK, 2))
-        assert GpModel(matern25, 0.01).posterior_argmax(xs, score, 0.0, 1.0) is None
+        assert GpModel(matern25, 0.01).posterior_argmax(xs, score) is None
         model = GpModel.fit(matern25, 0.01, rng.uniform(size=(30, 2)), rng.normal(size=30))
-        assert model.posterior_argmax(xs[:-1], score, 0.0, 1.0) is None
+        assert model.posterior_argmax(xs[:-1], score) is None
         values = score(*model.posterior_many(xs))
-        i, value = model.posterior_argmax(xs, score, 0.0, 1.0)
+        i, value = model.posterior_argmax(xs, score)
         assert i == int(np.argmax(values))
         assert np.float64(value).tobytes() == values[i].tobytes()
 
@@ -315,10 +315,10 @@ def ei(means, stds):
     return ei_scores(means, incumbent, stds)
 
 for _ in range(2):
-    model.posterior_argmax(xs, ei, 1e-9, 1e-280)
+    model.posterior_argmax(xs, ei)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(5):
-    model.posterior_argmax(xs, ei, 1e-9, 1e-280)
+    model.posterior_argmax(xs, ei)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 """
 

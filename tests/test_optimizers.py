@@ -489,10 +489,31 @@ POLYLOG_OMEGA = optimizers._omega(
               kernel=KERNEL), 0.0)
 
 
+def assert_one_point_pick(rng, y, config, incumbent, monkeypatch):
+    """The pruned pass over 4096 + 1 candidates, for a GP of one observation
+    y at a uniform point, whose stddev bound is exact up to _VAR_MARGIN,
+    gives the full pass's pick, and skips a solve exactly when the best
+    score reaches _SCORE_FLOOR."""
+    model = GpModel.fit(KERNEL, 0.01, rng.uniform(size=(1, 2)), [y])
+    xs = np.vstack([rng.uniform(size=(4096, 2)), model.points])
+    _, std = model.posterior_many(xs)
+    sbar = model._stddev_bound(cross_matrix(KERNEL, model.points, xs))
+    assert np.all(sbar * sbar - std * std <= 1.5 * gp._VAR_MARGIN)
+    score = optimizers._cell_score(config, model, 1.0, incumbent)
+    solved, real = [], GpModel._block_stddevs
+    monkeypatch.setattr(GpModel, "_block_stddevs",
+                        lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
+    got = score.argmax(xs)
+    monkeypatch.undo()
+    want = full_argmax(score, xs)
+    assert_same_pick(got, want, xs)
+    assert (sum(solved) < len(xs)) == (want[1] >= gp._SCORE_FLOOR)
+
+
 class TestPrunedCandidatePass:
-    """The EI candidate pass that solves stddevs only for candidates whose
+    """The candidate pass that solves stddevs only for candidates whose
     bound can reach the best exact score returns the full pass's pick to
-    the byte."""
+    the byte, for EI and for UCB."""
 
     @pytest.mark.parametrize("kind", ["matern25_d3", "matern15_d6", "se_d1", "jitter"])
     @pytest.mark.parametrize("omega", [1.0, 3.0, 4.5, 6.0, 15.0, POLYLOG_OMEGA],
@@ -548,9 +569,8 @@ class TestPrunedCandidatePass:
             return optimizers.ei_scores(means, incumbent, stds)
 
         xs = rng.uniform(size=(1024, 3))
-        args = ei, optimizers._BOUND_RTOL, optimizers._SCORE_FLOOR
-        assert model.posterior_argmax(xs[:1023], *args) is None
-        assert_same_pick(model.posterior_argmax(xs, *args), full_argmax(score, xs), xs)
+        assert model.posterior_argmax(xs[:1023], ei) is None
+        assert_same_pick(model.posterior_argmax(xs, ei), full_argmax(score, xs), xs)
 
     def test_vanished_ei_solves_every_candidate(self, monkeypatch):
         # an incumbent far above every mean makes every EI 0: no score can
@@ -603,6 +623,41 @@ class TestPrunedCandidatePass:
             with pytest.raises(ValueError, match="means and incumbent must be finite"):
                 maximize_acquisition(fn, np.zeros(3), np.ones(3),
                                      np.random.default_rng(0), 4096, 5)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, -4.0, -10.0, -20.0, -30.0, -35.5, -35.8,
+                                   -37.0])
+    def test_one_point_models_ei(self, z, monkeypatch):
+        # the incumbent -z puts the farthest candidates, mean ~0 and stddev
+        # ~1, at z: from the center to EI's deep tail, whose values fall
+        # below _SCORE_FLOOR from z ~ -35.7 and are then all solved
+        rng = np.random.default_rng([7, int(-10 * z)])
+        assert_one_point_pick(rng, 0.5, small_config(), -z, monkeypatch)
+
+    @pytest.mark.parametrize("B, R", [(0.0, 0.0), (0.0, 0.02), (1.0, 1.0)],
+                             ids=["beta0", "beta_small", "beta_default"])
+    @pytest.mark.parametrize("y", [0.5, 1e-3, -0.5])
+    def test_one_point_models_ucb(self, B, R, y, monkeypatch):
+        # beta = 0 scores the mean, bound and value alike; with every value
+        # below _SCORE_FLOOR (y < 0, beta = 0) every column is solved
+        rng = np.random.default_rng([8, int(100 * R), int(1e3 * (y + 1))])
+        config = small_config(ALG_PI_UCB, B=B, R=R)
+        assert_one_point_pick(rng, y, config, 0.0, monkeypatch)
+
+    def test_pruned_ucb_run_trace_unchanged(self, monkeypatch):
+        # pi-GP-UCB on a d = 2 kernel-expansion target at the default 4096
+        # candidates: the first cell search scores 4096 + 1 points and takes
+        # the pruned pass; the hash was recorded with the full pass
+        picks, real = [], GpModel.posterior_argmax
+        monkeypatch.setattr(GpModel, "posterior_argmax",
+                            lambda *a: picks.append(real(*a)) or picks[-1])
+        oracle, opt = rkhs_oracle(seed=100, m=30)
+        cfg = RunConfig(algorithm=ALG_PI_UCB, horizon_T=30, omega_mode=OMEGA_POLYLOG_T,
+                        kernel=KERNEL, lam=0.01, seed=0)
+        trace = run(cfg, oracle, opt)
+        assert sum(pick is not None for pick in picks) >= 1
+        text = strip_wallclock("\n".join(trace_csv_lines(trace, "x", opt)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e4653ca3a811c2965eeedcfaa515680affe9d8b8cedccdea67fc9d07d4f47e62")
 
     @pytest.mark.parametrize("omega_mode, digest", [
         (OMEGA_FIXED, "6a35aef6813efc644204b3fcf95230e92857d8d74a6f4a0a83b1e9f631847d45"),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gpbandit.kernels import MATERN, KernelSpec, kernel_of_distance
+from gpbandit import testbed
+from gpbandit.kernels import MATERN, KernelSpec, cross_matrix, kernel_of_distance
 from gpbandit.testbed import (
     STANDARD_FUNCTIONS,
     NoisyOracle,
@@ -53,6 +54,24 @@ class TestRkhsFunction:
             )
         )
         assert f(x) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 511, 512, 1023, 1024, 1025, 1536, 2047,
+                                   2048, 2049, 3001])
+    def test_batch_is_evaluated_in_column_blocks(self, kernel, m, monkeypatch):
+        # blocks of 512 columns, the remainder joining the last, hold at most
+        # 1023 kernel columns at once, and every value has the bytes of one
+        # product over the whole batch
+        rng = np.random.default_rng(m)
+        f = make_rkhs_function(kernel, 2, 30, rng, optimum_budget=1000)
+        xs = rng.uniform(size=(m, 2))
+        want = cross_matrix(kernel, f.centers, xs).T @ f.weights
+        widths = []
+        monkeypatch.setattr(testbed, "cross_matrix", lambda spec, a, b: (
+            widths.append(len(b)) or cross_matrix(spec, a, b)))
+        got = f(xs)
+        assert got.tobytes() == want.tobytes()
+        full, rest = divmod(m, 512)
+        assert widths == ([512] * (full - 1) + [512 + rest] if full else [m])
 
     def test_optimum_dominates_probes(self, kernel):
         rng = np.random.default_rng(44)
