@@ -86,6 +86,8 @@ class BenchConfig:
             raise ValueError("repeats must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.seed_base < 0:
+            raise ValueError(f"seed_base must be >= 0, got {self.seed_base}")
         labels = [run_label(run_cfg) for run_cfg in self.runs]
         for label in labels:
             if labels.count(label) > 1:

@@ -26,17 +26,10 @@ import math
 import numpy as np
 from scipy.linalg import lapack
 
-from .kernels import KernelSpec, cross_matrix, gram_matrix
+from .kernels import BLOCK, KernelSpec, cross_blocks, cross_matrix, gram_matrix
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _PIVOT_FLOOR = 1e-14
-# posterior_many scores query points in column blocks of this many, so a
-# pass holds a few n x _BLOCK float64 arrays (400 KB each at n = 100) however
-# many points it scores.  The kernel's temporaries for a block live in the
-# kernels module's per-thread scratch, kept between blocks and passes; the
-# block itself and the solve's column-major copy of it are fresh arrays.  A
-# multiple of 4, so that block edges never cut BLAS's 4-row unrolling.
-_BLOCK = 512
 # added to posterior_argmax's variance bound: the rounding of the computed
 # 1 - v.v, at most a few n ulps of 1, stays far below it
 _VAR_MARGIN = 1e-12
@@ -56,6 +49,7 @@ class GpNumericsError(RuntimeError):
 
 
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a, row-major like every extended factor."""
     c, info = lapack.dpotrf(a, lower=1, clean=1)
     if info > 0:
         raise GpNumericsError(
@@ -66,23 +60,21 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
         raise GpNumericsError(f"bad argument {-info} to dpotrf")
     if not np.isfinite(c).all():
         raise GpNumericsError("Cholesky factor is not finite")
-    return c
+    return np.ascontiguousarray(c)
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """x with L x = b (trans=0) or L^T x = b (trans=1); L lower triangular.
+    """x with L x = b (trans=0) or L^T x = b (trans=1); L lower triangular
+    and row-major.
 
-    Makes the LAPACK dtrtrs call scipy.linalg.solve_triangular makes for L's
-    memory order, so the result is the same to the bit, without that
+    Makes the LAPACK dtrtrs call scipy.linalg.solve_triangular makes for a
+    row-major L, so the result is the same to the bit, without that
     wrapper's per-call validation.  L is checked finite where it is built;
-    b is checked here.
+    b is checked here.  The solve copies b to column-major order.
     """
     if not np.isfinite(b).all():
         raise ValueError("right-hand side of a triangular solve must be finite")
-    if L.flags.f_contiguous:
-        x, info = lapack.dtrtrs(L, b, lower=1, trans=trans)
-    else:
-        x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1 - trans)
+    x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1 - trans)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular factor at diagonal {info - 1}")
     if info < 0:
@@ -104,9 +96,11 @@ class GpModel:
         self.lam = float(lam)
         self._X: np.ndarray | None = None  # (n, d)
         self._y: np.ndarray = np.zeros(0)
-        self._L: np.ndarray | None = None  # lower factor of K + (lam+jitter)*I
+        # row-major lower factor of K + (lam+jitter)*I, and
+        # (K + (lam+jitter)*I)^{-1} y; _set_factor sets both
+        self._L: np.ndarray | None = None
+        self._alpha: np.ndarray | None = None
         self._jitter = 0.0  # added by the last refit; extensions keep it
-        self._alpha: np.ndarray | None = None  # (K + (lam+jitter)*I)^{-1} y
         self._info_gain = 0.0
 
     @classmethod
@@ -133,24 +127,10 @@ class GpModel:
     def chol_factor(self) -> np.ndarray | None:
         return None if self._L is None else self._L.copy()
 
-    def _ensure_alpha(self) -> np.ndarray:
-        if self._alpha is None:
-            z = _solve_lower(self._L, self._y)
-            self._alpha = _solve_lower(self._L, z, trans=1)
-        return self._alpha
-
-    def _kernel_blocks(self, xs: np.ndarray):
-        """(start, stop, kernel block) over the columns of xs, in blocks of
-        _BLOCK; the remainder joins the last block, since a narrow tail block
-        would take other BLAS paths (gemv's row tail, dtrtrs's single
-        right-hand side) and round its columns differently from one call
-        over all of xs.  The caller drops each block before the next."""
-        m = xs.shape[0]
-        start = 0
-        while start < m:
-            stop = start + _BLOCK if m - start >= 2 * _BLOCK else m
-            yield start, stop, cross_matrix(self.kernel, self._X, xs[start:stop])
-            start = stop
+    def _set_factor(self, L: np.ndarray) -> None:
+        """Take L as the factor of the current data, and set alpha with it."""
+        self._L = L
+        self._alpha = _solve_lower(L, _solve_lower(L, self._y), trans=1)
 
     def _block_stddevs(self, kc: np.ndarray) -> np.ndarray:
         """Posterior stddevs at the columns of a kernel block.  A column's
@@ -184,11 +164,10 @@ class GpModel:
         m = xs.shape[0]
         if self.n == 0:
             return np.zeros(m), np.ones(m)
-        alpha = self._ensure_alpha()
         mean = np.empty(m)
         std = np.empty(m)
-        for start, stop, kc in self._kernel_blocks(xs):  # kc is (n, block)
-            np.matmul(kc.T, alpha, out=mean[start:stop])
+        for start, stop, kc in cross_blocks(self.kernel, self._X, xs):  # (n, block)
+            np.matmul(kc.T, self._alpha, out=mean[start:stop])
             std[start:stop] = self._block_stddevs(kc)
             del kc  # freed before the next block is built
         return mean, std
@@ -197,7 +176,7 @@ class GpModel:
         """(index, value) of the first-index argmax of
         score(*posterior_many(xs)), to the bit, with stddevs solved only at
         the points that can reach it; None without data, with a mean that is
-        not finite, or for a pass of one block (fewer than 2 * _BLOCK
+        not finite, or for a pass of one block (fewer than 2 * BLOCK
         points): on a cover's per-cell passes of ~128 points the bound's
         extra calls cost more than the solve they skip (Improved GP-EI on
         Hartmann-3, T=20, read +14% run time without this gate).
@@ -215,13 +194,12 @@ class GpModel:
         point is kept.  A lone column is solved beside a copy of itself, since
         dtrtrs rounds a single right-hand side differently."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.n == 0 or len(xs) < 2 * _BLOCK:
+        if self.n == 0 or len(xs) < 2 * BLOCK:
             return None
-        alpha = self._ensure_alpha()
         top = -math.inf  # the threshold: the best value computed so far
         best_i, best = -1, -math.inf
-        for start, _, kc in self._kernel_blocks(xs):
-            mean = np.matmul(kc.T, alpha)
+        for start, _, kc in cross_blocks(self.kernel, self._X, xs):
+            mean = np.matmul(kc.T, self._alpha)
             if not np.isfinite(mean).all():
                 return None
             bound = score(mean, self._stddev_bound(kc))
@@ -253,9 +231,8 @@ class GpModel:
         for jitter in _JITTER_LADDER:
             A = K + (self.lam + jitter) * np.eye(self.n)
             try:
-                self._L = _cholesky_lower(A)
+                self._set_factor(_cholesky_lower(A))
                 self._jitter = jitter
-                self._alpha = None
                 return
             except GpNumericsError as err:
                 last_err = err
@@ -275,8 +252,7 @@ class GpModel:
         if self._X is None:
             self._X = x[None, :]
             self._y = np.array([float(y)])
-            self._L = np.array([[math.sqrt(1.0 + self.lam)]])
-            self._alpha = None
+            self._set_factor(np.array([[math.sqrt(1.0 + self.lam)]]))
             return sigma_prev
 
         c = cross_matrix(self.kernel, self._X, x[None, :])[:, 0]
@@ -294,8 +270,7 @@ class GpModel:
         L[:n, :n] = self._L
         L[n, :n] = b
         L[n, n] = math.sqrt(pivot_sq)
-        self._L = L
-        self._alpha = None
+        self._set_factor(L)
         return sigma_prev
 
     def accumulated_info_gain(self) -> float:

@@ -59,6 +59,13 @@ _DEBYE_U = (
 # s * s and c * c from overflowing into inf * 0
 _EXP_ZERO = 745.2
 
+# cross_blocks builds a kernel matrix in column blocks of this many, so a
+# caller holds a few n x BLOCK float64 arrays (400 KB each at n = 100)
+# however many columns it asks for.  Each block is a fresh array; its
+# temporaries live in the per-thread scratch below.  A multiple of 4, so that
+# block edges never cut BLAS's 4-row unrolling.
+BLOCK = 512
+
 # A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements is a view of
 # a per-thread scratch buffer kept between calls.  Freed and allocated
 # afresh, such blocks go back to the OS (from 128 KiB, glibc's default mmap
@@ -66,12 +73,12 @@ _EXP_ZERO = 745.2
 # n = 100 took 2,083 minor faults, and about half again the time it takes
 # without them.  Smaller temporaries are fresh arrays, whose memory malloc
 # reuses without faults; the lookup would only slow a cover search's many
-# small calls.  Larger ones (4 MiB: the GP's n x 512 blocks reach it at
-# n = 1024) are fresh too, so that a one-shot call, such as a target's
+# small calls.  Larger ones (4 MiB: n x BLOCK blocks reach it at n = 1024)
+# are fresh too, so that a one-shot call, such as a target's
 # dense optimum search, neither raises its peak nor leaves its temporaries
 # behind: a thread keeps at most two of these, 8 MiB.
 _SCRATCH_MIN = 16384
-_SCRATCH_MAX = 1 << 19
+_SCRATCH_MAX = 1024 * BLOCK
 _scratch = threading.local()
 
 
@@ -294,6 +301,20 @@ def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
                 r += sq
             del sq  # the kernel's temporaries may take its memory
     return _kernel_in_place(spec, np.sqrt(r, out=r))
+
+
+def cross_blocks(spec: KernelSpec, xs, ys):
+    """(start, stop, cross_matrix(spec, xs, ys[start:stop])) over the rows of
+    ys, in blocks of BLOCK; the remainder joins the last block, since a
+    narrow tail block would take other BLAS paths (gemv's row tail, dtrtrs's
+    single right-hand side) and round its columns differently from one call
+    over all of ys.  The caller drops each block before the next."""
+    m = len(ys)
+    start = 0
+    while start < m:
+        stop = start + BLOCK if m - start >= 2 * BLOCK else m
+        yield start, stop, cross_matrix(spec, xs, ys[start:stop])
+        start = stop
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:

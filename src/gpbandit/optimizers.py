@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError(f"unknown algorithm: {self.algorithm!r}")
         if self.horizon_T < 1:
             raise ValueError("horizon must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.acq_candidates < 1:
             raise ValueError("need at least one acquisition candidate")
         if self.acq_refinements < 0:

@@ -18,11 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_matrix, gram_matrix
-
-
-# columns of the kernel matrix a batch evaluation holds at a time
-_BLOCK = 512
+from .kernels import KernelSpec, cross_blocks, gram_matrix
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -49,19 +45,13 @@ class RkhsFunction:
 
     def __call__(self, x):
         """f at one point, or at each row of a batch.  A batch is evaluated
-        in column blocks by GpModel._kernel_blocks's rule, _BLOCK columns with
-        the remainder joining the last block: at most 2 * _BLOCK kernel
-        columns are held at once, and every value rounds as in one
+        in the column blocks of kernels.cross_blocks: at most 2 * BLOCK
+        kernel columns are held at once, and every value rounds as in one
         single-threaded product over the whole batch."""
         xb, single = _as_batch(x)
-        m = len(xb)
-        vals = np.empty(m)
-        start = 0
-        while start < m:
-            stop = start + _BLOCK if m - start >= 2 * _BLOCK else m
-            kc = cross_matrix(self.kernel, self.centers, xb[start:stop])
+        vals = np.empty(len(xb))
+        for start, stop, kc in cross_blocks(self.kernel, self.centers, xb):
             np.matmul(kc.T, self.weights, out=vals[start:stop])
-            start = stop
         return float(vals[0]) if single else vals
 
     def save(self, path) -> None:

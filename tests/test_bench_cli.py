@@ -382,6 +382,7 @@ class TestCli:
         (["--algorithms", "pi_ucb", "--B", "-1"], "pi_ucb needs B finite and >= 0, got -1.0"),
         (["--algorithms", "pi_ucb", "--R", "-0.5"],
          "pi_ucb needs R finite and >= 0, got -0.5"),
+        (["--seed-base", "-1"], "seed_base must be >= 0, got -1"),
     ])
     def test_bad_objective_writes_nothing(self, tmp_path, capsys, objective, message):
         rc = main([

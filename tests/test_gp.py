@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from gpbandit import gp
+from gpbandit import gp, kernels
 from gpbandit.gp import GpModel
 from gpbandit.kernels import (
     MATERN,
@@ -141,7 +141,7 @@ class TestPosterior:
 
 
 class TestBlockedPosterior:
-    B = gp._BLOCK
+    B = kernels.BLOCK
 
     @pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 7])
     @pytest.mark.parametrize("family,nu", [(MATERN, 2.5), (SQUARED_EXPONENTIAL, None)])
@@ -190,14 +190,14 @@ class TestBlockedPosterior:
     def test_nan_right_hand_side_raises(self, matern25, monkeypatch):
         rng = np.random.default_rng(19)
         model = GpModel.fit(matern25, 0.01, rng.uniform(size=(5, 2)), rng.normal(size=5))
-        real = gp.cross_matrix
+        real = kernels.cross_matrix
 
         def poisoned(*args):
             k = real(*args)
             k[0, -1] = np.nan
             return k
 
-        monkeypatch.setattr(gp, "cross_matrix", poisoned)
+        monkeypatch.setattr(kernels, "cross_matrix", poisoned)
         with pytest.raises(ValueError):
             model.posterior_many(rng.uniform(size=(3, 2)))
         with pytest.raises(ValueError):
@@ -265,7 +265,7 @@ class TestPosteriorBound:
             return means + stds
 
         rng = np.random.default_rng(24)
-        xs = rng.uniform(size=(2 * gp._BLOCK, 2))
+        xs = rng.uniform(size=(2 * kernels.BLOCK, 2))
         assert GpModel(matern25, 0.01).posterior_argmax(xs, score) is None
         model = GpModel.fit(matern25, 0.01, rng.uniform(size=(30, 2)), rng.normal(size=30))
         assert model.posterior_argmax(xs[:-1], score) is None
@@ -366,6 +366,41 @@ class TestJitterRefit:
         assert np.max(np.abs(D - np.diag(diag))) <= 1e-12
         assert np.ptp(diag) <= 1e-12
         assert lam - 1e-12 <= diag.mean() <= lam + 1e-6 + 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_posterior_after_a_refit_matches_the_reference(self, matern25, seed):
+        # the last update repeats the first point at lam = 1e-16 and refits,
+        # so the factor comes from dpotrf, not from an extension; the
+        # posterior still reads the bits of the one-block SciPy reference
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(30, 2))
+        model = GpModel.fit(matern25, 1e-16, X, rng.normal(size=30))
+        assert model._jitter == 0
+        model.update(X[0], rng.normal())
+        assert model._jitter > 0
+        xq = rng.uniform(size=(600, 2))
+        mean, std = model.posterior_many(xq)
+        mean_r, std_r = unblocked_posterior(model, xq)
+        assert mean.tobytes() == mean_r.tobytes()
+        assert std.tobytes() == std_r.tobytes()
+
+    def test_posterior_makes_one_solve_per_block(self, matern25, monkeypatch):
+        # alpha is set with the factor, so after each kind of update (first
+        # point, extension, jitter refit) a posterior call solves only its
+        # kernel blocks
+        rng = np.random.default_rng(25)
+        p = rng.uniform(size=2)
+        xq = rng.uniform(size=(3 * kernels.BLOCK + 7, 2))
+        model = GpModel(matern25, 1e-16)
+        calls, real = [], gp._solve_lower
+        monkeypatch.setattr(gp, "_solve_lower",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        for x in (p, rng.uniform(size=2), p):
+            model.update(x, rng.normal())
+            del calls[:]
+            model.posterior_many(xq)
+            assert len(calls) == 3
+        assert model._jitter > 0
 
 
 class TestVarianceMonotonicity:

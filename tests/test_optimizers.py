@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gpbandit import gp, optimizers, partition
+from gpbandit import gp, kernels, optimizers, partition
 from gpbandit.bench import strip_wallclock, trace_csv_lines
 from gpbandit.gp import GpModel
 from gpbandit.kernels import MATERN, KernelSpec, cross_matrix
@@ -551,7 +551,7 @@ class TestPrunedCandidatePass:
         monkeypatch.setattr(GpModel, "_block_stddevs",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
         got = score.argmax(xs)
-        per_block = np.bincount(at // gp._BLOCK)
+        per_block = np.bincount(at // kernels.BLOCK)
         assert solved == [2] + [max(c, 2) for c in per_block if c]
         monkeypatch.undo()
         want = full_argmax(score, xs)
@@ -614,7 +614,7 @@ class TestPrunedCandidatePass:
         rng = np.random.default_rng(9)
         model, incumbent = pass_model("matern25_d3", rng)
         score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
-        alpha = model._ensure_alpha().copy()
+        alpha = model._alpha.copy()
         alpha[3] = np.nan
         monkeypatch.setattr(model, "_alpha", alpha)
         xs = rng.uniform(size=(4096, 3))

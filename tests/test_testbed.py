@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpbandit import testbed
+from gpbandit import kernels
 from gpbandit.kernels import MATERN, KernelSpec, cross_matrix, kernel_of_distance
 from gpbandit.testbed import (
     STANDARD_FUNCTIONS,
@@ -66,7 +66,7 @@ class TestRkhsFunction:
         xs = rng.uniform(size=(m, 2))
         want = cross_matrix(kernel, f.centers, xs).T @ f.weights
         widths = []
-        monkeypatch.setattr(testbed, "cross_matrix", lambda spec, a, b: (
+        monkeypatch.setattr(kernels, "cross_matrix", lambda spec, a, b: (
             widths.append(len(b)) or cross_matrix(spec, a, b)))
         got = f(xs)
         assert got.tobytes() == want.tobytes()
