@@ -4,7 +4,7 @@ Subcommands:
   run       execute a benchmark (config file + flag overrides), write CSVs
   diag      growth-rate diagnostics across horizons
   gen-rkhs  emit a reproducible kernel-expansion target file
-  optimum   certify a target's optimum by dense random search
+  optimum   estimate a target's optimum by dense random search
 
 Every config-file key is also a flag; flags win.  `optimum` builds its
 target the way `run` does, from the objective name and the target file.
@@ -57,9 +57,9 @@ def _cmd_diag(args) -> int:
     if len(set(horizons)) < 2:
         print("diag needs at least two distinct horizons", file=sys.stderr)
         return 2
+    configs = [build_bench_config(dict(values, T=str(T))) for T in horizons]
     by_label = {}
-    for T in horizons:
-        config = build_bench_config(dict(values, T=str(T)))
+    for T, config in zip(horizons, configs):  # all built: a bad one runs none
         config.output_dir = os.path.join(config.output_dir, f"T{T}")
         summary = bench.run_benchmark(config)
         for label, trs in summary["by_label"].items():
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--budget", type=int, default=50_000)
     p_gen.set_defaults(func=_cmd_gen_rkhs)
 
-    p_opt = sub.add_parser("optimum", help="certify a target's optimum")
+    p_opt = sub.add_parser("optimum", help="estimate a target's optimum")
     p_opt.add_argument("--objective", default="hartmann3",
                        choices=list(STANDARD_FUNCTIONS) + ["rkhs"])
     p_opt.add_argument("--rkhs-file")

@@ -87,7 +87,8 @@ class GpModel:
 
     posterior_many gives means and stddevs; posterior_argmax gives the
     argmax of a score of them, solving the O(n^2) triangular system only at
-    the query points whose stddev bound lets them win."""
+    the query points whose stddev bound lets them win; incumbent gives the
+    sampled point of largest mean."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         if not (np.isfinite(lam) and lam > 0):
@@ -100,6 +101,7 @@ class GpModel:
         # (K + (lam+jitter)*I)^{-1} y; _set_factor sets both
         self._L: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
+        self._incumbent: tuple[np.ndarray, float] | None = None  # set by incumbent()
         self._jitter = 0.0  # added by the last refit; extensions keep it
         self._info_gain = 0.0
 
@@ -128,9 +130,21 @@ class GpModel:
         return None if self._L is None else self._L.copy()
 
     def _set_factor(self, L: np.ndarray) -> None:
-        """Take L as the factor of the current data, and set alpha with it."""
+        """Take L as the factor of the current data, set alpha with it, and
+        drop the incumbent of the previous factor."""
         self._L = L
         self._alpha = _solve_lower(L, _solve_lower(L, self._y), trans=1)
+        self._incumbent = None
+
+    def incumbent(self) -> tuple[np.ndarray, float] | None:
+        """(x, mean) of the sampled point of largest posterior mean, the
+        first on ties; None without data.  One posterior pass per factor, at
+        its first read, so a point a split hands a child costs no pass."""
+        if self.n and self._incumbent is None:
+            means, _ = self.posterior_many(self._X)
+            i = int(np.argmax(means))
+            self._incumbent = self._X[i].copy(), float(means[i])
+        return self._incumbent
 
     def _block_stddevs(self, kc: np.ndarray) -> np.ndarray:
         """Posterior stddevs at the columns of a kernel block.  A column's

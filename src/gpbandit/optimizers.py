@@ -187,13 +187,7 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
         cands = np.vstack([cands, np.atleast_2d(np.asarray(extra_points, dtype=float))])
     argmax = getattr(score_fn, "argmax", None)
     found = None if argmax is None else argmax(cands)
-    if found is None:
-        scores = np.asarray(score_fn(cands), dtype=float)
-        if np.any(np.isnan(scores)):
-            raise AcquisitionNumericsError(cands[int(np.argmax(np.isnan(scores)))])
-        best = int(np.argmax(scores))
-        found = best, float(scores[best])
-    best, best_score = found
+    best, best_score = found or _pick(cands, np.asarray(score_fn(cands), dtype=float))
     best_x = cands[best].copy()
     if flat or n_refinements == 0:
         return best_x, best_score
@@ -212,15 +206,21 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
         window *= growth
         for round_probes, round_pv in zip(probes, pv.reshape(stop - r, n_probes)):
             r += 1
-            if np.any(np.isnan(round_pv)):
-                raise AcquisitionNumericsError(
-                    round_probes[int(np.argmax(np.isnan(round_pv)))])
-            i = int(np.argmax(round_pv))
-            if round_pv[i] > best_score:
-                best_score, best_x = float(round_pv[i]), round_probes[i].copy()
+            i, score = _pick(round_probes, round_pv)
+            if score > best_score:
+                best_score, best_x = score, round_probes[i].copy()
                 window = 1
                 break
     return best_x, best_score
+
+
+def _pick(points, scores) -> tuple[int, float]:
+    """(index, score) of the first-index argmax of scores; a NaN score, which
+    np.argmax returns first, raises with its point."""
+    i = int(np.argmax(scores))
+    if math.isnan(scores[i]):
+        raise AcquisitionNumericsError(points[i])
+    return i, float(scores[i])
 
 
 def _cell_budget(total_candidates: int, n_cells: int) -> int:
@@ -274,9 +274,10 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
     omega_t moves (theory_ei).  The search budget is left out of the key: it
     sets the effort, not the surface.  A cell without data has the prior's
     flat surface, so its search scores only its first candidate, while
-    drawing the same uniforms as any other.  Each cell's best posterior mean
-    at its sampled points is likewise computed once per model version; it is
-    both the cell's EI incumbent and its candidate for the report."""
+    drawing the same uniforms as any other.  A cell's EI incumbent and its
+    candidate for the report are both GpModel.incumbent(), its sampled point
+    of largest posterior mean, computed once per model version; x+ is the
+    first cell's among those of largest mean."""
     d = objective.dim
     rng = np.random.default_rng(config.seed)
     splits = config.algorithm != ALG_GP_EI
@@ -288,22 +289,6 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
     trace = RunTrace(config.algorithm, config.seed, d)
     trace.cover_q = cover.q
     searched = {}  # cell -> ((n, omega_t), score, x)
-    best_seen = {}  # cell -> (n, best_mean(cell))
-
-    def best_mean(cell):
-        """The cell's sampled point of largest posterior mean, and that
-        mean; None before the cell has data."""
-        model = cell.model
-        if cell not in best_seen or best_seen[cell][0] != model.n:
-            best = None
-            if model.n:
-                pts = model.points
-                means, _ = model.posterior_many(pts)
-                i = int(np.argmax(means))
-                best = pts[i], float(means[i])
-            best_seen[cell] = (model.n, best)
-        return best_seen[cell][1]
-
     cum_regret, gain = 0.0, 0.0
     for t in range(1, config.horizon_T + 1):
         t0 = time.perf_counter()
@@ -313,7 +298,7 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
         for cell in cover.cells:
             key = (cell.model.n, omega_t)
             if cell not in searched or searched[cell][0] != key:
-                best = best_mean(cell)
+                best = cell.model.incumbent()
                 score_fn = _cell_score(config, cell.model, omega_t,
                                        0.0 if best is None else best[1])
                 extra = cell.model.points if cell.model.n else None
@@ -339,15 +324,10 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
         y_t = objective(x_t)
         sigma_sel = win_cell.model.update(x_t, y_t)
         if splits and split_pass(cover):
-            for cache in (searched, best_seen):
-                for gone in cache.keys() - set(cover.cells):
-                    del cache[gone]
-        reported = None
-        for cell in cover.cells:
-            best = best_mean(cell)
-            if best is not None and (reported is None or best[1] > reported[1]):
-                reported = best
-        x_plus = reported[0] if reported is not None else x_t
+            for gone in searched.keys() - set(cover.cells):
+                del searched[gone]
+        incumbents = (c.model.incumbent() for c in cover.cells)
+        x_plus = max((b for b in incumbents if b is not None), key=lambda b: b[1])[0]
         f_plus = float(objective.target(x_plus))
         regret = true_optimum - f_plus
         cum_regret += regret

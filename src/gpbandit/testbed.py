@@ -1,4 +1,4 @@
-"""Objective functions with known optima, plus the Gaussian noise channel.
+"""Objective functions with estimated optima, plus the Gaussian noise channel.
 
 Synthetic targets are kernel expansions f(x) = sum_i a_i k(c_i, x) whose
 squared RKHS norm is the quadratic form a^T K a, so the smoothness budget of
@@ -132,8 +132,8 @@ class NoisyOracle:
     """Adds i.i.d. Gaussian noise to a target; one oracle per run."""
 
     def __init__(self, target, dim: int, noise_stddev: float, rng: np.random.Generator):
-        if noise_stddev < 0:
-            raise ValueError("noise stddev must be nonnegative")
+        if not (math.isfinite(noise_stddev) and noise_stddev >= 0):
+            raise ValueError(f"noise stddev must be finite and >= 0, got {noise_stddev}")
         self.target = target
         self.dim = dim
         self.noise_stddev = float(noise_stddev)
@@ -149,12 +149,11 @@ _OPTIMUM_ROUNDS = 40
 
 
 def estimate_optimum(f, d: int, budget: int, rng: np.random.Generator):
-    """Numerical certificate for the maximum of f on the unit box.
+    """Estimate of the maximum of f on the unit box, not a certificate.
 
     Dense random search over `budget` uniform points, then shrinking-radius
     refinement from the best `_OPTIMUM_STARTS` of them, `_OPTIMUM_ROUNDS`
-    rounds of 16 probes each.  Re-checkable by re-running with a larger
-    budget.
+    rounds of 16 probes each.  A rerun with a larger budget checks it.
     """
     if budget < 1000:
         raise ValueError("budget must be >= 1000")
@@ -266,9 +265,9 @@ def _ackley10(x):
     return float(vals[0]) if single else vals
 
 
-# name -> (target, dim, certified optimum value, optimizer in the unit box);
-# optima certified numerically (dense search + local polish), the well-known
-# published values serve as the cross-check
+# name -> (target, dim, optimum value, optimizer in the unit box); optima
+# estimated numerically (dense search + local polish) and cross-checked
+# against the well-known published values
 _STANDARD = {
     "hartmann3": (_hartmann3, 3, 3.862779787332663, np.array(
         [0.11458887133078371, 0.5556488955562107, 0.852546983879289])),
@@ -285,7 +284,7 @@ STANDARD_FUNCTIONS = tuple(_STANDARD)
 
 
 def standard_function(name: str):
-    """(target, dim, certified optimum value, optimizer in the unit box)."""
+    """(target, dim, estimated optimum value, optimizer in the unit box)."""
     name = name.lower()
     if name not in _STANDARD:
         raise ValueError(f"unknown test function: {name!r}")

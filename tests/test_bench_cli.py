@@ -334,6 +334,18 @@ class TestCli:
         assert not (tmp_path / "env_out").exists()
         assert not (tmp_path / "bench_out").exists()
 
+    def test_diag_bad_horizon_writes_nothing(self, tmp_path, capsys):
+        # the good horizon comes first: it must not run before the bad one
+        # is rejected
+        rc = main([
+            "diag", "--horizons", "3,0", "--objective", "hartmann3",
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "horizon must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_gen_rkhs_and_optimum(self, tmp_path, capsys):
         target = tmp_path / "target.json"
         rc = main([

@@ -403,6 +403,73 @@ class TestJitterRefit:
         assert model._jitter > 0
 
 
+def first_mean_argmax(model):
+    """The sampled point of largest posterior mean, and that mean, from the
+    first-index argmax of one posterior pass over the points."""
+    points = model.points
+    means, _ = model.posterior_many(points)
+    i = int(np.argmax(means))
+    return points[i], float(means[i])
+
+
+class TestIncumbent:
+    def test_none_without_data(self, matern25):
+        assert GpModel(matern25, 0.01).incumbent() is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_first_argmax_of_the_posterior_means(self, matern25, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(15, 2))
+        model = GpModel.fit(matern25, 0.01, X, rng.normal(size=15))
+        x, mean = model.incumbent()
+        want_x, want_mean = first_mean_argmax(model)
+        assert x.tobytes() == want_x.tobytes()
+        assert mean == want_mean
+
+    def test_ties_go_to_the_first_point(self, matern25):
+        # zero observations give alpha = 0, so every mean is exactly 0
+        X = np.random.default_rng(5).uniform(size=(6, 2))
+        x, mean = GpModel.fit(matern25, 0.01, X, np.zeros(6)).incumbent()
+        assert x.tobytes() == X[0].tobytes() and mean == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_read_again_after_an_update_and_a_refit(self, d):
+        kernel = KernelSpec(MATERN, 0.3, 2.5)
+        rng = np.random.default_rng(60 + d)
+        model = GpModel(kernel, 1e-16)
+        p = rng.uniform(size=d)
+        model.update(p, 0.0)
+        for x, y in ((rng.uniform(size=d), 1.0), (p, 2.0)):  # an extension, a refit
+            before = model.incumbent()
+            model.update(x, y)
+            assert model.incumbent() is not before
+            assert model.incumbent()[1] == first_mean_argmax(model)[1]
+        assert model._jitter > 0
+        model = jitter_refit_model(kernel, d, rng)
+        x, mean = model.incumbent()
+        want_x, want_mean = first_mean_argmax(model)
+        assert x.tobytes() == want_x.tobytes() and mean == want_mean
+        model.update(rng.uniform(size=d), mean + 1.0)
+        x, mean = model.incumbent()
+        want_x, want_mean = first_mean_argmax(model)
+        assert x.tobytes() == want_x.tobytes() and mean == want_mean
+
+    def test_one_posterior_pass_per_factor(self, matern25, monkeypatch):
+        rng = np.random.default_rng(26)
+        p = rng.uniform(size=2)
+        model = GpModel(matern25, 1e-16)
+        calls, real = [], GpModel.posterior_many
+        monkeypatch.setattr(GpModel, "posterior_many",
+                            lambda self, xs: calls.append(1) or real(self, xs))
+        for x in (p, rng.uniform(size=2), p):  # first point, extension, refit
+            model.update(x, rng.normal())
+            del calls[:]
+            for _ in range(3):
+                model.incumbent()
+            assert len(calls) == 1
+        assert model._jitter > 0
+
+
 class TestVarianceMonotonicity:
     def test_sigma_never_increases(self):
         kernel = KernelSpec(MATERN, 0.2, 2.5)

@@ -355,6 +355,30 @@ class TestLookAheadWindows:
                 raised += 1
         assert raised >= 10
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
+    def test_single_nan_after_a_larger_score_raises_at_it(self, d):
+        # one NaN row, in the candidate batch or in a round the reference
+        # scores, after a row of larger finite score: the first NaN, not the
+        # finite argmax, decides where the search raises
+        raised = [0, 0]
+        for score, args in self.cases(d):
+            ref_calls = []
+            self.outcome(_interleaved_maximizer, self.recording(score, ref_calls),
+                         *args)
+            for k, batch in enumerate(ref_calls[:1] + ref_calls[1:][-1:]):
+                values = np.asarray(score(batch), dtype=float)
+                top = int(np.argmax(values))
+                later = np.flatnonzero(values[top + 1:] < values[top])
+                if not len(later):
+                    continue
+                row = batch[top + 1 + later[-1]]
+                nan_score = self.nan_at(score, {row.tobytes()})
+                want = self.outcome(_interleaved_maximizer, nan_score, *args)
+                assert want == ("nan", row.tobytes())
+                assert self.outcome(maximize_acquisition, nan_score, *args) == want
+                raised[k] += 1
+        assert min(raised) >= 5
+
 
 class TestRunGpEi:
     def test_horizon_one(self):

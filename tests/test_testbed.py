@@ -107,6 +107,14 @@ class TestNoisyOracle:
         with pytest.raises(ValueError):
             NoisyOracle(lambda x: 0.0, 1, -0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("stddev", [math.nan, math.inf])
+    def test_non_finite_stddev_rejected(self, stddev):
+        # every observation would be NaN or inf, and the first model update
+        # would fail on it
+        with pytest.raises(ValueError,
+                           match=f"noise stddev must be finite and >= 0, got {stddev}"):
+            NoisyOracle(lambda x: 0.0, 1, stddev, np.random.default_rng(0))
+
 
 class TestEstimateOptimum:
     def test_quadratic_bowl(self):
