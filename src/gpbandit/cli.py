@@ -54,7 +54,10 @@ def _cmd_run(args) -> int:
 def _cmd_diag(args) -> int:
     values = _config_values(args)
     horizons = [int(h) for h in args.horizons.split(",")]
-    if len(set(horizons)) < 2:
+    for i, T in enumerate(horizons):  # each runs into its own T<horizon>/
+        if T in horizons[:i]:
+            raise ValueError(f"horizon {T} is given more than once")
+    if len(horizons) < 2:
         print("diag needs at least two distinct horizons", file=sys.stderr)
         return 2
     configs = [build_bench_config(dict(values, T=str(T))) for T in horizons]

@@ -86,9 +86,10 @@ class GpModel:
     """GP regressor owned by a single run loop; posterior reads are const.
 
     posterior_many gives means and stddevs; posterior_argmax gives the
-    argmax of a score of them, solving the O(n^2) triangular system only at
-    the query points whose stddev bound lets them win; incumbent gives the
-    sampled point of largest mean."""
+    argmax of a score of them: posterior_many's block walk bounds every
+    query point's stddev, and one posterior_many call solves the O(n^2)
+    triangular system at the points whose bound lets them win; incumbent
+    gives the sampled point of largest mean."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         if not (np.isfinite(lam) and lam > 0):
@@ -168,6 +169,17 @@ class GpModel:
         np.subtract(1.0 + _VAR_MARGIN, kmax, out=kmax)
         return np.sqrt(np.maximum(kmax, 0.0, out=kmax))
 
+    def _means_and(self, xs, per_block) -> tuple[np.ndarray, np.ndarray]:
+        """(means, per_block(kc) for each kernel block kc) over the points xs,
+        given data: the one block walk of posterior_many and posterior_argmax."""
+        mean = np.empty(len(xs))
+        other = np.empty(len(xs))
+        for start, stop, kc in cross_blocks(self.kernel, self._X, xs):  # (n, block)
+            np.matmul(kc.T, self._alpha, out=mean[start:stop])
+            other[start:stop] = per_block(kc)
+            del kc  # freed before the next block is built
+        return mean, other
+
     def posterior_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior (means, stddevs) at a batch of query points.
 
@@ -175,16 +187,9 @@ class GpModel:
         two or more: posterior_many(xs[idx])[1] is posterior_many(xs)[1][idx]
         for any idx of at least two entries."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        m = xs.shape[0]
         if self.n == 0:
-            return np.zeros(m), np.ones(m)
-        mean = np.empty(m)
-        std = np.empty(m)
-        for start, stop, kc in cross_blocks(self.kernel, self._X, xs):  # (n, block)
-            np.matmul(kc.T, self._alpha, out=mean[start:stop])
-            std[start:stop] = self._block_stddevs(kc)
-            del kc  # freed before the next block is built
-        return mean, std
+            return np.zeros(len(xs)), np.ones(len(xs))
+        return self._means_and(xs, self._block_stddevs)
 
     def posterior_argmax(self, xs, score):
         """(index, value) of the first-index argmax of
@@ -201,38 +206,28 @@ class GpModel:
         computed value at a larger stddev.  Then score(mean, _stddev_bound)
         bounds each point's value from above, and a point whose bound, times
         1 + _BOUND_RTOL, stays below a value already computed cannot win.
-        The two points of largest bound in the first block are scored exactly
-        to set that threshold; each block then solves the columns of the
-        points that pass it, and the threshold rises to the best value before
-        the next block.  While the threshold is below _SCORE_FLOOR every
-        point is kept.  A lone column is solved beside a copy of itself, since
-        dtrtrs rounds a single right-hand side differently."""
+        posterior_many's block walk gives the means and these bounds; the two
+        points of largest bound are scored exactly to set that threshold, and
+        one posterior_many call solves the points that pass it (a lone one
+        beside a copy of itself), whose stddevs read as in the full pass.
+        While the threshold is below _SCORE_FLOOR every point is kept."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self.n == 0 or len(xs) < 2 * BLOCK:
             return None
-        top = -math.inf  # the threshold: the best value computed so far
-        best_i, best = -1, -math.inf
-        for start, _, kc in cross_blocks(self.kernel, self._X, xs):
-            mean = np.matmul(kc.T, self._alpha)
-            if not np.isfinite(mean).all():
-                return None
-            bound = score(mean, self._stddev_bound(kc))
-            if start == 0:
-                seeds = np.argpartition(bound, -2)[-2:]
-                top = float(np.max(score(mean[seeds], self._block_stddevs(kc[:, seeds]))))
-            if top >= _SCORE_FLOOR:
-                keep = np.flatnonzero(bound * (1.0 + _BOUND_RTOL) >= top)
-                kc = kc[:, np.repeat(keep, 2) if len(keep) == 1 else keep]
-            else:
-                keep = np.arange(len(mean))
-            if len(keep):
-                values = score(mean[keep], self._block_stddevs(kc)[:len(keep)])
-                i = int(np.argmax(values))
-                if values[i] > best:  # blocks go in index order: the first wins ties
-                    best_i, best = start + int(keep[i]), float(values[i])
-                    top = max(top, best)
-            del kc
-        return best_i, best
+        mean, sbar = self._means_and(xs, self._stddev_bound)
+        if not np.isfinite(mean).all():
+            return None
+        bound = score(mean, sbar)
+        seeds = np.argpartition(bound, -2)[-2:]
+        top = float(np.max(score(mean[seeds], self.posterior_many(xs[seeds])[1])))
+        if top >= _SCORE_FLOOR:
+            keep = np.flatnonzero(bound * (1.0 + _BOUND_RTOL) >= top)
+        else:
+            keep = np.arange(len(xs))
+        std = self.posterior_many(xs[np.repeat(keep, 2) if len(keep) == 1 else keep])[1]
+        values = score(mean[keep], std[:len(keep)])
+        i = int(np.argmax(values))
+        return int(keep[i]), float(values[i])
 
     def posterior(self, x) -> tuple[float, float]:
         """Posterior (mean, stddev) at one point; (0, 1) with no data."""

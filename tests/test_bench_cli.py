@@ -346,6 +346,18 @@ class TestCli:
         assert "horizon must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_diag_repeated_horizon_writes_nothing(self, tmp_path, capsys):
+        # a repeated horizon would run twice into one T2/ directory and count
+        # twice in the growth fit
+        rc = main([
+            "diag", "--horizons", "2,3,2", "--objective", "hartmann3",
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "horizon 2 is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_gen_rkhs_and_optimum(self, tmp_path, capsys):
         target = tmp_path / "target.json"
         rc = main([

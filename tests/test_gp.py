@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from gpbandit import gp, kernels
+from gpbandit.acquisition import ei_scores, ucb_score
 from gpbandit.gp import GpModel
 from gpbandit.kernels import (
     MATERN,
@@ -294,6 +295,46 @@ class TestPosteriorBound:
         # a lone column solved beside a copy of itself
         for i in rng.choice(len(xs), size=20, replace=False):
             assert model.posterior_many(xs[[i, i]])[1][0] == std[i]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.integers(1, 40),
+        m=st.integers(1024, 1600),
+        acq=st.one_of(st.tuples(st.just("ei"), st.floats(0.5, 20.0)),
+                      st.tuples(st.just("ucb"), st.floats(0.0, 5.0))),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(d=2, n=30, m=1024, acq=("ei", 1.0), duplicate=True, seed=0)
+    def test_argmax_is_the_full_pass_argmax(self, d, n, m, acq, duplicate, seed):
+        """posterior_argmax(xs, score) is the first-index argmax of
+        score(*posterior_many(xs)) and its value, to the byte, for EI at
+        scale omega and UCB at width beta, with and without a duplicated
+        point at lam = 1e-16 that forces the jitter refit."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, d))
+        lam = 0.01
+        if duplicate:
+            X = np.vstack([X[:1], X])
+            lam = 1e-16
+        model = GpModel.fit(KernelSpec(MATERN, 0.2, 2.5), lam, X,
+                            np.sin(5.0 * X).sum(axis=1) + 0.1 * rng.normal(size=len(X)))
+        assert (model._jitter > 0) == duplicate
+        kind, scale = acq
+        if kind == "ei":
+            incumbent = model.incumbent()[1]
+
+            def score(means, stds):
+                return ei_scores(means, incumbent, scale * stds)
+        else:
+            def score(means, stds):
+                return ucb_score(means, stds, scale)
+        xs = np.vstack([rng.uniform(size=(m - len(X), d)), X])
+        values = score(*model.posterior_many(xs))
+        i, value = model.posterior_argmax(xs, score)
+        assert i == int(np.argmax(values))
+        assert np.float64(value).tobytes() == values[i].tobytes()
 
 
 # A GP-EI candidate pass at n = 100 (4096 + n points), 2 passes to warm up,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gpbandit import gp, kernels, optimizers, partition
+from gpbandit import gp, optimizers, partition
 from gpbandit.bench import strip_wallclock, trace_csv_lines
 from gpbandit.gp import GpModel
 from gpbandit.kernels import MATERN, KernelSpec, cross_matrix
@@ -555,9 +555,9 @@ class TestPrunedCandidatePass:
     @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 6, 7, 8, 9, 200])
     def test_forced_survivor_counts(self, copies, monkeypatch):
         # copies of the best point, the first in the first block, among
-        # candidates whose bound is far below its score: the first block's
-        # two largest bounds are solved, then each block solves exactly its
-        # copies (a lone one beside a copy of itself), and the first copy wins
+        # candidates whose bound is far below its score: the two largest
+        # bounds are solved, then every copy in one call (a lone one beside a
+        # copy of itself), and the first copy wins
         rng = np.random.default_rng(copies)
         model, incumbent = pass_model("matern25_d3", rng)
         pool = rng.uniform(size=(8000, 3))
@@ -575,8 +575,7 @@ class TestPrunedCandidatePass:
         monkeypatch.setattr(GpModel, "_block_stddevs",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
         got = score.argmax(xs)
-        per_block = np.bincount(at // kernels.BLOCK)
-        assert solved == [2] + [max(c, 2) for c in per_block if c]
+        assert solved == [2, max(copies, 2)]
         monkeypatch.undo()
         want = full_argmax(score, xs)
         assert want[0] == at[0]
