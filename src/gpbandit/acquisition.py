@@ -29,19 +29,18 @@ def _phi(z):
 
 
 def _tau(z: np.ndarray) -> np.ndarray:
-    """tau at finite z of any shape; callers check that z is finite."""
-    zs = np.atleast_1d(z)
+    """tau at finite z of one or more dimensions.  Callers check that z is
+    finite and ignore over- and underflow: z^2 may overflow for
+    |z| > 1e154, where phi's exp(-inf) and the tail's phi/inf give the
+    exact limit 0."""
     # the direct form everywhere, then the tail form over it where it
-    # applies, so the tail's division never sees a tiny z; z^2 may overflow
-    # for |z| > 1e154, where phi's exp(-inf) and the tail's phi/inf give the
-    # exact limit 0
-    with np.errstate(over="ignore", under="ignore"):
-        out = zs * ndtr(zs) + _phi(zs)
-        tail = zs < _TAIL_Z
-        if tail.any():
-            zt = zs[tail]
-            out[tail] = _phi(zt) / np.square(zt)
-    return out.reshape(np.shape(z))
+    # applies, so the tail's division never sees a tiny z
+    out = z * ndtr(z) + _phi(z)
+    tail = z < _TAIL_Z
+    if tail.any():
+        zt = z[tail]
+        out[tail] = _phi(zt) / np.square(zt)
+    return out
 
 
 def tau(z):
@@ -49,34 +48,61 @@ def tau(z):
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("tau argument must be finite")
-    out = _tau(z)
+    with np.errstate(over="ignore", under="ignore"):
+        out = _tau(np.atleast_1d(z))
     if z.ndim == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 
+def _first_false(ok: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first False entry of ok, in C order, and its text for
+    an error: ' at index i', a tuple past one dimension, none at zero."""
+    i = np.unravel_index(int(np.argmin(ok)), np.shape(ok))
+    if not i:
+        return i, ""
+    return i, f" at index {int(i[0]) if len(i) == 1 else tuple(map(int, i))}"
+
+
 def ei_scores(means, incumbent: float, scaled_stddevs) -> np.ndarray:
-    """Vectorized improvement score rho(mean - incumbent, scaled_stddev)."""
+    """Vectorized improvement score rho(mean - incumbent, scaled_stddev).
+
+    A scaled stddev that is negative or NaN, or a mean or incumbent that is
+    not finite, raises ValueError naming the first such entry.  The score
+    is computed on 1-D arrays under one errstate, whatever the input shape."""
     u = np.asarray(means, dtype=float) - incumbent
     v = np.asarray(scaled_stddevs, dtype=float)
-    if not (v >= 0).all():
-        raise ValueError("scaled stddev must be nonnegative")
+    ok = v >= 0
+    if not ok.all():
+        i, at = _first_false(ok)
+        raise ValueError(f"scaled stddev must be nonnegative and not NaN, got {v[i]}{at}")
     if u.shape != v.shape:
         u, v = np.broadcast_arrays(u, v)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    shape = u.shape
+    if len(shape) != 1:
+        u, v = u.reshape(-1), v.reshape(-1)
+    # u / v is inf or NaN where v = 0 or a subnormal v overflows it, and
+    # _tau may over- and underflow
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         z = u / v
-    hinge = np.maximum(0.0, u)
-    if np.isfinite(z).all():
-        out = v * _tau(z)
-    else:
-        # v = 0, or a subnormal v that makes u / v overflow: rho(u, v) is at
-        # its limit max(0, u)
-        if not np.isfinite(u).all():
-            raise ValueError("means and incumbent must be finite")
-        limit = ~np.isfinite(z)
-        out = np.where(limit, hinge, v * _tau(np.where(limit, 0.0, z)))
-    # guard the analytic floor rho(u, v) >= max(0, u) against roundoff
-    return np.maximum(out, hinge)
+        hinge = np.maximum(0.0, u)
+        if np.isfinite(z).all():
+            out = v * _tau(z)
+        else:
+            # v = 0, or a subnormal v that makes u / v overflow: rho(u, v) is
+            # at its limit max(0, u)
+            finite = np.isfinite(u)
+            if not finite.all():
+                i, at = _first_false(finite.reshape(shape))
+                mean = np.broadcast_to(np.asarray(means, dtype=float), shape)[i]
+                inc = np.broadcast_to(np.asarray(incumbent, dtype=float), shape)[i]
+                raise ValueError("means and incumbent must be finite, "
+                                 f"got mean {mean} and incumbent {inc}{at}")
+            limit = ~np.isfinite(z)
+            out = np.where(limit, hinge, v * _tau(np.where(limit, 0.0, z)))
+        # guard the analytic floor rho(u, v) >= max(0, u) against roundoff
+        np.maximum(out, hinge, out=out)
+    return out if len(shape) == 1 else out.reshape(shape)[()]
 
 
 def ucb_score(mean, stddev, beta: float):

@@ -156,7 +156,8 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
     n_probes rows, the same doubles as one call per pass.  `flat` says the
     score is the same everywhere in the box (a GP with no data): the draw is
     still made, so the rng advances as in a full search, but only the first
-    candidate, which wins every tie, is scored.
+    candidate, which wins every tie, is built and scored, without the
+    argmax shortcut below.
 
     Rounds are scored in look-ahead windows, several rounds per score_fn
     call.  The radius halves every round whether or not the round improves,
@@ -180,12 +181,10 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
     d = lower.shape[0]
     n_probes = max(8, 2 * d)
     u = rng.uniform(size=(n_candidates + n_refinements * n_probes, d))
-    cands = lower + u[:n_candidates] * (upper - lower)
-    if flat:
-        cands = cands[:1]
-    elif extra_points is not None and len(extra_points):
+    cands = lower + u[:1 if flat else n_candidates] * (upper - lower)
+    if not flat and extra_points is not None and len(extra_points):
         cands = np.vstack([cands, np.atleast_2d(np.asarray(extra_points, dtype=float))])
-    argmax = getattr(score_fn, "argmax", None)
+    argmax = None if flat else getattr(score_fn, "argmax", None)
     found = None if argmax is None else argmax(cands)
     best, best_score = found or _pick(cands, np.asarray(score_fn(cands), dtype=float))
     best_x = cands[best].copy()
@@ -201,7 +200,8 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
     while r < n_refinements:
         stop = min(r + window, n_refinements)
         probes = best_x + offsets[r:stop] * radii[r:stop]
-        np.clip(probes, lower, upper, out=probes)
+        np.maximum(probes, lower, out=probes)  # np.clip, without its wrappers
+        np.minimum(probes, upper, out=probes)
         pv = np.asarray(score_fn(probes.reshape(-1, d)), dtype=float)
         window *= growth
         for round_probes, round_pv in zip(probes, pv.reshape(stop - r, n_probes)):
@@ -216,11 +216,12 @@ def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
 
 def _pick(points, scores) -> tuple[int, float]:
     """(index, score) of the first-index argmax of scores; a NaN score, which
-    np.argmax returns first, raises with its point."""
-    i = int(np.argmax(scores))
-    if math.isnan(scores[i]):
+    argmax returns first, raises with its point."""
+    i = int(scores.argmax())
+    score = float(scores[i])
+    if math.isnan(score):
         raise AcquisitionNumericsError(points[i])
-    return i, float(scores[i])
+    return i, score
 
 
 def _cell_budget(total_candidates: int, n_cells: int) -> int:

@@ -38,16 +38,14 @@ class Cell:
     lower: np.ndarray
     upper: np.ndarray
     model: GpModel
+    diameter: float = field(init=False)  # of the box, set once with it
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         if not np.all(self.lower < self.upper):
             raise ValueError("cell must have lower < upper componentwise")
-
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
+        self.diameter = float(np.linalg.norm(self.upper - self.lower))
 
     def contains(self, x: np.ndarray) -> bool:
         """Ownership test: half-open, closed on domain-boundary upper faces."""

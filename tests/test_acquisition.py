@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import ndtr
 
 from gpbandit.acquisition import beta_value, ei_scores, tau, ucb_score
 from gpbandit.kernels import MATERN, KernelSpec
@@ -146,6 +148,152 @@ class TestEiScore:
         # integrand vanishes below 0, so start the quadrature at the kink
         oracle, _ = quad(integrand, 0.0, u + 12 * v, limit=200)
         assert ei_scores(u, 0.0, v) == pytest.approx(oracle, abs=1e-9)
+
+
+def _frozen_phi(z):
+    return np.exp(-0.5 * np.square(z)) / SQRT_2PI
+
+
+def _frozen_tau_any(z):
+    """tau at finite z of any shape, as it was before ei_scores took one
+    errstate per call.  This and the three around it are kept verbatim, up
+    to their names, as the byte-for-byte reference of the faster code."""
+    zs = np.atleast_1d(z)
+    with np.errstate(over="ignore", under="ignore"):
+        out = zs * ndtr(zs) + _frozen_phi(zs)
+        tail = zs < -38.0
+        if tail.any():
+            zt = zs[tail]
+            out[tail] = _frozen_phi(zt) / np.square(zt)
+    return out.reshape(np.shape(z))
+
+
+def frozen_tau(z):
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("tau argument must be finite")
+    out = _frozen_tau_any(z)
+    if z.ndim == 0:
+        return float(out)
+    return out
+
+
+def frozen_ei_scores(means, incumbent, scaled_stddevs):
+    u = np.asarray(means, dtype=float) - incumbent
+    v = np.asarray(scaled_stddevs, dtype=float)
+    if not (v >= 0).all():
+        raise ValueError("scaled stddev must be nonnegative")
+    if u.shape != v.shape:
+        u, v = np.broadcast_arrays(u, v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = u / v
+    hinge = np.maximum(0.0, u)
+    if np.isfinite(z).all():
+        out = v * _frozen_tau_any(z)
+    else:
+        if not np.isfinite(u).all():
+            raise ValueError("means and incumbent must be finite")
+        limit = ~np.isfinite(z)
+        out = np.where(limit, hinge, v * _frozen_tau_any(np.where(limit, 0.0, z)))
+    return np.maximum(out, hinge)
+
+
+def outcome(fn, *args):
+    """('value', type, shape, dtype, bytes) of fn(*args), or ('raises', type)."""
+    try:
+        got = fn(*args)
+    except Exception as err:  # RuntimeWarning too, which the suite raises
+        return "raises", type(err)
+    arr = np.asarray(got)
+    return "value", type(got), arr.shape, arr.dtype, arr.tobytes()
+
+
+# the values where the score changes form: v = 0 and subnormal v (u / v
+# overflows), z around the tail switch at -38, deep and far z, and values
+# that raise (NaN, inf, negative v) or overflow (|u| near float max)
+_EDGES = [0.0, -0.0, 5e-324, 1e-310, 2.2e-308, 1e-20, 1e-3, 1.0, 38.0, -38.0,
+          -37.99, -38.01, -1e3, 1e3, 1e10, -1e10, 1e154, -1e200, 1e300, -1e308]
+_BAD = [np.nan, np.inf, -np.inf, -1e-300, -1.0]
+
+
+def _elements(bad: bool):
+    values = [st.floats(-50.0, 50.0), st.sampled_from(_EDGES)]
+    if bad:
+        values.append(st.sampled_from(_BAD))
+    return st.one_of(*values)
+
+
+@st.composite
+def ei_inputs(draw):
+    """(means, incumbent, scaled stddevs): 0-, 1- or 2-d means, stddevs of
+    the same or a broadcast shape, and a float or array incumbent that
+    broadcasts against the means."""
+    shape = draw(st.sampled_from([(), (1,), (5,), (17,), (3, 4), (2, 1)]))
+    bad = draw(st.integers(0, 9)) == 0  # one draw in ten may hold bad values
+    means = draw(hnp.arrays(float, shape, elements=_elements(bad)))
+    std_shape = draw(st.sampled_from([shape, shape[1:], ()]))
+    stds = draw(hnp.arrays(float, std_shape,
+                           elements=st.one_of(st.floats(0.0, 10.0), st.sampled_from(
+                               [0.0, 5e-324, 1e-310, 1e-300, 1e-6, 1e3, 1e300]),
+                               *([st.sampled_from(_BAD)] if bad else []))))
+    if draw(st.booleans()):
+        incumbent = draw(_elements(bad))
+    else:
+        inc_shape = draw(st.sampled_from([shape, shape[1:], (1,) * len(shape), ()]))
+        incumbent = draw(hnp.arrays(float, inc_shape, elements=_elements(bad)))
+    return means, incumbent, stds
+
+
+class TestFrozenReference:
+    """ei_scores and tau against the frozen reference above: the same type,
+    shape and bytes, or the same exception type."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ei_inputs())
+    @example((np.array([1.0, -1.0, 2.5]), 0.0, np.zeros(3)))  # v = 0
+    @example((np.array([1.0, -1.0]), 0.0, np.array([5e-324, 1e-310])))  # subnormal v
+    @example((np.array([-50.0, -38.5, -37.9]), 0.0, np.ones(3)))  # z < -38
+    @example((np.array([[1e10, 1e300]]), -1.0, np.array([1e-6, 1.0])))  # large z
+    @example((0.5, np.array([0.0, 1.0]), 1.0))  # 0-d means, broadcast incumbent
+    @example((np.array([0.0, np.nan]), 0.0, np.array([1.0, 1.0])))
+    @example((np.array([np.inf]), 0.0, np.array([0.0])))
+    @example((np.array([0.0]), 0.0, np.array([np.nan])))
+    @example((np.array([1e308]), -1e308, np.array([1.0])))  # u overflows
+    def test_ei_scores(self, args):
+        assert outcome(ei_scores, *args) == outcome(frozen_ei_scores, *args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(), (1,), (7,), (3, 4)]).flatmap(
+        lambda shape: hnp.arrays(float, shape, elements=st.one_of(
+            st.floats(-100.0, 100.0), st.sampled_from(_EDGES + _BAD)))))
+    def test_tau(self, z):
+        assert outcome(tau, z) == outcome(frozen_tau, z)
+        if z.ndim == 0:
+            assert outcome(tau, float(z)) == outcome(frozen_tau, float(z))
+
+
+class TestEiErrors:
+    """The ValueErrors of ei_scores name the first offending entry."""
+
+    @pytest.mark.parametrize("stds, text", [
+        ([1.0, -0.5, -1.0], "got -0.5 at index 1"),
+        ([1.0, 1.0, np.nan], "got nan at index 2"),
+        ([[1.0, 1.0], [np.nan, -1.0]], r"got nan at index \(1, 0\)"),
+        (-2.0, "got -2.0$"),
+    ])
+    def test_bad_stddev(self, stds, text):
+        with pytest.raises(ValueError, match="scaled stddev must be nonnegative and not NaN, "
+                           + text):
+            ei_scores(np.zeros(np.shape(stds)), 0.0, stds)
+
+    @pytest.mark.parametrize("means, incumbent, stds, text", [
+        ([0.0, np.inf, np.nan], 0.0, [0.0, 0.0, 0.0], "got mean inf and incumbent 0.0 at index 1"),
+        ([[0.0], [1.0]], [0.0, np.nan], 0.0, r"got mean 0.0 and incumbent nan at index \(0, 1\)"),
+        (np.nan, 0.0, 1.0, "got mean nan and incumbent 0.0$"),
+    ])
+    def test_non_finite_mean(self, means, incumbent, stds, text):
+        with pytest.raises(ValueError, match="means and incumbent must be finite, " + text):
+            ei_scores(means, incumbent, stds)
 
 
 class TestUcbScore:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from gpbandit import optimizers
 from gpbandit.gp import GpModel
 from gpbandit.kernels import MATERN, KernelSpec
+from gpbandit.optimizers import ALG_IMPROVED_GP_EI, OMEGA_POLYLOG_T, RunConfig, run
 from gpbandit.partition import Cell, initial_cover, split_constants, split_pass
+from gpbandit.testbed import NoisyOracle, standard_function
 
 
 @pytest.fixture
@@ -177,3 +180,36 @@ class TestSplitRule:
         grown = cover.total_created - before
         assert grown % 4 == 0
         assert cover.total_created >= cover.cell_count
+
+
+class TestDiameterSetOnce:
+    def test_run_matches_a_fresh_norm(self, monkeypatch):
+        # Improved GP-EI on Hartmann-3 at T = 20: every split pass splits
+        # exactly the cells that the rule, with the norm computed afresh,
+        # picks among the cells present when it starts, and every cell's
+        # stored diameter is that norm
+        target, d, opt, _ = standard_function("hartmann3")
+        cfg = RunConfig(algorithm=ALG_IMPROVED_GP_EI, horizon_T=20,
+                        omega_mode=OMEGA_POLYLOG_T, kernel=KernelSpec(MATERN, 0.2, 2.5))
+        oracle = NoisyOracle(target, d, 0.1, np.random.default_rng(10_000))
+        real_split_pass, passes = optimizers.split_pass, []
+
+        def fresh_norm(cell):
+            return float(np.linalg.norm(cell.upper - cell.lower))
+
+        def replayed(cover):
+            before = list(cover.cells)
+            want = [c for c in before
+                    if fresh_norm(c) ** (-1.0 / cover.b) < c.model.n + 1]
+            n_split = real_split_pass(cover)
+            assert [c for c in before if c not in cover.cells] == want
+            assert n_split == len(want)
+            for cell in cover.cells:
+                assert cell.diameter == fresh_norm(cell)
+            passes.append(n_split)
+            return n_split
+
+        monkeypatch.setattr(optimizers, "split_pass", replayed)
+        trace = run(cfg, oracle, opt)
+        assert len(passes) == 20 and sum(passes) > 0
+        assert trace.rows[-1].cell_count > trace.rows[0].cell_count
