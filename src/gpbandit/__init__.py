@@ -15,6 +15,7 @@ from .optimizers import (
     RunTrace,
     maximize_acquisition,
     run,
+    search_draw,
 )
 from .partition import Cell, Cover, initial_cover
 from .testbed import (
@@ -51,6 +52,7 @@ __all__ = [
     "make_rkhs_function",
     "maximize_acquisition",
     "run",
+    "search_draw",
     "standard_function",
     "tau",
     "ucb_score",

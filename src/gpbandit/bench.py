@@ -397,6 +397,8 @@ def load_config_file(path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _DEFAULTS:
             raise ValueError(f"unknown config key: {key!r}")
+        if key in values:  # a later line would win silently
+            raise ValueError(f"config key {key!r} is given more than once")
         values[key] = value
     return values
 

@@ -58,8 +58,7 @@ def _cmd_diag(args) -> int:
         if T in horizons[:i]:
             raise ValueError(f"horizon {T} is given more than once")
     if len(horizons) < 2:
-        print("diag needs at least two distinct horizons", file=sys.stderr)
-        return 2
+        raise ValueError("diag needs at least two distinct horizons")
     configs = [build_bench_config(dict(values, T=str(T))) for T in horizons]
     by_label = {}
     for T, config in zip(horizons, configs):  # all built: a bad one runs none

@@ -143,58 +143,58 @@ class RunTrace:
         return self.rows[-1].cumulative_regret
 
 
-def maximize_acquisition(score_fn, lower, upper, rng: np.random.Generator,
-                         n_candidates: int, n_refinements: int,
-                         extra_points=None, flat: bool = False) -> tuple[np.ndarray, float]:
-    """Random multi-start argmax over a box: uniform candidates plus any
-    previously sampled points, then shrinking-radius perturbation rounds.
-    Returns the best point and its score.  Ties go to the first-seen point;
-    deterministic given the rng state.
+def search_draw(rng: np.random.Generator, n_candidates: int, n_refinements: int, d: int):
+    """A search's uniforms from one rng call, the same doubles as one call per
+    pass: cand_u, shape (n_candidates, d), then probe_u, shape (n_refinements,
+    n_probes, d), one group of n_probes = max(8, 2 d) rows per round."""
+    if min(n_candidates, n_refinements, d) < 0:
+        raise ValueError(f"search_draw needs counts >= 0, got n_candidates={n_candidates}, "
+                         f"n_refinements={n_refinements}, d={d}")
+    n_probes = max(8, 2 * d)
+    u = rng.uniform(size=(n_candidates + n_refinements * n_probes, d))
+    return u[:n_candidates], u[n_candidates:].reshape(n_refinements, n_probes, d)
 
-    All uniforms are drawn in one call: the candidates take the first
-    n_candidates rows, and each round's probe offsets 2u - 1 the next
-    n_probes rows, the same doubles as one call per pass.  `flat` says the
-    score is the same everywhere in the box (a GP with no data): the draw is
-    still made, so the rng advances as in a full search, but only the first
-    candidate, which wins every tie, is built and scored, without the
-    argmax shortcut below.
 
-    Rounds are scored in look-ahead windows, several rounds per score_fn
-    call.  The radius halves every round whether or not the round improves,
-    so a round's probes depend only on the best point at its start, and a
-    window's rounds are those a one-round-at-a-time search would score until
-    one of them improves.  The first improving round in the window is taken
-    and the rounds after it are dropped; a NaN raises only in a round before
-    that.  The window is one round after an improvement and doubles after a
-    window without one, capped at the rounds left.  The result is that of
-    the one-round search as long as score_fn scores each row of a batch to
-    the same bits wherever the row sits; GpModel.posterior_many does so for
-    probe groups of a multiple of 4 rows (n_probes = max(8, 2 d)).  Other
-    group sizes keep the window at one round, so there the search is the
-    one-round search by construction.
+def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np.ndarray,
+                         extra_points=None) -> tuple[np.ndarray, float]:
+    """Random multi-start argmax over a box, a pure function of its draw (see
+    search_draw): candidates lower + cand_u (upper - lower) plus any sampled
+    points, then shrinking-radius rounds, round r's probes offset by
+    2 probe_u[r] - 1.  Returns the best point and its score; ties go to the
+    first-seen point.
+
+    Rounds are scored in look-ahead windows, several per score_fn call.  The
+    radius halves every round, so a round's probes depend only on the best
+    point at its start: the first round in a window that improves is taken,
+    the rounds after it are dropped, and a NaN raises only in a round before
+    it.  A window is one round after an improvement and doubles after one
+    without, up to the rounds left, but stays one round unless n_probes is a
+    multiple of 4: such row groups are what GpModel.posterior_many scores to
+    the same bits wherever they sit, so the result is the one-round search's.
 
     A score_fn may carry an `argmax(points)` attribute, a shortcut for the
     candidate pass: it returns the (index, score) that the first-index
     argmax of score_fn(points) gives, or None to have that full pass made."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     d = lower.shape[0]
-    n_probes = max(8, 2 * d)
-    u = rng.uniform(size=(n_candidates + n_refinements * n_probes, d))
-    cands = lower + u[:1 if flat else n_candidates] * (upper - lower)
-    if not flat and extra_points is not None and len(extra_points):
+    if not (lower < upper).all():
+        raise ValueError(f"search box needs lower < upper, got {lower} and {upper}")
+    for name, u, ndim in (("cand_u", cand_u, 2), ("probe_u", probe_u, 3)):
+        if u.ndim != ndim or u.shape[-1] != d:
+            raise ValueError(f"{name} has shape {u.shape}, but the box has d = {d}")
+    cands = lower + cand_u * (upper - lower)
+    if extra_points is not None and len(extra_points):
         cands = np.vstack([cands, np.atleast_2d(np.asarray(extra_points, dtype=float))])
-    argmax = None if flat else getattr(score_fn, "argmax", None)
+    if not len(cands):
+        raise ValueError("search has no candidate: cand_u has 0 rows and no extra point")
+    argmax = getattr(score_fn, "argmax", None)
     found = None if argmax is None else argmax(cands)
     best, best_score = found or _pick(cands, np.asarray(score_fn(cands), dtype=float))
     best_x = cands[best].copy()
-    if flat or n_refinements == 0:
-        return best_x, best_score
-    offsets = (2.0 * u[n_candidates:] - 1.0).reshape(n_refinements, n_probes, d)
-    # round r's radius, 0.25 (upper - lower) halved r times
-    radii = np.full((n_refinements, 1, d), 0.5)
-    radii[0] = 0.25 * (upper - lower)
-    np.cumprod(radii, axis=0, out=radii)
+    n_refinements, n_probes, _ = probe_u.shape
+    offsets = 2.0 * probe_u - 1.0
+    # round r's radius, 0.25 (upper - lower) halved r times, exactly
+    radii = 0.25 * (upper - lower) * 0.5 ** np.arange(n_refinements)[:, None, None]
     growth = 2 if n_probes % 4 == 0 else 1
     r, window = 0, 1
     while r < n_refinements:
@@ -273,12 +273,12 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
     is searched again only when that key changes: after it receives an
     observation, when it is newly created by a split, or at every step when
     omega_t moves (theory_ei).  The search budget is left out of the key: it
-    sets the effort, not the surface.  A cell without data has the prior's
-    flat surface, so its search scores only its first candidate, while
-    drawing the same uniforms as any other.  A cell's EI incumbent and its
-    candidate for the report are both GpModel.incumbent(), its sampled point
-    of largest posterior mean, computed once per model version; x+ is the
-    first cell's among those of largest mean."""
+    sets the effort, not the surface.  Each search takes one search_draw, in
+    cover order; on a cell without data, whose surface is flat, it is given
+    only the first candidate's row and no round.  A cell's EI incumbent and
+    its candidate for the report are both GpModel.incumbent(), its sampled
+    point of largest posterior mean, computed once per model version; x+ is
+    the first cell's among those of largest mean."""
     d = objective.dim
     rng = np.random.default_rng(config.seed)
     splits = config.algorithm != ALG_GP_EI
@@ -302,12 +302,12 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
                 best = cell.model.incumbent()
                 score_fn = _cell_score(config, cell.model, omega_t,
                                        0.0 if best is None else best[1])
-                extra = cell.model.points if cell.model.n else None
-                x, s = maximize_acquisition(
-                    score_fn, cell.lower, cell.upper, rng, budget,
-                    config.acq_refinements, extra_points=extra,
-                    flat=cell.model.n == 0,
-                )
+                cand_u, probe_u = search_draw(rng, budget, config.acq_refinements, d)
+                if cell.model.n == 0:  # flat surface: the first candidate wins
+                    cand_u, probe_u = cand_u[:1], probe_u[:0]
+                x, s = maximize_acquisition(score_fn, cell.lower, cell.upper, cand_u,
+                                            probe_u, extra_points=cell.model.points)
+                del cand_u, probe_u  # held to the next draw, it adds ~1 MB to peak RSS
                 # keep the point inside the half-open ownership region: an
                 # exact hit on a shared upper face would belong to the
                 # neighbour cell

@@ -295,6 +295,13 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config_file(cfg_file)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # the last line would otherwise win silently and run T = 7
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("T = 5\nrepeats = 2\nT = 7\n")
+        with pytest.raises(ValueError, match="config key 'T' is given more than once"):
+            load_config_file(cfg_file)
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -356,6 +363,26 @@ class TestCli:
         ])
         assert rc == 1
         assert "horizon 2 is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_diag_single_horizon_writes_nothing(self, tmp_path, capsys):
+        rc = main([
+            "diag", "--horizons", "5", "--objective", "hartmann3",
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert ("error: diag needs at least two distinct horizons"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_config_key_writes_nothing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("T = 5\nT = 7\n")
+        rc = main(["run", "--config", str(cfg_file), "--acq-candidates", "64",
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "config key 'T' is given more than once" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_gen_rkhs_and_optimum(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from gpbandit.optimizers import (
     RunConfig,
     maximize_acquisition,
     run,
+    search_draw,
 )
 from gpbandit.partition import initial_cover
 from gpbandit.testbed import NoisyOracle, make_rkhs_function, standard_function
@@ -43,6 +44,15 @@ def rkhs_oracle(seed=100, d=2, noise=0.1, m=30):
     return oracle, f.optimum_value
 
 
+def drawn_search(score_fn, lower, upper, rng, n_candidates, n_refinements,
+                 extra_points=None):
+    """maximize_acquisition on one search_draw from rng, as run searches a
+    cell with data."""
+    cand_u, probe_u = search_draw(rng, n_candidates, n_refinements, len(lower))
+    return maximize_acquisition(score_fn, lower, upper, cand_u, probe_u,
+                                extra_points=extra_points)
+
+
 class TestMaximizeAcquisition:
     def test_finds_quadratic_peak(self):
         center = np.full(2, 0.5)
@@ -50,7 +60,7 @@ class TestMaximizeAcquisition:
         def score(xs):
             return -np.sum((np.atleast_2d(xs) - center) ** 2, axis=1)
 
-        best, _ = maximize_acquisition(
+        best, _ = drawn_search(
             score, np.zeros(2), np.ones(2), np.random.default_rng(61),
             n_candidates=4096, n_refinements=20,
         )
@@ -62,7 +72,7 @@ class TestMaximizeAcquisition:
 
         rng = np.random.default_rng(62)
         extra = np.array([[0.99]])
-        best, _ = maximize_acquisition(
+        best, _ = drawn_search(
             score, np.zeros(1), np.ones(1), rng, 1, 0, extra_points=extra
         )
         # the prior sample point scores 0.99; a uniform draw rarely beats it
@@ -74,30 +84,94 @@ class TestMaximizeAcquisition:
 
         rng = np.random.default_rng(63)
         cands_preview = np.random.default_rng(63).uniform(size=(8, 2))
-        best, _ = maximize_acquisition(score, np.zeros(2), np.ones(2), rng, 8, 0)
+        best, _ = drawn_search(score, np.zeros(2), np.ones(2), rng, 8, 0)
         np.testing.assert_allclose(best, cands_preview[0])
 
     def test_deterministic_given_rng(self):
         def score(xs):
             return np.sin(np.sum(np.atleast_2d(xs), axis=1))
 
-        a, _ = maximize_acquisition(
+        a, _ = drawn_search(
             score, np.zeros(3), np.ones(3), np.random.default_rng(64), 128, 5
         )
-        b, _ = maximize_acquisition(
+        b, _ = drawn_search(
             score, np.zeros(3), np.ones(3), np.random.default_rng(64), 128, 5
         )
         np.testing.assert_array_equal(a, b)
+        # the search is a function of its draw alone
+        cand_u, probe_u = search_draw(np.random.default_rng(64), 128, 5, 3)
+        c, _ = maximize_acquisition(score, np.zeros(3), np.ones(3), cand_u.copy(),
+                                    probe_u.copy())
+        np.testing.assert_array_equal(a, c)
 
     def test_nan_score_raises_with_point(self):
         def score(xs):
             return np.full(np.atleast_2d(xs).shape[0], np.nan)
 
         with pytest.raises(AcquisitionNumericsError) as err:
-            maximize_acquisition(
+            drawn_search(
                 score, np.zeros(2), np.ones(2), np.random.default_rng(65), 4, 0
             )
         assert err.value.point.shape == (2,)
+
+
+class TestSearchInputs:
+    """A search rejects, naming the value, what it cannot search; the draw
+    rejects negative counts."""
+
+    @staticmethod
+    def score(xs):
+        return -np.sum(np.atleast_2d(xs) ** 2, axis=1)
+
+    def test_search_draw_is_one_call_split_in_two(self):
+        for d in (1, 2, 5):
+            rng, ref = np.random.default_rng(70 + d), np.random.default_rng(70 + d)
+            n_probes = max(8, 2 * d)
+            cand_u, probe_u = search_draw(rng, 7, 3, d)
+            u = ref.uniform(size=(7 + 3 * n_probes, d))
+            assert cand_u.shape == (7, d) and probe_u.shape == (3, n_probes, d)
+            assert cand_u.tobytes() + probe_u.tobytes() == u.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("counts", [(-1, 0, 2), (4, -1, 2), (4, 1, -1)])
+    def test_search_draw_rejects_negative_counts(self, counts):
+        rng = np.random.default_rng(71)
+        with pytest.raises(ValueError, match="counts >= 0.*=-1"):
+            search_draw(rng, *counts)
+
+    def test_no_candidate_and_no_extra_point_raises(self):
+        # formerly a failure inside numpy: "attempt to get argmax of an empty
+        # sequence"
+        cand_u, probe_u = search_draw(np.random.default_rng(72), 0, 3, 2)
+        for extra in (None, np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="no candidate"):
+                maximize_acquisition(self.score, np.zeros(2), np.ones(2), cand_u,
+                                     probe_u, extra_points=extra)
+        # a sampled point alone is a candidate
+        x, _ = maximize_acquisition(self.score, np.zeros(2), np.ones(2), cand_u,
+                                    probe_u, extra_points=np.full((1, 2), 0.5))
+        assert x.shape == (2,)
+
+    @pytest.mark.parametrize("which", ["cand_u", "probe_u"])
+    def test_draw_of_another_dimension_raises(self, which):
+        draws = {d: search_draw(np.random.default_rng(73), 4, 2, d) for d in (2, 3)}
+        cand_u, probe_u = draws[2]
+        if which == "cand_u":
+            cand_u = draws[3][0]
+        else:
+            probe_u = draws[3][1]
+        with pytest.raises(ValueError, match=f"{which} has shape .*d = 2"):
+            maximize_acquisition(self.score, np.zeros(2), np.ones(2), cand_u, probe_u)
+
+    @pytest.mark.parametrize("lower, upper", [([1.0, 1.0], [0.0, 0.0]),
+                                              ([0.0, 0.5], [1.0, 0.5]),
+                                              ([0.0, np.nan], [1.0, 1.0])])
+    def test_box_without_lower_below_upper_raises(self, lower, upper):
+        # the reversed box formerly returned [0, 0] without an error
+        cand_u, probe_u = search_draw(np.random.default_rng(74), 4, 2, 2)
+        with pytest.raises(ValueError, match="lower < upper"):
+            maximize_acquisition(self.score, np.array(lower), np.array(upper),
+                                 cand_u, probe_u)
 
 
 def _interleaved_maximizer(score_fn, lower, upper, rng, n_candidates,
@@ -157,8 +231,8 @@ def _replayed_row_counts(scores, n_probes, n_refinements):
 
 
 class TestOneDraw:
-    """The one-draw maximizer against the interleaved reference: the same
-    point to the byte, the same score and the same rng state after."""
+    """The search on one search_draw against the interleaved reference: the
+    same point to the byte, the same score and the same rng state after."""
 
     @staticmethod
     def box(rng, d):
@@ -166,7 +240,7 @@ class TestOneDraw:
         return np.minimum(a, b), np.maximum(a, b) + 1e-3
 
     @pytest.mark.parametrize("with_extra", [False, True])
-    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_matches_interleaved_draws(self, d, with_extra):
         setup = np.random.default_rng(1000 + d)
         center = setup.uniform(size=d)
@@ -188,14 +262,16 @@ class TestOneDraw:
                     rng = np.random.default_rng(seed)
                     want = _interleaved_maximizer(score, lower, upper, ref_rng,
                                                   n_candidates, n_refinements, extra)
-                    got = maximize_acquisition(score, lower, upper, rng, n_candidates,
-                                               n_refinements, extra_points=extra)
+                    got = drawn_search(score, lower, upper, rng, n_candidates,
+                                       n_refinements, extra_points=extra)
                     assert got[0].tobytes() == want[0].tobytes()
                     assert got[1] == want[1]
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_flat_search_scores_only_the_first_candidate(self, d):
+        # a cell without data: the whole draw is made, and the search is
+        # given its first candidate row and no probe row
         setup = np.random.default_rng(2000 + d)
         for n_candidates in (1, 7, 128):
             for n_refinements in (0, 1, 30):
@@ -212,8 +288,9 @@ class TestOneDraw:
                                               n_candidates, n_refinements)
                 calls.clear()
                 rng = np.random.default_rng(seed)
-                got = maximize_acquisition(constant, lower, upper, rng, n_candidates,
-                                           n_refinements, flat=True)
+                cand_u, probe_u = search_draw(rng, n_candidates, n_refinements, d)
+                got = maximize_acquisition(constant, lower, upper, cand_u[:1],
+                                           probe_u[:0])
                 assert calls == [1]
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1] == want[1]
@@ -224,9 +301,10 @@ class TestOneDraw:
             return np.full(np.atleast_2d(xs).shape[0], np.nan)
 
         first = np.random.default_rng(66).uniform(size=(5, 2))[0]
+        cand_u, probe_u = search_draw(np.random.default_rng(66), 5, 3, 2)
         with pytest.raises(AcquisitionNumericsError) as err:
-            maximize_acquisition(nan_score, np.zeros(2), np.ones(2),
-                                 np.random.default_rng(66), 5, 3, flat=True)
+            maximize_acquisition(nan_score, np.zeros(2), np.ones(2), cand_u[:1],
+                                 probe_u[:0])
         np.testing.assert_array_equal(err.value.point, first)
 
 
@@ -307,7 +385,7 @@ class TestLookAheadWindows:
         for score, args in self.cases(d):
             calls = []
             want = self.outcome(_interleaved_maximizer, score, *args)
-            got = self.outcome(maximize_acquisition, self.recording(score, calls),
+            got = self.outcome(drawn_search, self.recording(score, calls),
                                *args)
             assert got == want
             windows += any(len(c) > n_probes for c in calls[1:])
@@ -326,13 +404,13 @@ class TestLookAheadWindows:
             ref_calls, calls = [], []
             want = self.outcome(_interleaved_maximizer,
                                 self.recording(score, ref_calls), *args)
-            self.outcome(maximize_acquisition, self.recording(score, calls), *args)
+            self.outcome(drawn_search, self.recording(score, calls), *args)
             seen = {x.tobytes() for c in ref_calls for x in c}
             dropped = {x.tobytes() for c in calls for x in c} - seen
             if not dropped:
                 continue
             dropped_cases += 1
-            got = self.outcome(maximize_acquisition, self.nan_at(score, dropped),
+            got = self.outcome(drawn_search, self.nan_at(score, dropped),
                                *args)
             assert got == want
         # one-round windows drop no round
@@ -349,7 +427,7 @@ class TestLookAheadWindows:
             for k in sorted({0, len(rounds) // 2, len(rounds) - 1} if rounds else ()):
                 nan_score = self.nan_at(score, {x.tobytes() for x in rounds[k]})
                 want = self.outcome(_interleaved_maximizer, nan_score, *args)
-                got = self.outcome(maximize_acquisition, nan_score, *args)
+                got = self.outcome(drawn_search, nan_score, *args)
                 assert want[0] == "nan"
                 assert got == want
                 raised += 1
@@ -375,7 +453,7 @@ class TestLookAheadWindows:
                 nan_score = self.nan_at(score, {row.tobytes()})
                 want = self.outcome(_interleaved_maximizer, nan_score, *args)
                 assert want == ("nan", row.tobytes())
-                assert self.outcome(maximize_acquisition, nan_score, *args) == want
+                assert self.outcome(drawn_search, nan_score, *args) == want
                 raised[k] += 1
         assert min(raised) >= 5
 
@@ -613,9 +691,9 @@ class TestPrunedCandidatePass:
         monkeypatch.undo()
         assert_same_pick(got, full_argmax(score, xs), xs)
         plain = lambda q: score(q)  # noqa: E731  (no argmax attribute)
-        got, want = (maximize_acquisition(fn, np.zeros(3), np.ones(3),
-                                          np.random.default_rng(7), 4096, 5,
-                                          extra_points=model.points)
+        got, want = (drawn_search(fn, np.zeros(3), np.ones(3),
+                                  np.random.default_rng(7), 4096, 5,
+                                  extra_points=model.points)
                      for fn in (score, plain))
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
@@ -626,9 +704,9 @@ class TestPrunedCandidatePass:
         score = optimizers._cell_score(small_config(), model, omega, incumbent)
         plain = lambda q: score(q)  # noqa: E731
         for seed in range(5):
-            got, want = (maximize_acquisition(fn, np.zeros(3), np.ones(3),
-                                              np.random.default_rng(seed), 4096, 30,
-                                              extra_points=model.points)
+            got, want = (drawn_search(fn, np.zeros(3), np.ones(3),
+                                      np.random.default_rng(seed), 4096, 30,
+                                      extra_points=model.points)
                          for fn in (score, plain))
             assert got[0].tobytes() == want[0].tobytes()
             assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
@@ -644,8 +722,8 @@ class TestPrunedCandidatePass:
         assert score.argmax(xs) is None
         for fn in (score, lambda q: score(q)):
             with pytest.raises(ValueError, match="means and incumbent must be finite"):
-                maximize_acquisition(fn, np.zeros(3), np.ones(3),
-                                     np.random.default_rng(0), 4096, 5)
+                drawn_search(fn, np.zeros(3), np.ones(3),
+                             np.random.default_rng(0), 4096, 5)
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -4.0, -10.0, -20.0, -30.0, -35.5, -35.8,
                                    -37.0])
@@ -860,13 +938,13 @@ class TestCoverSearchCache:
 
     @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
     def test_cell_budget_never_exceeds_the_total(self, alg, monkeypatch):
-        budgets, search = [], optimizers.maximize_acquisition
+        budgets, draw = [], optimizers.search_draw
 
-        def recording_search(score_fn, lower, upper, rng, n_candidates, *args, **kwargs):
+        def recording_draw(rng, n_candidates, *args):
             budgets.append(n_candidates)
-            return search(score_fn, lower, upper, rng, n_candidates, *args, **kwargs)
+            return draw(rng, n_candidates, *args)
 
-        monkeypatch.setattr(optimizers, "maximize_acquisition", recording_search)
+        monkeypatch.setattr(optimizers, "search_draw", recording_draw)
         oracle, opt = rkhs_oracle(seed=409)
         cfg = RunConfig(
             algorithm=alg, horizon_T=25,
@@ -882,10 +960,11 @@ class TestCoverSearchCache:
         # a search of a cell with data reads the posterior once for the
         # candidate batch and once per window of refinement rounds, with the
         # row counts the window rule gives for the scores it saw; a search of
-        # a cell without data (flat) reads one point; without a face clamp
-        # nothing is re-scored after the searches
+        # a cell without data is given one candidate row and no probe row of
+        # its draw, and reads one point; without a face clamp nothing is
+        # re-scored after the searches
         state = {"reads": 0, "searches": 0, "expected": 0, "clamped": False}
-        steps, flat_searches, windows = [], [], []
+        steps, empty_searches, windows = [], [], []
         real_posterior_many = GpModel.posterior_many
         search = optimizers.maximize_acquisition
         cfg = self.polylog_config(alg)
@@ -895,8 +974,7 @@ class TestCoverSearchCache:
             state["reads"] += 1
             return real_posterior_many(self, xs)
 
-        def counting_search(score_fn, lower, upper, *args, extra_points=None,
-                            flat=False):
+        def counting_search(score_fn, lower, upper, cand_u, probe_u, extra_points):
             if state["searches"] == 0:  # drop the reads of the previous step
                 state["reads"] = 0
             state["searches"] += 1
@@ -906,20 +984,22 @@ class TestCoverSearchCache:
                 scores.append(np.asarray(score_fn(xs)))
                 return scores[-1]
 
-            x, s = search(recorded, lower, upper, *args,
-                          extra_points=extra_points, flat=flat)
-            assert flat == (extra_points is None)
+            x, s = search(recorded, lower, upper, cand_u, probe_u,
+                          extra_points=extra_points)
             reads = state["reads"] - before
             assert reads == len(scores)
             rows = [len(pv) for pv in scores]
-            if flat:
+            empty = len(extra_points) == 0  # the cell's sampled points
+            if empty:
+                assert (len(cand_u), len(probe_u)) == (1, 0)
                 assert rows == [1]
             else:
+                assert probe_u.shape == (cfg.acq_refinements, n_probes, 2)
                 assert rows == _replayed_row_counts(scores, n_probes,
                                                     cfg.acq_refinements)
                 windows.extend(rows[1:])
             state["expected"] += reads
-            flat_searches.append(flat)
+            empty_searches.append(empty)
             state["clamped"] |= bool(np.any((upper < 1.0) & (x >= upper)))
             return x, s
 
@@ -940,7 +1020,7 @@ class TestCoverSearchCache:
                 assert step["reads"] == step["expected"], t
                 checked += 1
         assert checked >= 5
-        assert any(flat_searches) and not all(flat_searches)
+        assert any(empty_searches) and not all(empty_searches)
         # both one-round windows and wider ones occur
         assert n_probes in windows and max(windows) > n_probes
 
