@@ -405,7 +405,12 @@ def load_config_file(path) -> dict[str, str]:
 
 def build_bench_config(values: dict[str, str]) -> BenchConfig:
     cfg = dict(_DEFAULTS)
-    cfg.update({k: v for k, v in values.items() if v is not None and v != ""})
+    for key, value in values.items():
+        if value is None:  # not given
+            continue
+        if not value.strip():  # the default would stand in for it unseen
+            raise ValueError(f"config key {key!r} has an empty value")
+        cfg[key] = value
     kernel = KernelSpec(
         cfg["kernel_family"],
         float(cfg["lengthscale"]),

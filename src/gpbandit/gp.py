@@ -74,7 +74,8 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """
     if not np.isfinite(b).all():
         raise ValueError("right-hand side of a triangular solve must be finite")
-    x, info = lapack.dtrtrs(L.T, b, lower=0, trans=1 - trans)
+    # lower=0, trans=1 - trans, passed by position: f2py parses keywords slower
+    x, info = lapack.dtrtrs(L.T, b, 0, 1 - trans)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular factor at diagonal {info - 1}")
     if info < 0:
@@ -171,7 +172,11 @@ class GpModel:
 
     def _means_and(self, xs, per_block) -> tuple[np.ndarray, np.ndarray]:
         """(means, per_block(kc) for each kernel block kc) over the points xs,
-        given data: the one block walk of posterior_many and posterior_argmax."""
+        given data: the one block walk of posterior_many and posterior_argmax.
+        A walk of one block returns that block's arrays as they are."""
+        if 0 < len(xs) < 2 * BLOCK:
+            [(_, _, kc)] = cross_blocks(self.kernel, self._X, xs)
+            return np.matmul(kc.T, self._alpha), per_block(kc)
         mean = np.empty(len(xs))
         other = np.empty(len(xs))
         for start, stop, kc in cross_blocks(self.kernel, self._X, xs):  # (n, block)
@@ -186,7 +191,9 @@ class GpModel:
         A stddev's bytes do not depend on the other columns of a batch of
         two or more: posterior_many(xs[idx])[1] is posterior_many(xs)[1][idx]
         for any idx of at least two entries."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2:
+            xs = np.atleast_2d(xs)
         if self.n == 0:
             return np.zeros(len(xs)), np.ones(len(xs))
         return self._means_and(xs, self._block_stddevs)

@@ -192,14 +192,15 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     best, best_score = found or _pick(cands, np.asarray(score_fn(cands), dtype=float))
     best_x = cands[best].copy()
     n_refinements, n_probes, _ = probe_u.shape
-    offsets = 2.0 * probe_u - 1.0
-    # round r's radius, 0.25 (upper - lower) halved r times, exactly
-    radii = 0.25 * (upper - lower) * 0.5 ** np.arange(n_refinements)[:, None, None]
+    # round r's steps, its offsets times its radius, 0.25 (upper - lower)
+    # halved r times, exactly
+    steps = (2.0 * probe_u - 1.0) * (
+        0.25 * (upper - lower) * 0.5 ** np.arange(n_refinements)[:, None, None])
     growth = 2 if n_probes % 4 == 0 else 1
     r, window = 0, 1
     while r < n_refinements:
         stop = min(r + window, n_refinements)
-        probes = best_x + offsets[r:stop] * radii[r:stop]
+        probes = best_x + steps[r:stop]
         np.maximum(probes, lower, out=probes)  # np.clip, without its wrappers
         np.minimum(probes, upper, out=probes)
         pv = np.asarray(score_fn(probes.reshape(-1, d)), dtype=float)

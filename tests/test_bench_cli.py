@@ -385,6 +385,21 @@ class TestCli:
         assert "config key 'T' is given more than once" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("route", ["file", "flag"])
+    def test_empty_value_writes_nothing(self, tmp_path, capsys, route):
+        # the default used to stand in for an empty value: `T =` ran T = 100
+        out = tmp_path / "out"
+        if route == "file":
+            cfg_file = tmp_path / "empty.cfg"
+            cfg_file.write_text(f"T =\nrepeats = 2\noutput_dir = {out}\n")
+            argv = ["run", "--config", str(cfg_file)]
+        else:
+            argv = ["run", "--T", "", "--output-dir", str(out)]
+        rc = main(argv + ["--acq-candidates", "64"])
+        assert rc == 1
+        assert "config key 'T' has an empty value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_rkhs_and_optimum(self, tmp_path, capsys):
         target = tmp_path / "target.json"
         rc = main([

@@ -591,6 +591,22 @@ class TestErrors:
         with pytest.raises(ValueError):
             model.update(np.array([0.5]), float("inf"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_query_rejected(self, matern25, bad):
+        # the kernel's distance check sees the bad coordinate, with no
+        # RuntimeWarning, and the input scan names it; a model with data and
+        # one without reject the point before it enters
+        rng = np.random.default_rng(7)
+        model = GpModel.fit(matern25, 0.01, rng.uniform(size=(3, 2)), rng.uniform(size=3))
+        for xs in (np.array([[0.2, bad]]), np.vstack([rng.uniform(size=(20, 2)), [[bad, 0.4]]])):
+            with pytest.raises(ValueError, match="^kernel inputs must be finite$"):
+                model.posterior_many(xs)
+        for m in (model, GpModel(matern25, 0.01)):
+            n = m.n
+            with pytest.raises(ValueError, match="^update inputs must be finite$"):
+                m.update(np.array([bad, 0.5]), 1.0)
+            assert m.n == n
+
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
             GpModel(KernelSpec(SQUARED_EXPONENTIAL, 1.0), 0.0)

@@ -379,6 +379,141 @@ class TestCrossMatrix:
         assert peak <= 4 * n * m * 8
 
 
+def frozen_cross_matrix(spec, xs, ys):
+    """cross_matrix as it was before its input scans were folded into the
+    distance check and the closed forms lost their negation pass: the same
+    coordinate loop, clamp, snap and closed forms, with fresh temporaries in
+    place of scratch views, which hold the same values.  The general-nu
+    route is the library's _matern_bessel."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    d = xs.shape[1]
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("kernel inputs must be finite")
+    with np.errstate(over="ignore"):
+        r = np.subtract(xs[:, 0, None], ys[None, :, 0])
+        np.multiply(r, r, out=r)
+        for k in range(1, d):
+            sq = np.subtract(xs[:, k, None], ys[None, :, k])
+            np.multiply(sq, sq, out=sq)
+            r += sq
+    r = np.sqrt(r, out=r)
+    if not r.size:
+        return r
+    lo, hi = float(r.min()), float(r.max())
+    if not (lo >= 0.0 and hi < math.inf):
+        raise ValueError("distances must be finite and nonnegative")
+    ell = spec.lengthscale
+    closed_form = spec.family == SQUARED_EXPONENTIAL or spec.nu in (0.5, 1.5, 2.5)
+    if closed_form:
+        if hi > kernels._EXP_ZERO * ell:
+            np.minimum(r, kernels._EXP_ZERO * ell, out=r)
+        s = np.divide(r, ell, out=r)
+    else:
+        with np.errstate(over="ignore"):
+            s = np.divide(r, ell, out=r)
+    if spec.family == SQUARED_EXPONENTIAL:
+        np.multiply(s, s, out=s)
+        s *= -0.5
+        return np.exp(s, out=s)
+    snap = lo / ell < kernels._ZERO_SNAP
+    if snap:
+        zero = s < kernels._ZERO_SNAP
+        s[zero] = 1.0
+    if spec.nu == 0.5:
+        s = np.exp(np.negative(s, out=s), out=s)
+    elif spec.nu == 1.5:
+        c = np.multiply(s, math.sqrt(3.0), out=s)
+        e = np.negative(c)
+        np.exp(e, out=e)
+        c += 1.0
+        c *= e
+        s = c
+    elif spec.nu == 2.5:
+        c = np.multiply(s, math.sqrt(5.0), out=s)
+        q = np.multiply(c, c)
+        q /= 3.0
+        e = np.negative(c)
+        np.exp(e, out=e)
+        c += 1.0
+        c += q
+        c *= e
+        s = c
+    else:
+        s[...] = kernels._matern_bessel(s, spec.nu)
+    if snap:
+        s[zero] = 1.0
+    return s
+
+
+class TestFrozenReference:
+    """cross_matrix against frozen_cross_matrix: the same bytes."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_same_bits(self, spec, d):
+        # duplicated points and points below the zero snap, far points past
+        # the clamp, and shapes from one pair to a block past _SCRATCH_MAX
+        assert 130 * 4100 > kernels._SCRATCH_MAX
+        rng = np.random.default_rng(20 + d)
+        xs = rng.uniform(size=(130, d))
+        ys = np.vstack([rng.uniform(size=(4090, d)), xs[:4], xs[4:7] + 1e-14,
+                        xs[7:10] + 1e3])
+        ys[[0, 5, 9]] = ys[[1, 6, 4099]]  # repeated candidates
+        shapes = [(1, 1), (1, 21), (3, 24), (8, 112), (127, 129), (32, 512),
+                  (100, 1025), (130, 4100)]
+        for n, m in shapes:
+            for a, b in ((xs[:n], ys[-m:]), (ys[-m:], xs[:n])):
+                assert cross_matrix(spec, a, b).tobytes() == frozen_cross_matrix(spec, a, b).tobytes()
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite coordinate in either set raises the input error,
+    without a RuntimeWarning (the suite makes one an error): the distance
+    check rejects it, and the inputs are scanned only then."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_raises_from_either_set(self, spec, bad):
+        rng = np.random.default_rng(30)
+        xs, ys = rng.uniform(size=(4, 3)), rng.uniform(size=(21, 3))
+        for i, k in ((0, 0), (3, 2), (2, 1)):
+            for a, b, row in ((xs, ys, i), (ys, xs, 20 - i)):
+                a = a.copy()
+                a[row, k] = bad
+                for args in ((a, b), (b, a)):
+                    with pytest.raises(ValueError, match="^kernel inputs must be finite$"):
+                        cross_matrix(spec, *args)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_inf_minus_inf(self, spec):
+        # inf - inf is NaN in that one coordinate, and no warning
+        for sign_x, sign_y in ((1, 1), (-1, -1), (1, -1)):
+            xs = np.array([[0.5, sign_x * np.inf], [0.1, 0.2]])
+            ys = np.array([[0.3, sign_y * np.inf]])
+            with pytest.raises(ValueError, match="^kernel inputs must be finite$"):
+                cross_matrix(spec, xs, ys)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raises_with_an_empty_other_set(self, bad):
+        # no distance is computed, so nothing else can show the bad value
+        spec = SPECS[3]
+        xs = np.array([[0.1, bad]])
+        empty = np.zeros((0, 2))
+        for a, b in ((xs, empty), (empty, xs)):
+            with pytest.raises(ValueError, match="^kernel inputs must be finite$"):
+                cross_matrix(spec, a, b)
+        assert cross_matrix(spec, empty, np.ones((3, 2))).shape == (0, 3)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_finite_overflow_is_a_distance_error(self, spec):
+        # finite inputs whose difference or square overflows
+        for xs in (np.array([[1e308], [0.0]]), np.array([[1e200, 0.0], [0.0, 0.0]])):
+            with pytest.raises(ValueError,
+                               match="^distances must be finite and nonnegative$"):
+                cross_matrix(spec, xs, -xs)
+
+
 class TestKernelOfDistance:
     @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
     @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
