@@ -106,10 +106,18 @@ def ei_scores(means, incumbent: float, scaled_stddevs) -> np.ndarray:
 
 
 def ucb_score(mean, stddev, beta: float):
-    """mean + beta * stddev (vectorized)."""
+    """mean + beta * stddev (vectorized).
+
+    A stddev that is negative or NaN raises ValueError naming the first
+    such entry, and so does a beta that is: the score must not decrease in
+    the mean or the stddev (GpModel.posterior_argmax's contract)."""
+    if not beta >= 0:
+        raise ValueError(f"beta must be nonnegative and not NaN, got {beta}")
     stddev = np.asarray(stddev, dtype=float)
-    if (stddev < 0).any():
-        raise ValueError("stddev must be nonnegative")
+    ok = stddev >= 0
+    if not ok.all():
+        i, at = _first_false(ok)
+        raise ValueError(f"stddev must be nonnegative and not NaN, got {stddev[i]}{at}")
     out = np.asarray(mean, dtype=float) + beta * stddev
     if out.ndim == 0:
         return float(out)

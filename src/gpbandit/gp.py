@@ -15,8 +15,11 @@ The model also accumulates the information gain of the selected points,
 
     gain_t = 1/2 * sum_{i<=t} ln(1 + var_{i-1}(x_i) / lam),
 
-which equals 1/2 * ln det(I + K_t / lam) as long as no jitter refit has
-happened; after one, the two differ, and the running sum is the value kept.
+which equals 1/2 * ln det(I + K_t / lam) in exact arithmetic as long as
+no jitter refit has happened; after one, the two differ, and the running sum
+is the value kept.  Computed, they differ without a refit too, by rounding
+that grows as lam shrinks: 2.2e-4 for GP-EI on noise-free Hartmann-3 at
+lam = 1e-12, lengthscale 1, T = 40.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import numpy as np
 from scipy.linalg import lapack
 
-from .kernels import BLOCK, KernelSpec, cross_blocks, cross_matrix, gram_matrix
+from .kernels import BLOCK, MATERN, KernelSpec, cross_blocks, cross_matrix, gram_matrix
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _PIVOT_FLOOR = 1e-14
@@ -35,9 +38,21 @@ _PIVOT_FLOOR = 1e-14
 _VAR_MARGIN = 1e-12
 # posterior_argmax's relative slack on a score bound, held at or above
 # _SCORE_FLOOR, far above EI's subnormal tail: computed EI tracks the exact
-# one to ~1e-12 relative, and computed UCB (beta >= 0) is monotone in std
+# one to ~1e-12 relative, and computed UCB (beta >= 0) is monotone in both
+# mean and std
 _BOUND_RTOL = 1e-9
 _SCORE_FLOOR = 1e-280
+# float32's machine epsilon (2^-23, twice its unit roundoff) and least
+# normal value, the units of posterior_argmax's screening margins
+_EPS32 = float(np.finfo(np.float32).eps)
+_TINY32 = float(np.finfo(np.float32).tiny)
+# the screen runs while c * sqrt(d) < _SCREEN_COORDS (c the largest
+# |coordinate|; squared distances stay below 4e36, float32's range is 3.4e38),
+# sum |alpha| < _SCREEN_ALPHA (so are alpha and the means in float32), and
+# the lengthscale is in _SCREEN_LENGTHS (float32 holds it to 2^-24 relative)
+_SCREEN_COORDS = 1e18
+_SCREEN_ALPHA = 1e30
+_SCREEN_LENGTHS = (1e-30, 1e30)
 
 
 class GpNumericsError(RuntimeError):
@@ -83,14 +98,78 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
+def _means_and(kernel: KernelSpec, X, alpha, xs, per_block) -> tuple[np.ndarray, np.ndarray]:
+    """(means, per_block(kc) for each kernel block kc) over the points xs
+    of a model with data X and weights alpha: the one block walk of
+    posterior_many and of posterior_argmax's screen, in the dtype of X, xs
+    and alpha (the means) and float64 (the rest).  A walk of one block
+    returns that block's arrays as they are."""
+    if 0 < len(xs) < 2 * BLOCK:
+        [(_, _, kc)] = cross_blocks(kernel, X, xs)
+        return np.matmul(kc.T, alpha), per_block(kc)
+    mean = np.empty(len(xs), dtype=alpha.dtype)
+    other = np.empty(len(xs))
+    for start, stop, kc in cross_blocks(kernel, X, xs):  # (n, block)
+        np.matmul(kc.T, alpha, out=mean[start:stop])
+        other[start:stop] = per_block(kc)
+        del kc  # freed before the next block is built
+    return mean, other
+
+
+def _column_max(kc: np.ndarray) -> np.ndarray:
+    return np.max(kc, axis=0)
+
+
+def _margins(kernel: KernelSpec, X: np.ndarray, alpha: np.ndarray, xs: np.ndarray):
+    """(e_k, e_mu): bounds on how far a float32 block walk's kernel values
+    and means at xs stray from the float64 ones, for the model (X, alpha);
+    None for Matern nu < 1/2, or for coordinates, weights or a lengthscale
+    float32 cannot hold.
+
+    With u = 2^-24 (float32's unit roundoff), c the largest |coordinate| in
+    X and xs and d the dimension, rounding the coordinates moves a distance
+    by at most 2 u c sqrt(d), and the d + 2 rounded operations that form it
+    and the division by l add at most (2 d + 8) u c sqrt(d) / l to the
+    scaled distance s.  |dk/ds| <= 1 for SE and for Matern nu >= 1/2 turns
+    that into a kernel error, and the float32 closed forms add at most
+    ~12 u of their own (the Bessel route, evaluated in float64, rounds
+    once).  Doubled and more, with c held at or above 2^-50 for coordinates
+    and squares below float32's normal range, the bound on |k32 - k64| at
+    every pair is
+
+        e_k = 4 eps (4 + (d + 6) sqrt(d) c / l),   eps = 2u.
+
+    A float32 mean, sum_j k32_j alpha32_j, is then within e_k sum|alpha| of
+    the exact sum of the float64 kernel values, and it and the float64 gemv
+    each round by at most (n + 2) u sum|alpha|, so
+
+        e_mu = (e_k + (n + 4) eps) sum|alpha| + 2 n tiny32
+
+    bounds |mu32 - mu64| with the rounding of mu32 + e_mu to spare; tiny32,
+    float32's least normal value, covers products below its normal range."""
+    if kernel.family == MATERN and kernel.nu < 0.5:
+        return None  # |dk/ds| is unbounded at s = 0
+    n, d = X.shape
+    c = float(np.maximum(np.max(np.abs(X)), np.max(np.abs(xs))))  # NaN if xs has one
+    asum = float(np.sum(np.abs(alpha)))
+    ell = kernel.lengthscale
+    # false for NaN and inf too
+    if not (c * math.sqrt(d) < _SCREEN_COORDS and asum < _SCREEN_ALPHA
+            and _SCREEN_LENGTHS[0] < ell < _SCREEN_LENGTHS[1]):
+        return None
+    e_k = 4.0 * _EPS32 * (4.0 + (d + 6) * math.sqrt(d) * max(c, 2.0**-50) / ell)
+    return e_k, (e_k + (n + 4) * _EPS32) * asum + 2 * n * _TINY32
+
+
 class GpModel:
     """GP regressor owned by a single run loop; posterior reads are const.
 
     posterior_many gives means and stddevs; posterior_argmax gives the
-    argmax of a score of them: posterior_many's block walk bounds every
-    query point's stddev, and one posterior_many call solves the O(n^2)
-    triangular system at the points whose bound lets them win; incumbent
-    gives the sampled point of largest mean."""
+    argmax of a score of them: a float32 sweep bounds every query point's
+    mean and stddev, and float64 posterior_many calls solve the O(n^2)
+    triangular system only at the points whose bounds let them win, laid
+    out so that their means and stddevs are the full pass's to the bit;
+    incumbent gives the sampled point of largest mean."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         if not (np.isfinite(lam) and lam > 0):
@@ -158,7 +237,8 @@ class GpModel:
         return np.sqrt(np.maximum(var, 0.0, out=var))
 
     def _stddev_bound(self, kc: np.ndarray) -> np.ndarray:
-        """Upper bounds on _block_stddevs(kc), from the block alone.
+        """Upper bounds on _block_stddevs(kc), from the block alone, or from
+        a row of lower bounds on each column's largest kernel value.
 
         Conditioning on more data only lowers the variance, so at x it is at
         most that of a model of the one sampled point x_j of largest kernel
@@ -169,21 +249,6 @@ class GpModel:
         kmax /= 1.0 + (self.lam + self._jitter)
         np.subtract(1.0 + _VAR_MARGIN, kmax, out=kmax)
         return np.sqrt(np.maximum(kmax, 0.0, out=kmax))
-
-    def _means_and(self, xs, per_block) -> tuple[np.ndarray, np.ndarray]:
-        """(means, per_block(kc) for each kernel block kc) over the points xs,
-        given data: the one block walk of posterior_many and posterior_argmax.
-        A walk of one block returns that block's arrays as they are."""
-        if 0 < len(xs) < 2 * BLOCK:
-            [(_, _, kc)] = cross_blocks(self.kernel, self._X, xs)
-            return np.matmul(kc.T, self._alpha), per_block(kc)
-        mean = np.empty(len(xs))
-        other = np.empty(len(xs))
-        for start, stop, kc in cross_blocks(self.kernel, self._X, xs):  # (n, block)
-            np.matmul(kc.T, self._alpha, out=mean[start:stop])
-            other[start:stop] = per_block(kc)
-            del kc  # freed before the next block is built
-        return mean, other
 
     def posterior_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior (means, stddevs) at a batch of query points.
@@ -196,43 +261,88 @@ class GpModel:
             xs = np.atleast_2d(xs)
         if self.n == 0:
             return np.zeros(len(xs)), np.ones(len(xs))
-        return self._means_and(xs, self._block_stddevs)
+        return _means_and(self.kernel, self._X, self._alpha, xs, self._block_stddevs)
+
+    def _screen(self, xs: np.ndarray):
+        """(upper bounds on the means, upper bounds on the stddevs) at xs
+        from one float32 block walk, or None where _margins gives none.  A
+        column's largest float64 kernel value is at least its float32 one
+        less e_k, which _stddev_bound turns into a stddev bound."""
+        margins = _margins(self.kernel, self._X, self._alpha, xs)
+        if margins is None:
+            return None
+        e_k, e_mu = margins
+        f32 = np.float32
+        mean, kmax = _means_and(self.kernel, self._X.astype(f32), self._alpha.astype(f32),
+                                xs.astype(f32), _column_max)
+        kmax -= e_k
+        high = mean.astype(float)
+        high += e_mu
+        return high, self._stddev_bound(np.maximum(kmax, 0.0, out=kmax)[None, :])
+
+    def _scores_at(self, xs: np.ndarray, idx: np.ndarray, score) -> np.ndarray:
+        """score at xs[idx], idx ascending, from one posterior_many call
+        whose means and stddevs there are posterior_many(xs)'s to the bit.
+
+        A stddev's bytes do not depend on the other columns of a batch of
+        two or more.  A mean's depend on where gemv computes it: in its
+        4-column groups, whose rounding does not depend on the group, or in
+        the ragged tail of the last len % 4 columns.  So the columns of idx
+        outside posterior_many(xs)'s tail are padded with copies to a
+        multiple of 4, and if idx reaches into that tail, the whole tail
+        follows them, after at least 4 columns."""
+        m = len(xs)
+        t = m % 4
+        split = int(np.searchsorted(idx, m - t))
+        pad = -split % 4
+        if split < len(idx):
+            pad += 4 * (split == 0)
+            cols = np.concatenate([idx[:split], np.repeat(idx[:1], pad), np.arange(m - t, m)])
+            at = np.concatenate([np.arange(split), idx[split:] + (len(cols) - m)])
+        else:
+            cols = np.concatenate([idx, np.repeat(idx[:1], pad)]) if pad else idx
+            at = slice(0, split)
+        mean, std = self.posterior_many(xs[cols])
+        return score(mean[at], std[at])
 
     def posterior_argmax(self, xs, score):
         """(index, value) of the first-index argmax of
         score(*posterior_many(xs)), to the bit, with stddevs solved only at
-        the points that can reach it; None without data, with a mean that is
-        not finite, or for a pass of one block (fewer than 2 * BLOCK
-        points): on a cover's per-cell passes of ~128 points the bound's
+        the points that can reach it; None without data, for a pass of one
+        block (fewer than 2 * BLOCK points), or where _screen gives no
+        bounds.  On a cover's per-cell passes of ~128 points the bound's
         extra calls cost more than the solve they skip (Improved GP-EI on
         Hartmann-3, T=20, read +14% run time without this gate).
 
-        score(means, stds) must act elementwise, not decrease in stds, and
-        be accurate to _BOUND_RTOL relative at or above _SCORE_FLOOR: a
-        computed value v >= _SCORE_FLOOR is at most 1 + _BOUND_RTOL times the
-        computed value at a larger stddev.  Then score(mean, _stddev_bound)
+        score(means, stds) must act elementwise, not decrease in means or
+        stds, and be accurate to _BOUND_RTOL relative at or above
+        _SCORE_FLOOR: a computed value v >= _SCORE_FLOOR is at most
+        1 + _BOUND_RTOL times the computed value at a larger mean and
+        stddev.  EI and UCB with beta >= 0 are.  Then score(*_screen(xs))
         bounds each point's value from above, and a point whose bound, times
         1 + _BOUND_RTOL, stays below a value already computed cannot win.
-        posterior_many's block walk gives the means and these bounds; the two
-        points of largest bound are scored exactly to set that threshold, and
-        one posterior_many call solves the points that pass it (a lone one
-        beside a copy of itself), whose stddevs read as in the full pass.
-        While the threshold is below _SCORE_FLOOR every point is kept."""
+        The screen is a float32 sweep over every point, whose means and
+        kernel values are within the margins _margins documents of the
+        float64 ones; the four points of largest bound are scored exactly to
+        set that threshold, and one
+        posterior_many call solves the points that pass it, laid out by
+        _scores_at so that their means and stddevs read as in the full
+        pass.  While the threshold is below _SCORE_FLOOR every point is
+        kept."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self.n == 0 or len(xs) < 2 * BLOCK:
             return None
-        mean, sbar = self._means_and(xs, self._stddev_bound)
-        if not np.isfinite(mean).all():
+        screen = self._screen(xs)
+        if screen is None:
             return None
-        bound = score(mean, sbar)
-        seeds = np.argpartition(bound, -2)[-2:]
-        top = float(np.max(score(mean[seeds], self.posterior_many(xs[seeds])[1])))
+        bound = score(*screen)
+        seeds = np.sort(np.argpartition(bound, -4)[-4:])
+        top = float(np.max(self._scores_at(xs, seeds, score)))
         if top >= _SCORE_FLOOR:
             keep = np.flatnonzero(bound * (1.0 + _BOUND_RTOL) >= top)
         else:
             keep = np.arange(len(xs))
-        std = self.posterior_many(xs[np.repeat(keep, 2) if len(keep) == 1 else keep])[1]
-        values = score(mean[keep], std[:len(keep)])
+        values = self._scores_at(xs, keep, score)
         i = int(np.argmax(values))
         return int(keep[i]), float(values[i])
 

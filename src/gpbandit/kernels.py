@@ -59,6 +59,14 @@ _DEBYE_U = (
 # s * s and c * c from overflowing into inf * 0
 _EXP_ZERO = 745.2
 
+# float32 blocks (GpModel.posterior_argmax's screening sweep) clamp instead
+# where the closed forms' exp argument reaches -87: exp(-87) ~ 1.6e-38 is
+# float32's least normal order, so no value is subnormal, whose arithmetic
+# is slow on x86.  What the clamp cuts off is below 5e-35 (nu = 5/2's
+# polynomial times exp(-87)), far inside the screen's margins.
+_EXP_NORMAL32 = 87.0
+_F32 = np.dtype(np.float32)
+
 # cross_blocks builds a kernel matrix in column blocks of this many, so a
 # caller holds a few n x BLOCK float64 arrays (400 KB each at n = 100)
 # however many columns it asks for.  Each block is a fresh array; its
@@ -66,10 +74,11 @@ _EXP_ZERO = 745.2
 # block edges never cut BLAS's 4-row unrolling.
 BLOCK = 512
 
-# A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements is a view of
-# a per-thread scratch buffer kept between calls.  Freed and allocated
-# afresh, such blocks go back to the OS (from 128 KiB, glibc's default mmap
-# threshold) and fault their pages in again: a GP-EI candidate pass at
+# A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements, or of as
+# many bytes of float32, is a view of a per-thread scratch buffer kept
+# between calls.  Freed and allocated afresh, such blocks go back to the OS
+# (from 128 KiB, glibc's default mmap threshold) and fault their pages in
+# again: a GP-EI candidate pass at
 # n = 100 took 2,083 minor faults, and about half again the time it takes
 # without them.  Smaller temporaries are fresh arrays, whose memory malloc
 # reuses without faults; the lookup would only slow a cover search's many
@@ -79,20 +88,21 @@ BLOCK = 512
 # behind: a thread keeps at most two of these, 8 MiB.
 _SCRATCH_MIN = 16384
 _SCRATCH_MAX = 1024 * BLOCK
+_SCRATCH_BYTES = (8 * _SCRATCH_MIN, 8 * _SCRATCH_MAX)
 _scratch = threading.local()
 
 
 def _scratch_out(like: np.ndarray, count: int) -> tuple:
     """`count` C-order views of this thread's scratch buffer, each shaped
-    like `like` and none overlapping another, or `count` Nones outside
-    _SCRATCH_MIN to _SCRATCH_MAX elements: passed as a ufunc's `out`, None
-    has it allocate a fresh array.  A view is valid until the next call in
-    this thread, so it may neither outlive the function that took it nor be
-    returned."""
-    size = like.size
-    if not _SCRATCH_MIN <= size <= _SCRATCH_MAX:
+    and typed like `like` and none overlapping another, or `count` Nones
+    outside _SCRATCH_MIN to _SCRATCH_MAX float64 elements' bytes: passed as
+    a ufunc's `out`, None has it allocate a fresh array.  A view is valid
+    until the next call in this thread, so it may neither outlive the
+    function that took it nor be returned."""
+    nbytes = like.nbytes
+    if not _SCRATCH_BYTES[0] <= nbytes <= _SCRATCH_BYTES[1]:
         return (None,) * count
-    need = count * size
+    need = -(-count * nbytes // 8)  # float64 elements
     buf = getattr(_scratch, "buf", None)
     if buf is None:
         buf = _scratch.buf = np.empty(need)
@@ -103,6 +113,9 @@ def _scratch_out(like: np.ndarray, count: int) -> tuple:
         grown = max(need, min(buf.size + buf.size // 4, 2 * _SCRATCH_MAX))
         buf = _scratch.buf = None  # freed before its successor is allocated
         buf = _scratch.buf = np.empty(grown)
+    if like.dtype is not buf.dtype:
+        buf = buf.view(like.dtype)
+    size = like.size
     return tuple(buf[i * size:(i + 1) * size].reshape(like.shape) for i in range(count))
 
 
@@ -213,8 +226,17 @@ def _check_inputs(inputs) -> None:
             raise ValueError("kernel inputs must be finite")
 
 
+def _float32_clamp(spec: KernelSpec) -> float:
+    """The scaled distance at which a closed form's exp argument reaches
+    -_EXP_NORMAL32: s^2 / 2 for SE, sqrt(2 nu) * s for Matern."""
+    if spec.family == SQUARED_EXPONENTIAL:
+        return math.sqrt(2.0 * _EXP_NORMAL32)
+    return _EXP_NORMAL32 / math.sqrt(2.0 * spec.nu)
+
+
 def _kernel_in_place(spec: KernelSpec, r: np.ndarray, inputs=()) -> np.ndarray:
-    """Kernel values at the distances in the float array `r`, written over it.
+    """Kernel values at the distances in the float array `r`, written over it,
+    in r's dtype: float64, or float32 for a screening sweep.
 
     `inputs` are the point sets r was measured between, scanned for a value
     that is not finite only where they cannot show in r: r is empty, or a
@@ -232,8 +254,9 @@ def _kernel_in_place(spec: KernelSpec, r: np.ndarray, inputs=()) -> np.ndarray:
     ell = spec.lengthscale
     closed_form = spec.family == SQUARED_EXPONENTIAL or spec.nu in _HALF_INTEGER_NUS
     if closed_form:
-        if hi > _EXP_ZERO * ell:
-            np.minimum(r, _EXP_ZERO * ell, out=r)
+        far = (_EXP_ZERO if r.dtype is not _F32 else _float32_clamp(spec)) * ell
+        if hi > far:
+            np.minimum(r, far, out=r)
         s = np.divide(r, ell, out=r)
     else:
         # unclamped on the Bessel route, where r / l = inf gives the exact 0
@@ -250,7 +273,10 @@ def _kernel_in_place(spec: KernelSpec, r: np.ndarray, inputs=()) -> np.ndarray:
     if closed_form:
         s = _matern_half_integer(s, spec.nu)
     else:
-        s[...] = _matern_bessel(s, spec.nu)
+        # float32 blocks too are evaluated in float64 and rounded once: at
+        # large nu the log-form terms cancel to values near 1, where float32
+        # would lose ~nu * log(nu) ulps
+        s[...] = _matern_bessel(s if s.dtype is not _F32 else s.astype(float), spec.nu)
     if snap:
         s[zero] = 1.0
     return s
@@ -291,9 +317,13 @@ def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     c^2 terms, or the Bessel route's scaled distance) are reused between
     calls of this thread when they hold 16,384 to 2^19 elements (128 KiB to
     4 MiB), which changes where they are stored, not a bit of the result.
+
+    Two float32 arrays give a float32 matrix by the same passes, for
+    GpModel.posterior_argmax's screening sweep; any other input is float64.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    if getattr(xs, "dtype", None) is not _F32 or getattr(ys, "dtype", None) is not _F32:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2:
         xs = np.atleast_2d(xs)
     if ys.ndim != 2:

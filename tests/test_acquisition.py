@@ -320,6 +320,24 @@ class TestUcbScore:
         with pytest.raises(ValueError):
             ucb_score(0.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("stds, text", [
+        ([np.nan, 1.0], "got nan at index 0"),
+        ([1.0, 0.5, -2.0], "got -2.0 at index 2"),
+        ([[1.0, 1.0], [1.0, np.nan]], r"got nan at index \(1, 1\)"),
+        (np.nan, "got nan$"),
+    ])
+    def test_bad_stddev_is_named(self, stds, text):
+        # a NaN stddev gave a NaN score, which posterior_argmax's bound
+        # cannot order
+        with pytest.raises(ValueError, match="stddev must be nonnegative and not NaN, " + text):
+            ucb_score(np.zeros(np.shape(stds)), stds, 2.0)
+
+    @pytest.mark.parametrize("beta", [np.nan, -0.5, -np.inf])
+    def test_bad_beta_is_named(self, beta):
+        # a negative width makes the score decrease in the stddev
+        with pytest.raises(ValueError, match=f"beta must be nonnegative and not NaN, got {beta}"):
+            ucb_score([0.0, 1.0], [1.0, 1.0], beta)
+
 
 class TestOmegaSchedule:
     """omega_t, the scale EI puts on the stddev, is computed from the run's

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,12 @@ def unblocked_posterior(model, xq):
     v = solve_triangular(L, kc, lower=True)
     var = 1.0 - np.einsum("ij,ij->j", v, v)
     return mean, np.sqrt(np.maximum(var, 0.0))
+
+
+# the kernels posterior_argmax's float32 screen bounds: SE, the Matern
+# closed forms and the Bessel route at a nu between them
+SCREENED = [(SQUARED_EXPONENTIAL, None), (MATERN, 0.5), (MATERN, 1.5), (MATERN, 2.5),
+            (MATERN, 1.2)]
 
 
 @pytest.fixture
@@ -296,29 +303,42 @@ class TestPosteriorBound:
         for i in rng.choice(len(xs), size=20, replace=False):
             assert model.posterior_many(xs[[i, i]])[1][0] == std[i]
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         d=st.integers(1, 4),
         n=st.integers(1, 40),
-        m=st.integers(1024, 1600),
+        m=st.integers(1024, 4200),
+        kernel=st.sampled_from(SCREENED),
+        ell=st.floats(0.02, 2.0),
         acq=st.one_of(st.tuples(st.just("ei"), st.floats(0.5, 20.0)),
                       st.tuples(st.just("ucb"), st.floats(0.0, 5.0))),
         duplicate=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    @example(d=2, n=30, m=1024, acq=("ei", 1.0), duplicate=True, seed=0)
-    def test_argmax_is_the_full_pass_argmax(self, d, n, m, acq, duplicate, seed):
+    @example(d=2, n=30, m=1024, kernel=(MATERN, 2.5), ell=0.2, acq=("ei", 1.0),
+             duplicate=True, seed=0)
+    @example(d=3, n=40, m=4197, kernel=(MATERN, 0.5), ell=0.02, acq=("ei", 1.0),
+             duplicate=False, seed=1)
+    @example(d=3, n=40, m=4198, kernel=(MATERN, 1.2), ell=0.5, acq=("ucb", 2.0),
+             duplicate=False, seed=2)
+    @example(d=1, n=12, m=4199, kernel=(SQUARED_EXPONENTIAL, None), ell=2.0,
+             acq=("ei", 3.0), duplicate=True, seed=3)
+    @example(d=4, n=25, m=4200, kernel=(MATERN, 1.5), ell=0.05, acq=("ucb", 0.0),
+             duplicate=False, seed=4)
+    def test_argmax_is_the_full_pass_argmax(self, d, n, m, kernel, ell, acq, duplicate, seed):
         """posterior_argmax(xs, score) is the first-index argmax of
         score(*posterior_many(xs)) and its value, to the byte, for EI at
-        scale omega and UCB at width beta, with and without a duplicated
-        point at lam = 1e-16 that forces the jitter refit."""
+        scale omega and UCB at width beta, over the kernels the float32
+        screen bounds, every m mod 4 (the sampled points, last in xs, sit in
+        the full pass's ragged gemv tail), and with and without a
+        duplicated point at lam = 1e-16 that forces the jitter refit."""
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(n, d))
         lam = 0.01
         if duplicate:
             X = np.vstack([X[:1], X])
             lam = 1e-16
-        model = GpModel.fit(KernelSpec(MATERN, 0.2, 2.5), lam, X,
+        model = GpModel.fit(KernelSpec(kernel[0], ell, kernel[1]), lam, X,
                             np.sin(5.0 * X).sum(axis=1) + 0.1 * rng.normal(size=len(X)))
         assert (model._jitter > 0) == duplicate
         kind, scale = acq
@@ -335,6 +355,103 @@ class TestPosteriorBound:
         i, value = model.posterior_argmax(xs, score)
         assert i == int(np.argmax(values))
         assert np.float64(value).tobytes() == values[i].tobytes()
+
+    @pytest.mark.parametrize("n, m", [(1, 1024), (2, 1025), (7, 1026), (30, 1027),
+                                      (64, 2051), (99, 3070), (100, 4196), (129, 4197),
+                                      (130, 4199), (130, 4200)])
+    def test_laid_out_columns_read_as_in_the_full_pass(self, matern25, n, m):
+        """Means of any multiple-of-4 set of columns outside the full pass's
+        ragged gemv tail (its last m % 4 columns), in any order, and of that
+        tail at the end of a (4 + t)-wide batch, are posterior_many(xs)'s to
+        the byte, and so are stddevs; _scores_at lays out every subset so."""
+        rng = np.random.default_rng([n, m])
+        model = GpModel.fit(matern25, 0.01, rng.uniform(size=(n, 3)), rng.normal(size=n))
+        xs = rng.uniform(size=(m, 3))
+        mean, std = model.posterior_many(xs)
+        t = m % 4
+        batches = [rng.choice(m - t, size=size, replace=False) for size in (4, 8, 44, 516, 1020)]
+        if t:
+            batches.append(np.concatenate([rng.choice(m - t, size=4, replace=False),
+                                           np.arange(m - t, m)]))
+        for idx in batches:
+            got_mean, got_std = model.posterior_many(xs[idx])
+            assert got_mean.tobytes() == mean[idx].tobytes()
+            assert got_std.tobytes() == std[idx].tobytes()
+
+        def both(means, stds):
+            return np.stack([means, stds])
+
+        subsets = [np.sort(rng.choice(m, size=size, replace=False))
+                   for size in (1, 2, 3, 4, 5, 41, 700)]
+        subsets += [np.arange(m - t, m)[:k] for k in range(1, t + 1)]
+        subsets += [np.arange(m), np.array([0, m - 1])]
+        for idx in subsets:
+            want = np.stack([mean[idx], std[idx]])
+            assert model._scores_at(xs, idx, both).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel", SCREENED, ids=str)
+    def test_screen_errors_stay_within_a_quarter_of_their_margins(self, kernel):
+        """The float32 sweep's kernel values and means stray from the float64
+        ones by at most a quarter of the documented margins e_k and e_mu,
+        for d = 1 to 6, l = 0.02 to 5, on the unit cube and on a cube
+        shifted to [4, 5]^d, whose coordinates round coarser."""
+        worst = [0.0, 0.0]
+        f32 = np.float32
+        for d in range(1, 7):
+            for ell in (0.02, 0.1, 0.5, 2.0, 5.0):
+                for shift in (0.0, 4.0):
+                    rng = np.random.default_rng([d, int(100 * ell), int(shift)])
+                    spec = KernelSpec(kernel[0], ell, kernel[1])
+                    X = shift + rng.uniform(size=(40, d))
+                    model = GpModel.fit(spec, 0.01, X, np.sin(5.0 * X).sum(axis=1))
+                    xs = np.vstack([shift + rng.uniform(size=(500, d)), X])
+                    e_k, e_mu = gp._margins(spec, model._X, model._alpha, xs)
+                    k32 = cross_matrix(spec, X.astype(f32), xs.astype(f32))
+                    assert k32.dtype == f32
+                    mu32, kmax32 = gp._means_and(spec, X.astype(f32), model._alpha.astype(f32),
+                                                 xs.astype(f32), gp._column_max)
+                    k64 = cross_matrix(spec, X, xs)
+                    mu64 = model.posterior_many(xs)[0]
+                    assert np.array_equal(kmax32, k32.max(axis=0))
+                    worst[0] = max(worst[0], np.max(np.abs(k32 - k64)) / e_k)
+                    worst[1] = max(worst[1], np.max(np.abs(mu32 - mu64)) / e_mu)
+        assert worst[0] <= 0.25 and worst[1] <= 0.25
+
+    @pytest.mark.parametrize("case", ["huge", "huge_d3", "nu_below_half", "short", "nan"])
+    def test_unsound_screens_give_the_full_pass(self, case):
+        """Where float32 cannot hold the coordinates (|x| >= 1e18, or
+        |x| * sqrt(d) >= 1e18 in general) or the lengthscale, where |dk/ds| is unbounded (nu < 1/2), or
+        with a NaN candidate, posterior_argmax gives None, for the full pass,
+        without a warning; just inside the coordinate limit it gives the
+        full pass's pick."""
+        rng = np.random.default_rng(40)
+        d = 3 if case == "huge_d3" else 1
+        spec = {"nu_below_half": KernelSpec(MATERN, 0.2, 0.3),
+                "short": KernelSpec(MATERN, 1e-31, 2.5)}.get(case, KernelSpec(MATERN, 0.2, 2.5))
+        model = GpModel.fit(spec, 0.01, rng.uniform(size=(20, d)), rng.normal(size=20))
+        xs = rng.uniform(size=(1100, d))
+
+        def score(means, stds):
+            return ucb_score(means, stds, 2.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if case == "nan":
+                xs[7, 0] = np.nan
+                assert model.posterior_argmax(xs, score) is None
+                return
+            if case.startswith("huge"):
+                xs[7, 0] = 0.9e18 / math.sqrt(d)
+                assert model._screen(xs) is not None
+                values = score(*model.posterior_many(xs))
+                i, value = model.posterior_argmax(xs, score)
+                assert i == int(np.argmax(values)) and value == values[i]
+                xs[7, 0] = 1e18
+                assert model.posterior_argmax(xs, score) is None
+            else:
+                assert model.posterior_argmax(xs, score) is None
+            values = score(*model.posterior_many(xs))
+            assert np.isfinite(values).all()
 
 
 # A GP-EI candidate pass at n = 100 (4096 + n points), 2 passes to warm up,

@@ -446,6 +446,58 @@ def frozen_cross_matrix(spec, xs, ys):
     return s
 
 
+class TestFloat32Blocks:
+    """Two float32 point sets give a float32 kernel matrix by the same
+    passes (GpModel.posterior_argmax's screening sweep)."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_float32_temporaries_share_the_scratch(self, spec, monkeypatch):
+        # blocks below and above the scratch's byte threshold (64 x 512
+        # float32 is 128 KiB) read the same bits as with fresh temporaries,
+        # and the thread keeps its one float64 buffer
+        rng = np.random.default_rng(16)
+        xs = rng.uniform(size=(130, 3)).astype(np.float32)
+        ys = rng.uniform(size=(600, 3)).astype(np.float32)
+        got = {}
+
+        def score():
+            for n, m in ((63, 512), (64, 512), (130, 600), (2, 3)):
+                got[n, m] = cross_matrix(spec, xs[:n], ys[:m])
+            got["buf"] = kernels._scratch.buf
+
+        thread = threading.Thread(target=score)
+        thread.start()
+        thread.join(timeout=60)
+        assert got.pop("buf").dtype == np.float64
+        monkeypatch.setattr(kernels, "_scratch_out", lambda like, count: (None,) * count)
+        for (n, m), k in got.items():
+            assert k.dtype == np.float32
+            assert k.tobytes() == cross_matrix(spec, xs[:n], ys[:m]).tobytes()
+
+    @pytest.mark.parametrize("spec", [s for s in SPECS if s.nu != 1.2], ids=_spec_id)
+    def test_closed_forms_stay_normal(self, spec):
+        # float32 closed forms clamp where exp's argument reaches -87, so
+        # no value is subnormal, and the clamp moves none by 5e-35
+        r = np.linspace(0.0, 200.0 * spec.lengthscale, 20001)
+        ys = np.stack([r, np.zeros_like(r)], axis=1)
+        k32 = cross_matrix(spec, np.zeros((1, 2), np.float32), ys.astype(np.float32))
+        k64 = cross_matrix(spec, np.zeros((1, 2)), ys)
+        assert np.all(k32 >= np.finfo(np.float32).tiny)
+        far = k64 < 1e-30
+        assert far.sum() > 1000
+        assert np.max(np.abs(k32[far] - k64[far])) < 5e-35
+
+    def test_mixed_dtypes_are_float64(self, matern25):
+        rng = np.random.default_rng(17)
+        xs, ys = rng.uniform(size=(5, 2)), rng.uniform(size=(7, 2))
+        want = cross_matrix(matern25, xs, ys)
+        for a, b in ((xs.astype(np.float32), ys), (xs, ys.astype(np.float32))):
+            got = cross_matrix(matern25, a, b)
+            assert got.dtype == np.float64
+            assert got.tobytes() == cross_matrix(matern25, a.astype(float), b.astype(float)).tobytes()
+        assert cross_matrix(matern25, xs.tolist(), ys.tolist()).tobytes() == want.tobytes()
+
+
 class TestFrozenReference:
     """cross_matrix against frozen_cross_matrix: the same bytes."""
 

@@ -535,10 +535,21 @@ class TestRunGpEi:
          "1118270397b294c4cb71423ebeb0350e8ba32840980aa6bf91222ce79963749d"),
         (KERNEL, OMEGA_FIXED, 64,
          "65ecfcc50398388587fb4f8608f20da45b501e09d640cba91368bad1077efe8d"),
-    ], ids=["matern_fixed", "theory_ei", "se", "candidates64"])
+        (KernelSpec(MATERN, 0.2, 0.5), OMEGA_FIXED, 4096,
+         "76a0e33c854207accbdb2e0bb8ad57317cf483c84c78eac866833a96629e5b55"),
+        (KernelSpec(MATERN, 0.2, 1.5), OMEGA_FIXED, 4096,
+         "7f2269e884b2543325c2b4f038d269ba053c19a1f12f33a02240488f23d28e17"),
+        (KernelSpec(MATERN, 0.2, 1.2), OMEGA_FIXED, 4096,
+         "284aa1bea719dd67dae9a0940bd4955ade68e344ff498e23c7f8414753499a00"),
+        (KernelSpec(MATERN, 0.05, 2.5), OMEGA_FIXED, 4096,
+         "2b2dadcb2aa408bc5b0224a26b291adb780aeb02caf90463cf94c10bd767ecc6"),
+    ], ids=["matern_fixed", "theory_ei", "se", "candidates64", "matern05", "matern15",
+            "bessel12", "matern25_short"])
     def test_trace_unchanged(self, kernel, omega_mode, candidates, digest):
         # GP-EI as the one-cell cover: the stripped trace is pinned by the
-        # hashes of the loop it replaced
+        # hashes of the loop it replaced; the last four, recorded with a
+        # float64 candidate pass, cover the kernels the float32 screen
+        # bounds (nu = 5/2 at l = 0.05 has its widest margins)
         target, d, opt, _ = standard_function("hartmann3")
         cfg = RunConfig(
             algorithm=ALG_GP_EI, horizon_T=30, omega_mode=omega_mode, kernel=kernel,
@@ -633,15 +644,14 @@ class TestPrunedCandidatePass:
     @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 6, 7, 8, 9, 200])
     def test_forced_survivor_counts(self, copies, monkeypatch):
         # copies of the best point, the first in the first block, among
-        # candidates whose bound is far below its score: the two largest
-        # bounds are solved, then every copy in one call (a lone one beside a
-        # copy of itself), and the first copy wins
+        # candidates whose screened bound is far below its score: the four
+        # largest bounds are solved, then every copy in one call, padded
+        # with copies to a multiple of 4, and the first copy wins
         rng = np.random.default_rng(copies)
         model, incumbent = pass_model("matern25_d3", rng)
         pool = rng.uniform(size=(8000, 3))
-        means, _ = model.posterior_many(pool)
-        sbar = model._stddev_bound(cross_matrix(model.kernel, model.points, pool))
-        bound = optimizers.ei_scores(means, incumbent, sbar)
+        high, sbar = model._screen(pool)
+        bound = optimizers.ei_scores(high, incumbent, sbar)
         score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
         star, best = full_argmax(score, pool)
         low = pool[bound < 0.5 * best]
@@ -653,7 +663,7 @@ class TestPrunedCandidatePass:
         monkeypatch.setattr(GpModel, "_block_stddevs",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
         got = score.argmax(xs)
-        assert solved == [2, max(copies, 2)]
+        assert solved == [4, copies + -copies % 4]
         monkeypatch.undo()
         want = full_argmax(score, xs)
         assert want[0] == at[0]
@@ -675,8 +685,8 @@ class TestPrunedCandidatePass:
 
     def test_vanished_ei_solves_every_candidate(self, monkeypatch):
         # an incumbent far above every mean makes every EI 0: no score can
-        # prune another, every column is solved in batches of _BLOCK, and the
-        # search is the full pass's
+        # prune another, the four largest bounds are solved, then every
+        # column in batches of _BLOCK, and the search is the full pass's
         rng = np.random.default_rng(6)
         model, incumbent = pass_model("matern25_d3", rng)
         incumbent += 1e3
@@ -687,7 +697,7 @@ class TestPrunedCandidatePass:
         monkeypatch.setattr(GpModel, "_block_stddevs",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
         got = score.argmax(xs)
-        assert solved == [2] + [512] * 8
+        assert solved == [4] + [512] * 8
         monkeypatch.undo()
         assert_same_pick(got, full_argmax(score, xs), xs)
         plain = lambda q: score(q)  # noqa: E731  (no argmax attribute)
