@@ -25,11 +25,24 @@ lam = 1e-12, lengthscale 1, T = 40.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .kernels import BLOCK, MATERN, KernelSpec, cross_blocks, cross_matrix, gram_matrix
+from .kernels import (
+    _HALF_INTEGER_NUS,
+    BLOCK,
+    MATERN,
+    SQUARED_EXPONENTIAL,
+    KernelSpec,
+    _kernel_in_place,
+    _matern_half_integer,
+    _scratch_views,
+    cross_blocks,
+    cross_matrix,
+    gram_matrix,
+)
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _PIVOT_FLOOR = 1e-14
@@ -42,14 +55,29 @@ _VAR_MARGIN = 1e-12
 # mean and std
 _BOUND_RTOL = 1e-9
 _SCORE_FLOOR = 1e-280
-# float32's machine epsilon (2^-23, twice its unit roundoff) and least
-# normal value, the units of posterior_argmax's screening margins
+# float64's unit roundoff, and float32's machine epsilon (2^-23, twice its
+# unit roundoff), least normal and largest value: the units and limits of
+# posterior_argmax's screening sweep
+_U64 = 2.0**-53
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
+_MAX32 = float(np.finfo(np.float32).max)
+# the screen's closed forms clamp where their exp argument reaches -87:
+# exp(-87) ~ 1.6e-38 is float32's least normal order, so no value is
+# subnormal, whose arithmetic is slow on x86.  What the clamp cuts off is
+# below 5e-35 (nu = 5/2's polynomial times exp(-87)), far inside the
+# screen's margins.
+_EXP_NORMAL32 = 87.0
+# the screen's blocks hold about this many kernel values, and at least BLOCK
+# columns: wider blocks at small n spread each pass's per-call cost over
+# more columns, and blocks this size keep a block's float64 product (512
+# KiB) in cache
+_SCREEN_PAIRS = 2**16
 # the screen runs while c * sqrt(d) < _SCREEN_COORDS (c the largest
-# |coordinate|; squared distances stay below 4e36, float32's range is 3.4e38),
-# sum |alpha| < _SCREEN_ALPHA (so are alpha and the means in float32), and
-# the lengthscale is in _SCREEN_LENGTHS (float32 holds it to 2^-24 relative)
+# |coordinate|), sum |alpha| < _SCREEN_ALPHA (so alpha and the means are
+# inside float32's range) and the lengthscale is in _SCREEN_LENGTHS: then
+# the shifted, scaled coordinates stay below 1e48 and the squared distances
+# of the screen's float64 products far inside float64's range
 _SCREEN_COORDS = 1e18
 _SCREEN_ALPHA = 1e30
 _SCREEN_LENGTHS = (1e-30, 1e30)
@@ -98,18 +126,20 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def _means_and(kernel: KernelSpec, X, alpha, xs, per_block) -> tuple[np.ndarray, np.ndarray]:
-    """(means, per_block(kc) for each kernel block kc) over the points xs
-    of a model with data X and weights alpha: the one block walk of
-    posterior_many and of posterior_argmax's screen, in the dtype of X, xs
-    and alpha (the means) and float64 (the rest).  A walk of one block
-    returns that block's arrays as they are."""
-    if 0 < len(xs) < 2 * BLOCK:
-        [(_, _, kc)] = cross_blocks(kernel, X, xs)
+def _means_and(blocks, alpha, m, per_block) -> tuple[np.ndarray, np.ndarray]:
+    """(means, per_block(kc) for each kernel block kc) over m points, from
+    a walk of their kernel blocks (start, stop, kc) against the data of
+    weights alpha: the one walk of posterior_many, over cross_blocks, and
+    of posterior_argmax's screen, over _screen_blocks; the means in alpha's
+    dtype, the rest float64.  A walk of fewer than 2 * BLOCK points is one
+    block, whose arrays it returns as they are (posterior_argmax screens
+    only larger passes)."""
+    if 0 < m < 2 * BLOCK:
+        [(_, _, kc)] = blocks
         return np.matmul(kc.T, alpha), per_block(kc)
-    mean = np.empty(len(xs), dtype=alpha.dtype)
-    other = np.empty(len(xs))
-    for start, stop, kc in cross_blocks(kernel, X, xs):  # (n, block)
+    mean = np.empty(m, dtype=alpha.dtype)
+    other = np.empty(m)
+    for start, stop, kc in blocks:  # (n, block)
         np.matmul(kc.T, alpha, out=mean[start:stop])
         other[start:stop] = per_block(kc)
         del kc  # freed before the next block is built
@@ -121,55 +151,138 @@ def _column_max(kc: np.ndarray) -> np.ndarray:
 
 
 def _margins(kernel: KernelSpec, X: np.ndarray, alpha: np.ndarray, xs: np.ndarray):
-    """(e_k, e_mu): bounds on how far a float32 block walk's kernel values
-    and means at xs stray from the float64 ones, for the model (X, alpha);
-    None for Matern nu < 1/2, or for coordinates, weights or a lengthscale
-    float32 cannot hold.
+    """(A, B, e_k, e_mu): the operands of the screen's products for the
+    data X and the points xs, and bounds on how far the screen's float32
+    kernel values and means stray from the float64 ones of the model
+    (X, alpha); None for Matern nu < 1/2, or for coordinates, weights or a
+    lengthscale outside the guards at the end.
 
-    With u = 2^-24 (float32's unit roundoff), c the largest |coordinate| in
-    X and xs and d the dimension, rounding the coordinates moves a distance
-    by at most 2 u c sqrt(d), and the d + 2 rounded operations that form it
-    and the division by l add at most (2 d + 8) u c sqrt(d) / l to the
-    scaled distance s.  |dk/ds| <= 1 for SE and for Matern nu >= 1/2 turns
-    that into a kernel error, and the float32 closed forms add at most
-    ~12 u of their own (the Bessel route, evaluated in float64, rounds
-    once).  Doubled and more, with c held at or above 2^-50 for coordinates
-    and squares below float32's normal range, the bound on |k32 - k64| at
-    every pair is
+    Both sets are shifted by one centre o, the midpoint of their least and
+    largest coordinate, and scaled by 1 / l: a = (x - o) (1 / l).  The columns
+    of A are [a, |a|^2, 1] and those of B [-2b, 1, |b|^2], so a block of
+    A^T B holds the scaled squared distances t = |a - b|^2 = (r / l)^2.
 
-        e_k = 4 eps (4 + (d + 6) sqrt(d) c / l),   eps = 2u.
+    With u = 2^-53 and S the largest computed |a|^2 plus the largest
+    |b|^2, a product of d + 2 terms in any summation order errs by at most
+    2 gamma_{d+2} S, the norms' rounding adds gamma_d S, and together they
+    stay below 4 (d + 2) u S; the three roundings of the shifted, scaled
+    coordinates move a scaled distance s = sqrt(t) by at most 5 u sqrt(S)
+    more.  As |sqrt(x) - sqrt(y)| <= sqrt(|x - y|), t >= 0 clamped or not,
+    s strays by at most sqrt(e_t) with
 
-    A float32 mean, sum_j k32_j alpha32_j, is then within e_k sum|alpha| of
-    the exact sum of the float64 kernel values, and it and the float64 gemv
-    each round by at most (n + 2) u sum|alpha|, so
+        e_t = 5 (d + 2) u S,
+
+    which |dk/ds| <= 1, true for SE and Matern nu >= 1/2, turns into a
+    kernel error.  Rounding t to float32 and its square root move s by at
+    most 1.5 u32 s relative (u32 = 2^-24), which moves k by at most
+    1.5 u32, as s |dk/ds| <= 2/e for every such kernel; the float32 closed
+    forms add at most ~7 eps with exp 4 ulps off, the Bessel route,
+    evaluated in float64, rounds once, the float64 kernel values err by
+    a few u, and the clamp moves none by 5e-35.  Doubled, that is
+
+        e_k = sqrt(e_t) + 16 eps,   eps = 2 u32,
+
+    a bound on |k32 - k64| at every pair free of the kernel.  A float32
+    mean, sum_j k32_j alpha32_j, is then within e_k sum|alpha| of the exact
+    sum of the float64 kernel values, and it and the float64 gemv each
+    round by at most (n + 2) u32 sum|alpha|, so
 
         e_mu = (e_k + (n + 4) eps) sum|alpha| + 2 n tiny32
 
     bounds |mu32 - mu64| with the rounding of mu32 + e_mu to spare; tiny32,
-    float32's least normal value, covers products below its normal range."""
+    float32's least normal value, covers products below its normal range.
+    The guards are _SCREEN_COORDS on the coordinates as given (c sqrt(d),
+    with c the largest |coordinate|), which keeps t finite for any
+    lengthscale in _SCREEN_LENGTHS, and _SCREEN_ALPHA on sum|alpha|, which
+    keeps the weights and the means inside float32's range."""
     if kernel.family == MATERN and kernel.nu < 0.5:
         return None  # |dk/ds| is unbounded at s = 0
     n, d = X.shape
-    c = float(np.maximum(np.max(np.abs(X)), np.max(np.abs(xs))))  # NaN if xs has one
+    # NaN if xs has one
+    lo = np.minimum(np.min(X), np.min(xs))
+    hi = np.maximum(np.max(X), np.max(xs))
+    c = float(np.maximum(-lo, hi))
     asum = float(np.sum(np.abs(alpha)))
     ell = kernel.lengthscale
     # false for NaN and inf too
     if not (c * math.sqrt(d) < _SCREEN_COORDS and asum < _SCREEN_ALPHA
             and _SCREEN_LENGTHS[0] < ell < _SCREEN_LENGTHS[1]):
         return None
-    e_k = 4.0 * _EPS32 * (4.0 + (d + 6) * math.sqrt(d) * max(c, 2.0**-50) / ell)
-    return e_k, (e_k + (n + 4) * _EPS32) * asum + 2 * n * _TINY32
+    centre = 0.5 * (float(lo) + float(hi))
+    # one row per coordinate: on (m, d) arrays numpy loops d elements at a
+    # time, several times slower
+    A, B = np.empty((d + 2, n)), np.empty((d + 2, len(xs)))
+    for P, x, norm, one in ((A, X, d, d + 1), (B, xs, d + 1, d)):
+        p = np.subtract(x.T, centre, out=P[:d])
+        p *= 1.0 / ell
+        np.einsum("ij,ij->j", p, p, out=P[norm])
+        P[one] = 1.0
+    B[:d] *= -2.0
+    e_t = 5 * (d + 2) * _U64 * (float(np.max(A[d])) + float(np.max(B[d + 1])))
+    e_k = math.sqrt(e_t) + 16.0 * _EPS32
+    return A, B, e_k, (e_k + (n + 4) * _EPS32) * asum + 2 * n * _TINY32
+
+
+def _kernel_of_t32(kernel: KernelSpec, t: np.ndarray) -> np.ndarray:
+    """Kernel values at the float32 scaled squared distances t = (r / l)^2,
+    0 <= t <= _screen_blocks' clamp, written over t: SE is exp(-t / 2),
+    the Matern closed forms take s = sqrt(t), and any other nu is
+    evaluated in float64 from s and rounded once, since at large nu its
+    log-form terms cancel to values near 1, where float32 would lose
+    ~nu log(nu) ulps."""
+    if kernel.family == SQUARED_EXPONENTIAL:
+        t *= -0.5
+        return np.exp(t, out=t)
+    if kernel.nu in _HALF_INTEGER_NUS:
+        return _matern_half_integer(np.sqrt(t, out=t), kernel.nu)
+    t[...] = _kernel_in_place(replace(kernel, lengthscale=1.0), np.sqrt(t, dtype=float))
+    return t
+
+
+def _screen_blocks(kernel: KernelSpec, A: np.ndarray, B: np.ndarray):
+    """(start, stop, k32) over column blocks of B: k32 holds the float32
+    kernel values between the points whose operands A and B _margins
+    built, from one float64 product per block, rounded to float32 once and
+    clamped to [0, far].  Where _scratch_views serves their size, every
+    temporary and k32 itself are views of this thread's kernel scratch,
+    valid until the next block: the product's float64 block at its start,
+    where the closed forms' float32 temporaries later go, and k32 after
+    it."""
+    n = A.shape[1]
+    if kernel.family == SQUARED_EXPONENTIAL:
+        far = 2.0 * _EXP_NORMAL32
+    elif kernel.nu in _HALF_INTEGER_NUS:
+        far = _EXP_NORMAL32 * _EXP_NORMAL32 / (2.0 * kernel.nu)
+    else:
+        # held in float32's range only: at large nu the Bessel route's
+        # values are far from 0 where exp(-c) is
+        far = _MAX32
+    m = B.shape[1]
+    width = max(BLOCK, _SCREEN_PAIRS // n)
+    for start in range(0, m, width):
+        stop = min(start + width, m)
+        size = n * (stop - start)
+        [tk] = _scratch_views((3 * size,), np.float32, 1)
+        t = None if tk is None else tk[:2 * size].view(float).reshape(n, -1)
+        k = np.empty((n, stop - start), np.float32) if tk is None else tk[2 * size:].reshape(n, -1)
+        t = np.matmul(A.T, B[:, start:stop], out=t)
+        # a t past float32's range rounds to inf, which the clamp takes to far
+        with np.errstate(over="ignore"):
+            k[...] = t
+        np.clip(k, 0.0, far, out=k)
+        yield start, stop, _kernel_of_t32(kernel, k)
 
 
 class GpModel:
     """GP regressor owned by a single run loop; posterior reads are const.
 
     posterior_many gives means and stddevs; posterior_argmax gives the
-    argmax of a score of them: a float32 sweep bounds every query point's
-    mean and stddev, and float64 posterior_many calls solve the O(n^2)
-    triangular system only at the points whose bounds let them win, laid
-    out so that their means and stddevs are the full pass's to the bit;
-    incumbent gives the sampled point of largest mean."""
+    argmax of a score of them: a sweep of float32 kernel values, from one
+    float64 matrix product per block, bounds every query point's mean and
+    stddev, and float64 posterior_many calls solve the O(n^2) triangular
+    system only at the points whose bounds let them win, laid out so that
+    their means and stddevs are the full pass's to the bit; incumbent
+    gives the sampled point of largest mean."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         if not (np.isfinite(lam) and lam > 0):
@@ -261,20 +374,21 @@ class GpModel:
             xs = np.atleast_2d(xs)
         if self.n == 0:
             return np.zeros(len(xs)), np.ones(len(xs))
-        return _means_and(self.kernel, self._X, self._alpha, xs, self._block_stddevs)
+        return _means_and(cross_blocks(self.kernel, self._X, xs), self._alpha, len(xs),
+                          self._block_stddevs)
 
     def _screen(self, xs: np.ndarray):
         """(upper bounds on the means, upper bounds on the stddevs) at xs
-        from one float32 block walk, or None where _margins gives none.  A
-        column's largest float64 kernel value is at least its float32 one
-        less e_k, which _stddev_bound turns into a stddev bound."""
+        from one walk of _screen_blocks' float32 kernel blocks, with the
+        weights in float32, or None where _margins gives none.  A column's
+        largest float64 kernel value is at least its float32 one less e_k,
+        which _stddev_bound turns into a stddev bound."""
         margins = _margins(self.kernel, self._X, self._alpha, xs)
         if margins is None:
             return None
-        e_k, e_mu = margins
-        f32 = np.float32
-        mean, kmax = _means_and(self.kernel, self._X.astype(f32), self._alpha.astype(f32),
-                                xs.astype(f32), _column_max)
+        A, B, e_k, e_mu = margins
+        mean, kmax = _means_and(_screen_blocks(self.kernel, A, B),
+                                self._alpha.astype(np.float32), len(xs), _column_max)
         kmax -= e_k
         high = mean.astype(float)
         high += e_mu
@@ -312,7 +426,7 @@ class GpModel:
         block (fewer than 2 * BLOCK points), or where _screen gives no
         bounds.  On a cover's per-cell passes of ~128 points the bound's
         extra calls cost more than the solve they skip (Improved GP-EI on
-        Hartmann-3, T=20, read +14% run time without this gate).
+        Hartmann-3, T=20, read +17% run time without this gate).
 
         score(means, stds) must act elementwise, not decrease in means or
         stds, and be accurate to _BOUND_RTOL relative at or above
@@ -321,14 +435,16 @@ class GpModel:
         stddev.  EI and UCB with beta >= 0 are.  Then score(*_screen(xs))
         bounds each point's value from above, and a point whose bound, times
         1 + _BOUND_RTOL, stays below a value already computed cannot win.
-        The screen is a float32 sweep over every point, whose means and
-        kernel values are within the margins _margins documents of the
-        float64 ones; the four points of largest bound are scored exactly to
-        set that threshold, and one
-        posterior_many call solves the points that pass it, laid out by
-        _scores_at so that their means and stddevs read as in the full
-        pass.  While the threshold is below _SCORE_FLOOR every point is
-        kept."""
+        The screen is a sweep of float32 kernel values over every point,
+        each block from one float64 matrix product of squared distances,
+        whose means and kernel values are within the margins _margins
+        documents of the float64 ones; the eight points of largest bound are
+        scored exactly to set that threshold (four more than a gemv group
+        cost one call nothing and raise the threshold where the bound ranks
+        the best point below its top four), and one posterior_many call
+        solves the points that pass it, laid out by _scores_at so that
+        their means and stddevs read as in the full pass.  While the
+        threshold is below _SCORE_FLOOR every point is kept."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self.n == 0 or len(xs) < 2 * BLOCK:
             return None
@@ -336,7 +452,7 @@ class GpModel:
         if screen is None:
             return None
         bound = score(*screen)
-        seeds = np.sort(np.argpartition(bound, -4)[-4:])
+        seeds = np.sort(np.argpartition(bound, -8)[-8:])
         top = float(np.max(self._scores_at(xs, seeds, score)))
         if top >= _SCORE_FLOOR:
             keep = np.flatnonzero(bound * (1.0 + _BOUND_RTOL) >= top)

@@ -59,14 +59,6 @@ _DEBYE_U = (
 # s * s and c * c from overflowing into inf * 0
 _EXP_ZERO = 745.2
 
-# float32 blocks (GpModel.posterior_argmax's screening sweep) clamp instead
-# where the closed forms' exp argument reaches -87: exp(-87) ~ 1.6e-38 is
-# float32's least normal order, so no value is subnormal, whose arithmetic
-# is slow on x86.  What the clamp cuts off is below 5e-35 (nu = 5/2's
-# polynomial times exp(-87)), far inside the screen's margins.
-_EXP_NORMAL32 = 87.0
-_F32 = np.dtype(np.float32)
-
 # cross_blocks builds a kernel matrix in column blocks of this many, so a
 # caller holds a few n x BLOCK float64 arrays (400 KB each at n = 100)
 # however many columns it asks for.  Each block is a fresh array; its
@@ -74,18 +66,19 @@ _F32 = np.dtype(np.float32)
 # block edges never cut BLAS's 4-row unrolling.
 BLOCK = 512
 
-# A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements, or of as
-# many bytes of float32, is a view of a per-thread scratch buffer kept
-# between calls.  Freed and allocated afresh, such blocks go back to the OS
-# (from 128 KiB, glibc's default mmap threshold) and fault their pages in
-# again: a GP-EI candidate pass at
-# n = 100 took 2,083 minor faults, and about half again the time it takes
-# without them.  Smaller temporaries are fresh arrays, whose memory malloc
-# reuses without faults; the lookup would only slow a cover search's many
-# small calls.  Larger ones (4 MiB: n x BLOCK blocks reach it at n = 1024)
-# are fresh too, so that a one-shot call, such as a target's
-# dense optimum search, neither raises its peak nor leaves its temporaries
-# behind: a thread keeps at most two of these, 8 MiB.
+# A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements' bytes is a
+# view of a per-thread scratch buffer kept between calls; the screening
+# sweep of GpModel.posterior_argmax takes its float64 products, its float32
+# kernel blocks and the closed forms' float32 temporaries from the same
+# buffer.  Freed and allocated afresh, such blocks go back to the OS (from
+# 128 KiB, glibc's default mmap threshold) and fault their pages in again:
+# a GP-EI candidate pass at n = 100 took 2,083 minor faults, and about half
+# again the time it takes without them.  Smaller temporaries are fresh
+# arrays, whose memory malloc reuses without faults; the lookup would only
+# slow a cover search's many small calls.  Larger ones (4 MiB: n x BLOCK
+# blocks reach it at n = 1024) are fresh too, so that a one-shot call, such
+# as a target's dense optimum search, neither raises its peak nor leaves its
+# temporaries behind: a thread keeps at most two of these, 8 MiB.
 _SCRATCH_MIN = 16384
 _SCRATCH_MAX = 1024 * BLOCK
 _SCRATCH_BYTES = (8 * _SCRATCH_MIN, 8 * _SCRATCH_MAX)
@@ -93,13 +86,25 @@ _scratch = threading.local()
 
 
 def _scratch_out(like: np.ndarray, count: int) -> tuple:
-    """`count` C-order views of this thread's scratch buffer, each shaped
-    and typed like `like` and none overlapping another, or `count` Nones
-    outside _SCRATCH_MIN to _SCRATCH_MAX float64 elements' bytes: passed as
-    a ufunc's `out`, None has it allocate a fresh array.  A view is valid
-    until the next call in this thread, so it may neither outlive the
-    function that took it nor be returned."""
-    nbytes = like.nbytes
+    """_scratch_views(like.shape, like.dtype, count), with the byte range
+    checked from the array itself first: most temporaries are far below
+    it, and the arithmetic would slow a cover search's many small calls."""
+    if not _SCRATCH_BYTES[0] <= like.nbytes <= _SCRATCH_BYTES[1]:
+        return (None,) * count
+    return _scratch_views(like.shape, like.dtype, count)
+
+
+def _scratch_views(shape: tuple, dtype, count: int) -> tuple:
+    """`count` C-order views of this thread's scratch buffer, each of
+    `shape` and `dtype` and none overlapping another, the first at the
+    buffer's start, or `count` Nones outside _SCRATCH_MIN to _SCRATCH_MAX
+    float64 elements' bytes: passed as a ufunc's `out`, None has it
+    allocate a fresh array.  A view is valid until the next call in this
+    thread, so it may neither outlive the function that took it nor be
+    returned."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    nbytes = size * dtype.itemsize
     if not _SCRATCH_BYTES[0] <= nbytes <= _SCRATCH_BYTES[1]:
         return (None,) * count
     need = -(-count * nbytes // 8)  # float64 elements
@@ -113,10 +118,9 @@ def _scratch_out(like: np.ndarray, count: int) -> tuple:
         grown = max(need, min(buf.size + buf.size // 4, 2 * _SCRATCH_MAX))
         buf = _scratch.buf = None  # freed before its successor is allocated
         buf = _scratch.buf = np.empty(grown)
-    if like.dtype is not buf.dtype:
-        buf = buf.view(like.dtype)
-    size = like.size
-    return tuple(buf[i * size:(i + 1) * size].reshape(like.shape) for i in range(count))
+    if dtype != buf.dtype:
+        buf = buf.view(dtype)
+    return tuple(buf[i * size:(i + 1) * size].reshape(shape) for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -226,17 +230,9 @@ def _check_inputs(inputs) -> None:
             raise ValueError("kernel inputs must be finite")
 
 
-def _float32_clamp(spec: KernelSpec) -> float:
-    """The scaled distance at which a closed form's exp argument reaches
-    -_EXP_NORMAL32: s^2 / 2 for SE, sqrt(2 nu) * s for Matern."""
-    if spec.family == SQUARED_EXPONENTIAL:
-        return math.sqrt(2.0 * _EXP_NORMAL32)
-    return _EXP_NORMAL32 / math.sqrt(2.0 * spec.nu)
-
-
 def _kernel_in_place(spec: KernelSpec, r: np.ndarray, inputs=()) -> np.ndarray:
-    """Kernel values at the distances in the float array `r`, written over it,
-    in r's dtype: float64, or float32 for a screening sweep.
+    """Kernel values at the distances in the float64 array `r`, written
+    over it.
 
     `inputs` are the point sets r was measured between, scanned for a value
     that is not finite only where they cannot show in r: r is empty, or a
@@ -254,9 +250,8 @@ def _kernel_in_place(spec: KernelSpec, r: np.ndarray, inputs=()) -> np.ndarray:
     ell = spec.lengthscale
     closed_form = spec.family == SQUARED_EXPONENTIAL or spec.nu in _HALF_INTEGER_NUS
     if closed_form:
-        far = (_EXP_ZERO if r.dtype is not _F32 else _float32_clamp(spec)) * ell
-        if hi > far:
-            np.minimum(r, far, out=r)
+        if hi > _EXP_ZERO * ell:
+            np.minimum(r, _EXP_ZERO * ell, out=r)
         s = np.divide(r, ell, out=r)
     else:
         # unclamped on the Bessel route, where r / l = inf gives the exact 0
@@ -273,10 +268,7 @@ def _kernel_in_place(spec: KernelSpec, r: np.ndarray, inputs=()) -> np.ndarray:
     if closed_form:
         s = _matern_half_integer(s, spec.nu)
     else:
-        # float32 blocks too are evaluated in float64 and rounded once: at
-        # large nu the log-form terms cancel to values near 1, where float32
-        # would lose ~nu * log(nu) ulps
-        s[...] = _matern_bessel(s if s.dtype is not _F32 else s.astype(float), spec.nu)
+        s[...] = _matern_bessel(s, spec.nu)
     if snap:
         s[zero] = 1.0
     return s
@@ -317,13 +309,10 @@ def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     c^2 terms, or the Bessel route's scaled distance) are reused between
     calls of this thread when they hold 16,384 to 2^19 elements (128 KiB to
     4 MiB), which changes where they are stored, not a bit of the result.
-
-    Two float32 arrays give a float32 matrix by the same passes, for
-    GpModel.posterior_argmax's screening sweep; any other input is float64.
+    Inputs of any numeric dtype are taken as float64, and so is the result.
     """
-    if getattr(xs, "dtype", None) is not _F32 or getattr(ys, "dtype", None) is not _F32:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2:
         xs = np.atleast_2d(xs)
     if ys.ndim != 2:
@@ -343,7 +332,7 @@ def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 # with statement
 @np.errstate(over="ignore", invalid="ignore")
 def _distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of two 2-D float arrays.  A
+    """Euclidean distances between the rows of two 2-D float64 arrays.  A
     square overflows to inf beyond |difference| ~ 1e154, and inf - inf is
     NaN; neither warns, as the caller's distance check rejects both."""
     # the first coordinate's square starts the sum, as 0 + a == a

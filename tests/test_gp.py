@@ -390,32 +390,18 @@ class TestPosteriorBound:
             assert model._scores_at(xs, idx, both).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kernel", SCREENED, ids=str)
-    def test_screen_errors_stay_within_a_quarter_of_their_margins(self, kernel):
-        """The float32 sweep's kernel values and means stray from the float64
-        ones by at most a quarter of the documented margins e_k and e_mu,
-        for d = 1 to 6, l = 0.02 to 5, on the unit cube and on a cube
-        shifted to [4, 5]^d, whose coordinates round coarser."""
-        worst = [0.0, 0.0]
-        f32 = np.float32
-        for d in range(1, 7):
-            for ell in (0.02, 0.1, 0.5, 2.0, 5.0):
-                for shift in (0.0, 4.0):
-                    rng = np.random.default_rng([d, int(100 * ell), int(shift)])
-                    spec = KernelSpec(kernel[0], ell, kernel[1])
-                    X = shift + rng.uniform(size=(40, d))
-                    model = GpModel.fit(spec, 0.01, X, np.sin(5.0 * X).sum(axis=1))
-                    xs = np.vstack([shift + rng.uniform(size=(500, d)), X])
-                    e_k, e_mu = gp._margins(spec, model._X, model._alpha, xs)
-                    k32 = cross_matrix(spec, X.astype(f32), xs.astype(f32))
-                    assert k32.dtype == f32
-                    mu32, kmax32 = gp._means_and(spec, X.astype(f32), model._alpha.astype(f32),
-                                                 xs.astype(f32), gp._column_max)
-                    k64 = cross_matrix(spec, X, xs)
-                    mu64 = model.posterior_many(xs)[0]
-                    assert np.array_equal(kmax32, k32.max(axis=0))
-                    worst[0] = max(worst[0], np.max(np.abs(k32 - k64)) / e_k)
-                    worst[1] = max(worst[1], np.max(np.abs(mu32 - mu64)) / e_mu)
-        assert worst[0] <= 0.25 and worst[1] <= 0.25
+    def test_screen_errors_stay_within_a_quarter_of_their_margins(self, kernel, screen_errors):
+        """The screen's float32 kernel values and means stray from the
+        float64 ones by at most a quarter of the documented margins e_k and
+        e_mu, for d = 1 to 6 and l = 0.02 to 5, on the unit cube, on cubes
+        shifted to [4, 5]^d and to [1e3, 1e3 + 1]^d (which the centring
+        takes back to the unit cube), and at candidates within 1e-9 l of the
+        data, where the product's squared distances cancel.  Measured under
+        1 and 2 BLAS threads, since the margins must hold for any summation
+        order of the product."""
+        for threads in ("1", "2"):
+            worst_k, worst_mu = screen_errors[threads][SCREENED.index(kernel)]
+            assert worst_k <= 0.25 and worst_mu <= 0.25
 
     @pytest.mark.parametrize("case", ["huge", "huge_d3", "nu_below_half", "short", "nan"])
     def test_unsound_screens_give_the_full_pass(self, case):
@@ -452,6 +438,70 @@ class TestPosteriorBound:
                 assert model.posterior_argmax(xs, score) is None
             values = score(*model.posterior_many(xs))
             assert np.isfinite(values).all()
+
+
+# For each kernel of SCREENED, the largest measured |k32 - k64| / e_k and
+# |mu32 - mu64| / e_mu of the screen over models of 40 points, as
+# test_screen_errors_stay_within_a_quarter_of_their_margins describes, and
+# one of 130 points, whose blocks' products are large enough for two BLAS
+# threads to share; 1024 candidates, the least a screened pass has
+_MARGINS_CODE = """
+import ast
+import sys
+import numpy as np
+from gpbandit import gp
+from gpbandit.gp import GpModel
+from gpbandit.kernels import KernelSpec, cross_matrix
+
+
+def worst(family, nu):
+    out = [0.0, 0.0]
+    for d in range(1, 7):
+        for ell in (0.02, 0.1, 0.5, 2.0, 5.0):
+            for shift in (0.0, 4.0, 1e3):
+                rng = np.random.default_rng([d, int(100 * ell), int(shift)])
+                spec = KernelSpec(family, ell, nu)
+                n = 130 if (d, ell, shift) == (3, 0.1, 0.0) else 40
+                X = shift + rng.uniform(size=(n, d))
+                model = GpModel.fit(spec, 0.01, X, np.sin(5.0 * X).sum(axis=1))
+                near = X + 1e-9 * ell * rng.uniform(-1.0, 1.0, size=X.shape)
+                xs = np.vstack([shift + rng.uniform(size=(1024 - 2 * n, d)), X, near])
+                A, B, e_k, e_mu = gp._margins(spec, model._X, model._alpha, xs)
+                blocks = [(start, stop, k.copy())
+                          for start, stop, k in gp._screen_blocks(spec, A, B)]
+                k32 = np.concatenate([k for _, _, k in blocks], axis=1)
+                mu32, kmax32 = gp._means_and(blocks, model._alpha.astype(np.float32), len(xs),
+                                             gp._column_max)
+                assert np.array_equal(kmax32, k32.max(axis=0))
+                # the float64 means by one gemv, as posterior_many's blocks make them
+                k64 = cross_matrix(spec, X, xs)
+                out[0] = max(out[0], np.max(np.abs(k32 - k64)) / e_k)
+                out[1] = max(out[1], np.max(np.abs(mu32 - k64.T @ model._alpha)) / e_mu)
+    return out
+
+
+for family, nu in ast.literal_eval(sys.argv[1]):
+    print(*worst(family, nu))
+"""
+
+
+@pytest.fixture(scope="module")
+def screen_errors():
+    """_MARGINS_CODE's measurements under 1 and 2 BLAS threads, run side by
+    side in new interpreters, keyed by the thread count."""
+    src = str(Path(gp.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    procs = {threads: subprocess.Popen(
+        [sys.executable, "-c", _MARGINS_CODE, repr(SCREENED)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                 PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for threads in ("1", "2")}
+    worst = {}
+    for threads, proc in procs.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        worst[threads] = [tuple(map(float, line.split())) for line in out.splitlines()]
+    return worst
 
 
 # A GP-EI candidate pass at n = 100 (4096 + n points), 2 passes to warm up,

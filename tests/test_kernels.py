@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpbandit import kernels
+from gpbandit import gp, kernels
 from gpbandit.kernels import (
     MATERN,
     SQUARED_EXPONENTIAL,
@@ -447,41 +447,57 @@ def frozen_cross_matrix(spec, xs, ys):
 
 
 class TestFloat32Blocks:
-    """Two float32 point sets give a float32 kernel matrix by the same
-    passes (GpModel.posterior_argmax's screening sweep)."""
+    """cross_matrix is float64 whatever its inputs; float32 kernel blocks
+    are the screen's (gp._screen_blocks), built from one float64 product of
+    squared distances per block by this module's closed forms, in its
+    per-thread scratch."""
+
+    @staticmethod
+    def screen_blocks(spec, X, xs):
+        A, B, _, _ = gp._margins(spec, X, np.ones(len(X)), xs)
+        return [(start, stop, k.copy()) for start, stop, k in gp._screen_blocks(spec, A, B)]
 
     @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
     def test_float32_temporaries_share_the_scratch(self, spec, monkeypatch):
-        # blocks below and above the scratch's byte threshold (64 x 512
-        # float32 is 128 KiB) read the same bits as with fresh temporaries,
-        # and the thread keeps its one float64 buffer
+        # walks whose blocks take their product, their values and the
+        # closed forms' temporaries from fresh arrays or from the scratch
+        # (from 128 KiB: 2 x 1100 is below it, 10 x 1100 reaches it for the
+        # product and 40 x 1100 for the temporaries too, and 130 points make
+        # blocks of 512 and a narrow last one) read the same bits as with
+        # fresh temporaries, and the thread keeps its one float64 buffer
         rng = np.random.default_rng(16)
-        xs = rng.uniform(size=(130, 3)).astype(np.float32)
-        ys = rng.uniform(size=(600, 3)).astype(np.float32)
+        X, xs = rng.uniform(size=(130, 3)), rng.uniform(size=(1100, 3))
         got = {}
 
-        def score():
-            for n, m in ((63, 512), (64, 512), (130, 600), (2, 3)):
-                got[n, m] = cross_matrix(spec, xs[:n], ys[:m])
+        def walk():
+            for n in (2, 10, 40, 130, 10):
+                got[n] = self.screen_blocks(spec, X[:n], xs)
             got["buf"] = kernels._scratch.buf
 
-        thread = threading.Thread(target=score)
+        thread = threading.Thread(target=walk)
         thread.start()
         thread.join(timeout=60)
+        assert not thread.is_alive()
         assert got.pop("buf").dtype == np.float64
+        assert [stop for _, stop, _ in got[130]] == [512, 1024, 1100]
         monkeypatch.setattr(kernels, "_scratch_out", lambda like, count: (None,) * count)
-        for (n, m), k in got.items():
-            assert k.dtype == np.float32
-            assert k.tobytes() == cross_matrix(spec, xs[:n], ys[:m]).tobytes()
+        monkeypatch.setattr(gp, "_scratch_views", lambda shape, dtype, count: (None,) * count)
+        for n, blocks in got.items():
+            fresh = self.screen_blocks(spec, X[:n], xs)
+            assert [b[:2] for b in blocks] == [b[:2] for b in fresh]
+            for (_, _, k), (_, _, want) in zip(blocks, fresh):
+                assert k.dtype == np.float32
+                assert k.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec", [s for s in SPECS if s.nu != 1.2], ids=_spec_id)
     def test_closed_forms_stay_normal(self, spec):
-        # float32 closed forms clamp where exp's argument reaches -87, so
-        # no value is subnormal, and the clamp moves none by 5e-35
+        # the screen's closed forms clamp where exp's argument reaches -87,
+        # so no value is subnormal, and the clamp moves none by 5e-35
         r = np.linspace(0.0, 200.0 * spec.lengthscale, 20001)
         ys = np.stack([r, np.zeros_like(r)], axis=1)
-        k32 = cross_matrix(spec, np.zeros((1, 2), np.float32), ys.astype(np.float32))
-        k64 = cross_matrix(spec, np.zeros((1, 2)), ys)
+        X = np.zeros((1, 2))
+        k32 = np.concatenate([k for _, _, k in self.screen_blocks(spec, X, ys)], axis=1)
+        k64 = cross_matrix(spec, X, ys)
         assert np.all(k32 >= np.finfo(np.float32).tiny)
         far = k64 < 1e-30
         assert far.sum() > 1000
@@ -491,7 +507,8 @@ class TestFloat32Blocks:
         rng = np.random.default_rng(17)
         xs, ys = rng.uniform(size=(5, 2)), rng.uniform(size=(7, 2))
         want = cross_matrix(matern25, xs, ys)
-        for a, b in ((xs.astype(np.float32), ys), (xs, ys.astype(np.float32))):
+        f32 = np.float32
+        for a, b in ((xs.astype(f32), ys), (xs, ys.astype(f32)), (xs.astype(f32), ys.astype(f32))):
             got = cross_matrix(matern25, a, b)
             assert got.dtype == np.float64
             assert got.tobytes() == cross_matrix(matern25, a.astype(float), b.astype(float)).tobytes()

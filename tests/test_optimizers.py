@@ -644,7 +644,7 @@ class TestPrunedCandidatePass:
     @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 6, 7, 8, 9, 200])
     def test_forced_survivor_counts(self, copies, monkeypatch):
         # copies of the best point, the first in the first block, among
-        # candidates whose screened bound is far below its score: the four
+        # candidates whose screened bound is far below its score: the eight
         # largest bounds are solved, then every copy in one call, padded
         # with copies to a multiple of 4, and the first copy wins
         rng = np.random.default_rng(copies)
@@ -663,7 +663,7 @@ class TestPrunedCandidatePass:
         monkeypatch.setattr(GpModel, "_block_stddevs",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
         got = score.argmax(xs)
-        assert solved == [4, copies + -copies % 4]
+        assert solved == [8, copies + -copies % 4]
         monkeypatch.undo()
         want = full_argmax(score, xs)
         assert want[0] == at[0]
@@ -685,7 +685,7 @@ class TestPrunedCandidatePass:
 
     def test_vanished_ei_solves_every_candidate(self, monkeypatch):
         # an incumbent far above every mean makes every EI 0: no score can
-        # prune another, the four largest bounds are solved, then every
+        # prune another, the eight largest bounds are solved, then every
         # column in batches of _BLOCK, and the search is the full pass's
         rng = np.random.default_rng(6)
         model, incumbent = pass_model("matern25_d3", rng)
@@ -697,7 +697,7 @@ class TestPrunedCandidatePass:
         monkeypatch.setattr(GpModel, "_block_stddevs",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
         got = score.argmax(xs)
-        assert solved == [4] + [512] * 8
+        assert solved == [8] + [512] * 8
         monkeypatch.undo()
         assert_same_pick(got, full_argmax(score, xs), xs)
         plain = lambda q: score(q)  # noqa: E731  (no argmax attribute)
