@@ -25,7 +25,6 @@ lam = 1e-12, lengthscale 1, T = 40.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -36,7 +35,6 @@ from .kernels import (
     MATERN,
     SQUARED_EXPONENTIAL,
     KernelSpec,
-    _kernel_in_place,
     _matern_half_integer,
     _scratch_views,
     cross_blocks,
@@ -56,12 +54,11 @@ _VAR_MARGIN = 1e-12
 _BOUND_RTOL = 1e-9
 _SCORE_FLOOR = 1e-280
 # float64's unit roundoff, and float32's machine epsilon (2^-23, twice its
-# unit roundoff), least normal and largest value: the units and limits of
-# posterior_argmax's screening sweep
+# unit roundoff) and least normal value: the units of posterior_argmax's
+# screening sweep
 _U64 = 2.0**-53
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
-_MAX32 = float(np.finfo(np.float32).max)
 # the screen's closed forms clamp where their exp argument reaches -87:
 # exp(-87) ~ 1.6e-38 is float32's least normal order, so no value is
 # subnormal, whose arithmetic is slow on x86.  What the clamp cuts off is
@@ -154,8 +151,8 @@ def _margins(kernel: KernelSpec, X: np.ndarray, alpha: np.ndarray, xs: np.ndarra
     """(A, B, e_k, e_mu): the operands of the screen's products for the
     data X and the points xs, and bounds on how far the screen's float32
     kernel values and means stray from the float64 ones of the model
-    (X, alpha); None for Matern nu < 1/2, or for coordinates, weights or a
-    lengthscale outside the guards at the end.
+    (X, alpha); None for a Matern nu other than 1/2, 3/2 and 5/2, or for
+    coordinates, weights or a lengthscale outside the guards at the end.
 
     Both sets are shifted by one centre o, the midpoint of their least and
     largest coordinate, and scaled by 1 / l: a = (x - o) (1 / l).  The columns
@@ -172,13 +169,12 @@ def _margins(kernel: KernelSpec, X: np.ndarray, alpha: np.ndarray, xs: np.ndarra
 
         e_t = 5 (d + 2) u S,
 
-    which |dk/ds| <= 1, true for SE and Matern nu >= 1/2, turns into a
+    which |dk/ds| <= 1, true for SE and these Matern nu, turns into a
     kernel error.  Rounding t to float32 and its square root move s by at
     most 1.5 u32 s relative (u32 = 2^-24), which moves k by at most
     1.5 u32, as s |dk/ds| <= 2/e for every such kernel; the float32 closed
-    forms add at most ~7 eps with exp 4 ulps off, the Bessel route,
-    evaluated in float64, rounds once, the float64 kernel values err by
-    a few u, and the clamp moves none by 5e-35.  Doubled, that is
+    forms add at most ~7 eps with exp 4 ulps off, the float64 kernel values
+    err by a few u, and the clamp moves none by 5e-35.  Doubled, that is
 
         e_k = sqrt(e_t) + 16 eps,   eps = 2 u32,
 
@@ -195,8 +191,10 @@ def _margins(kernel: KernelSpec, X: np.ndarray, alpha: np.ndarray, xs: np.ndarra
     with c the largest |coordinate|), which keeps t finite for any
     lengthscale in _SCREEN_LENGTHS, and _SCREEN_ALPHA on sum|alpha|, which
     keeps the weights and the means inside float32's range."""
-    if kernel.family == MATERN and kernel.nu < 0.5:
-        return None  # |dk/ds| is unbounded at s = 0
+    if kernel.family == MATERN and kernel.nu not in _HALF_INTEGER_NUS:
+        # the Bessel route: its kv calls would cost the screen what the full
+        # pass costs, and below nu = 1/2 |dk/ds| is unbounded at s = 0
+        return None
     n, d = X.shape
     # NaN if xs has one
     lo = np.minimum(np.min(X), np.min(xs))
@@ -226,17 +224,11 @@ def _margins(kernel: KernelSpec, X: np.ndarray, alpha: np.ndarray, xs: np.ndarra
 def _kernel_of_t32(kernel: KernelSpec, t: np.ndarray) -> np.ndarray:
     """Kernel values at the float32 scaled squared distances t = (r / l)^2,
     0 <= t <= _screen_blocks' clamp, written over t: SE is exp(-t / 2),
-    the Matern closed forms take s = sqrt(t), and any other nu is
-    evaluated in float64 from s and rounded once, since at large nu its
-    log-form terms cancel to values near 1, where float32 would lose
-    ~nu log(nu) ulps."""
+    and the Matern closed forms take s = sqrt(t)."""
     if kernel.family == SQUARED_EXPONENTIAL:
         t *= -0.5
         return np.exp(t, out=t)
-    if kernel.nu in _HALF_INTEGER_NUS:
-        return _matern_half_integer(np.sqrt(t, out=t), kernel.nu)
-    t[...] = _kernel_in_place(replace(kernel, lengthscale=1.0), np.sqrt(t, dtype=float))
-    return t
+    return _matern_half_integer(np.sqrt(t, out=t), kernel.nu)
 
 
 def _screen_blocks(kernel: KernelSpec, A: np.ndarray, B: np.ndarray):
@@ -251,12 +243,8 @@ def _screen_blocks(kernel: KernelSpec, A: np.ndarray, B: np.ndarray):
     n = A.shape[1]
     if kernel.family == SQUARED_EXPONENTIAL:
         far = 2.0 * _EXP_NORMAL32
-    elif kernel.nu in _HALF_INTEGER_NUS:
-        far = _EXP_NORMAL32 * _EXP_NORMAL32 / (2.0 * kernel.nu)
     else:
-        # held in float32's range only: at large nu the Bessel route's
-        # values are far from 0 where exp(-c) is
-        far = _MAX32
+        far = _EXP_NORMAL32 * _EXP_NORMAL32 / (2.0 * kernel.nu)
     m = B.shape[1]
     width = max(BLOCK, _SCREEN_PAIRS // n)
     for start in range(0, m, width):

@@ -225,12 +225,6 @@ def _pick(points, scores) -> tuple[int, float]:
     return i, score
 
 
-def _cell_budget(total_candidates: int, n_cells: int) -> int:
-    """Candidates per cell search: an equal share of the total, floored at
-    128 but never above the total."""
-    return max(min(128, total_candidates), total_candidates // n_cells)
-
-
 def _omega(config: RunConfig, gain: float) -> float:
     """EI's exploration scale for a step, from the gain summed over the
     cells before it; UCB has no global scale, and the trace column reads 1."""
@@ -265,21 +259,71 @@ def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: fl
     return score
 
 
-def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
-    """Run config.algorithm for config.horizon_T steps on its cover.
+def _search(config: RunConfig, cell: Cell, omega_t: float, draw) -> tuple[float, np.ndarray]:
+    """A cell's (score, x) on its search_draw; a cell without data, whose
+    surface is flat, is given its first candidate row and no round."""
+    best = cell.model.incumbent()
+    score_fn = _cell_score(config, cell.model, omega_t, 0.0 if best is None else best[1])
+    cand_u, probe_u = draw if cell.model.n else (draw[0][:1], draw[1][:0])
+    x, s = maximize_acquisition(score_fn, cell.lower, cell.upper, cand_u, probe_u,
+                                extra_points=cell.model.points)
+    # keep the point inside the half-open ownership region: an exact hit on a
+    # shared upper face would belong to the neighbour cell, so it moves in
+    # and is scored again
+    clamp = (cell.upper < 1.0) & (x >= cell.upper)
+    if clamp.any():
+        x = np.where(clamp, np.nextafter(cell.upper, cell.lower), x)
+        s = float(np.asarray(score_fn(x[None, :]))[0])
+    return s, x
 
-    Selection is the global argmax of the cell scores over (cell, point).  A
-    cell's acquisition surface depends only on its own model and omega_t, so
-    each cell's search result is cached under (model.n, omega_t) and a cell
-    is searched again only when that key changes: after it receives an
-    observation, when it is newly created by a split, or at every step when
-    omega_t moves (theory_ei).  The search budget is left out of the key: it
-    sets the effort, not the surface.  Each search takes one search_draw, in
-    cover order; on a cell without data, whose surface is flat, it is given
-    only the first candidate's row and no round.  A cell's EI incumbent and
-    its candidate for the report are both GpModel.incumbent(), its sampled
-    point of largest posterior mean, computed once per model version; x+ is
-    the first cell's among those of largest mean."""
+
+def _select(config: RunConfig, cover: Cover, omega_t: float, rng: np.random.Generator,
+            searched: dict) -> tuple[tuple[Cell, np.ndarray], dict]:
+    """((cell, x), cache) for a step: x is the global argmax of the cell
+    scores over (cell, point), the first of largest score in cover order,
+    and the cache maps each cell to ((model.n, omega_t), score, x).
+
+    A cell's surface depends only on its model and omega_t, so it is searched
+    again only when that key changes: after an observation, when a split
+    creates it, or at every step when omega_t moves (theory_ei); the budget
+    sets the effort, not the surface, and is left out.  Every stale cell
+    takes its search_draw, in cover order, before the first search.  Cells a
+    split removed leave the cache once it outgrows the cover."""
+    stale = [cell for cell in cover.cells
+             if cell not in searched or searched[cell][0] != (cell.model.n, omega_t)]
+    # an equal share of the candidates, floored at 128 but never above them
+    budget = max(min(128, config.acq_candidates), config.acq_candidates // cover.cell_count)
+    draws = [search_draw(rng, budget, config.acq_refinements, cell.lower.size) for cell in stale]
+    for cell, draw in zip(stale, draws):
+        searched[cell] = ((cell.model.n, omega_t), *_search(config, cell, omega_t, draw))
+    if len(searched) > cover.cell_count:
+        searched = {cell: searched[cell] for cell in cover.cells}
+    win = max(cover.cells, key=lambda cell: searched[cell][1])  # the first of largest
+    return (win, searched[win][2]), searched
+
+
+def _observe(objective, cell: Cell, x: np.ndarray) -> tuple[float, float]:
+    """(y, the stddev at x before the cell's model conditions on (x, y))."""
+    if not cell.contains(x):
+        raise RuntimeError(f"selected point {x} lies outside its cell")
+    y = objective(x)
+    return y, cell.model.update(x, y)
+
+
+def _report(cover: Cover, objective) -> tuple[np.ndarray, float, float]:
+    """(x+, f(x+), gain summed over the cells): x+ is the first cell's among
+    the cells' incumbents of largest mean."""
+    incumbents = (c.model.incumbent() for c in cover.cells)
+    x_plus = max((b for b in incumbents if b is not None), key=lambda b: b[1])[0]
+    gain = sum(c.model.accumulated_info_gain() for c in cover.cells)
+    return x_plus, float(objective.target(x_plus)), gain
+
+
+def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
+    """Run config.algorithm for config.horizon_T steps on its cover, one call
+    per phase a step: _select, _observe, split_pass (not for GP-EI) and
+    _report.  A cell's EI incumbent and its candidate for x+ are both its
+    GpModel.incumbent(), computed once per model version."""
     d = objective.dim
     rng = np.random.default_rng(config.seed)
     splits = config.algorithm != ALG_GP_EI
@@ -290,51 +334,19 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
         cover = Cover([cell], math.nan, math.nan)
     trace = RunTrace(config.algorithm, config.seed, d)
     trace.cover_q = cover.q
-    searched = {}  # cell -> ((n, omega_t), score, x)
+    searched = {}
     cum_regret, gain = 0.0, 0.0
     for t in range(1, config.horizon_T + 1):
         t0 = time.perf_counter()
-        budget = _cell_budget(config.acq_candidates, cover.cell_count)
         omega_t = _omega(config, gain)
-        winner = None  # (score, cell, x)
-        for cell in cover.cells:
-            key = (cell.model.n, omega_t)
-            if cell not in searched or searched[cell][0] != key:
-                best = cell.model.incumbent()
-                score_fn = _cell_score(config, cell.model, omega_t,
-                                       0.0 if best is None else best[1])
-                cand_u, probe_u = search_draw(rng, budget, config.acq_refinements, d)
-                if cell.model.n == 0:  # flat surface: the first candidate wins
-                    cand_u, probe_u = cand_u[:1], probe_u[:0]
-                x, s = maximize_acquisition(score_fn, cell.lower, cell.upper, cand_u,
-                                            probe_u, extra_points=cell.model.points)
-                del cand_u, probe_u  # held to the next draw, it adds ~1 MB to peak RSS
-                # keep the point inside the half-open ownership region: an
-                # exact hit on a shared upper face would belong to the
-                # neighbour cell
-                clamp = (cell.upper < 1.0) & (x >= cell.upper)
-                if clamp.any():
-                    x = np.where(clamp, np.nextafter(cell.upper, cell.lower), x)
-                    s = float(np.asarray(score_fn(x[None, :]))[0])
-                searched[cell] = (key, s, x)
-            _, s, x = searched[cell]
-            if winner is None or s > winner[0]:
-                winner = (s, cell, x)
-        _, win_cell, x_t = winner
-        if not win_cell.contains(x_t):
-            raise RuntimeError(f"selected point {x_t} lies outside its cell")
-        y_t = objective(x_t)
-        sigma_sel = win_cell.model.update(x_t, y_t)
-        if splits and split_pass(cover):
-            for gone in searched.keys() - set(cover.cells):
-                del searched[gone]
-        incumbents = (c.model.incumbent() for c in cover.cells)
-        x_plus = max((b for b in incumbents if b is not None), key=lambda b: b[1])[0]
-        f_plus = float(objective.target(x_plus))
+        (win_cell, x_t), searched = _select(config, cover, omega_t, rng, searched)
+        y_t, sigma_sel = _observe(objective, win_cell, x_t)
+        if splits:
+            split_pass(cover)
+        x_plus, f_plus, gain = _report(cover, objective)
         regret = true_optimum - f_plus
         cum_regret += regret
         trace.sum_sigma_selected += sigma_sel
-        gain = sum(c.model.accumulated_info_gain() for c in cover.cells)
         trace.rows.append(TraceRow(
             t=t, x=x_t, y=y_t, x_plus=x_plus, f_at_x_plus=f_plus,
             instantaneous_regret=regret, cumulative_regret=cum_regret,

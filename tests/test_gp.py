@@ -49,10 +49,9 @@ def unblocked_posterior(model, xq):
     return mean, np.sqrt(np.maximum(var, 0.0))
 
 
-# the kernels posterior_argmax's float32 screen bounds: SE, the Matern
-# closed forms and the Bessel route at a nu between them
-SCREENED = [(SQUARED_EXPONENTIAL, None), (MATERN, 0.5), (MATERN, 1.5), (MATERN, 2.5),
-            (MATERN, 1.2)]
+# the kernels posterior_argmax's float32 screen bounds: SE and the Matern
+# closed forms
+SCREENED = [(SQUARED_EXPONENTIAL, None), (MATERN, 0.5), (MATERN, 1.5), (MATERN, 2.5)]
 
 
 @pytest.fixture
@@ -319,7 +318,7 @@ class TestPosteriorBound:
              duplicate=True, seed=0)
     @example(d=3, n=40, m=4197, kernel=(MATERN, 0.5), ell=0.02, acq=("ei", 1.0),
              duplicate=False, seed=1)
-    @example(d=3, n=40, m=4198, kernel=(MATERN, 1.2), ell=0.5, acq=("ucb", 2.0),
+    @example(d=3, n=40, m=4198, kernel=(MATERN, 1.5), ell=0.5, acq=("ucb", 2.0),
              duplicate=False, seed=2)
     @example(d=1, n=12, m=4199, kernel=(SQUARED_EXPONENTIAL, None), ell=2.0,
              acq=("ei", 3.0), duplicate=True, seed=3)
@@ -403,16 +402,19 @@ class TestPosteriorBound:
             worst_k, worst_mu = screen_errors[threads][SCREENED.index(kernel)]
             assert worst_k <= 0.25 and worst_mu <= 0.25
 
-    @pytest.mark.parametrize("case", ["huge", "huge_d3", "nu_below_half", "short", "nan"])
+    @pytest.mark.parametrize("case", ["huge", "huge_d3", "nu_below_half", "short", "nan",
+                                      "bessel"])
     def test_unsound_screens_give_the_full_pass(self, case):
         """Where float32 cannot hold the coordinates (|x| >= 1e18, or
         |x| * sqrt(d) >= 1e18 in general) or the lengthscale, where |dk/ds| is unbounded (nu < 1/2), or
         with a NaN candidate, posterior_argmax gives None, for the full pass,
         without a warning; just inside the coordinate limit it gives the
-        full pass's pick."""
+        full pass's pick.  So it does for a Matern nu without a closed form,
+        whose Bessel route would cost the screen what the full pass costs."""
         rng = np.random.default_rng(40)
         d = 3 if case == "huge_d3" else 1
         spec = {"nu_below_half": KernelSpec(MATERN, 0.2, 0.3),
+                "bessel": KernelSpec(MATERN, 0.2, 1.2),
                 "short": KernelSpec(MATERN, 1e-31, 2.5)}.get(case, KernelSpec(MATERN, 0.2, 2.5))
         model = GpModel.fit(spec, 0.01, rng.uniform(size=(20, d)), rng.normal(size=20))
         xs = rng.uniform(size=(1100, d))

@@ -457,7 +457,8 @@ class TestFloat32Blocks:
         A, B, _, _ = gp._margins(spec, X, np.ones(len(X)), xs)
         return [(start, stop, k.copy()) for start, stop, k in gp._screen_blocks(spec, A, B)]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    # the closed forms only; the screen gives the Bessel route the full pass
+    @pytest.mark.parametrize("spec", SPECS[:4], ids=_spec_id)
     def test_float32_temporaries_share_the_scratch(self, spec, monkeypatch):
         # walks whose blocks take their product, their values and the
         # closed forms' temporaries from fresh arrays or from the scratch

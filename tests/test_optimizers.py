@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -549,7 +550,8 @@ class TestRunGpEi:
         # GP-EI as the one-cell cover: the stripped trace is pinned by the
         # hashes of the loop it replaced; the last four, recorded with a
         # float64 candidate pass, cover the kernels the float32 screen
-        # bounds (nu = 5/2 at l = 0.05 has its widest margins)
+        # bounds (nu = 5/2 at l = 0.05 has its widest margins) and the
+        # Bessel route at nu = 1.2, which takes the full pass
         target, d, opt, _ = standard_function("hartmann3")
         cfg = RunConfig(
             algorithm=ALG_GP_EI, horizon_T=30, omega_mode=omega_mode, kernel=kernel,
@@ -929,22 +931,76 @@ class TestCoverSearchCache:
         for row, x_plus in zip(trace.rows, fresh):
             np.testing.assert_array_equal(row.x_plus, x_plus)
 
-    def test_theory_schedule_trace_unchanged(self):
+    @pytest.mark.parametrize("omega_mode, digest", [
+        (OMEGA_THEORY_EI, "7c0c34ec95d0f690dfab8fb1fb9aa154d91b8f65860d37cf4f233199f8c99e45"),
+        (OMEGA_POLYLOG_T, "b4fbb7d0c655e6ce20204a6972dcc4469f64e51b312feff8a82410aa151f70fe"),
+    ], ids=["theory_ei", "polylog_t"])
+    def test_theory_schedule_trace_unchanged(self, omega_mode, digest):
         # omega_t moves with the global gain under theory_ei, so every cell
         # is searched at every step, with the same rng draws as a loop that
-        # caches nothing; the stripped trace is pinned by its hash
+        # caches nothing; under polylog_t omega_t is fixed and only the
+        # cells whose model changed are searched again.  The stripped traces
+        # are pinned by their hashes
         target, d, opt, _ = standard_function("hartmann3")
         cfg = RunConfig(
             algorithm=ALG_IMPROVED_GP_EI, horizon_T=30,
-            omega_mode=OMEGA_THEORY_EI, kernel=KERNEL,
+            omega_mode=omega_mode, kernel=KERNEL,
             lam=0.01, seed=3,
         )
         oracle = NoisyOracle(target, d, 0.1, np.random.default_rng(77))
         trace = run(cfg, oracle, opt)
         text = strip_wallclock("\n".join(trace_csv_lines(trace, "x", opt)))
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "7c0c34ec95d0f690dfab8fb1fb9aa154d91b8f65860d37cf4f233199f8c99e45"
-        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("alg, omega_mode", [(ALG_IMPROVED_GP_EI, OMEGA_POLYLOG_T),
+                                                 (ALG_PI_UCB, OMEGA_POLYLOG_T),
+                                                 (ALG_IMPROVED_GP_EI, OMEGA_THEORY_EI)])
+    def test_select_draws_for_the_stale_cells_before_searching(self, alg, omega_mode,
+                                                               monkeypatch):
+        # a step's select phase makes every stale cell's draw, in cover
+        # order, before its first search, searches each stale cell on its
+        # own draw, and returns a cache of exactly the live cells
+        select, draw, search = (optimizers._select, optimizers.search_draw,
+                                optimizers.maximize_acquisition)
+        events, steps = [], []
+
+        def recording_draw(*args):
+            events.append(("draw", draw(*args)))
+            return events[-1][1]
+
+        def recording_search(score_fn, lower, upper, cand_u, probe_u, **kwargs):
+            events.append(("search", lower, cand_u))
+            return search(score_fn, lower, upper, cand_u, probe_u, **kwargs)
+
+        def recording_select(config, cover, omega_t, rng, searched):
+            keys = {cell: entry[0] for cell, entry in searched.items()}
+            stale = [c for c in cover.cells if keys.get(c) != (c.model.n, omega_t)]
+            events.clear()
+            out = select(config, cover, omega_t, rng, searched)
+            steps.append((list(cover.cells), stale, list(events), list(out[1])))
+            return out
+
+        monkeypatch.setattr(optimizers, "search_draw", recording_draw)
+        monkeypatch.setattr(optimizers, "maximize_acquisition", recording_search)
+        monkeypatch.setattr(optimizers, "_select", recording_select)
+        oracle, opt = rkhs_oracle(seed=411)
+        cfg = dataclasses.replace(self.polylog_config(alg), omega_mode=omega_mode)
+        run(cfg, oracle, opt)
+        after_split = 0
+        for t, (cells, stale, step_events, cache) in enumerate(steps):
+            n = len(stale)
+            assert [kind for kind, *_ in step_events] == ["draw"] * n + ["search"] * n, t
+            for cell, (_, (cand_u, _)), (_, lower, used) in zip(
+                    stale, step_events[:n], step_events[n:]):
+                assert lower is cell.lower
+                assert np.shares_memory(used, cand_u)
+            if omega_mode == OMEGA_THEORY_EI:
+                assert stale == cells, t
+            assert len(cache) == len(cells) and set(cache) == set(cells), t
+            after_split += t > 0 and len(cells) > len(steps[t - 1][0])
+        assert after_split >= 1
+        if omega_mode == OMEGA_POLYLOG_T:
+            assert any(len(stale) < len(cells) for cells, stale, _, _ in steps)
 
     @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
     def test_cell_budget_never_exceeds_the_total(self, alg, monkeypatch):
