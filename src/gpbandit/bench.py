@@ -163,6 +163,7 @@ def run_benchmark(config: BenchConfig) -> dict:
     """Execute all (run, repeat) pairs, write traces, aggregates, manifest.
 
     Returns a summary dict with output paths and per-algorithm aggregates.
+    Any failure once the output directory exists leaves FAILED and no manifest.
     """
     _, _, true_opt = config.objective.build()  # a bad objective writes nothing
     out = Path(config.output_dir)
@@ -176,60 +177,60 @@ def run_benchmark(config: BenchConfig) -> dict:
             jobs.append((label, replace(run_cfg, seed=seed), config.objective,
                          NOISE_SEED_OFFSET + seed))
 
-    failed_marker = out / "FAILED"
+    failed_marker, manifest_path = out / "FAILED", out / "manifest.json"
     try:
+        manifest_path.unlink(missing_ok=True)
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 results = list(pool.map(_execute_one, jobs))
         else:
             results = [_execute_one(j) for j in jobs]
+
+        by_label: dict[str, list[RunTrace]] = {}
+        trace_paths = []
+        trace_sha256 = {}
+        clamped_rows = 0
+        for label, seed, trace in results:
+            run_id = f"{label}_s{seed}"
+            text = "\n".join(trace_csv_lines(trace, run_id, true_opt)) + "\n"
+            path = out / f"trace_{run_id}.csv"
+            path.write_text(text)
+            trace_paths.append(str(path))
+            trace_sha256[run_id] = hashlib.sha256(strip_wallclock(text).encode()).hexdigest()
+            by_label.setdefault(label, []).append(trace)
+            clamped_rows += sum(
+                1 for row in trace.rows
+                if true_opt - row.f_at_x_plus <= LOG_DISTANCE_FLOOR
+            )
+
+        aggregates = {}
+        for label, traces in by_label.items():
+            agg_path = out / f"aggregate_{label}.csv"
+            aggregates[label] = write_aggregate(traces, true_opt, agg_path)
+
+        objective = config.objective
+        rkhs_sha256 = None
+        if objective.name == "rkhs":
+            rkhs_sha256 = hashlib.sha256(Path(objective.rkhs_file).read_bytes()).hexdigest()
+        manifest = {
+            "objective": dict(asdict(objective), rkhs_sha256=rkhs_sha256,
+                              true_optimum=true_opt),
+            "repeats": config.repeats,
+            "seed_base": config.seed_base,
+            "noise_seed_offset": NOISE_SEED_OFFSET,
+            "runs": [_manifest_entry(c) for c in config.runs],
+            "clamped_log_rows": clamped_rows,
+            "trace_sha256": trace_sha256,
+        }
+        manifest["content_hash"] = hashlib.sha256(
+            json.dumps(manifest, sort_keys=True).encode()
+        ).hexdigest()
+        tmp = out / "manifest.json.tmp"
+        tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+        tmp.rename(manifest_path)
     except Exception:
         failed_marker.write_text("benchmark run failed; partial outputs kept\n")
         raise
-
-    by_label: dict[str, list[RunTrace]] = {}
-    trace_paths = []
-    trace_sha256 = {}
-    clamped_rows = 0
-    for label, seed, trace in results:
-        run_id = f"{label}_s{seed}"
-        text = "\n".join(trace_csv_lines(trace, run_id, true_opt)) + "\n"
-        path = out / f"trace_{run_id}.csv"
-        path.write_text(text)
-        trace_paths.append(str(path))
-        trace_sha256[run_id] = hashlib.sha256(strip_wallclock(text).encode()).hexdigest()
-        by_label.setdefault(label, []).append(trace)
-        clamped_rows += sum(
-            1 for row in trace.rows
-            if true_opt - row.f_at_x_plus <= LOG_DISTANCE_FLOOR
-        )
-
-    aggregates = {}
-    for label, traces in by_label.items():
-        agg_path = out / f"aggregate_{label}.csv"
-        aggregates[label] = write_aggregate(traces, true_opt, agg_path)
-
-    objective = config.objective
-    rkhs_sha256 = None
-    if objective.name == "rkhs":
-        rkhs_sha256 = hashlib.sha256(Path(objective.rkhs_file).read_bytes()).hexdigest()
-    manifest = {
-        "objective": dict(asdict(objective), rkhs_sha256=rkhs_sha256,
-                          true_optimum=true_opt),
-        "repeats": config.repeats,
-        "seed_base": config.seed_base,
-        "noise_seed_offset": NOISE_SEED_OFFSET,
-        "runs": [_manifest_entry(c) for c in config.runs],
-        "clamped_log_rows": clamped_rows,
-        "trace_sha256": trace_sha256,
-    }
-    manifest["content_hash"] = hashlib.sha256(
-        json.dumps(manifest, sort_keys=True).encode()
-    ).hexdigest()
-    manifest_path = out / "manifest.json"
-    tmp = out / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
-    tmp.rename(manifest_path)
     failed_marker.unlink(missing_ok=True)  # left by an earlier failed run
 
     return {
@@ -362,28 +363,42 @@ def diagnostics_report(by_label: dict[str, list[RunTrace]]) -> Diagnostics:
 # flat key=value config files
 # ---------------------------------------------------------------------------
 
+# the keys no field default covers: the run list, the horizon, the kernel
+# and GP-EI's omega mode
 _DEFAULTS = {
     "algorithms": "gp_ei",
     "T": "100",
-    "delta": "0.05",
-    "lambda": "0.01",
     "kernel_family": "matern",
     "nu": "2.5",
     "lengthscale": "0.2",
     "omega_mode": OMEGA_FIXED,
-    "omega_c": "1.0",
-    "seed_base": "0",
-    "repeats": "1",
-    "acq_candidates": "4096",
-    "acq_refinements": "30",
-    "B": "1.0",
-    "R": "1.0",
-    "objective": "hartmann3",
-    "rkhs_file": "",
-    "noise_stddev": "0.1",
-    "output_dir": "bench_out",
-    "jobs": "1",
 }
+
+# every other key: the field it sets, and its type; an unset key leaves
+# that field's own default
+_FIELDS = {
+    "delta": (RunConfig, "delta", float),
+    "lambda": (RunConfig, "lam", float),
+    "omega_c": (RunConfig, "omega_c", float),
+    "acq_candidates": (RunConfig, "acq_candidates", int),
+    "acq_refinements": (RunConfig, "acq_refinements", int),
+    "B": (RunConfig, "B", float),
+    "R": (RunConfig, "R", float),
+    "objective": (ObjectiveSpec, "name", str),
+    "rkhs_file": (ObjectiveSpec, "rkhs_file", str),
+    "noise_stddev": (ObjectiveSpec, "noise_stddev", float),
+    "seed_base": (BenchConfig, "seed_base", int),
+    "repeats": (BenchConfig, "repeats", int),
+    "output_dir": (BenchConfig, "output_dir", str),
+    "jobs": (BenchConfig, "jobs", int),
+}
+
+
+def _convert(key: str, value: str, kind):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"config key {key!r} needs {kind.__name__}, got {value!r}") from None
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -395,7 +410,7 @@ def load_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _DEFAULTS and key not in _FIELDS:
             raise ValueError(f"unknown config key: {key!r}")
         if key in values:  # a later line would win silently
             raise ValueError(f"config key {key!r} is given more than once")
@@ -406,16 +421,21 @@ def load_config_file(path) -> dict[str, str]:
 def build_bench_config(values: dict[str, str]) -> BenchConfig:
     cfg = dict(_DEFAULTS)
     for key, value in values.items():
+        if key not in _DEFAULTS and key not in _FIELDS:
+            raise ValueError(f"unknown config key: {key!r}")
         if value is None:  # not given
             continue
         if not value.strip():  # the default would stand in for it unseen
             raise ValueError(f"config key {key!r} has an empty value")
         cfg[key] = value
-    kernel = KernelSpec(
-        cfg["kernel_family"],
-        float(cfg["lengthscale"]),
-        float(cfg["nu"]) if cfg["kernel_family"] == "matern" else None,
-    )
+    fields = {RunConfig: {}, ObjectiveSpec: {}, BenchConfig: {}}
+    for key, (cls, name, kind) in _FIELDS.items():
+        if key in cfg:
+            fields[cls][name] = _convert(key, cfg[key], kind)
+    family = cfg["kernel_family"]
+    kernel = KernelSpec(family, _convert("lengthscale", cfg["lengthscale"], float),
+                        _convert("nu", cfg["nu"], float) if family == "matern" else None)
+    horizon = _convert("T", cfg["T"], int)
     runs = []
     for alg in (a.strip() for a in cfg["algorithms"].split(",")):
         if alg == ALG_GP_EI:
@@ -426,21 +446,7 @@ def build_bench_config(values: dict[str, str]) -> BenchConfig:
             mode = OMEGA_POLYLOG_T
         else:
             raise ValueError(f"unknown algorithm: {alg!r}")
-        runs.append(RunConfig(
-            algorithm=alg, horizon_T=int(cfg["T"]), omega_mode=mode,
-            omega_c=float(cfg["omega_c"]), kernel=kernel,
-            lam=float(cfg["lambda"]), delta=float(cfg["delta"]),
-            acq_candidates=int(cfg["acq_candidates"]),
-            acq_refinements=int(cfg["acq_refinements"]),
-            B=float(cfg["B"]), R=float(cfg["R"]),
-        ))
-    objective = ObjectiveSpec(
-        name=cfg["objective"],
-        rkhs_file=cfg["rkhs_file"] or None,
-        noise_stddev=float(cfg["noise_stddev"]),
-    )
-    return BenchConfig(
-        runs=runs, objective=objective, repeats=int(cfg["repeats"]),
-        seed_base=int(cfg["seed_base"]), output_dir=cfg["output_dir"],
-        jobs=int(cfg["jobs"]),
-    )
+        runs.append(RunConfig(algorithm=alg, horizon_T=horizon, omega_mode=mode,
+                              kernel=kernel, **fields[RunConfig]))
+    return BenchConfig(runs=runs, objective=ObjectiveSpec(**fields[ObjectiveSpec]),
+                       **fields[BenchConfig])

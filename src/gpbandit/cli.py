@@ -21,14 +21,14 @@ import numpy as np
 
 from . import bench
 from .bench import ObjectiveSpec, build_bench_config, load_config_file
-from .kernels import KernelSpec
 from .testbed import STANDARD_FUNCTIONS, estimate_optimum, make_rkhs_function
 
-_CONFIG_KEYS = sorted(bench._DEFAULTS)
+_CONFIG_KEYS = sorted([*bench._DEFAULTS, *bench._FIELDS])
+_KERNEL_KEYS = ("kernel_family", "nu", "lengthscale")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    for key in _CONFIG_KEYS:
+def _add_config_flags(p: argparse.ArgumentParser, keys=_CONFIG_KEYS) -> None:
+    for key in keys:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
@@ -76,11 +76,8 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_gen_rkhs(args) -> int:
-    kernel = KernelSpec(
-        args.kernel_family,
-        args.lengthscale,
-        args.nu if args.kernel_family == "matern" else None,
-    )
+    # the kernel a run given these keys would use
+    kernel = build_bench_config({key: getattr(args, key) for key in _KERNEL_KEYS}).runs[0].kernel
     rng = np.random.default_rng(args.seed)
     f = make_rkhs_function(kernel, args.dim, args.centers, rng,
                            optimum_budget=args.budget)
@@ -132,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--dim", type=int, default=5)
     p_gen.add_argument("--centers", type=int, default=500)
-    p_gen.add_argument("--kernel-family", default="matern")
-    p_gen.add_argument("--nu", type=float, default=2.5)
-    p_gen.add_argument("--lengthscale", type=float, default=0.2)
+    _add_config_flags(p_gen, _KERNEL_KEYS)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--budget", type=int, default=50_000)
     p_gen.set_defaults(func=_cmd_gen_rkhs)

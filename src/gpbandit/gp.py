@@ -126,11 +126,11 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 def _means_and(blocks, alpha, m, per_block) -> tuple[np.ndarray, np.ndarray]:
     """(means, per_block(kc) for each kernel block kc) over m points, from
     a walk of their kernel blocks (start, stop, kc) against the data of
-    weights alpha: the one walk of posterior_many, over cross_blocks, and
-    of posterior_argmax's screen, over _screen_blocks; the means in alpha's
-    dtype, the rest float64.  A walk of fewer than 2 * BLOCK points is one
-    block, whose arrays it returns as they are (posterior_argmax screens
-    only larger passes)."""
+    weights alpha: the one walk of posterior_many and incumbent, over
+    cross_blocks, and of posterior_argmax's screen, over _screen_blocks; the
+    means in alpha's dtype, the rest float64.  A walk of fewer than 2 * BLOCK
+    points is one block, whose arrays it returns as they are
+    (posterior_argmax screens only larger passes)."""
     if 0 < m < 2 * BLOCK:
         [(_, _, kc)] = blocks
         return np.matmul(kc.T, alpha), per_block(kc)
@@ -273,8 +273,9 @@ class GpModel:
     gives the sampled point of largest mean."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValueError(f"regularizer must be positive, got {lam}")
+        # with 1/lam infinite, the gain's log1p(var / lam) would be too
+        if not (np.isfinite(lam) and lam > 0 and math.isfinite(1.0 / lam)):
+            raise ValueError(f"regularizer must be positive with 1/lam finite, got {lam}")
         self.kernel = kernel
         self.lam = float(lam)
         self._X: np.ndarray | None = None  # (n, d)
@@ -320,10 +321,11 @@ class GpModel:
 
     def incumbent(self) -> tuple[np.ndarray, float] | None:
         """(x, mean) of the sampled point of largest posterior mean, the
-        first on ties; None without data.  One posterior pass per factor, at
-        its first read, so a point a split hands a child costs no pass."""
+        first on ties; None without data.  posterior_many's means alone, once
+        per factor at its first read, so a split's children cost no pass."""
         if self.n and self._incumbent is None:
-            means, _ = self.posterior_many(self._X)
+            means, _ = _means_and(cross_blocks(self.kernel, self._X, self._X), self._alpha,
+                                  self.n, lambda kc: 0.0)
             i = int(np.argmax(means))
             self._incumbent = self._X[i].copy(), float(means[i])
         return self._incumbent

@@ -66,19 +66,19 @@ _EXP_ZERO = 745.2
 # block edges never cut BLAS's 4-row unrolling.
 BLOCK = 512
 
-# A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements' bytes is a
-# view of a per-thread scratch buffer kept between calls; the screening
-# sweep of GpModel.posterior_argmax takes its float64 products, its float32
-# kernel blocks and the closed forms' float32 temporaries from the same
-# buffer.  Freed and allocated afresh, such blocks go back to the OS (from
-# 128 KiB, glibc's default mmap threshold) and fault their pages in again:
-# a GP-EI candidate pass at n = 100 took 2,083 minor faults, and about half
-# again the time it takes without them.  Smaller temporaries are fresh
-# arrays, whose memory malloc reuses without faults; the lookup would only
-# slow a cover search's many small calls.  Larger ones (4 MiB: n x BLOCK
-# blocks reach it at n = 1024) are fresh too, so that a one-shot call, such
-# as a target's dense optimum search, neither raises its peak nor leaves its
-# temporaries behind: a thread keeps at most two of these, 8 MiB.
+# A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements' bytes is a view
+# of a per-thread scratch buffer kept between calls, as are the screen's blocks
+# in GpModel.posterior_argmax (661 requests in a GP-EI Hartmann-3 run of
+# T = 100, against 0-20 float64 ones).  Freed, such blocks go back to the OS
+# (from 128 KiB, glibc's mmap threshold) and fault their pages in again:
+# gen-rkhs at its defaults, whose targets take the float64 views, runs 0.40 s
+# with ~5k minor faults, and 0.46-0.49 s with ~100k with them fresh.  Smaller
+# temporaries are fresh arrays, whose memory malloc reuses without faults; the
+# lookup would only slow a cover search's many small calls.  Larger ones
+# (4 MiB: n x BLOCK blocks reach it at n = 1024) are fresh too, so that a
+# one-shot call, such as a target's dense optimum search, neither raises its
+# peak nor leaves its temporaries behind: a thread keeps at most two of these,
+# 8 MiB.
 _SCRATCH_MIN = 16384
 _SCRATCH_MAX = 1024 * BLOCK
 _SCRATCH_BYTES = (8 * _SCRATCH_MIN, 8 * _SCRATCH_MAX)

@@ -75,6 +75,8 @@ class RunConfig:
             raise ValueError("acquisition refinements must be >= 0")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        if not math.isfinite(1.0 / self.lam):  # the gain's log1p(var / lam) would overflow
+            raise ValueError(f"lambda needs 1/lambda finite, got lam={self.lam}")
         if self.algorithm in (ALG_IMPROVED_GP_EI, ALG_PI_UCB):
             if self.kernel.nu is None or not self.kernel.nu > 1:
                 raise ValueError("partition-based runs need a Matern kernel with nu > 1")
@@ -277,29 +279,26 @@ def _search(config: RunConfig, cell: Cell, omega_t: float, draw) -> tuple[float,
     return s, x
 
 
-def _select(config: RunConfig, cover: Cover, omega_t: float, rng: np.random.Generator,
-            searched: dict) -> tuple[tuple[Cell, np.ndarray], dict]:
-    """((cell, x), cache) for a step: x is the global argmax of the cell
-    scores over (cell, point), the first of largest score in cover order,
-    and the cache maps each cell to ((model.n, omega_t), score, x).
+def _select(config: RunConfig, cover: Cover, omega_t: float,
+            rng: np.random.Generator) -> tuple[Cell, np.ndarray]:
+    """(cell, x) for a step: x is the global argmax of the cell scores over
+    (cell, point), the first of largest score in cover order.
 
-    A cell's surface depends only on its model and omega_t, so it is searched
+    A cell's surface depends only on its model and omega_t, so each cell
+    holds its last search, ((model.n, omega_t), score, x), and is searched
     again only when that key changes: after an observation, when a split
     creates it, or at every step when omega_t moves (theory_ei); the budget
     sets the effort, not the surface, and is left out.  Every stale cell
-    takes its search_draw, in cover order, before the first search.  Cells a
-    split removed leave the cache once it outgrows the cover."""
+    takes its search_draw, in cover order, before the first search."""
     stale = [cell for cell in cover.cells
-             if cell not in searched or searched[cell][0] != (cell.model.n, omega_t)]
+             if cell.search is None or cell.search[0] != (cell.model.n, omega_t)]
     # an equal share of the candidates, floored at 128 but never above them
     budget = max(min(128, config.acq_candidates), config.acq_candidates // cover.cell_count)
     draws = [search_draw(rng, budget, config.acq_refinements, cell.lower.size) for cell in stale]
     for cell, draw in zip(stale, draws):
-        searched[cell] = ((cell.model.n, omega_t), *_search(config, cell, omega_t, draw))
-    if len(searched) > cover.cell_count:
-        searched = {cell: searched[cell] for cell in cover.cells}
-    win = max(cover.cells, key=lambda cell: searched[cell][1])  # the first of largest
-    return (win, searched[win][2]), searched
+        cell.search = ((cell.model.n, omega_t), *_search(config, cell, omega_t, draw))
+    win = max(cover.cells, key=lambda cell: cell.search[1])  # the first of largest
+    return win, win.search[2]
 
 
 def _observe(objective, cell: Cell, x: np.ndarray) -> tuple[float, float]:
@@ -334,12 +333,11 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
         cover = Cover([cell], math.nan, math.nan)
     trace = RunTrace(config.algorithm, config.seed, d)
     trace.cover_q = cover.q
-    searched = {}
     cum_regret, gain = 0.0, 0.0
     for t in range(1, config.horizon_T + 1):
         t0 = time.perf_counter()
         omega_t = _omega(config, gain)
-        (win_cell, x_t), searched = _select(config, cover, omega_t, rng, searched)
+        win_cell, x_t = _select(config, cover, omega_t, rng)
         y_t, sigma_sel = _observe(objective, win_cell, x_t)
         if splits:
             split_pass(cover)

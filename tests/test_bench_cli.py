@@ -170,6 +170,18 @@ class TestRunBenchmark:
         run_benchmark(config)
         assert not marker.exists()
 
+    def test_failed_write_leaves_marker_and_no_manifest(self, tmp_path):
+        # a rerun whose trace path is a directory used to exit with no
+        # marker, and the first run's manifest (horizon_T 3) still in place
+        run_benchmark(tiny_bench(tmp_path, T=3))
+        out = Path(tiny_bench(tmp_path).output_dir)
+        (out / "trace_gp_ei_fixed1_s0.csv").unlink()
+        (out / "trace_gp_ei_fixed1_s0.csv").mkdir()
+        with pytest.raises(OSError):
+            run_benchmark(tiny_bench(tmp_path, T=4))
+        assert (out / "FAILED").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_aggregate_median_permutation_invariant(self, tmp_path):
         summary = run_benchmark(tiny_bench(tmp_path, T=3, repeats=3))
         from gpbandit.bench import write_aggregate
@@ -295,6 +307,22 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config_file(cfg_file)
 
+    def test_unknown_key_in_values_rejected(self):
+        with pytest.raises(ValueError, match="unknown config key: 'warp_factor'"):
+            build_bench_config({"T": "5", "warp_factor": "9"})
+
+    def test_unset_keys_take_the_field_defaults(self):
+        # only the six keys no field default covers have their own defaults
+        config = build_bench_config({})
+        [run] = config.runs
+        assert set(bench._DEFAULTS) == {"algorithms", "T", "kernel_family", "nu",
+                                        "lengthscale", "omega_mode"}
+        assert run == RunConfig(algorithm=ALG_GP_EI, horizon_T=100, omega_mode=OMEGA_FIXED,
+                                kernel=KERNEL)
+        assert config.objective == ObjectiveSpec()
+        assert (config.repeats, config.seed_base, config.output_dir, config.jobs) == (
+            1, 0, "bench_out", 1)
+
     def test_repeated_key_rejected(self, tmp_path):
         # the last line would otherwise win silently and run T = 7
         cfg_file = tmp_path / "twice.cfg"
@@ -399,6 +427,36 @@ class TestCli:
         assert rc == 1
         assert "config key 'T' has an empty value" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--T", "abc"], "config key 'T' needs int, got 'abc'"),
+        (["--repeats", "2.5"], "config key 'repeats' needs int, got '2.5'"),
+        (["--lambda", "small"], "config key 'lambda' needs float, got 'small'"),
+        (["--nu", "x"], "config key 'nu' needs float, got 'x'"),
+        # log1p(var / lambda) would make every row's info gain infinite
+        (["--lambda", "1e-320", "--T", "3"], "lambda needs 1/lambda finite, got lam=1e-320"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, flags, message):
+        rc = main(["run", *flags, "--acq-candidates", "64",
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_rkhs_kernel_keys_default_as_in_run(self, tmp_path, capsys):
+        # gen-rkhs reads kernel_family, nu and lengthscale as run does
+        paths = [tmp_path / "default.json", tmp_path / "explicit.json"]
+        flags = ["--kernel-family", "matern", "--nu", "2.5", "--lengthscale", "0.2"]
+        for path, extra in zip(paths, ([], flags)):
+            rc = main(["gen-rkhs", "--out", str(path), "--dim", "2", "--centers", "5",
+                       "--budget", "1000", *extra])
+            assert rc == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert json.loads(paths[0].read_text())["kernel"] == {
+            "family": "matern", "lengthscale": 0.2, "nu": 2.5}
+        rc = main(["gen-rkhs", "--out", str(tmp_path / "bad.json"), "--nu", ""])
+        assert rc == 1
+        assert "config key 'nu' has an empty value" in capsys.readouterr().err
 
     def test_gen_rkhs_and_optimum(self, tmp_path, capsys):
         target = tmp_path / "target.json"

@@ -665,19 +665,35 @@ class TestIncumbent:
         assert x.tobytes() == want_x.tobytes() and mean == want_mean
 
     def test_one_posterior_pass_per_factor(self, matern25, monkeypatch):
+        # one walk of the data's kernel blocks per factor, and no
+        # posterior_many call: the stddevs it would solve are not read
         rng = np.random.default_rng(26)
         p = rng.uniform(size=2)
         model = GpModel(matern25, 1e-16)
-        calls, real = [], GpModel.posterior_many
+        walks, calls = [], []
+        real_blocks, real_many = gp.cross_blocks, GpModel.posterior_many
+        monkeypatch.setattr(gp, "cross_blocks",
+                            lambda *args: walks.append(1) or real_blocks(*args))
         monkeypatch.setattr(GpModel, "posterior_many",
-                            lambda self, xs: calls.append(1) or real(self, xs))
+                            lambda self, xs: calls.append(1) or real_many(self, xs))
         for x in (p, rng.uniform(size=2), p):  # first point, extension, refit
             model.update(x, rng.normal())
-            del calls[:]
+            del walks[:], calls[:]
             for _ in range(3):
                 model.incumbent()
-            assert len(calls) == 1
+            assert len(walks) == 1 and not calls
         assert model._jitter > 0
+
+    def test_means_are_posterior_many_bytes_over_several_blocks(self, matern25):
+        # 1030 points are walked in two kernel blocks, the second ragged
+        rng = np.random.default_rng(27)
+        n = 2 * kernels.BLOCK + 6
+        model = GpModel(matern25, 0.01)
+        model._X, model._y = rng.uniform(size=(n, 2)), rng.normal(size=n)
+        model._refit()
+        x, mean = model.incumbent()
+        want_x, want_mean = first_mean_argmax(model)
+        assert x.tobytes() == want_x.tobytes() and mean == want_mean
 
 
 class TestVarianceMonotonicity:
@@ -779,3 +795,8 @@ class TestErrors:
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
             GpModel(KernelSpec(SQUARED_EXPONENTIAL, 1.0), 0.0)
+
+    def test_lambda_whose_reciprocal_overflows(self):
+        # log1p(var / lam) in the information gain would be infinite
+        with pytest.raises(ValueError, match="with 1/lam finite"):
+            GpModel(KernelSpec(SQUARED_EXPONENTIAL, 1.0), 1e-320)

@@ -959,7 +959,9 @@ class TestCoverSearchCache:
                                                                monkeypatch):
         # a step's select phase makes every stale cell's draw, in cover
         # order, before its first search, searches each stale cell on its
-        # own draw, and returns a cache of exactly the live cells
+        # own draw, leaves every other cell's search as it was, and leaves
+        # each live cell holding its search under this step's key; the
+        # winner is the first cell of largest score, with that search's x
         select, draw, search = (optimizers._select, optimizers.search_draw,
                                 optimizers.maximize_acquisition)
         events, steps = [], []
@@ -972,12 +974,15 @@ class TestCoverSearchCache:
             events.append(("search", lower, cand_u))
             return search(score_fn, lower, upper, cand_u, probe_u, **kwargs)
 
-        def recording_select(config, cover, omega_t, rng, searched):
-            keys = {cell: entry[0] for cell, entry in searched.items()}
-            stale = [c for c in cover.cells if keys.get(c) != (c.model.n, omega_t)]
+        def recording_select(config, cover, omega_t, rng):
+            before = [cell.search for cell in cover.cells]
+            stale = [c for c, held in zip(cover.cells, before)
+                     if held is None or held[0] != (c.model.n, omega_t)]
             events.clear()
-            out = select(config, cover, omega_t, rng, searched)
-            steps.append((list(cover.cells), stale, list(events), list(out[1])))
+            out = select(config, cover, omega_t, rng)
+            after = [cell.search for cell in cover.cells]
+            keys = [(cell.model.n, omega_t) for cell in cover.cells]
+            steps.append((list(cover.cells), stale, list(events), before, after, keys, out))
             return out
 
         monkeypatch.setattr(optimizers, "search_draw", recording_draw)
@@ -987,7 +992,7 @@ class TestCoverSearchCache:
         cfg = dataclasses.replace(self.polylog_config(alg), omega_mode=omega_mode)
         run(cfg, oracle, opt)
         after_split = 0
-        for t, (cells, stale, step_events, cache) in enumerate(steps):
+        for t, (cells, stale, step_events, before, after, keys, (win, x)) in enumerate(steps):
             n = len(stale)
             assert [kind for kind, *_ in step_events] == ["draw"] * n + ["search"] * n, t
             for cell, (_, (cand_u, _)), (_, lower, used) in zip(
@@ -996,11 +1001,15 @@ class TestCoverSearchCache:
                 assert np.shares_memory(used, cand_u)
             if omega_mode == OMEGA_THEORY_EI:
                 assert stale == cells, t
-            assert len(cache) == len(cells) and set(cache) == set(cells), t
+            assert [held[0] for held in after] == keys, t
+            assert [a is not b for a, b in zip(after, before)] == [c in stale for c in cells], t
+            scores = [held[1] for held in after]
+            i = scores.index(max(scores))
+            assert win is cells[i] and x is after[i][2], t
             after_split += t > 0 and len(cells) > len(steps[t - 1][0])
         assert after_split >= 1
         if omega_mode == OMEGA_POLYLOG_T:
-            assert any(len(stale) < len(cells) for cells, stale, _, _ in steps)
+            assert any(len(stale) < len(cells) for cells, stale, *_ in steps)
 
     @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
     def test_cell_budget_never_exceeds_the_total(self, alg, monkeypatch):
@@ -1149,6 +1158,9 @@ class TestPosteriorReads:
         calls, real = [], GpModel.posterior_many
         monkeypatch.setattr(GpModel, "posterior_many",
                             lambda self, xs: calls.append(1) or real(self, xs))
+        walks, real_blocks = [], gp.cross_blocks
+        monkeypatch.setattr(gp, "cross_blocks",
+                            lambda *args: walks.append(1) or real_blocks(*args))
         searches, search = [], optimizers.maximize_acquisition
 
         def recording_search(score_fn, *args, **kwargs):
@@ -1166,15 +1178,18 @@ class TestPosteriorReads:
         cfg = small_config(T=6)
         run(cfg, oracle, opt)
         # per step: the search's score calls (the candidate batch, then one
-        # per window of refinement rounds), the update's read and the best
-        # sampled mean after it; step 1's cell has no data, so its search
-        # scores one point and no refinement
+        # per window of refinement rounds) and the update's read, each a
+        # posterior_many call, and the best sampled mean after it, one more
+        # walk of kernel blocks; step 1's cell has no data, so its search
+        # scores one point and no refinement, and neither it nor the
+        # update's read walks any block
         assert len(searches) == cfg.horizon_T
         assert [len(pv) for pv in searches[0]] == [1]
         for scores in searches[1:]:
             assert [len(pv) for pv in scores] == _replayed_row_counts(
                 scores, 8, cfg.acq_refinements)
-        assert len(calls) == sum(map(len, searches)) + 2 * cfg.horizon_T
+        assert len(calls) == sum(map(len, searches)) + cfg.horizon_T
+        assert len(walks) == len(calls) - 2 + cfg.horizon_T
 
 
 class TestRunConfigValidation:
