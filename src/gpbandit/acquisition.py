@@ -25,19 +25,26 @@ _TAIL_Z = -38.0
 
 
 def _phi(z):
-    return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
+    """phi at an array z, its temporaries built in place."""
+    out = np.square(z)
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= _SQRT_2PI
+    return out
 
 
-def _tau(z: np.ndarray) -> np.ndarray:
-    """tau at finite z of one or more dimensions.  Callers check that z is
-    finite and ignore over- and underflow: z^2 may overflow for
-    |z| > 1e154, where phi's exp(-inf) and the tail's phi/inf give the
-    exact limit 0."""
+def _tau(z: np.ndarray, deep: bool = True) -> np.ndarray:
+    """tau at finite z of one or more dimensions; deep=False asserts that
+    no z lies below _TAIL_Z.  Callers check that z is finite and ignore
+    over- and underflow: z^2 may overflow for |z| > 1e154, where phi's
+    exp(-inf) and the tail's phi/inf give the exact limit 0."""
     # the direct form everywhere, then the tail form over it where it
     # applies, so the tail's division never sees a tiny z
-    out = z * ndtr(z) + _phi(z)
-    tail = z < _TAIL_Z
-    if tail.any():
+    out = ndtr(z)
+    out *= z
+    out += _phi(z)
+    if deep:
+        tail = z < _TAIL_Z
         zt = z[tail]
         out[tail] = _phi(zt) / np.square(zt)
     return out
@@ -69,40 +76,55 @@ def ei_scores(means, incumbent: float, scaled_stddevs) -> np.ndarray:
 
     A scaled stddev that is negative or NaN, or a mean or incumbent that is
     not finite, raises ValueError naming the first such entry.  The score
-    is computed on 1-D arrays under one errstate, whatever the input shape."""
+    is computed on 1-D arrays, whatever the input shape."""
     u = np.asarray(means, dtype=float) - incumbent
     v = np.asarray(scaled_stddevs, dtype=float)
-    ok = v >= 0
-    if not ok.all():
-        i, at = _first_false(ok)
+    if not v.min(initial=math.inf) >= 0:  # a NaN carries through the min
+        i, at = _first_false(v >= 0)
         raise ValueError(f"scaled stddev must be nonnegative and not NaN, got {v[i]}{at}")
     if u.shape != v.shape:
         u, v = np.broadcast_arrays(u, v)
     shape = u.shape
     if len(shape) != 1:
         u, v = u.reshape(-1), v.reshape(-1)
-    # u / v is inf or NaN where v = 0 or a subnormal v overflows it, and
-    # _tau may over- and underflow
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        z = u / v
-        hinge = np.maximum(0.0, u)
-        if np.isfinite(z).all():
-            out = v * _tau(z)
-        else:
-            # v = 0, or a subnormal v that makes u / v overflow: rho(u, v) is
-            # at its limit max(0, u)
-            finite = np.isfinite(u)
-            if not finite.all():
-                i, at = _first_false(finite.reshape(shape))
-                mean = np.broadcast_to(np.asarray(means, dtype=float), shape)[i]
-                inc = np.broadcast_to(np.asarray(incumbent, dtype=float), shape)[i]
-                raise ValueError("means and incumbent must be finite, "
-                                 f"got mean {mean} and incumbent {inc}{at}")
-            limit = ~np.isfinite(z)
-            out = np.where(limit, hinge, v * _tau(np.where(limit, 0.0, z)))
-        # guard the analytic floor rho(u, v) >= max(0, u) against roundoff
-        np.maximum(out, hinge, out=out)
+    out = _rho(u, v)
+    if out is None:
+        i, at = _first_false(np.isfinite(u).reshape(shape))
+        mean = np.broadcast_to(np.asarray(means, dtype=float), shape)[i]
+        inc = np.broadcast_to(np.asarray(incumbent, dtype=float), shape)[i]
+        raise ValueError("means and incumbent must be finite, "
+                         f"got mean {mean} and incumbent {inc}{at}")
     return out if len(shape) == 1 else out.reshape(shape)[()]
+
+
+# u / v is inf or NaN where v = 0 or a subnormal v overflows it, and _tau
+# may over- and underflow; the decorator form enters errstate at about
+# 0.4 us less per call than a with statement
+@np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore")
+def _rho(u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """rho(u, v) on 1-D arrays with v >= 0, or None where some u is not
+    finite and some u / v is not: rho at an infinite u has no limit to take."""
+    z = u / v
+    hinge = np.maximum(0.0, u)
+    # one min and one max of z, each 0 for an empty z: a NaN carries
+    # through both, and -inf and inf through one of them
+    low, high = z.min(initial=0.0), z.max(initial=0.0)
+    if math.isfinite(low) and math.isfinite(high):
+        out = _tau(z, low < _TAIL_Z)
+        out *= v
+    else:
+        # v = 0, or a subnormal v that makes u / v overflow: rho(u, v) is
+        # at its limit max(0, u)
+        if not np.isfinite(u).all():
+            return None
+        limit = ~np.isfinite(z)
+        z[limit] = 0.0
+        out = _tau(z)
+        out *= v
+        out[limit] = hinge[limit]
+    # guard the analytic floor rho(u, v) >= max(0, u) against roundoff
+    np.maximum(out, hinge, out=out)
+    return out
 
 
 def ucb_score(mean, stddev, beta: float):

@@ -163,7 +163,9 @@ def run_benchmark(config: BenchConfig) -> dict:
     """Execute all (run, repeat) pairs, write traces, aggregates, manifest.
 
     Returns a summary dict with output paths and per-algorithm aggregates.
-    Any failure once the output directory exists leaves FAILED and no manifest.
+    An earlier run's manifest, traces and aggregates are removed first, so a
+    manifest lists every trace beside it.  Any failure once the output
+    directory exists leaves FAILED and no manifest.
     """
     _, _, true_opt = config.objective.build()  # a bad objective writes nothing
     out = Path(config.output_dir)
@@ -180,6 +182,8 @@ def run_benchmark(config: BenchConfig) -> dict:
     failed_marker, manifest_path = out / "FAILED", out / "manifest.json"
     try:
         manifest_path.unlink(missing_ok=True)
+        for stale in (*out.glob("trace_*.csv"), *out.glob("aggregate_*.csv")):
+            stale.unlink()
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 results = list(pool.map(_execute_one, jobs))

@@ -20,11 +20,12 @@ import sys
 import numpy as np
 
 from . import bench
-from .bench import ObjectiveSpec, build_bench_config, load_config_file
-from .testbed import STANDARD_FUNCTIONS, estimate_optimum, make_rkhs_function
+from .bench import build_bench_config, load_config_file
+from .testbed import estimate_optimum, make_rkhs_function
 
 _CONFIG_KEYS = sorted([*bench._DEFAULTS, *bench._FIELDS])
 _KERNEL_KEYS = ("kernel_family", "nu", "lengthscale")
+_OBJECTIVE_KEYS = ("objective", "rkhs_file")
 
 
 def _add_config_flags(p: argparse.ArgumentParser, keys=_CONFIG_KEYS) -> None:
@@ -93,11 +94,13 @@ def _cmd_gen_rkhs(args) -> int:
 
 
 def _cmd_optimum(args) -> int:
-    target, d, _ = ObjectiveSpec(args.objective, args.rkhs_file).build()
+    # the objective a run given these keys would use
+    spec = build_bench_config({key: getattr(args, key) for key in _OBJECTIVE_KEYS}).objective
+    target, d, _ = spec.build()
     rng = np.random.default_rng(args.seed)
     value, point = estimate_optimum(target, d, args.budget, rng)
     print(json.dumps({
-        "objective": args.objective,
+        "objective": spec.name,
         "budget": args.budget,
         "value": value,
         "point": [float(c) for c in point],
@@ -135,9 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen_rkhs)
 
     p_opt = sub.add_parser("optimum", help="estimate a target's optimum")
-    p_opt.add_argument("--objective", default="hartmann3",
-                       choices=list(STANDARD_FUNCTIONS) + ["rkhs"])
-    p_opt.add_argument("--rkhs-file")
+    _add_config_flags(p_opt, _OBJECTIVE_KEYS)
     p_opt.add_argument("--budget", type=int, default=100_000)
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.set_defaults(func=_cmd_optimum)

@@ -38,6 +38,11 @@ OMEGA_FIXED = "fixed"
 OMEGA_THEORY_EI = "theory_ei"
 OMEGA_POLYLOG_T = "polylog_t"
 
+# the kernel pairs (a cell's sampled points times probe rows) a refinement
+# window is sized to after an improvement: below about this many, a score
+# call's cost is its fixed numpy overhead, not its kernel work
+_WINDOW_PAIRS = 100
+
 
 class AcquisitionNumericsError(ArithmeticError):
     """Score function returned NaN; carries the offending point."""
@@ -169,10 +174,15 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     radius halves every round, so a round's probes depend only on the best
     point at its start: the first round in a window that improves is taken,
     the rounds after it are dropped, and a NaN raises only in a round before
-    it.  A window is one round after an improvement and doubles after one
-    without, up to the rounds left, but stays one round unless n_probes is a
-    multiple of 4: such row groups are what GpModel.posterior_many scores to
-    the same bits wherever they sit, so the result is the one-round search's.
+    it.  A posterior-plus-score call costs some 20-30 us whatever its size
+    and 1-2.5 us more per 100 kernel pairs, so the first window, and each
+    after an improvement, holds max(1, _WINDOW_PAIRS // (max(1, n) *
+    n_probes)) rounds for n sampled points: 12 rounds of 8 probes at n = 1,
+    and one round from n = 12 on.  A window doubles after one without an
+    improvement, up to the rounds left.  Every window is one round unless
+    n_probes is a multiple of 4: such row groups are what
+    GpModel.posterior_many scores to the same bits wherever they sit, so the
+    result is the one-round search's.
 
     A score_fn may carry an `argmax(points)` attribute, a shortcut for the
     candidate pass: it returns the (index, score) that the first-index
@@ -187,6 +197,7 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     cands = lower + cand_u * (upper - lower)
     if extra_points is not None and len(extra_points):
         cands = np.vstack([cands, np.atleast_2d(np.asarray(extra_points, dtype=float))])
+    n = len(cands) - len(cand_u)
     if not len(cands):
         raise ValueError("search has no candidate: cand_u has 0 rows and no extra point")
     argmax = getattr(score_fn, "argmax", None)
@@ -198,8 +209,10 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     # halved r times, exactly
     steps = (2.0 * probe_u - 1.0) * (
         0.25 * (upper - lower) * 0.5 ** np.arange(n_refinements)[:, None, None])
+    pairs = max(1, n) * n_probes  # the kernel pairs of one round
     growth = 2 if n_probes % 4 == 0 else 1
-    r, window = 0, 1
+    floor = max(1, _WINDOW_PAIRS // pairs) if growth == 2 and pairs else 1
+    r, window = 0, floor
     while r < n_refinements:
         stop = min(r + window, n_refinements)
         probes = best_x + steps[r:stop]
@@ -212,7 +225,7 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
             i, score = _pick(round_probes, round_pv)
             if score > best_score:
                 best_score, best_x = score, round_probes[i].copy()
-                window = 1
+                window = floor
                 break
     return best_x, best_score
 

@@ -259,6 +259,9 @@ class TestFrozenReference:
     @example((np.array([np.inf]), 0.0, np.array([0.0])))
     @example((np.array([0.0]), 0.0, np.array([np.nan])))
     @example((np.array([1e308]), -1e308, np.array([1.0])))  # u overflows
+    @example((np.zeros(0), 0.0, np.zeros(0)))  # empty: the reductions must not raise
+    @example((np.zeros((0, 3)), 0.0, np.ones(3)))
+    @example((np.array([-38.0, -76.0, -38.0]), 0.0, np.array([1.0, 2.0, 1.0])))  # z = _TAIL_Z
     def test_ei_scores(self, args):
         assert outcome(ei_scores, *args) == outcome(frozen_ei_scores, *args)
 

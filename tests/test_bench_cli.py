@@ -170,6 +170,21 @@ class TestRunBenchmark:
         run_benchmark(config)
         assert not marker.exists()
 
+    def test_rerun_removes_the_outputs_its_manifest_does_not_list(self, tmp_path):
+        # two runs of two repeats, then one of one: trace _s1 and the second
+        # run's traces and aggregate stayed beside a manifest of _s0
+        [fixed] = tiny_bench(tmp_path).runs
+        theory = replace(fixed, omega_mode=OMEGA_THEORY_EI)
+        run_benchmark(tiny_bench(tmp_path, repeats=2, algorithms=[fixed, theory]))
+        summary = run_benchmark(tiny_bench(tmp_path, repeats=1))
+        out = Path(summary["manifest"]).parent
+        manifest = json.loads(Path(summary["manifest"]).read_text())
+        assert sorted(p.name for p in out.glob("trace_*.csv")) == [
+            f"trace_{run_id}.csv" for run_id in manifest["trace_sha256"]] == [
+            "trace_gp_ei_fixed1_s0.csv"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate_gp_ei_fixed1.csv", "manifest.json", "trace_gp_ei_fixed1_s0.csv"]
+
     def test_failed_write_leaves_marker_and_no_manifest(self, tmp_path):
         # a rerun whose trace path is a directory used to exit with no
         # marker, and the first run's manifest (horizon_T 3) still in place
@@ -483,6 +498,21 @@ class TestCli:
         rc = main(["optimum", "--objective", "rkhs", "--budget", "2000"])
         assert rc == 1
         assert capsys.readouterr().err == "error: rkhs objective needs a target file\n"
+
+    @pytest.mark.parametrize("objective, message", [
+        (["--objective", "nope"], "unknown test function: 'nope'"),
+        (["--objective", ""], "config key 'objective' has an empty value"),
+    ])
+    def test_optimum_bad_objective_exits_1(self, capsys, objective, message):
+        # the name goes through ObjectiveSpec, as run's does; argparse
+        # choices rejected it with exit 2 and a usage message
+        rc = main(["optimum", *objective, "--budget", "1000"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_optimum_defaults_to_the_run_objective(self, capsys):
+        assert main(["optimum", "--budget", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["objective"] == ObjectiveSpec().name
 
     @pytest.mark.parametrize("objective, message", [
         (["--objective", "nope"], "unknown test function: 'nope'"),

@@ -206,15 +206,17 @@ def _interleaved_maximizer(score_fn, lower, upper, rng, n_candidates,
     return best_x, best_score
 
 
-def _replayed_row_counts(scores, n_probes, n_refinements):
+def _replayed_row_counts(scores, n_probes, n_refinements, n):
     """Row counts of one search's score calls, replayed from the scores those
-    calls returned: the candidate batch, then windows of rounds, one round
-    after an improvement, twice the last window after none (one round
+    calls returned and the search's n sampled points: the candidate batch,
+    then windows of rounds, max(1, 100 // (max(1, n) n_probes)) rounds first
+    and after an improvement, twice the last window after none (one round
     throughout unless n_probes is a multiple of 4), at most the rounds left;
     a window ends at its first round whose best score beats the best so far
     (strictly)."""
+    floor = max(1, 100 // (max(1, n) * n_probes)) if n_probes % 4 == 0 else 1
     want = [len(scores[0])]
-    best, r, window, later = max(scores[0]), 0, 1, iter(scores[1:])
+    best, r, window, later = max(scores[0]), 0, floor, iter(scores[1:])
     while r < n_refinements:
         rounds = min(window, n_refinements - r)
         want.append(rounds * n_probes)
@@ -226,7 +228,7 @@ def _replayed_row_counts(scores, n_probes, n_refinements):
             r += 1
             top = max(pv[k * n_probes:(k + 1) * n_probes])
             if top > best:
-                best, window = top, 1
+                best, window = top, floor
                 break
     return want
 
@@ -243,8 +245,12 @@ class TestOneDraw:
     @pytest.mark.parametrize("with_extra", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_matches_interleaved_draws(self, d, with_extra):
+        # cells of 1 to 12 sampled points: up to 11 (at 8 probes) or 4 (at
+        # 12) the first window and each after an improvement hold several
+        # rounds; probe groups of 10 or 14 rows (d = 5, 7) stay one round
         setup = np.random.default_rng(1000 + d)
         center = setup.uniform(size=d)
+        n_probes = max(8, 2 * d)
 
         def peaked(xs):
             return -np.sum((np.atleast_2d(xs) - center) ** 2, axis=1)
@@ -252,22 +258,31 @@ class TestOneDraw:
         def constant(xs):
             return np.full(np.atleast_2d(xs).shape[0], 0.25)
 
-        for n_candidates in (1, 7, 128):
-            for n_refinements in (0, 1, 30):
-                lower, upper = self.box(setup, d)
-                extra = (lower + setup.uniform(size=(3, d)) * (upper - lower)
-                         if with_extra else None)
-                seed = int(setup.integers(2**32))
-                for score in (peaked, constant):
-                    ref_rng = np.random.default_rng(seed)
-                    rng = np.random.default_rng(seed)
-                    want = _interleaved_maximizer(score, lower, upper, ref_rng,
-                                                  n_candidates, n_refinements, extra)
-                    got = drawn_search(score, lower, upper, rng, n_candidates,
-                                       n_refinements, extra_points=extra)
-                    assert got[0].tobytes() == want[0].tobytes()
-                    assert got[1] == want[1]
-                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for n_extra in (1, 2, 3, 5, 8, 12) if with_extra else (0,):
+            for n_candidates in (1, 7, 128):
+                for n_refinements in (0, 1, 30):
+                    lower, upper = self.box(setup, d)
+                    extra = (lower + setup.uniform(size=(n_extra, d)) * (upper - lower)
+                             if with_extra else None)
+                    seed = int(setup.integers(2**32))
+                    for score in (peaked, constant):
+                        scores = []
+
+                        def recorded(xs):
+                            scores.append(score(xs))
+                            return scores[-1]
+
+                        ref_rng = np.random.default_rng(seed)
+                        rng = np.random.default_rng(seed)
+                        want = _interleaved_maximizer(score, lower, upper, ref_rng,
+                                                      n_candidates, n_refinements, extra)
+                        got = drawn_search(recorded, lower, upper, rng, n_candidates,
+                                           n_refinements, extra_points=extra)
+                        assert got[0].tobytes() == want[0].tobytes()
+                        assert got[1] == want[1]
+                        assert rng.bit_generator.state == ref_rng.bit_generator.state
+                        assert [len(pv) for pv in scores] == _replayed_row_counts(
+                            scores, n_probes, n_refinements, n_extra)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_flat_search_scores_only_the_first_candidate(self, d):
@@ -1071,7 +1086,8 @@ class TestCoverSearchCache:
             else:
                 assert probe_u.shape == (cfg.acq_refinements, n_probes, 2)
                 assert rows == _replayed_row_counts(scores, n_probes,
-                                                    cfg.acq_refinements)
+                                                    cfg.acq_refinements,
+                                                    len(extra_points))
                 windows.extend(rows[1:])
             state["expected"] += reads
             empty_searches.append(empty)
@@ -1165,7 +1181,7 @@ class TestPosteriorReads:
 
         def recording_search(score_fn, *args, **kwargs):
             scores = []
-            searches.append(scores)
+            searches.append((scores, len(kwargs["extra_points"])))
 
             def recorded(xs):
                 scores.append(np.asarray(score_fn(xs)))
@@ -1184,11 +1200,11 @@ class TestPosteriorReads:
         # scores one point and no refinement, and neither it nor the
         # update's read walks any block
         assert len(searches) == cfg.horizon_T
-        assert [len(pv) for pv in searches[0]] == [1]
-        for scores in searches[1:]:
+        assert [len(pv) for pv in searches[0][0]] == [1]
+        for scores, n in searches[1:]:
             assert [len(pv) for pv in scores] == _replayed_row_counts(
-                scores, 8, cfg.acq_refinements)
-        assert len(calls) == sum(map(len, searches)) + cfg.horizon_T
+                scores, 8, cfg.acq_refinements, n)
+        assert len(calls) == sum(len(scores) for scores, _ in searches) + cfg.horizon_T
         assert len(walks) == len(calls) - 2 + cfg.horizon_T
 
 
