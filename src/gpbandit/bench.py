@@ -163,7 +163,7 @@ def run_benchmark(config: BenchConfig) -> dict:
     """Execute all (run, repeat) pairs, write traces, aggregates, manifest.
 
     Returns a summary dict with output paths and per-algorithm aggregates.
-    An earlier run's manifest, traces and aggregates are removed first, so a
+    An earlier run's outputs are removed first (remove_outputs), so a
     manifest lists every trace beside it.  Any failure once the output
     directory exists leaves FAILED and no manifest.
     """
@@ -179,11 +179,9 @@ def run_benchmark(config: BenchConfig) -> dict:
             jobs.append((label, replace(run_cfg, seed=seed), config.objective,
                          NOISE_SEED_OFFSET + seed))
 
-    failed_marker, manifest_path = out / "FAILED", out / "manifest.json"
+    manifest_path = out / "manifest.json"
     try:
-        manifest_path.unlink(missing_ok=True)
-        for stale in (*out.glob("trace_*.csv"), *out.glob("aggregate_*.csv")):
-            stale.unlink()
+        remove_outputs(out)
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 results = list(pool.map(_execute_one, jobs))
@@ -233,9 +231,8 @@ def run_benchmark(config: BenchConfig) -> dict:
         tmp.write_text(json.dumps(manifest, indent=2) + "\n")
         tmp.rename(manifest_path)
     except Exception:
-        failed_marker.write_text("benchmark run failed; partial outputs kept\n")
+        (out / "FAILED").write_text("benchmark run failed; partial outputs kept\n")
         raise
-    failed_marker.unlink(missing_ok=True)  # left by an earlier failed run
 
     return {
         "traces": trace_paths,
@@ -244,6 +241,14 @@ def run_benchmark(config: BenchConfig) -> dict:
         "by_label": by_label,
         "true_optimum": true_opt,
     }
+
+
+def remove_outputs(out: Path) -> None:
+    """Remove what run_benchmark writes into the directory out: its
+    manifest, traces, aggregates and FAILED marker; other files stay."""
+    for stale in (out / "manifest.json", out / "FAILED", *out.glob("trace_*.csv"),
+                  *out.glob("aggregate_*.csv")):
+        stale.unlink(missing_ok=True)
 
 
 def write_aggregate(traces: list[RunTrace], true_opt: float, path: Path) -> str:
@@ -397,6 +402,9 @@ _FIELDS = {
     "jobs": (BenchConfig, "jobs", int),
 }
 
+# every key a config file or a flag may set, in --help's order
+CONFIG_KEYS = tuple(sorted([*_DEFAULTS, *_FIELDS]))
+
 
 def _convert(key: str, value: str, kind):
     try:
@@ -414,7 +422,7 @@ def load_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS and key not in _FIELDS:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key: {key!r}")
         if key in values:  # a later line would win silently
             raise ValueError(f"config key {key!r} is given more than once")
@@ -425,7 +433,7 @@ def load_config_file(path) -> dict[str, str]:
 def build_bench_config(values: dict[str, str]) -> BenchConfig:
     cfg = dict(_DEFAULTS)
     for key, value in values.items():
-        if key not in _DEFAULTS and key not in _FIELDS:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key: {key!r}")
         if value is None:  # not given
             continue

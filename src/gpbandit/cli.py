@@ -16,19 +16,19 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import bench
-from .bench import build_bench_config, load_config_file
+from .bench import CONFIG_KEYS, build_bench_config, load_config_file
 from .testbed import estimate_optimum, make_rkhs_function
 
-_CONFIG_KEYS = sorted([*bench._DEFAULTS, *bench._FIELDS])
 _KERNEL_KEYS = ("kernel_family", "nu", "lengthscale")
 _OBJECTIVE_KEYS = ("objective", "rkhs_file")
 
 
-def _add_config_flags(p: argparse.ArgumentParser, keys=_CONFIG_KEYS) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, keys=CONFIG_KEYS) -> None:
     for key in keys:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
@@ -36,7 +36,7 @@ def _add_config_flags(p: argparse.ArgumentParser, keys=_CONFIG_KEYS) -> None:
 def _config_values(args) -> dict[str, str]:
     """Config-file values, overridden by flags."""
     values = load_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -61,6 +61,12 @@ def _cmd_diag(args) -> int:
     if len(horizons) < 2:
         raise ValueError("diag needs at least two distinct horizons")
     configs = [build_bench_config(dict(values, T=str(T))) for T in horizons]
+    # an earlier diag's other horizons, which a T*/manifest.json glob would mix in
+    for stale in Path(configs[0].output_dir).glob("T*"):
+        if stale.name[1:].isdigit() and int(stale.name[1:]) not in horizons and stale.is_dir():
+            bench.remove_outputs(stale)
+            if not any(stale.iterdir()):
+                stale.rmdir()
     by_label = {}
     for T, config in zip(horizons, configs):  # all built: a bad one runs none
         config.output_dir = os.path.join(config.output_dir, f"T{T}")

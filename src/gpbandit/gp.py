@@ -29,18 +29,7 @@ import math
 import numpy as np
 from scipy.linalg import lapack
 
-from .kernels import (
-    _HALF_INTEGER_NUS,
-    BLOCK,
-    MATERN,
-    SQUARED_EXPONENTIAL,
-    KernelSpec,
-    _matern_half_integer,
-    _scratch_views,
-    cross_blocks,
-    cross_matrix,
-    gram_matrix,
-)
+from .kernels import BLOCK, KernelSpec, cross_blocks, cross_matrix, gram_matrix, screen_blocks
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _PIVOT_FLOOR = 1e-14
@@ -53,31 +42,13 @@ _VAR_MARGIN = 1e-12
 # mean and std
 _BOUND_RTOL = 1e-9
 _SCORE_FLOOR = 1e-280
-# float64's unit roundoff, and float32's machine epsilon (2^-23, twice its
-# unit roundoff) and least normal value: the units of posterior_argmax's
-# screening sweep
-_U64 = 2.0**-53
+# float32's machine epsilon (2^-23) and least normal value: the units of
+# the rounding of posterior_argmax's float32 means
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
-# the screen's closed forms clamp where their exp argument reaches -87:
-# exp(-87) ~ 1.6e-38 is float32's least normal order, so no value is
-# subnormal, whose arithmetic is slow on x86.  What the clamp cuts off is
-# below 5e-35 (nu = 5/2's polynomial times exp(-87)), far inside the
-# screen's margins.
-_EXP_NORMAL32 = 87.0
-# the screen's blocks hold about this many kernel values, and at least BLOCK
-# columns: wider blocks at small n spread each pass's per-call cost over
-# more columns, and blocks this size keep a block's float64 product (512
-# KiB) in cache
-_SCREEN_PAIRS = 2**16
-# the screen runs while c * sqrt(d) < _SCREEN_COORDS (c the largest
-# |coordinate|), sum |alpha| < _SCREEN_ALPHA (so alpha and the means are
-# inside float32's range) and the lengthscale is in _SCREEN_LENGTHS: then
-# the shifted, scaled coordinates stay below 1e48 and the squared distances
-# of the screen's float64 products far inside float64's range
-_SCREEN_COORDS = 1e18
+# the screen runs while sum |alpha| < _SCREEN_ALPHA, which keeps the weights
+# and the means inside float32's range
 _SCREEN_ALPHA = 1e30
-_SCREEN_LENGTHS = (1e-30, 1e30)
 
 
 class GpNumericsError(RuntimeError):
@@ -127,9 +98,9 @@ def _means_and(blocks, alpha, m, per_block) -> tuple[np.ndarray, np.ndarray]:
     """(means, per_block(kc) for each kernel block kc) over m points, from
     a walk of their kernel blocks (start, stop, kc) against the data of
     weights alpha: the one walk of posterior_many and incumbent, over
-    cross_blocks, and of posterior_argmax's screen, over _screen_blocks; the
-    means in alpha's dtype, the rest float64.  A walk of fewer than 2 * BLOCK
-    points is one block, whose arrays it returns as they are
+    cross_blocks, and of posterior_argmax's screen, over screen_blocks'
+    float32 blocks; the means in alpha's dtype, the rest float64.  A walk of
+    fewer than 2 * BLOCK points is one block, whose arrays it returns as they are
     (posterior_argmax screens only larger passes)."""
     if 0 < m < 2 * BLOCK:
         [(_, _, kc)] = blocks
@@ -147,130 +118,31 @@ def _column_max(kc: np.ndarray) -> np.ndarray:
     return np.max(kc, axis=0)
 
 
-def _margins(kernel: KernelSpec, X: np.ndarray, alpha: np.ndarray, xs: np.ndarray):
-    """(A, B, e_k, e_mu): the operands of the screen's products for the
-    data X and the points xs, and bounds on how far the screen's float32
-    kernel values and means stray from the float64 ones of the model
-    (X, alpha); None for a Matern nu other than 1/2, 3/2 and 5/2, or for
-    coordinates, weights or a lengthscale outside the guards at the end.
+def _mean_margin(e_k: float, n: int, asum: float) -> float:
+    """e_mu, a bound on |mu32 - mu64| at a point of the screen, from the
+    bound e_k of kernels.screen_blocks on its n float32 kernel values and
+    asum = sum|alpha|.  A float32 mean, sum_j k32_j alpha32_j, is within
+    e_k sum|alpha| of the exact sum of the float64 kernel values, and it and
+    the float64 gemv each round by at most (n + 2) u32 sum|alpha|
+    (u32 = 2^-24), so
 
-    Both sets are shifted by one centre o, the midpoint of their least and
-    largest coordinate, and scaled by 1 / l: a = (x - o) (1 / l).  The columns
-    of A are [a, |a|^2, 1] and those of B [-2b, 1, |b|^2], so a block of
-    A^T B holds the scaled squared distances t = |a - b|^2 = (r / l)^2.
-
-    With u = 2^-53 and S the largest computed |a|^2 plus the largest
-    |b|^2, a product of d + 2 terms in any summation order errs by at most
-    2 gamma_{d+2} S, the norms' rounding adds gamma_d S, and together they
-    stay below 4 (d + 2) u S; the three roundings of the shifted, scaled
-    coordinates move a scaled distance s = sqrt(t) by at most 5 u sqrt(S)
-    more.  As |sqrt(x) - sqrt(y)| <= sqrt(|x - y|), t >= 0 clamped or not,
-    s strays by at most sqrt(e_t) with
-
-        e_t = 5 (d + 2) u S,
-
-    which |dk/ds| <= 1, true for SE and these Matern nu, turns into a
-    kernel error.  Rounding t to float32 and its square root move s by at
-    most 1.5 u32 s relative (u32 = 2^-24), which moves k by at most
-    1.5 u32, as s |dk/ds| <= 2/e for every such kernel; the float32 closed
-    forms add at most ~7 eps with exp 4 ulps off, the float64 kernel values
-    err by a few u, and the clamp moves none by 5e-35.  Doubled, that is
-
-        e_k = sqrt(e_t) + 16 eps,   eps = 2 u32,
-
-    a bound on |k32 - k64| at every pair free of the kernel.  A float32
-    mean, sum_j k32_j alpha32_j, is then within e_k sum|alpha| of the exact
-    sum of the float64 kernel values, and it and the float64 gemv each
-    round by at most (n + 2) u32 sum|alpha|, so
-
-        e_mu = (e_k + (n + 4) eps) sum|alpha| + 2 n tiny32
+        e_mu = (e_k + (n + 4) eps) sum|alpha| + 2 n tiny32,   eps = 2 u32,
 
     bounds |mu32 - mu64| with the rounding of mu32 + e_mu to spare; tiny32,
-    float32's least normal value, covers products below its normal range.
-    The guards are _SCREEN_COORDS on the coordinates as given (c sqrt(d),
-    with c the largest |coordinate|), which keeps t finite for any
-    lengthscale in _SCREEN_LENGTHS, and _SCREEN_ALPHA on sum|alpha|, which
-    keeps the weights and the means inside float32's range."""
-    if kernel.family == MATERN and kernel.nu not in _HALF_INTEGER_NUS:
-        # the Bessel route: its kv calls would cost the screen what the full
-        # pass costs, and below nu = 1/2 |dk/ds| is unbounded at s = 0
-        return None
-    n, d = X.shape
-    # NaN if xs has one
-    lo = np.minimum(np.min(X), np.min(xs))
-    hi = np.maximum(np.max(X), np.max(xs))
-    c = float(np.maximum(-lo, hi))
-    asum = float(np.sum(np.abs(alpha)))
-    ell = kernel.lengthscale
-    # false for NaN and inf too
-    if not (c * math.sqrt(d) < _SCREEN_COORDS and asum < _SCREEN_ALPHA
-            and _SCREEN_LENGTHS[0] < ell < _SCREEN_LENGTHS[1]):
-        return None
-    centre = 0.5 * (float(lo) + float(hi))
-    # one row per coordinate: on (m, d) arrays numpy loops d elements at a
-    # time, several times slower
-    A, B = np.empty((d + 2, n)), np.empty((d + 2, len(xs)))
-    for P, x, norm, one in ((A, X, d, d + 1), (B, xs, d + 1, d)):
-        p = np.subtract(x.T, centre, out=P[:d])
-        p *= 1.0 / ell
-        np.einsum("ij,ij->j", p, p, out=P[norm])
-        P[one] = 1.0
-    B[:d] *= -2.0
-    e_t = 5 * (d + 2) * _U64 * (float(np.max(A[d])) + float(np.max(B[d + 1])))
-    e_k = math.sqrt(e_t) + 16.0 * _EPS32
-    return A, B, e_k, (e_k + (n + 4) * _EPS32) * asum + 2 * n * _TINY32
-
-
-def _kernel_of_t32(kernel: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """Kernel values at the float32 scaled squared distances t = (r / l)^2,
-    0 <= t <= _screen_blocks' clamp, written over t: SE is exp(-t / 2),
-    and the Matern closed forms take s = sqrt(t)."""
-    if kernel.family == SQUARED_EXPONENTIAL:
-        t *= -0.5
-        return np.exp(t, out=t)
-    return _matern_half_integer(np.sqrt(t, out=t), kernel.nu)
-
-
-def _screen_blocks(kernel: KernelSpec, A: np.ndarray, B: np.ndarray):
-    """(start, stop, k32) over column blocks of B: k32 holds the float32
-    kernel values between the points whose operands A and B _margins
-    built, from one float64 product per block, rounded to float32 once and
-    clamped to [0, far].  Where _scratch_views serves their size, every
-    temporary and k32 itself are views of this thread's kernel scratch,
-    valid until the next block: the product's float64 block at its start,
-    where the closed forms' float32 temporaries later go, and k32 after
-    it."""
-    n = A.shape[1]
-    if kernel.family == SQUARED_EXPONENTIAL:
-        far = 2.0 * _EXP_NORMAL32
-    else:
-        far = _EXP_NORMAL32 * _EXP_NORMAL32 / (2.0 * kernel.nu)
-    m = B.shape[1]
-    width = max(BLOCK, _SCREEN_PAIRS // n)
-    for start in range(0, m, width):
-        stop = min(start + width, m)
-        size = n * (stop - start)
-        [tk] = _scratch_views((3 * size,), np.float32, 1)
-        t = None if tk is None else tk[:2 * size].view(float).reshape(n, -1)
-        k = np.empty((n, stop - start), np.float32) if tk is None else tk[2 * size:].reshape(n, -1)
-        t = np.matmul(A.T, B[:, start:stop], out=t)
-        # a t past float32's range rounds to inf, which the clamp takes to far
-        with np.errstate(over="ignore"):
-            k[...] = t
-        np.clip(k, 0.0, far, out=k)
-        yield start, stop, _kernel_of_t32(kernel, k)
+    float32's least normal value, covers products below its normal range."""
+    return (e_k + (n + 4) * _EPS32) * asum + 2 * n * _TINY32
 
 
 class GpModel:
     """GP regressor owned by a single run loop; posterior reads are const.
 
     posterior_many gives means and stddevs; posterior_argmax gives the
-    argmax of a score of them: a sweep of float32 kernel values, from one
-    float64 matrix product per block, bounds every query point's mean and
-    stddev, and float64 posterior_many calls solve the O(n^2) triangular
-    system only at the points whose bounds let them win, laid out so that
-    their means and stddevs are the full pass's to the bit; incumbent
-    gives the sampled point of largest mean."""
+    argmax of a score of them: a sweep of kernels.screen_blocks' float32
+    kernel values bounds every query point's mean and stddev, and float64
+    posterior_many calls solve the O(n^2) triangular system only at the
+    points whose bounds let them win, laid out so that their means and
+    stddevs are the full pass's to the bit; incumbent gives the sampled
+    point of largest mean."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         # with 1/lam infinite, the gain's log1p(var / lam) would be too
@@ -339,15 +211,14 @@ class GpModel:
         np.subtract(1.0, var, out=var)
         return np.sqrt(np.maximum(var, 0.0, out=var))
 
-    def _stddev_bound(self, kc: np.ndarray) -> np.ndarray:
-        """Upper bounds on _block_stddevs(kc), from the block alone, or from
-        a row of lower bounds on each column's largest kernel value.
+    def _stddev_bound(self, kmax: np.ndarray) -> np.ndarray:
+        """Upper bounds on the posterior stddevs at points whose largest
+        kernel values to the data are at least kmax >= 0, written over kmax.
 
         Conditioning on more data only lowers the variance, so at x it is at
         most that of a model of the one sampled point x_j of largest kernel
         value: 1 - max_j k(x, x_j)^2 / (1 + lam + jitter), as kernel values
         are >= 0.  _VAR_MARGIN is added for the rounding of 1 - v.v."""
-        kmax = np.max(kc, axis=0)
         np.square(kmax, out=kmax)
         kmax /= 1.0 + (self.lam + self._jitter)
         np.subtract(1.0 + _VAR_MARGIN, kmax, out=kmax)
@@ -369,20 +240,22 @@ class GpModel:
 
     def _screen(self, xs: np.ndarray):
         """(upper bounds on the means, upper bounds on the stddevs) at xs
-        from one walk of _screen_blocks' float32 kernel blocks, with the
-        weights in float32, or None where _margins gives none.  A column's
-        largest float64 kernel value is at least its float32 one less e_k,
-        which _stddev_bound turns into a stddev bound."""
-        margins = _margins(self.kernel, self._X, self._alpha, xs)
-        if margins is None:
+        from one walk of kernels.screen_blocks' float32 kernel blocks, with
+        the weights in float32, or None where it gives none or sum|alpha|
+        reaches _SCREEN_ALPHA.  A column's largest float64 kernel value is
+        at least its float32 one less e_k, which _stddev_bound turns into a
+        stddev bound."""
+        asum = float(np.sum(np.abs(self._alpha)))
+        # false for NaN and inf too
+        screen = screen_blocks(self.kernel, self._X, xs) if asum < _SCREEN_ALPHA else None
+        if screen is None:
             return None
-        A, B, e_k, e_mu = margins
-        mean, kmax = _means_and(_screen_blocks(self.kernel, A, B),
-                                self._alpha.astype(np.float32), len(xs), _column_max)
+        e_k, blocks = screen
+        mean, kmax = _means_and(blocks, self._alpha.astype(np.float32), len(xs), _column_max)
         kmax -= e_k
         high = mean.astype(float)
-        high += e_mu
-        return high, self._stddev_bound(np.maximum(kmax, 0.0, out=kmax)[None, :])
+        high += _mean_margin(e_k, self.n, asum)
+        return high, self._stddev_bound(np.maximum(kmax, 0.0, out=kmax))
 
     def _scores_at(self, xs: np.ndarray, idx: np.ndarray, score) -> np.ndarray:
         """score at xs[idx], idx ascending, from one posterior_many call
@@ -426,9 +299,8 @@ class GpModel:
         bounds each point's value from above, and a point whose bound, times
         1 + _BOUND_RTOL, stays below a value already computed cannot win.
         The screen is a sweep of float32 kernel values over every point,
-        each block from one float64 matrix product of squared distances,
-        whose means and kernel values are within the margins _margins
-        documents of the float64 ones; the eight points of largest bound are
+        whose kernel values and means are within kernels.screen_blocks' e_k
+        and _mean_margin's e_mu of the float64 ones; the eight points of largest bound are
         scored exactly to set that threshold (four more than a gemv group
         cost one call nothing and raise the threshold where the bound ranks
         the best point below its top four), and one posterior_many call

@@ -67,22 +67,38 @@ _EXP_ZERO = 745.2
 BLOCK = 512
 
 # A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements' bytes is a view
-# of a per-thread scratch buffer kept between calls, as are the screen's blocks
-# in GpModel.posterior_argmax (661 requests in a GP-EI Hartmann-3 run of
-# T = 100, against 0-20 float64 ones).  Freed, such blocks go back to the OS
-# (from 128 KiB, glibc's mmap threshold) and fault their pages in again:
-# gen-rkhs at its defaults, whose targets take the float64 views, runs 0.40 s
-# with ~5k minor faults, and 0.46-0.49 s with ~100k with them fresh.  Smaller
-# temporaries are fresh arrays, whose memory malloc reuses without faults; the
-# lookup would only slow a cover search's many small calls.  Larger ones
-# (4 MiB: n x BLOCK blocks reach it at n = 1024) are fresh too, so that a
-# one-shot call, such as a target's dense optimum search, neither raises its
-# peak nor leaves its temporaries behind: a thread keeps at most two of these,
-# 8 MiB.
+# of a per-thread scratch buffer kept between calls, as are screen_blocks'
+# float32 blocks (661 requests in a GP-EI Hartmann-3 run of T = 100, against
+# 0-20 float64 ones).  Freed, such blocks go back to the OS (from 128 KiB,
+# glibc's mmap threshold) and fault their pages in again: gen-rkhs at its
+# defaults, whose targets take the float64 views, runs 0.40 s with ~5k minor
+# faults, and 0.46-0.49 s with ~100k with them fresh.  Smaller temporaries
+# are fresh arrays, whose memory malloc reuses without faults; the lookup
+# would only slow a cover search's many small calls.  Larger ones (4 MiB:
+# n x BLOCK blocks reach it at n = 1024) are fresh too, so that a one-shot
+# call, such as a target's dense optimum search, neither raises its peak nor
+# leaves its temporaries behind: a thread keeps at most two of these, 8 MiB.
 _SCRATCH_MIN = 16384
 _SCRATCH_MAX = 1024 * BLOCK
 _SCRATCH_BYTES = (8 * _SCRATCH_MIN, 8 * _SCRATCH_MAX)
 _scratch = threading.local()
+
+# screen_blocks' closed forms clamp where their exp argument reaches -87:
+# exp(-87) ~ 1.6e-38 is float32's least normal order, so no value is
+# subnormal, whose arithmetic is slow on x86.  What the clamp cuts off is
+# below 5e-35 (nu = 5/2's polynomial times exp(-87)), far inside e_k.
+_EXP_NORMAL32 = 87.0
+# screen_blocks' blocks hold about this many kernel values, and at least
+# BLOCK columns: wider blocks at small n spread each pass's per-call cost
+# over more columns, and blocks this size keep a block's float64 product
+# (512 KiB) in cache
+_SCREEN_PAIRS = 2**16
+# screen_blocks screens while c * sqrt(d) < _SCREEN_COORDS (c the largest
+# |coordinate|) and the lengthscale is in _SCREEN_LENGTHS: then the shifted,
+# scaled coordinates stay below 1e48 and the squared distances of its
+# float64 products far inside float64's range
+_SCREEN_COORDS = 1e18
+_SCREEN_LENGTHS = (1e-30, 1e30)
 
 
 def _scratch_out(like: np.ndarray, count: int) -> tuple:
@@ -372,3 +388,100 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     if points.shape[0] < 1:
         raise ValueError("need at least one point")
     return cross_matrix(spec, points, points)
+
+
+def screen_blocks(spec: KernelSpec, X: np.ndarray, xs: np.ndarray):
+    """(e_k, blocks): float32 kernel values between the rows of the 2-D
+    float64 arrays X and xs, and a bound e_k on how far each strays from
+    cross_matrix's; None for a Matern nu other than 1/2, 3/2 and 5/2, or
+    for coordinates or a lengthscale outside the guards at the end.
+
+    blocks yields (start, stop, k32) over column blocks of xs, each k32 of
+    shape (len(X), stop - start) from one float64 product, rounded to
+    float32 once and clamped.  Where _scratch_views serves their size,
+    every temporary and k32 itself are views of this thread's scratch,
+    valid until the next block: the product's float64 block at its start,
+    where the closed forms' float32 temporaries later go, and k32 after it.
+
+    Both sets are shifted by one centre o, the midpoint of their least and
+    largest coordinate, and scaled by 1 / l: a = (x - o) (1 / l).  The columns
+    of A are [a, |a|^2, 1] and those of B [-2b, 1, |b|^2], so a block of
+    A^T B holds the scaled squared distances t = |a - b|^2 = (r / l)^2.
+
+    With u = 2^-53 and S the largest computed |a|^2 plus the largest
+    |b|^2, a product of d + 2 terms in any summation order errs by at most
+    2 gamma_{d+2} S, the norms' rounding adds gamma_d S, and together they
+    stay below 4 (d + 2) u S; the three roundings of the shifted, scaled
+    coordinates move a scaled distance s = sqrt(t) by at most 5 u sqrt(S)
+    more.  As |sqrt(x) - sqrt(y)| <= sqrt(|x - y|), t >= 0 clamped or not,
+    s strays by at most sqrt(e_t) with
+
+        e_t = 5 (d + 2) u S,
+
+    which |dk/ds| <= 1, true for SE and these Matern nu, turns into a
+    kernel error.  Rounding t to float32 and its square root move s by at
+    most 1.5 u32 s relative (u32 = 2^-24), which moves k by at most
+    1.5 u32, as s |dk/ds| <= 2/e for every such kernel; the float32 closed
+    forms add at most ~7 eps with exp 4 ulps off, the float64 kernel values
+    err by a few u, and the clamp moves none by 5e-35.  Doubled, that is
+
+        e_k = sqrt(e_t) + 16 eps,   eps = 2 u32,
+
+    a bound on |k32 - k64| at every pair free of the kernel.  The guard
+    _SCREEN_COORDS on the coordinates as given (c sqrt(d), with c the
+    largest |coordinate|) keeps t finite for any lengthscale in
+    _SCREEN_LENGTHS."""
+    if spec.family == MATERN and spec.nu not in _HALF_INTEGER_NUS:
+        # the Bessel route: its kv calls would cost the screen what the full
+        # pass costs, and below nu = 1/2 |dk/ds| is unbounded at s = 0
+        return None
+    n, d = X.shape
+    # NaN if xs has one
+    lo = np.minimum(np.min(X), np.min(xs))
+    hi = np.maximum(np.max(X), np.max(xs))
+    c = float(np.maximum(-lo, hi))
+    ell = spec.lengthscale
+    # false for NaN and inf too
+    if not (c * math.sqrt(d) < _SCREEN_COORDS and _SCREEN_LENGTHS[0] < ell < _SCREEN_LENGTHS[1]):
+        return None
+    centre = 0.5 * (float(lo) + float(hi))
+    # one row per coordinate: on (m, d) arrays numpy loops d elements at a
+    # time, several times slower
+    A, B = np.empty((d + 2, n)), np.empty((d + 2, len(xs)))
+    for P, x, norm, one in ((A, X, d, d + 1), (B, xs, d + 1, d)):
+        p = np.subtract(x.T, centre, out=P[:d])
+        p *= 1.0 / ell
+        np.einsum("ij,ij->j", p, p, out=P[norm])
+        P[one] = 1.0
+    B[:d] *= -2.0
+    e_t = 5 * (d + 2) * 2.0**-53 * (float(np.max(A[d])) + float(np.max(B[d + 1])))
+    return math.sqrt(e_t) + 16 * 2.0**-23, _float32_blocks(spec, A, B)
+
+
+def _float32_blocks(spec: KernelSpec, A: np.ndarray, B: np.ndarray):
+    """screen_blocks' blocks for its operands A and B: t clamped to [0, far],
+    then SE as exp(-t / 2) and the Matern closed forms at s = sqrt(t), whose
+    two temporaries at most fill the dead float64 product, never k32."""
+    n = A.shape[1]
+    if spec.family == SQUARED_EXPONENTIAL:
+        far = 2.0 * _EXP_NORMAL32
+    else:
+        far = _EXP_NORMAL32 * _EXP_NORMAL32 / (2.0 * spec.nu)
+    m = B.shape[1]
+    width = max(BLOCK, _SCREEN_PAIRS // n)
+    for start in range(0, m, width):
+        stop = min(start + width, m)
+        size = n * (stop - start)
+        [tk] = _scratch_views((3 * size,), np.float32, 1)
+        t = None if tk is None else tk[:2 * size].view(float).reshape(n, -1)
+        k = np.empty((n, stop - start), np.float32) if tk is None else tk[2 * size:].reshape(n, -1)
+        t = np.matmul(A.T, B[:, start:stop], out=t)
+        # a t past float32's range rounds to inf, which the clamp takes to far
+        with np.errstate(over="ignore"):
+            k[...] = t
+        np.clip(k, 0.0, far, out=k)
+        if spec.family == SQUARED_EXPONENTIAL:
+            k *= -0.5
+            yield start, stop, np.exp(k, out=k)
+        else:
+            yield start, stop, _matern_half_integer(np.sqrt(k, out=k), spec.nu)

@@ -384,6 +384,28 @@ class TestCli:
         assert not (tmp_path / "env_out").exists()
         assert not (tmp_path / "bench_out").exists()
 
+    def test_diag_rerun_clears_the_horizons_it_does_not_run(self, tmp_path, capsys):
+        # horizons 2,3 then 2,4 into one directory left T3/, its manifest
+        # and its traces beside T2/ and T4/; the files gpbandit did not
+        # write stay, and so does their directory
+        out = tmp_path / "out"
+
+        def diag(horizons):
+            assert main(["diag", "--horizons", horizons, "--objective", "hartmann3",
+                         "--acq-candidates", "64", "--acq-refinements", "1",
+                         "--output-dir", str(out)]) == 0
+
+        diag("2,3,4")
+        (out / "T3" / "FAILED").write_text("benchmark run failed\n")
+        (out / "T4" / "notes.txt").write_text("kept\n")
+        (out / "Tx").mkdir()
+        (out / "Tx" / "manifest.json").write_text("{}\n")
+        diag("2,5")
+        assert sorted(p.name for p in out.iterdir()) == ["T2", "T4", "T5", "Tx"]
+        assert [p.name for p in (out / "T4").iterdir()] == ["notes.txt"]
+        assert [p.name for p in (out / "Tx").iterdir()] == ["manifest.json"]
+        assert sorted(p.name for p in out.glob("T*/manifest.json")) == ["manifest.json"] * 3
+
     def test_diag_bad_horizon_writes_nothing(self, tmp_path, capsys):
         # the good horizon comes first: it must not run before the bad one
         # is rejected

@@ -259,7 +259,7 @@ class TestPosteriorBound:
             near = np.clip(pts + 1e-7 * rng.normal(size=pts.shape), 0.0, 1.0)
             xs = np.vstack([rng.uniform(size=(1100, d)), pts, near])
             _, std = model.posterior_many(xs)
-            bound = model._stddev_bound(cross_matrix(model.kernel, pts, xs))
+            bound = model._stddev_bound(cross_matrix(model.kernel, pts, xs).max(axis=0))
             assert np.all(std <= bound)
             # and at least half the margin is left over
             assert np.all(std * std <= bound * bound - 0.5 * gp._VAR_MARGIN)
@@ -451,7 +451,7 @@ _MARGINS_CODE = """
 import ast
 import sys
 import numpy as np
-from gpbandit import gp
+from gpbandit import gp, kernels
 from gpbandit.gp import GpModel
 from gpbandit.kernels import KernelSpec, cross_matrix
 
@@ -468,9 +468,9 @@ def worst(family, nu):
                 model = GpModel.fit(spec, 0.01, X, np.sin(5.0 * X).sum(axis=1))
                 near = X + 1e-9 * ell * rng.uniform(-1.0, 1.0, size=X.shape)
                 xs = np.vstack([shift + rng.uniform(size=(1024 - 2 * n, d)), X, near])
-                A, B, e_k, e_mu = gp._margins(spec, model._X, model._alpha, xs)
-                blocks = [(start, stop, k.copy())
-                          for start, stop, k in gp._screen_blocks(spec, A, B)]
+                e_k, blocks = kernels.screen_blocks(spec, model._X, xs)
+                blocks = [(start, stop, k.copy()) for start, stop, k in blocks]
+                e_mu = gp._mean_margin(e_k, n, float(np.sum(np.abs(model._alpha))))
                 k32 = np.concatenate([k for _, _, k in blocks], axis=1)
                 mu32, kmax32 = gp._means_and(blocks, model._alpha.astype(np.float32), len(xs),
                                              gp._column_max)

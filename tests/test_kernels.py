@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpbandit import gp, kernels
+from gpbandit import kernels
 from gpbandit.kernels import (
     MATERN,
     SQUARED_EXPONENTIAL,
@@ -448,14 +448,14 @@ def frozen_cross_matrix(spec, xs, ys):
 
 class TestFloat32Blocks:
     """cross_matrix is float64 whatever its inputs; float32 kernel blocks
-    are the screen's (gp._screen_blocks), built from one float64 product of
-    squared distances per block by this module's closed forms, in its
-    per-thread scratch."""
+    are the screen's (kernels.screen_blocks), built from one float64
+    product of squared distances per block by this module's closed forms,
+    in its per-thread scratch."""
 
     @staticmethod
     def screen_blocks(spec, X, xs):
-        A, B, _, _ = gp._margins(spec, X, np.ones(len(X)), xs)
-        return [(start, stop, k.copy()) for start, stop, k in gp._screen_blocks(spec, A, B)]
+        _, blocks = kernels.screen_blocks(spec, X, xs)
+        return [(start, stop, k.copy()) for start, stop, k in blocks]
 
     # the closed forms only; the screen gives the Bessel route the full pass
     @pytest.mark.parametrize("spec", SPECS[:4], ids=_spec_id)
@@ -482,7 +482,7 @@ class TestFloat32Blocks:
         assert got.pop("buf").dtype == np.float64
         assert [stop for _, stop, _ in got[130]] == [512, 1024, 1100]
         monkeypatch.setattr(kernels, "_scratch_out", lambda like, count: (None,) * count)
-        monkeypatch.setattr(gp, "_scratch_views", lambda shape, dtype, count: (None,) * count)
+        monkeypatch.setattr(kernels, "_scratch_views", lambda shape, dtype, count: (None,) * count)
         for n, blocks in got.items():
             fresh = self.screen_blocks(spec, X[:n], xs)
             assert [b[:2] for b in blocks] == [b[:2] for b in fresh]
