@@ -136,6 +136,8 @@ def run_label(config: RunConfig) -> str:
         if config.omega_mode == OMEGA_FIXED:
             return f"gp_ei_fixed{config.omega_c:g}"
         return f"gp_ei_{config.omega_mode}"
+    if config.algorithm == ALG_IMPROVED_GP_EI and config.omega_mode == OMEGA_THEORY_EI:
+        return "improved_gp_ei_theory_ei"
     return config.algorithm
 
 
@@ -454,6 +456,8 @@ def build_bench_config(values: dict[str, str]) -> BenchConfig:
             mode = cfg["omega_mode"]
         elif alg == "gp_ei_theory":  # convenience alias
             alg, mode = ALG_GP_EI, OMEGA_THEORY_EI
+        elif alg == "improved_gp_ei_theory":  # the same for Improved GP-EI
+            alg, mode = ALG_IMPROVED_GP_EI, OMEGA_THEORY_EI
         elif alg in (ALG_IMPROVED_GP_EI, ALG_PI_UCB):
             mode = OMEGA_POLYLOG_T
         else:

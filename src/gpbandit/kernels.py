@@ -300,6 +300,34 @@ def kernel_of_distance(spec: KernelSpec, r) -> np.ndarray:
     return _kernel_in_place(spec, r.reshape(-1)).reshape(r.shape)
 
 
+def kernel_values(spec: KernelSpec, r: list[float]) -> list[float]:
+    """kernel_of_distance at a few finite distances r >= 0, as floats, for
+    callers of a handful of points, whose numpy calls would cost more than
+    their arithmetic: SE and the half-integer Matern forms take
+    _kernel_in_place's scalar operations in its order, with math.exp for
+    np.exp, so each value is within a few ulps of that route's; the Bessel
+    route is that route."""
+    if spec.family == MATERN and spec.nu not in _HALF_INTEGER_NUS:
+        return kernel_of_distance(spec, r).tolist()
+    ell, nu = spec.lengthscale, spec.nu
+    out = []
+    for s in r:
+        s = min(s, _EXP_ZERO * ell) / ell
+        if spec.family == SQUARED_EXPONENTIAL:
+            out.append(math.exp(s * s * -0.5))
+        elif s < _ZERO_SNAP:
+            out.append(1.0)
+        elif nu == 0.5:
+            out.append(math.exp(-s))
+        elif nu == 1.5:
+            c = s * -math.sqrt(3.0)  # -c, as _matern_half_integer forms it
+            out.append((1.0 - c) * math.exp(c))
+        else:
+            c = s * -math.sqrt(5.0)
+            out.append((1.0 - c + c * c / 3.0) * math.exp(c))
+    return out
+
+
 def matern_via_bessel(spec: KernelSpec, r) -> np.ndarray:
     """Force the Bessel-based route, bypassing closed-form dispatch.
 

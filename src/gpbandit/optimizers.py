@@ -4,9 +4,10 @@ exploration scale omega_t.
 One loop runs every algorithm on a cover of the unit box with a GP per cell:
 GP-EI is EI on one cell that never splits, Improved GP-EI is EI per cell on
 the adaptive cover, and pi-GP-UCB scores that cover's cells by UCB.  Each
-step searches the cells, observes the argmax, refreshes its cell's model,
-applies the split rule, and reports the sampled point of largest current
-posterior mean.  Regret rows are exact: the testbed supplies the optimum.
+step searches the cells that can hold the argmax, observes it, refreshes
+its cell's model, applies the split rule, and reports the sampled point of
+largest current posterior mean.  Regret rows are exact: the testbed
+supplies the optimum.
 
 EI scales the posterior stddev by omega_t, which RunConfig.omega_mode
 computes from the run's own parameters: the constant omega_c (fixed),
@@ -205,6 +206,8 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     best, best_score = found or _pick(cands, np.asarray(score_fn(cands), dtype=float))
     best_x = cands[best].copy()
     n_refinements, n_probes, _ = probe_u.shape
+    if not n_refinements:  # as a cell without data is searched
+        return best_x, best_score
     # round r's steps, its offsets times its radius, 0.25 (upper - lower)
     # halved r times, exactly
     steps = (2.0 * probe_u - 1.0) * (
@@ -257,7 +260,8 @@ def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: fl
     """Vectorized score over points of one cell with this model: EI against
     the cell's own incumbent mean, or UCB with a width from the cell's gain.
     Either is elementwise in (means, stds) and does not decrease in stds, so
-    the pruned candidate pass is its argmax."""
+    the pruned candidate pass is its argmax, and, for a model with data,
+    reach(lower, upper) bounds it over a box (GpModel.box_reach)."""
     if config.algorithm == ALG_PI_UCB:
         beta = beta_value(config.B, config.R, model.accumulated_info_gain(), config.delta)
 
@@ -271,15 +275,31 @@ def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: fl
         return of(*model.posterior_many(xs))
 
     score.argmax = lambda xs: model.posterior_argmax(xs, of)
+    score.reach = lambda lower, upper: model.box_reach(lower, upper, of)
     return score
 
 
-def _search(config: RunConfig, cell: Cell, omega_t: float, draw) -> tuple[float, np.ndarray]:
-    """A cell's (score, x) on its search_draw; a cell without data, whose
-    surface is flat, is given its first candidate row and no round."""
-    best = cell.model.incumbent()
-    score_fn = _cell_score(config, cell.model, omega_t, 0.0 if best is None else best[1])
-    cand_u, probe_u = draw if cell.model.n else (draw[0][:1], draw[1][:0])
+@dataclass(eq=False, slots=True)
+class _Search:
+    """A cell's search under its key (model.n, omega_t): its search_draw
+    until the search is made, then its (score, x), -inf and None before;
+    for a cell with data, once _select has taken it up, the reach of its
+    score over its box (GpModel.box_reach), or inf where it is searched
+    without one."""
+
+    key: tuple
+    draw: tuple | None
+    reach: float | None = None
+    score: float = -math.inf
+    x: np.ndarray | None = None
+
+
+def _search(cell: Cell, score_fn) -> None:
+    """Search a cell on its held draw with its score_fn, and hold the
+    (score, x) in place of the draw; a cell without data, whose surface is
+    flat, is given its first candidate row and no round."""
+    held = cell.search
+    cand_u, probe_u = held.draw if cell.model.n else (held.draw[0][:1], held.draw[1][:0])
     x, s = maximize_acquisition(score_fn, cell.lower, cell.upper, cand_u, probe_u,
                                 extra_points=cell.model.points)
     # keep the point inside the half-open ownership region: an exact hit on a
@@ -289,7 +309,7 @@ def _search(config: RunConfig, cell: Cell, omega_t: float, draw) -> tuple[float,
     if clamp.any():
         x = np.where(clamp, np.nextafter(cell.upper, cell.lower), x)
         s = float(np.asarray(score_fn(x[None, :]))[0])
-    return s, x
+    held.draw, held.score, held.x = None, s, x
 
 
 def _select(config: RunConfig, cover: Cover, omega_t: float,
@@ -298,20 +318,66 @@ def _select(config: RunConfig, cover: Cover, omega_t: float,
     (cell, point), the first of largest score in cover order.
 
     A cell's surface depends only on its model and omega_t, so each cell
-    holds its last search, ((model.n, omega_t), score, x), and is searched
-    again only when that key changes: after an observation, when a split
-    creates it, or at every step when omega_t moves (theory_ei); the budget
-    sets the effort, not the surface, and is left out.  Every stale cell
-    takes its search_draw, in cover order, before the first search."""
+    holds its last search (_Search) under the key (model.n, omega_t), and is
+    stale, and takes a new search_draw, only when that key changes: after an
+    observation, when a split creates it, or at every step when omega_t
+    moves (theory_ei); the budget sets the effort, not the surface, and is
+    left out.  Every stale cell takes its draw, in cover order, before the
+    first search.
+
+    A search is made only where it can win.  Cells without data are
+    searched first: their score is exact and cheap.  The cells with data
+    whose search is still to make, stale now or deferred at an earlier
+    step, follow in decreasing order of their reach (GpModel.box_reach),
+    computed once per key, until one's reach is below the best score found
+    so far: no point of it or of the cells after it can tie that score, so
+    they keep their draw and reach, deferred, and are searched from that
+    draw at the first later step whose best they reach.  A lone cell new to
+    this wait is searched first without a reach when no score is found yet,
+    as GP-EI's one cell, and under UCB, whose width grows with a cell's
+    gain, so that such a cell all but never scores below the cells searched
+    before it (1 of 313 such reaches on cover_ucb_rkhs2 skipped a search,
+    and a reach costs about a twentieth of a search).  So every search made
+    is one that searching every stale cell would make, and the winner is
+    the same."""
     stale = [cell for cell in cover.cells
-             if cell.search is None or cell.search[0] != (cell.model.n, omega_t)]
+             if cell.search is None or cell.search.key != (cell.model.n, omega_t)]
     # an equal share of the candidates, floored at 128 but never above them
     budget = max(min(128, config.acq_candidates), config.acq_candidates // cover.cell_count)
-    draws = [search_draw(rng, budget, config.acq_refinements, cell.lower.size) for cell in stale]
-    for cell, draw in zip(stale, draws):
-        cell.search = ((cell.model.n, omega_t), *_search(config, cell, omega_t, draw))
-    win = max(cover.cells, key=lambda cell: cell.search[1])  # the first of largest
-    return win, win.search[2]
+    for cell in stale:
+        cell.search = _Search((cell.model.n, omega_t),
+                              search_draw(rng, budget, config.acq_refinements, cell.lower.size))
+
+    def score_fn(cell):
+        best = cell.model.incumbent()
+        return _cell_score(config, cell.model, omega_t, 0.0 if best is None else best[1])
+
+    waiting, best = [], -math.inf
+    for cell in cover.cells:
+        if cell.search.x is None:
+            if cell.model.n:
+                waiting.append(cell)
+                continue
+            _search(cell, score_fn(cell))
+        best = max(best, cell.search.score)
+    need = [cell for cell in waiting if cell.search.reach is None]
+    # reaches order several new cells; a lone one's can only skip its search
+    bound = len(need) > 1 or (best > -math.inf and config.algorithm != ALG_PI_UCB)
+    fns = {}
+    for cell in need:
+        if bound:
+            fns[cell] = score_fn(cell)
+            cell.search.reach = fns[cell].reach(cell.lower, cell.upper)
+        else:  # searched first, whatever its reach
+            cell.search.reach = math.inf
+    waiting.sort(key=lambda cell: -cell.search.reach)
+    for cell in waiting:
+        if cell.search.reach < best:
+            break
+        _search(cell, fns.get(cell) or score_fn(cell))
+        best = max(best, cell.search.score)
+    win = max(cover.cells, key=lambda cell: cell.search.score)  # the first of largest
+    return win, win.search.x
 
 
 def _observe(objective, cell: Cell, x: np.ndarray) -> tuple[float, float]:
@@ -322,12 +388,16 @@ def _observe(objective, cell: Cell, x: np.ndarray) -> tuple[float, float]:
     return y, cell.model.update(x, y)
 
 
-def _report(cover: Cover, objective) -> tuple[np.ndarray, float, float]:
+def _report(cover: Cover, objective, last) -> tuple[np.ndarray, float, float]:
     """(x+, f(x+), gain summed over the cells): x+ is the first cell's among
-    the cells' incumbents of largest mean."""
+    the cells' incumbents of largest mean.  The target is read only where x+
+    moved: last is the previous step's (x+, f(x+)), or None, and where x+
+    has its x+'s bytes, its f(x+) is kept."""
     incumbents = (c.model.incumbent() for c in cover.cells)
     x_plus = max((b for b in incumbents if b is not None), key=lambda b: b[1])[0]
     gain = sum(c.model.accumulated_info_gain() for c in cover.cells)
+    if last is not None and last[0].tobytes() == x_plus.tobytes():
+        return x_plus, last[1], gain
     return x_plus, float(objective.target(x_plus)), gain
 
 
@@ -346,7 +416,7 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
         cover = Cover([cell], math.nan, math.nan)
     trace = RunTrace(config.algorithm, config.seed, d)
     trace.cover_q = cover.q
-    cum_regret, gain = 0.0, 0.0
+    cum_regret, gain, last = 0.0, 0.0, None
     for t in range(1, config.horizon_T + 1):
         t0 = time.perf_counter()
         omega_t = _omega(config, gain)
@@ -354,7 +424,8 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
         y_t, sigma_sel = _observe(objective, win_cell, x_t)
         if splits:
             split_pass(cover)
-        x_plus, f_plus, gain = _report(cover, objective)
+        x_plus, f_plus, gain = _report(cover, objective, last)
+        last = x_plus, f_plus
         regret = true_optimum - f_plus
         cum_regret += regret
         trace.sum_sigma_selected += sigma_sel

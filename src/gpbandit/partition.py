@@ -39,8 +39,9 @@ class Cell:
     upper: np.ndarray
     model: GpModel
     diameter: float = field(init=False)  # of the box, set once with it
-    # the select phase's last ((model.n, omega_t), score, x) for the cell
-    search: tuple | None = field(init=False, default=None)
+    # the select phase's last search of the cell, made or deferred, under
+    # its key (model.n, omega_t)
+    search: object | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)

@@ -24,6 +24,7 @@ from gpbandit.kernels import MATERN, KernelSpec
 from gpbandit.optimizers import (
     ALG_GP_EI,
     ALG_IMPROVED_GP_EI,
+    ALG_PI_UCB,
     OMEGA_FIXED,
     OMEGA_POLYLOG_T,
     OMEGA_THEORY_EI,
@@ -337,6 +338,20 @@ class TestConfigFile:
         assert config.objective == ObjectiveSpec()
         assert (config.repeats, config.seed_base, config.output_dir, config.jobs) == (
             1, 0, "bench_out", 1)
+
+    def test_theory_aliases_take_their_own_labels(self):
+        # each alias is its algorithm under theory_ei, with a label of its
+        # own beside the labels the other names keep
+        config = build_bench_config({"T": "16", "algorithms": ",".join(
+            ["gp_ei", "gp_ei_theory", "improved_gp_ei", "improved_gp_ei_theory", "pi_ucb"])})
+        got = [(run.algorithm, run.omega_mode, bench.run_label(run)) for run in config.runs]
+        assert got == [
+            (ALG_GP_EI, OMEGA_FIXED, "gp_ei_fixed1"),
+            (ALG_GP_EI, OMEGA_THEORY_EI, "gp_ei_theory_ei"),
+            (ALG_IMPROVED_GP_EI, OMEGA_POLYLOG_T, "improved_gp_ei"),
+            (ALG_IMPROVED_GP_EI, OMEGA_THEORY_EI, "improved_gp_ei_theory_ei"),
+            (ALG_PI_UCB, OMEGA_POLYLOG_T, "pi_ucb"),
+        ]
 
     def test_repeated_key_rejected(self, tmp_path):
         # the last line would otherwise win silently and run T = 7

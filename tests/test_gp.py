@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -546,6 +547,127 @@ def test_candidate_passes_reuse_their_memory():
     proc = subprocess.run([sys.executable, "-c", _FAULTS_CODE], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert float(proc.stdout) < 100
+
+
+def box_points(lower, upper, X, rng):
+    """Every kind of point a cell search scores in the box [lower, upper]:
+    uniform candidates lower + u (upper - lower), some at u = 1 - 2^-53,
+    which may round one ulp past the box; the corners; points with faces
+    clamped to nextafter(upper, lower); and the sampled points X."""
+    d = len(lower)
+    u = rng.uniform(size=(40, d))
+    u[:8] = np.where(rng.uniform(size=(8, d)) < 0.5, 1.0 - 2.0**-53, u[:8])
+    cands = lower + u * (upper - lower)
+    corners = np.array([np.where(bits, upper, lower)
+                        for bits in itertools.product((False, True), repeat=d)])
+    clamped = cands[:12].copy()
+    face = rng.uniform(size=clamped.shape) < 0.5
+    clamped[face] = np.broadcast_to(np.nextafter(upper, lower), clamped.shape)[face]
+    return np.vstack([cands, corners, clamped, X])
+
+
+# the kernels a cell can hold: SE, the Matern closed forms and the Bessel
+# route
+BOX_KERNELS = SCREENED + [(MATERN, 1.2)]
+
+
+class TestBoxBound:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 5]),
+        n=st.integers(1, 12),
+        kernel=st.sampled_from(BOX_KERNELS),
+        ell=st.floats(0.05, 1.0),
+        log_lam=st.floats(-8.0, 0.0),
+        log_width=st.floats(-7.0, 0.0),
+        layout=st.sampled_from(["uniform", "corners", "copies"]),
+        jitter=st.booleans(),
+        acq=st.one_of(st.tuples(st.just("ei"), st.floats(0.5, 20.0)),
+                      st.tuples(st.just("ucb"), st.sampled_from([0.0, 0.5, 4.0]))),
+        seed=st.integers(0, 2**16),
+    )
+    # found failing with box_reach's noise read without the jitter, and with
+    # box_bound's mean margin left out
+    @example(d=1, n=1, kernel=(MATERN, 2.5), ell=0.2, log_lam=-2.0, log_width=-7.0,
+             layout="copies", jitter=True, acq=("ei", 1.0), seed=0)
+    @example(d=2, n=3, kernel=(MATERN, 2.5), ell=0.2, log_lam=-2.0, log_width=-2.0,
+             layout="corners", jitter=False, acq=("ucb", 0.0), seed=0)
+    def test_bound_covers_every_point_a_search_scores(self, d, n, kernel, ell, log_lam,
+                                                      log_width, layout, jitter, acq, seed):
+        """Oracle: at every point a cell search can score in its box, alone
+        or in a batch, the computed mean and stddev are at most box_bound's,
+        and the computed score at most box_reach's, for EI at scale omega
+        and UCB at width beta.  The sampled points are uniform in the box,
+        at its corners with signs of y by corner (where the mean bound is
+        tight), or copies of one point; with jitter, a duplicated first
+        point at lam = 1e-16 forces the jitter refit, whose noise the
+        stddev bound must carry (in a box of width ~1e-6 the one-point
+        stddev without it is below the computed one)."""
+        rng = np.random.default_rng(seed)
+        width = 10.0**log_width
+        lower = rng.uniform(size=d) * (1.0 - width)
+        upper = lower + width
+        if layout == "corners":
+            bits = rng.uniform(size=(n, d)) < 0.5
+            X = np.where(bits, upper, lower)
+            y = np.where(bits[:, 0], 1.0, -1.0) * rng.uniform(0.5, 1.5, size=n)
+        else:
+            X = lower + rng.uniform(size=(n, d)) * (upper - lower)
+            if layout == "copies":
+                X[:] = X[0]
+            y = rng.normal(size=n)
+        lam = 10.0**log_lam
+        if jitter:
+            X, y, lam = np.vstack([X[:1], X]), np.append(y[:1], y), 1e-16
+        model = GpModel.fit(KernelSpec(kernel[0], ell, kernel[1]), lam, X, y)
+        assert (model._jitter > 0) == jitter
+        mean_bound, std_bound = gp.box_bound(model.kernel, model.points, model._alpha,
+                                             lower, upper, model.lam + model._jitter)
+        kind, scale = acq
+        if kind == "ei":
+            incumbent = model.incumbent()[1]
+
+            def score(means, stds):
+                return ei_scores(means, incumbent, scale * stds)
+        else:
+            def score(means, stds):
+                return ucb_score(means, stds, scale)
+        reach = model.box_reach(lower, upper, score)
+        xs = box_points(lower, upper, X, rng)
+        for batch in [xs] + [x[None, :] for x in xs]:
+            means, stds = model.posterior_many(batch)
+            assert np.all(means <= mean_bound)
+            assert np.all(stds <= std_bound)
+            assert np.all(score(means, stds) <= reach)
+
+
+    @pytest.mark.parametrize("shift, want", [(0.0, "slack"), (1e3, "floor")])
+    def test_reach_is_the_bound_with_slack_and_floor(self, matern25, shift, want):
+        # score at box_bound's (mean, stddev), times 1 + _BOUND_RTOL, and
+        # never below _SCORE_FLOOR: an EI that vanishes on the box (its
+        # incumbent far above every mean) and a negative UCB reach the floor
+        rng = np.random.default_rng(3)
+        model = GpModel.fit(matern25, 0.01, 0.25 + 0.5 * rng.uniform(size=(4, 2)),
+                            rng.normal(size=4))
+        lower, upper = np.full(2, 0.25), np.full(2, 0.75)
+        mean, std = gp.box_bound(matern25, model.points, model._alpha, lower, upper,
+                                 model.lam)
+        incumbent = model.incumbent()[1] + shift
+
+        def ei(means, stds):
+            return ei_scores(means, incumbent, 2.0 * stds)
+
+        def ucb(means, stds):
+            return ucb_score(means - 2 * shift, stds, 0.5)
+
+        for score in (ei, ucb):
+            value = float(score(np.array([mean]), np.array([std]))[0])
+            if want == "slack":
+                assert value > 0 and model.box_reach(lower, upper, score) == (
+                    value * (1.0 + gp._BOUND_RTOL))
+            else:
+                assert value < gp._SCORE_FLOOR
+                assert model.box_reach(lower, upper, score) == gp._SCORE_FLOOR
 
 
 class TestJitterRefit:

@@ -613,6 +613,23 @@ class TestKernelOfDistance:
                 kernel_of_distance(spec, np.array(r))
 
 
+class TestKernelValues:
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_within_a_few_ulps_of_the_array_route(self, spec):
+        # kernel_values' scalar closed forms against kernel_of_distance, from
+        # 0 and below the zero snap to past the far clamp; the Bessel route
+        # is that route, to the bit
+        rng = np.random.default_rng(11)
+        r = np.concatenate([[0.0, 1e-20, 1e-13, 1e-9, 1e3, 1e300],
+                            spec.lengthscale * rng.uniform(0.0, 10.0, size=200)])
+        got = np.array(kernels.kernel_values(spec, r.tolist()))
+        want = kernel_of_distance(spec, r)
+        if spec.family == MATERN and spec.nu not in (0.5, 1.5, 2.5):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= 4 * 2.0**-52)
+
+
 class TestGramMatrix:
     def test_single_point(self, matern25):
         K = gram_matrix(matern25, np.array([[0.1, 0.2, 0.3]]))

@@ -922,18 +922,39 @@ class TestCoverSearchCache:
 
     @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
     def test_only_the_observed_cell_is_searched_again(self, alg, monkeypatch):
+        # only the observed cell and a split's children take a new draw:
+        # every initial cell at step 1, exactly one cell after a step that
+        # did not split; a search runs only on a draw not yet searched, in
+        # the step of the draw or, deferred, at a later one, so the searches
+        # made up to any step never outnumber the draws
+        draws, draw = [], optimizers.search_draw
+
+        def counting_draw(*args):
+            draws.append(1)
+            return draw(*args)
+
+        monkeypatch.setattr(optimizers, "search_draw", counting_draw)
         oracle, opt = rkhs_oracle(seed=404)
         rec = _StepRecorder(oracle, monkeypatch)
-        trace = optimizers.run(self.polylog_config(alg), rec, opt)
+        drawn = []
+
+        def observe(x):
+            drawn.append(len(draws))
+            draws.clear()
+            return rec(x)
+
+        observe.dim, observe.target = oracle.dim, oracle.target
+        trace = optimizers.run(self.polylog_config(alg), observe, opt)
         counts = [rec.initial_cells] + [r.cell_count for r in trace.rows]
-        assert rec.per_step[0] == counts[0]
+        assert drawn[0] == rec.per_step[0] == counts[0]
         unsplit = 0
         for t in range(2, trace.horizon + 1):
             if counts[t - 1] == counts[t - 2]:  # step t-1 did not split
-                assert rec.per_step[t - 1] == 1, t
+                assert drawn[t - 1] == 1, t
                 unsplit += 1
             else:
-                assert rec.per_step[t - 1] >= 1, t
+                assert drawn[t - 1] >= 1, t
+            assert sum(rec.per_step[:t]) <= sum(drawn[:t]), t
         assert unsplit >= 5
         assert sum(rec.per_step) < trace.horizon * counts[-1] / 2
 
@@ -973,10 +994,14 @@ class TestCoverSearchCache:
     def test_select_draws_for_the_stale_cells_before_searching(self, alg, omega_mode,
                                                                monkeypatch):
         # a step's select phase makes every stale cell's draw, in cover
-        # order, before its first search, searches each stale cell on its
-        # own draw, leaves every other cell's search as it was, and leaves
-        # each live cell holding its search under this step's key; the
-        # winner is the first cell of largest score, with that search's x
+        # order, before its first search; each search runs on its own cell's
+        # draw, made at this step or, for a deferred search, at an earlier
+        # one, and only on a cell whose search was still to make; every cell
+        # ends the step under this step's key, and a cell neither stale nor
+        # searched keeps its search as it was.  The winner is the first cell
+        # of largest score among the searched cells, with that search's x,
+        # and every cell left deferred has a reach, its box bound times
+        # 1 + _BOUND_RTOL, below the winner's score
         select, draw, search = (optimizers._select, optimizers.search_draw,
                                 optimizers.maximize_acquisition)
         events, steps = [], []
@@ -991,13 +1016,21 @@ class TestCoverSearchCache:
 
         def recording_select(config, cover, omega_t, rng):
             before = [cell.search for cell in cover.cells]
+            waiting = [held is None or held.key != (c.model.n, omega_t) or held.x is None
+                       for c, held in zip(cover.cells, before)]
             stale = [c for c, held in zip(cover.cells, before)
-                     if held is None or held[0] != (c.model.n, omega_t)]
+                     if held is None or held.key != (c.model.n, omega_t)]
             events.clear()
             out = select(config, cover, omega_t, rng)
             after = [cell.search for cell in cover.cells]
             keys = [(cell.model.n, omega_t) for cell in cover.cells]
-            steps.append((list(cover.cells), stale, list(events), before, after, keys, out))
+            # as this step leaves them; a deferred search is made later
+            made = [(held.key, held.score, held.x, held.reach) for held in after]
+            reaches = [None if held.x is not None else optimizers._cell_score(
+                config, cell.model, omega_t, cell.model.incumbent()[1]).reach(
+                cell.lower, cell.upper) for cell, held in zip(cover.cells, after)]
+            steps.append((list(cover.cells), stale, waiting, list(events),
+                          [a is b for a, b in zip(after, before)], made, reaches, keys, out))
             return out
 
         monkeypatch.setattr(optimizers, "search_draw", recording_draw)
@@ -1006,25 +1039,43 @@ class TestCoverSearchCache:
         oracle, opt = rkhs_oracle(seed=411)
         cfg = dataclasses.replace(self.polylog_config(alg), omega_mode=omega_mode)
         run(cfg, oracle, opt)
-        after_split = 0
-        for t, (cells, stale, step_events, before, after, keys, (win, x)) in enumerate(steps):
+        after_split, deferred, late, drawn = 0, 0, 0, {}
+        for t, (cells, stale, waiting, step_events, kept, made, reaches, keys,
+                (win, x)) in enumerate(steps):
             n = len(stale)
-            assert [kind for kind, *_ in step_events] == ["draw"] * n + ["search"] * n, t
-            for cell, (_, (cand_u, _)), (_, lower, used) in zip(
-                    stale, step_events[:n], step_events[n:]):
-                assert lower is cell.lower
-                assert np.shares_memory(used, cand_u)
+            kinds = [kind for kind, *_ in step_events]
+            assert kinds == ["draw"] * n + ["search"] * (len(kinds) - n), t
+            for cell, (_, (cand_u, _)) in zip(stale, step_events[:n]):
+                drawn[cell] = t, cand_u
+            searched = []
+            for _, lower, used in step_events[n:]:
+                [i] = [i for i, cell in enumerate(cells) if cell.lower is lower]
+                assert waiting[i] and i not in searched, t
+                assert np.shares_memory(used, drawn[cells[i]][1]), t
+                late += drawn[cells[i]][0] < t
+                searched.append(i)
             if omega_mode == OMEGA_THEORY_EI:
                 assert stale == cells, t
-            assert [held[0] for held in after] == keys, t
-            assert [a is not b for a, b in zip(after, before)] == [c in stale for c in cells], t
-            scores = [held[1] for held in after]
+            assert [key for key, *_ in made] == keys, t
+            for i, (_, _, held_x, _) in enumerate(made):
+                assert (held_x is not None) == (i in searched or not waiting[i]), t
+                assert kept[i] == (cells[i] not in stale), t
+            scores = [score if held_x is not None else -math.inf
+                      for _, score, held_x, _ in made]
             i = scores.index(max(scores))
-            assert win is cells[i] and x is after[i][2], t
+            assert win is cells[i] and x is made[i][2], t
+            for (_, _, held_x, reach), again in zip(made, reaches):
+                if held_x is None:
+                    deferred += 1
+                    assert gp._SCORE_FLOOR <= reach < scores[i], t
+                    assert reach == again, t  # the reach of the cell's current model
             after_split += t > 0 and len(cells) > len(steps[t - 1][0])
         assert after_split >= 1
         if omega_mode == OMEGA_POLYLOG_T:
             assert any(len(stale) < len(cells) for cells, stale, *_ in steps)
+            assert late >= 1  # a deferred search made on an earlier step's draw
+        if alg == ALG_IMPROVED_GP_EI:
+            assert deferred > 0
 
     @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
     def test_cell_budget_never_exceeds_the_total(self, alg, monkeypatch):
@@ -1051,9 +1102,11 @@ class TestCoverSearchCache:
         # candidate batch and once per window of refinement rounds, with the
         # row counts the window rule gives for the scores it saw; a search of
         # a cell without data is given one candidate row and no probe row of
-        # its draw, and reads one point; without a face clamp nothing is
-        # re-scored after the searches
+        # its draw, and reads one point; without a face clamp the select
+        # phase reads nothing else, so a step whose searches are all deferred
+        # reads nothing
         state = {"reads": 0, "searches": 0, "expected": 0, "clamped": False}
+        select = optimizers._select
         steps, empty_searches, windows = [], [], []
         real_posterior_many = GpModel.posterior_many
         search = optimizers.maximize_acquisition
@@ -1064,9 +1117,11 @@ class TestCoverSearchCache:
             state["reads"] += 1
             return real_posterior_many(self, xs)
 
+        def counting_select(*args):
+            state["reads"] = 0  # drop the reads of the previous step's update
+            return select(*args)
+
         def counting_search(score_fn, lower, upper, cand_u, probe_u, extra_points):
-            if state["searches"] == 0:  # drop the reads of the previous step
-                state["reads"] = 0
             state["searches"] += 1
             before, scores = state["reads"], []
 
@@ -1104,6 +1159,7 @@ class TestCoverSearchCache:
         observe.dim, observe.target = oracle.dim, oracle.target
         monkeypatch.setattr(GpModel, "posterior_many", posterior_many)
         monkeypatch.setattr(optimizers, "maximize_acquisition", counting_search)
+        monkeypatch.setattr(optimizers, "_select", counting_select)
         run(cfg, observe, opt)
         checked = 0
         for t, step in enumerate(steps, start=1):
@@ -1114,12 +1170,151 @@ class TestCoverSearchCache:
         assert any(empty_searches) and not all(empty_searches)
         # both one-round windows and wider ones occur
         assert n_probes in windows and max(windows) > n_probes
+        if alg == ALG_IMPROVED_GP_EI:  # EI defers the searches of cells with data
+            assert any(step["searches"] == 0 for step in steps)
 
     def test_selected_point_outside_its_cell_raises(self, monkeypatch):
         monkeypatch.setattr(partition.Cell, "contains", lambda self, x: False)
         oracle, opt = rkhs_oracle(seed=406)
         with pytest.raises(RuntimeError, match="outside its cell"):
             run(self.polylog_config(ALG_IMPROVED_GP_EI), oracle, opt)
+
+
+def hartmann_oracle(seed):
+    target, d, opt, _ = standard_function("hartmann3")
+    return NoisyOracle(target, d, 0.1, np.random.default_rng(seed)), opt
+
+
+class TestDeferredSearches:
+    """A cell whose reach stays below the step's best score is not searched:
+    it keeps its draw, and the step's pick is the one that searching every
+    cell whose search is still to make, on the same draws, gives."""
+
+    @staticmethod
+    def replay(config, cover, omega_t, rng, select, log):
+        """select's (cell index, x bytes, score), then the same from
+        searching, on copies of their held records, the cells it left
+        deferred; logs (pruned pick, unpruned pick, cells deferred, whether
+        the best score is below _SCORE_FLOOR while a cell with data waits)."""
+        waits = any(c.model.n and (c.search is None or c.search.x is None
+                                   or c.search.key != (c.model.n, omega_t))
+                    for c in cover.cells)
+        win, x = select(config, cover, omega_t, rng)
+        pick = (cover.cells.index(win), x.tobytes(), win.search.score)
+        made, deferred = [], 0
+        for cell in cover.cells:
+            held = cell.search
+            if held.x is None:
+                deferred += 1
+                cell.search = dataclasses.replace(held)
+                incumbent = cell.model.incumbent()[1]
+                optimizers._search(cell, optimizers._cell_score(config, cell.model, omega_t,
+                                                                incumbent))
+                held, cell.search = cell.search, held
+                assert held.draw is None and cell.search.draw is not None
+            made.append((held.score, held.x))
+        scores = [score for score, _ in made]
+        i = scores.index(max(scores))  # the first of largest, in cover order
+        log.append((pick, (i, made[i][1].tobytes(), made[i][0]), deferred,
+                    waits and pick[2] < gp._SCORE_FLOOR))
+        return win, x
+
+    @pytest.mark.parametrize("alg, omega_mode, omega_c", [
+        (ALG_IMPROVED_GP_EI, OMEGA_POLYLOG_T, 1.0),
+        (ALG_IMPROVED_GP_EI, OMEGA_THEORY_EI, 1.0),
+        (ALG_PI_UCB, OMEGA_POLYLOG_T, 1.0),
+        # every empty cell scores rho(0, 4e-301): steps whose best lies
+        # below _SCORE_FLOOR, where every cell with data is searched
+        (ALG_IMPROVED_GP_EI, OMEGA_FIXED, 1e-300),
+    ], ids=["ei_polylog", "ei_theory", "ucb", "ei_floor"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pruned_select_replays_the_unpruned_pick(self, alg, omega_mode, omega_c, d,
+                                                     monkeypatch):
+        log, select = [], optimizers._select
+        monkeypatch.setattr(optimizers, "_select",
+                            lambda *args: self.replay(*args, select, log))
+        oracle, opt = rkhs_oracle(seed=420) if d == 2 else hartmann_oracle(421)
+        cfg = RunConfig(algorithm=alg, horizon_T=25, omega_mode=omega_mode, kernel=KERNEL,
+                        lam=0.01, seed=7, acq_candidates=256, acq_refinements=10,
+                        omega_c=omega_c)
+        run(cfg, oracle, opt)
+        assert len(log) == cfg.horizon_T
+        for t, (pruned, unpruned, _, _) in enumerate(log, start=1):
+            assert pruned == unpruned, t
+        if alg == ALG_IMPROVED_GP_EI and omega_c == 1.0:
+            assert sum(deferred for *_, deferred, _ in log) > 0
+        if omega_c < 1.0:
+            floor_steps = [deferred for *_, deferred, below in log if below]
+            assert floor_steps and not any(floor_steps)
+
+    @pytest.mark.parametrize("alg", [ALG_GP_EI, ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_reaches_are_taken_where_they_can_skip_or_order(self, alg, monkeypatch):
+        # a step takes one reach per cell with data new to the wait, except
+        # for a lone such cell that no reach would skip: GP-EI's one cell,
+        # with no score found before it, and, under UCB, whose width grows
+        # with a cell's gain, a lone observed cell
+        calls, real, select, log = [], GpModel.box_reach, optimizers._select, []
+        monkeypatch.setattr(GpModel, "box_reach",
+                            lambda self, *args: calls.append(1) or real(self, *args))
+
+        def counting_select(config, cover, omega_t, rng):
+            new = sum(1 for c in cover.cells if c.model.n and (
+                c.search is None or c.search.key != (c.model.n, omega_t)))
+            before = len(calls)
+            out = select(config, cover, omega_t, rng)
+            log.append((new, len(calls) - before))
+            return out
+
+        monkeypatch.setattr(optimizers, "_select", counting_select)
+        oracle, opt = rkhs_oracle(seed=413)
+        run(small_config(alg, T=25, omega_mode=OMEGA_POLYLOG_T), oracle, opt)
+        if alg == ALG_GP_EI:
+            assert all(taken == 0 for _, taken in log)
+        elif alg == ALG_PI_UCB:
+            assert all(taken == (new if new > 1 else 0) for new, taken in log)
+            assert any(taken for _, taken in log)
+        else:
+            assert all(taken == new for new, taken in log[1:])
+            assert sum(taken for _, taken in log) > 0
+
+    def test_ties_go_to_the_first_cell_in_cover_order(self, monkeypatch):
+        # a stubbed cover of three cells with data and one without, whose
+        # searches return set scores and whose reaches are set: the empty
+        # cell is searched first, then the others in decreasing reach while
+        # it reaches the best so far (a reach equal to it may tie, and is
+        # searched), and the first cell of largest score wins, though it was
+        # searched after the one it ties
+        rng = np.random.default_rng(0)
+        cells = []
+        for i in range(4):
+            model = GpModel(KERNEL, 0.01)
+            if i < 3:
+                model.update(np.array([0.25 * i + 0.1, 0.5]), 1.0)
+            cells.append(partition.Cell(np.array([0.25 * i, 0.0]),
+                                        np.array([0.25 * i + 0.25, 1.0]), model))
+        cover = partition.Cover(cells, math.nan, math.nan)
+        score = {0: 2.0, 1: 2.0, 2: 1.0, 3: 0.5}
+        reach = {0: 2.0, 1: 5.0, 2: 1.9}
+        index = {id(c.model): i for i, c in enumerate(cells)}
+        order = []
+
+        def stub_search(score_fn, lower, upper, cand_u, probe_u, extra_points):
+            [i] = [i for i, c in enumerate(cells) if c.lower is lower]
+            order.append(i)
+            return lower + 0.5 * (upper - lower), score[i]
+
+        monkeypatch.setattr(optimizers, "maximize_acquisition", stub_search)
+        monkeypatch.setattr(GpModel, "box_reach",
+                            lambda self, lower, upper, of: reach[index[id(self)]])
+        cfg = small_config(ALG_IMPROVED_GP_EI)
+        win, x = optimizers._select(cfg, cover, 1.0, rng)
+        assert order == [3, 1, 0]
+        assert win is cells[0] and x is cells[0].search.x
+        assert cells[2].search.x is None and cells[2].search.draw is not None
+        # the next step at the same key draws nothing and searches nothing
+        state, order[:] = rng.bit_generator.state, []
+        assert optimizers._select(cfg, cover, 1.0, rng)[0] is cells[0]
+        assert order == [] and rng.bit_generator.state == state
 
 
 class TestInfoGainColumn:
@@ -1206,6 +1401,34 @@ class TestPosteriorReads:
                 scores, 8, cfg.acq_refinements, n)
         assert len(calls) == sum(len(scores) for scores, _ in searches) + cfg.horizon_T
         assert len(walks) == len(calls) - 2 + cfg.horizon_T
+
+
+class TestReport:
+    @pytest.mark.parametrize("alg", [ALG_GP_EI, ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_target_is_read_only_where_x_plus_moves(self, alg):
+        # the report reads f(x+) at the first step and where x+ moved from
+        # the previous step's bytes; every other row carries the last value
+        # read, the value a read would give
+        oracle, opt = rkhs_oracle(seed=412)
+        reads = []
+
+        def target(x):
+            reads.append(np.array(x))
+            return oracle.target(x)
+
+        def observe(x):
+            return oracle(x)
+
+        observe.dim, observe.target = oracle.dim, target
+        trace = run(small_config(alg, T=20), observe, opt)
+        rows = trace.rows
+        moved = [row.x_plus.tobytes() for i, row in enumerate(rows)
+                 if i == 0 or row.x_plus.tobytes() != rows[i - 1].x_plus.tobytes()]
+        assert [x.tobytes() for x in reads] == moved
+        assert len(reads) < trace.horizon
+        for row in rows:
+            want = float(oracle.target(row.x_plus))
+            assert np.float64(row.f_at_x_plus).tobytes() == np.float64(want).tobytes()
 
 
 class TestRunConfigValidation:
