@@ -54,7 +54,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_diag(args) -> int:
     values = _config_values(args)
-    horizons = [int(h) for h in args.horizons.split(",")]
+    try:
+        horizons = [int(h) for h in args.horizons.split(",")]
+    except ValueError:
+        raise ValueError("--horizons takes comma-separated integers, "
+                         f"got {args.horizons!r}") from None
     for i, T in enumerate(horizons):  # each runs into its own T<horizon>/
         if T in horizons[:i]:
             raise ValueError(f"horizon {T} is given more than once")

@@ -236,10 +236,6 @@ class GpModel:
     def observations(self) -> np.ndarray:
         return self._y.copy()
 
-    @property
-    def chol_factor(self) -> np.ndarray | None:
-        return None if self._L is None else self._L.copy()
-
     def _set_factor(self, L: np.ndarray) -> None:
         """Take L as the factor of the current data, set alpha with it, and
         drop the incumbent of the previous factor."""

@@ -303,22 +303,18 @@ def kernel_of_distance(spec: KernelSpec, r) -> np.ndarray:
 def kernel_values(spec: KernelSpec, r: list[float]) -> list[float]:
     """kernel_of_distance at a few finite distances r >= 0, as floats, for
     callers of a handful of points, whose numpy calls would cost more than
-    their arithmetic: SE and the half-integer Matern forms take
-    _kernel_in_place's scalar operations in its order, with math.exp for
-    np.exp, so each value is within a few ulps of that route's; the Bessel
-    route is that route."""
-    if spec.family == MATERN and spec.nu not in _HALF_INTEGER_NUS:
+    their arithmetic: the Matern 3/2 and 5/2 forms, the closed forms a cover
+    run can use (RunConfig takes nu > 1 there), take _kernel_in_place's
+    scalar operations in its order, with math.exp for np.exp, so each value
+    is within a few ulps of that route's; every other kernel is that route."""
+    if spec.family != MATERN or spec.nu not in (1.5, 2.5):
         return kernel_of_distance(spec, r).tolist()
     ell, nu = spec.lengthscale, spec.nu
     out = []
     for s in r:
         s = min(s, _EXP_ZERO * ell) / ell
-        if spec.family == SQUARED_EXPONENTIAL:
-            out.append(math.exp(s * s * -0.5))
-        elif s < _ZERO_SNAP:
+        if s < _ZERO_SNAP:
             out.append(1.0)
-        elif nu == 0.5:
-            out.append(math.exp(-s))
         elif nu == 1.5:
             c = s * -math.sqrt(3.0)  # -c, as _matern_half_integer forms it
             out.append((1.0 - c) * math.exp(c))
@@ -326,19 +322,6 @@ def kernel_values(spec: KernelSpec, r: list[float]) -> list[float]:
             c = s * -math.sqrt(5.0)
             out.append((1.0 - c + c * c / 3.0) * math.exp(c))
     return out
-
-
-def matern_via_bessel(spec: KernelSpec, r) -> np.ndarray:
-    """Force the Bessel-based route, bypassing closed-form dispatch.
-
-    Used to cross-check the half-integer closed forms.
-    """
-    r = np.asarray(r, dtype=float)
-    with np.errstate(over="ignore"):
-        s = r / spec.lengthscale  # inf past the float range; K_nu(inf) = 0
-    zero = s < _ZERO_SNAP
-    s_safe = np.where(zero, 1.0, s)
-    return np.where(zero, 1.0, _matern_bessel(s_safe, spec.nu))
 
 
 def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:

@@ -340,13 +340,13 @@ def _select(config: RunConfig, cover: Cover, omega_t: float,
     and a reach costs about a twentieth of a search).  So every search made
     is one that searching every stale cell would make, and the winner is
     the same."""
-    stale = [cell for cell in cover.cells
-             if cell.search is None or cell.search.key != (cell.model.n, omega_t)]
     # an equal share of the candidates, floored at 128 but never above them
     budget = max(min(128, config.acq_candidates), config.acq_candidates // cover.cell_count)
-    for cell in stale:
-        cell.search = _Search((cell.model.n, omega_t),
-                              search_draw(rng, budget, config.acq_refinements, cell.lower.size))
+    for cell in cover.cells:
+        key = cell.model.n, omega_t
+        if cell.search is None or cell.search.key != key:
+            cell.search = _Search(key, search_draw(rng, budget, config.acq_refinements,
+                                                   cell.lower.size))
 
     def score_fn(cell):
         best = cell.model.incumbent()
@@ -363,18 +363,13 @@ def _select(config: RunConfig, cover: Cover, omega_t: float,
     need = [cell for cell in waiting if cell.search.reach is None]
     # reaches order several new cells; a lone one's can only skip its search
     bound = len(need) > 1 or (best > -math.inf and config.algorithm != ALG_PI_UCB)
-    fns = {}
-    for cell in need:
-        if bound:
-            fns[cell] = score_fn(cell)
-            cell.search.reach = fns[cell].reach(cell.lower, cell.upper)
-        else:  # searched first, whatever its reach
-            cell.search.reach = math.inf
+    for cell in need:  # without a bound, searched first, whatever its reach
+        cell.search.reach = score_fn(cell).reach(cell.lower, cell.upper) if bound else math.inf
     waiting.sort(key=lambda cell: -cell.search.reach)
     for cell in waiting:
         if cell.search.reach < best:
             break
-        _search(cell, fns.get(cell) or score_fn(cell))
+        _search(cell, score_fn(cell))
         best = max(best, cell.search.score)
     win = max(cover.cells, key=lambda cell: cell.search.score)  # the first of largest
     return win, win.search.x

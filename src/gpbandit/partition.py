@@ -107,13 +107,11 @@ def split_pass(cover: Cover) -> int:
             children.append(Cell(np.where(corner, mid, cell.lower),
                                  np.where(corner, cell.upper, mid),
                                  GpModel(cell.model.kernel, cell.model.lam)))
+        # a point's child is its corner, the upper half where x >= mid, as
+        # contains reads half-open faces; the first axis is the top bit
+        bits = 2 ** np.arange(mid.size - 1, -1, -1)
         for x, y in zip(cell.model.points, cell.model.observations):
-            for child in children:
-                if child.contains(x):
-                    child.model.update(x, y)
-                    break
-            else:
-                raise RuntimeError(f"orphaned point {x} during split")
+            children[int((x >= mid) @ bits)].model.update(x, y)
         pos = cover.cells.index(cell)
         cover.cells[pos : pos + 1] = children
         cover.total_created += len(children)

@@ -287,6 +287,7 @@ def standard_function(name: str):
     """(target, dim, estimated optimum value, optimizer in the unit box)."""
     name = name.lower()
     if name not in _STANDARD:
-        raise ValueError(f"unknown test function: {name!r}")
+        raise ValueError(f"unknown test function: {name!r}; the test functions are "
+                         + ", ".join(STANDARD_FUNCTIONS))
     target, d, opt, opt_x = _STANDARD[name]
     return target, d, opt, opt_x.copy()

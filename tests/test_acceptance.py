@@ -21,7 +21,6 @@ from gpbandit.kernels import (
     KernelSpec,
     gram_matrix,
     kernel_of_distance,
-    matern_via_bessel,
 )
 from gpbandit.optimizers import (
     ALG_GP_EI,
@@ -35,6 +34,8 @@ from gpbandit.optimizers import (
 )
 from gpbandit.partition import initial_cover, split_pass
 from gpbandit.testbed import NoisyOracle, make_rkhs_function
+
+from bessel_reference import matern_via_bessel
 
 KERNEL = KernelSpec(MATERN, 0.2, 2.5)
 PRIMARY_SEED_BASE = 0

@@ -456,6 +456,18 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_diag_horizon_not_a_number_names_the_flag(self, tmp_path, capsys):
+        # int()'s own message named no flag: invalid literal for int() ...
+        rc = main([
+            "diag", "--horizons", "3,abc", "--objective", "hartmann3",
+            "--acq-candidates", "64", "--acq-refinements", "1",
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --horizons takes comma-separated integers, got '3,abc'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_config_key_writes_nothing(self, tmp_path, capsys):
         cfg_file = tmp_path / "twice.cfg"
         cfg_file.write_text("T = 5\nT = 7\n")
@@ -537,7 +549,8 @@ class TestCli:
         assert capsys.readouterr().err == "error: rkhs objective needs a target file\n"
 
     @pytest.mark.parametrize("objective, message", [
-        (["--objective", "nope"], "unknown test function: 'nope'"),
+        (["--objective", "nope"], "unknown test function: 'nope'; the test functions are "
+                                  "hartmann3, shekel, hartmann6, ackley10"),
         (["--objective", ""], "config key 'objective' has an empty value"),
     ])
     def test_optimum_bad_objective_exits_1(self, capsys, objective, message):

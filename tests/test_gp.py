@@ -39,7 +39,7 @@ def dense_posterior(kernel, lam, X, y, xq):
 
 def unblocked_posterior(model, xq):
     """Reference: the whole batch in one kernel block and one SciPy solve."""
-    L = model.chol_factor
+    L = model._L
     alpha = solve_triangular(
         L, solve_triangular(L, model.observations, lower=True), lower=True, trans="T"
     )
@@ -692,7 +692,7 @@ class TestJitterRefit:
         X = np.vstack([p, p + offset * rng.uniform(-1, 1, size=(copies, 2)),
                        rng.uniform(size=(extra, 2))])
         model = GpModel.fit(kernel, lam, X, rng.normal(size=len(X)))
-        L = model.chol_factor
+        L = model._L
         D = L @ L.T - gram_matrix(kernel, model.points)
         diag = np.diag(D)
         assert np.max(np.abs(D - np.diag(diag))) <= 1e-12
@@ -885,7 +885,7 @@ class TestInfoGain:
         rng = np.random.default_rng(18)
         X = rng.uniform(size=(25, 2))
         model = GpModel.fit(kernel, 0.01, X, rng.normal(size=25))
-        L = model.chol_factor
+        L = model._L
         A = gram_matrix(kernel, X) + 0.01 * np.eye(25)
         np.testing.assert_allclose(L @ L.T, A, rtol=1e-8, atol=1e-10)
 

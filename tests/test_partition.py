@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from gpbandit import optimizers
 from gpbandit.gp import GpModel
 from gpbandit.kernels import MATERN, KernelSpec
 from gpbandit.optimizers import ALG_IMPROVED_GP_EI, OMEGA_POLYLOG_T, RunConfig, run
-from gpbandit.partition import Cell, initial_cover, split_constants, split_pass
+from gpbandit.partition import Cell, Cover, initial_cover, split_constants, split_pass
 from gpbandit.testbed import NoisyOracle, standard_function
 
 
@@ -166,6 +168,48 @@ class TestSplitRule:
         np.testing.assert_allclose(right.model.points.ravel(), [0.6, 0.9])
         assert left.model.observations.tolist() == [0.1, 0.3]
         assert right.model.observations.tolist() == [0.6, 0.9]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_children_hold_the_points_they_contain(self, kernel, d):
+        # split_pass files each point by the corner of the parent it lies in;
+        # against contains, on random points, points on every midpoint face
+        # and points on the domain's upper faces, which the cell owns
+        rng = np.random.default_rng(36 + d)
+        b = split_constants(d, kernel.nu)[0]
+        edge = np.arange(d) % 2 == 0
+        parents = [(np.zeros(d), np.ones(d)),
+                   (np.full(d, 0.25), np.full(d, 0.75)),
+                   (np.where(edge, 0.5, 0.0), np.where(edge, 1.0, 0.5))]
+        for lower, upper in parents:
+            mid = 0.5 * (lower + upper)
+            xs = list(rng.uniform(lower, upper, size=(20, d)))
+            for axis in range(d):
+                for face in (mid, upper) if upper[axis] == 1.0 else (mid,):
+                    x = rng.uniform(lower, upper)
+                    x[axis] = face[axis]
+                    xs.append(x)
+            xs += [mid, np.where(upper == 1.0, 1.0, lower)]
+            ys = rng.normal(size=len(xs)).tolist()
+            parent = Cell(lower, upper, GpModel(kernel, 0.01))
+            for x, y in zip(xs, ys):
+                assert parent.contains(x)
+                parent.model.update(x, y)
+            cover = Cover([parent], b, math.nan)
+            assert split_pass(cover) == 1 and cover.cell_count == 2**d
+            for child in cover.cells:
+                mine = [child.contains(x) for x in xs]
+                assert child.model.points.tolist() == [x.tolist() for x, m in zip(xs, mine) if m]
+                assert child.model.observations.tolist() == [y for y, m in zip(ys, mine) if m]
+            assert sum(child.model.n for child in cover.cells) == len(xs)
+
+    def test_empty_parent_splits_into_empty_children(self, kernel):
+        # at d = 5 the unit box's children have diameter sqrt(5)/2 > 1, so
+        # they break the rule with no data
+        child = Cell(np.zeros(5), np.full(5, 0.5), GpModel(kernel, 0.01))
+        cover = Cover([child], split_constants(5, kernel.nu)[0], math.nan)
+        assert child.diameter > 1.0
+        assert split_pass(cover) == 1 and cover.cell_count == 32
+        assert all(grandchild.model.n == 0 for grandchild in cover.cells)
 
     def test_total_created_counts_children(self):
         cover = make_cover(d=2, T=100)
