@@ -60,12 +60,14 @@ class ObjectiveSpec:
     def __post_init__(self):
         if not (math.isfinite(self.noise_stddev) and self.noise_stddev >= 0):
             raise ValueError(f"noise stddev must be finite and >= 0, got {self.noise_stddev}")
+        if self.name == "rkhs" and self.rkhs_file is None:
+            raise ValueError("rkhs objective needs a target file")
+        if self.name != "rkhs" and self.rkhs_file is not None:
+            raise ValueError(f"rkhs_file needs objective rkhs, got {self.name!r}")
 
     def build(self):
         """Returns (target callable, dim, true optimum)."""
         if self.name == "rkhs":
-            if self.rkhs_file is None:
-                raise ValueError("rkhs objective needs a target file")
             f = RkhsFunction.load(self.rkhs_file)
             return f, f.dim, f.optimum_value
         target, d, opt, _ = standard_function(self.name)

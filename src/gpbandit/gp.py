@@ -34,31 +34,28 @@ from .kernels import (
     KernelSpec,
     cross_blocks,
     cross_matrix,
+    far_corner_kernels,
     gram_matrix,
-    kernel_values,
     screen_blocks,
 )
 
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 _PIVOT_FLOOR = 1e-14
-# added to the variance bounds of posterior_argmax and box_bound: the
+# added to the variance bounds of posterior_argmax and _box_bound: the
 # rounding of the computed 1 - v.v, at most a few n ulps of 1, stays far
 # below it
 _VAR_MARGIN = 1e-12
-# the relative slack of posterior_argmax and box_reach on a score bound,
-# held at or above _SCORE_FLOOR, far above EI's subnormal tail: computed EI
-# tracks the exact one to ~1e-12 relative, and computed UCB (beta >= 0) is
-# monotone in both mean and std
+# the relative slack of _reach on a score bound, held at or above
+# _SCORE_FLOOR, far above EI's subnormal tail: computed EI tracks the exact
+# one to ~1e-12 relative, and computed UCB (beta >= 0) is monotone in both
+# mean and std
 _BOUND_RTOL = 1e-9
 _SCORE_FLOOR = 1e-280
 # float32's machine epsilon (2^-23) and least normal value: the units of
 # the rounding of posterior_argmax's float32 means
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
-# box_bound's allowance for the rounding of one computed kernel value, in
-# units of _EPS: the closed forms and the Bessel route stay within a few
-_KERNEL_ULPS = 64
-_EPS = 2.0**-52
+_EPS = 2.0**-52  # float64's, the unit of _box_bound's summation margin
 # the screen runs while sum |alpha| < _SCREEN_ALPHA, which keeps the weights
 # and the means inside float32's range
 _SCREEN_ALPHA = 1e30
@@ -146,47 +143,11 @@ def _mean_margin(e_k: float, n: int, asum: float) -> float:
     return (e_k + (n + 4) * _EPS32) * asum + 2 * n * _TINY32
 
 
-def box_bound(kernel: KernelSpec, X: np.ndarray, weights: np.ndarray, lower, upper,
-              noise: float) -> tuple[float, float]:
-    """(mean bound, stddev bound) over the box [lower, upper] for a GP whose
-    n >= 1 data X carry weights = (K + noise I)^-1 y, noise = lam + jitter:
-    no mean or stddev posterior_many computes at a point of the box, or one
-    ulp outside it, exceeds them.
-
-    The kernel is at most 1 and decreases with distance, and no point of
-    the box is farther from x_j than far_j, the distance to the box's
-    farthest corner, so the mean sum_j w_j k(x, x_j) is at most
-
-        sum_{w_j > 0} w_j + sum_{w_j < 0} w_j k(far_j),
-
-    a function of (kernel, X, weights, box) alone; and as k(x, x_j) >=
-    k(far_j), the variance is at most GpModel._stddev_bound's one-point
-    rule at max_j k(far_j), here in scalar arithmetic.  For rounding, far_j is measured from the box widened
-    by one ulp a side and stretched by (d + 4) eps, which covers its own
-    rounding and that of the distances cross_matrix computes; a kernel
-    value may stray by e_k = _KERNEL_ULPS eps, so max_j k(far_j) is lowered
-    by e_k, and the mean gains (2 _KERNEL_ULPS + n + 4) eps sum|w|, which
-    covers that and the rounding of both sums.  A cell's handful of points
-    is summed in Python floats: numpy calls would cost more."""
-    n, d = X.shape
-    low = [math.nextafter(a, -math.inf) for a in lower.tolist()]
-    high = [math.nextafter(b, math.inf) for b in upper.tolist()]
-    stretch = 1.0 + (d + 4) * _EPS
-    far = []
-    for row in X.tolist():
-        sq = 0.0
-        for x, a, b in zip(row, low, high):
-            side = max(x - a, b - x)  # to the farthest face
-            sq += side * side
-        far.append(math.sqrt(sq) * stretch)
-    k = kernel_values(kernel, far)
-    mean = asum = 0.0
-    for wj, kj in zip(weights.tolist(), k):
-        mean += wj if wj > 0 else wj * kj
-        asum += abs(wj)
-    mean += (2 * _KERNEL_ULPS + n + 4) * _EPS * asum
-    kmax = max(max(k) - _KERNEL_ULPS * _EPS, 0.0)
-    return mean, math.sqrt(max(1.0 + _VAR_MARGIN - kmax * kmax / (1.0 + noise), 0.0))
+def _reach(bound):
+    """Score bounds, elementwise, times 1 + _BOUND_RTOL and at least
+    _SCORE_FLOOR, below which a score's rounding is not bounded: no point
+    whose reach is below a computed score ties or beats it."""
+    return np.maximum(bound * (1.0 + _BOUND_RTOL), _SCORE_FLOOR)
 
 
 class GpModel:
@@ -348,8 +309,8 @@ class GpModel:
         _SCORE_FLOOR: a computed value v >= _SCORE_FLOOR is at most
         1 + _BOUND_RTOL times the computed value at a larger mean and
         stddev.  EI and UCB with beta >= 0 are.  Then score(*_screen(xs))
-        bounds each point's value from above, and a point whose bound, times
-        1 + _BOUND_RTOL, stays below a value already computed cannot win.
+        bounds each point's value from above, and a point whose _reach of
+        that bound stays below a value already computed cannot win.
         The screen is a sweep of float32 kernel values over every point,
         whose kernel values and means are within kernels.screen_blocks' e_k
         and _mean_margin's e_mu of the float64 ones; the eight points of largest bound are
@@ -358,7 +319,7 @@ class GpModel:
         the best point below its top four), and one posterior_many call
         solves the points that pass it, laid out by _scores_at so that
         their means and stddevs read as in the full pass.  While the
-        threshold is below _SCORE_FLOOR every point is kept."""
+        threshold is at or below _SCORE_FLOOR every point is kept."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self.n == 0 or len(xs) < 2 * BLOCK:
             return None
@@ -368,28 +329,40 @@ class GpModel:
         bound = score(*screen)
         seeds = np.sort(np.argpartition(bound, -8)[-8:])
         top = float(np.max(self._scores_at(xs, seeds, score)))
-        if top >= _SCORE_FLOOR:
-            keep = np.flatnonzero(bound * (1.0 + _BOUND_RTOL) >= top)
-        else:
-            keep = np.arange(len(xs))
+        keep = np.flatnonzero(_reach(bound) >= top)
         values = self._scores_at(xs, keep, score)
         i = int(np.argmax(values))
         return int(keep[i]), float(values[i])
 
+    def _box_bound(self, lower, upper) -> tuple[float, float]:
+        """(mean bound, stddev bound) over the box [lower, upper] for a
+        model with data: no mean or stddev posterior_many computes at a point
+        of the box, or one ulp outside it, exceeds them.  There every
+        computed k(x, x_j) lies in [far_j - e_k, 1 + e_k], with (e_k, far)
+        from kernels.far_corner_kernels, so the mean is at most sum_j
+        alpha_j (1 if alpha_j > 0 else far_j) plus (2 e_k + (n + 4) eps)
+        sum|alpha|, which covers e_k twice and both sums' rounding, and the
+        variance _stddev_bound's one-point rule at max_j far_j - e_k; in
+        Python floats, as numpy calls on a cell's few points cost more."""
+        e_k, far = far_corner_kernels(self.kernel, self._X, lower, upper)
+        mean = asum = 0.0
+        for wj, kj in zip(self._alpha.tolist(), far):
+            mean += wj if wj > 0 else wj * kj
+            asum += abs(wj)
+        mean += (2 * e_k + (self.n + 4) * _EPS) * asum
+        kmax = max(max(far) - e_k, 0.0)
+        var = 1.0 + _VAR_MARGIN - kmax * kmax / (1.0 + (self.lam + self._jitter))
+        return mean, math.sqrt(max(var, 0.0))
+
     def box_reach(self, lower, upper, score) -> float:
         """A value that no score(*posterior_many(xs)) computed at points xs
         of the box [lower, upper] exceeds, for a model with data and a score
-        as posterior_argmax takes: score at box_bound's (mean, stddev) times
-        1 + _BOUND_RTOL, and at least _SCORE_FLOOR, below which the score's
-        rounding is not bounded; inf where box_bound's are not finite.  A
-        box whose reach is below a computed value holds no point that ties
-        or beats it."""
-        mean, std = box_bound(self.kernel, self._X, self._alpha, lower, upper,
-                              self.lam + self._jitter)
+        as posterior_argmax takes: _reach of the score at _box_bound's
+        (mean, stddev); inf where those are not finite."""
+        mean, std = self._box_bound(lower, upper)
         if not (math.isfinite(mean) and math.isfinite(std)):
             return math.inf
-        value = float(score(np.array([mean]), np.array([std]))[0])
-        return max(value * (1.0 + _BOUND_RTOL), _SCORE_FLOOR)
+        return float(_reach(score(np.array([mean]), np.array([std]))[0]))
 
     def posterior(self, x) -> tuple[float, float]:
         """Posterior (mean, stddev) at one point; (0, 1) with no data."""

@@ -300,13 +300,12 @@ def kernel_of_distance(spec: KernelSpec, r) -> np.ndarray:
     return _kernel_in_place(spec, r.reshape(-1)).reshape(r.shape)
 
 
-def kernel_values(spec: KernelSpec, r: list[float]) -> list[float]:
-    """kernel_of_distance at a few finite distances r >= 0, as floats, for
-    callers of a handful of points, whose numpy calls would cost more than
-    their arithmetic: the Matern 3/2 and 5/2 forms, the closed forms a cover
-    run can use (RunConfig takes nu > 1 there), take _kernel_in_place's
-    scalar operations in its order, with math.exp for np.exp, so each value
-    is within a few ulps of that route's; every other kernel is that route."""
+def _kernel_values(spec: KernelSpec, r: list[float]) -> list[float]:
+    """kernel_of_distance at far_corner_kernels' few distances r >= 0, as
+    floats: the Matern 3/2 and 5/2 forms, the closed forms a cover run can
+    use (RunConfig takes nu > 1 there), take _kernel_in_place's scalar
+    operations in its order, with math.exp for np.exp, so each value is
+    within a few ulps of that route's; every other kernel is that route."""
     if spec.family != MATERN or spec.nu not in (1.5, 2.5):
         return kernel_of_distance(spec, r).tolist()
     ell, nu = spec.lengthscale, spec.nu
@@ -322,6 +321,30 @@ def kernel_values(spec: KernelSpec, r: list[float]) -> list[float]:
             c = s * -math.sqrt(5.0)
             out.append((1.0 - c + c * c / 3.0) * math.exp(c))
     return out
+
+
+def far_corner_kernels(spec: KernelSpec, X: np.ndarray, lower, upper):
+    """(e_k, far): far_j, as a float, the kernel value at the distance from
+    the row x_j of the 2-D float64 array X to the farthest corner of the box
+    [lower, upper], and e_k such that every value cross_matrix computes
+    between x_j and a point of the box, or one ulp outside it, lies in
+    [far_j - e_k, 1 + e_k], as the kernel is at most 1 and decreases with
+    distance.  That distance is measured from the box widened by one ulp a
+    side and stretched by (d + 4) eps, eps = 2^-52, which covers its own
+    rounding and that of cross_matrix's; the closed forms and the Bessel
+    route stray by a few eps, which e_k = 64 eps covers twice over.  In
+    Python floats: on a cell's handful of points numpy calls cost more."""
+    low = [math.nextafter(a, -math.inf) for a in lower.tolist()]
+    high = [math.nextafter(b, math.inf) for b in upper.tolist()]
+    stretch = 1.0 + (X.shape[1] + 4) * 2.0**-52
+    r = []
+    for row in X.tolist():
+        sq = 0.0
+        for x, a, b in zip(row, low, high):
+            side = max(x - a, b - x)  # to the farthest face
+            sq += side * side
+        r.append(math.sqrt(sq) * stretch)
+    return 64 * 2.0**-52, _kernel_values(spec, r)
 
 
 def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:

@@ -104,8 +104,8 @@ class RunConfig:
         if mode == OMEGA_THEORY_EI:
             self._check_delta("theory_ei omega")
         if mode == OMEGA_POLYLOG_T and self.horizon_T < 16:
-            raise ValueError(
-                "polylog_t omega needs horizon_T >= 16 (ln ln T must be positive)")
+            raise ValueError(f"{self.algorithm} with polylog_t omega needs horizon_T >= 16 "
+                             f"(ln ln T must be positive), got T = {self.horizon_T}")
 
     def _check_delta(self, user: str) -> None:
         if not 0.0 < self.delta < 1.0:

@@ -548,6 +548,12 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "error: rkhs objective needs a target file\n"
 
+    def test_optimum_file_without_rkhs_returns_error(self, capsys):
+        rc = main(["optimum", "--rkhs-file", "t.json", "--budget", "2000"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: rkhs_file needs objective rkhs, got 'hartmann3'\n")
+
     @pytest.mark.parametrize("objective, message", [
         (["--objective", "nope"], "unknown test function: 'nope'; the test functions are "
                                   "hartmann3, shekel, hartmann6, ackley10"),
@@ -587,6 +593,14 @@ class TestCli:
         (["--algorithms", "pi_ucb", "--R", "-0.5"],
          "pi_ucb needs R finite and >= 0, got -0.5"),
         (["--seed-base", "-1"], "seed_base must be >= 0, got -1"),
+        # a target file read only with objective rkhs, not ignored
+        (["--rkhs-file", "t.json"], "rkhs_file needs objective rkhs, got 'hartmann3'"),
+        (["--objective", "shekel", "--rkhs-file", "t.json"],
+         "rkhs_file needs objective rkhs, got 'shekel'"),
+        # improved_gp_ei takes polylog_t omega without the user setting it
+        (["--algorithms", "improved_gp_ei"],
+         "improved_gp_ei with polylog_t omega needs horizon_T >= 16 (ln ln T must be "
+         "positive), got T = 2"),
     ])
     def test_bad_objective_writes_nothing(self, tmp_path, capsys, objective, message):
         rc = main([

@@ -587,7 +587,7 @@ class TestBoxBound:
         seed=st.integers(0, 2**16),
     )
     # found failing with box_reach's noise read without the jitter, and with
-    # box_bound's mean margin left out
+    # _box_bound's mean margin left out
     @example(d=1, n=1, kernel=(MATERN, 2.5), ell=0.2, log_lam=-2.0, log_width=-7.0,
              layout="copies", jitter=True, acq=("ei", 1.0), seed=0)
     @example(d=2, n=3, kernel=(MATERN, 2.5), ell=0.2, log_lam=-2.0, log_width=-2.0,
@@ -595,7 +595,7 @@ class TestBoxBound:
     def test_bound_covers_every_point_a_search_scores(self, d, n, kernel, ell, log_lam,
                                                       log_width, layout, jitter, acq, seed):
         """Oracle: at every point a cell search can score in its box, alone
-        or in a batch, the computed mean and stddev are at most box_bound's,
+        or in a batch, the computed mean and stddev are at most _box_bound's,
         and the computed score at most box_reach's, for EI at scale omega
         and UCB at width beta.  The sampled points are uniform in the box,
         at its corners with signs of y by corner (where the mean bound is
@@ -621,8 +621,7 @@ class TestBoxBound:
             X, y, lam = np.vstack([X[:1], X]), np.append(y[:1], y), 1e-16
         model = GpModel.fit(KernelSpec(kernel[0], ell, kernel[1]), lam, X, y)
         assert (model._jitter > 0) == jitter
-        mean_bound, std_bound = gp.box_bound(model.kernel, model.points, model._alpha,
-                                             lower, upper, model.lam + model._jitter)
+        mean_bound, std_bound = model._box_bound(lower, upper)
         kind, scale = acq
         if kind == "ei":
             incumbent = model.incumbent()[1]
@@ -643,15 +642,14 @@ class TestBoxBound:
 
     @pytest.mark.parametrize("shift, want", [(0.0, "slack"), (1e3, "floor")])
     def test_reach_is_the_bound_with_slack_and_floor(self, matern25, shift, want):
-        # score at box_bound's (mean, stddev), times 1 + _BOUND_RTOL, and
+        # score at _box_bound's (mean, stddev), times 1 + _BOUND_RTOL, and
         # never below _SCORE_FLOOR: an EI that vanishes on the box (its
         # incumbent far above every mean) and a negative UCB reach the floor
         rng = np.random.default_rng(3)
         model = GpModel.fit(matern25, 0.01, 0.25 + 0.5 * rng.uniform(size=(4, 2)),
                             rng.normal(size=4))
         lower, upper = np.full(2, 0.25), np.full(2, 0.75)
-        mean, std = gp.box_bound(matern25, model.points, model._alpha, lower, upper,
-                                 model.lam)
+        mean, std = model._box_bound(lower, upper)
         incumbent = model.incumbent()[1] + shift
 
         def ei(means, stds):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -5,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpbandit import kernels
 from gpbandit.kernels import (
@@ -617,18 +620,63 @@ class TestKernelOfDistance:
 class TestKernelValues:
     @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
     def test_within_a_few_ulps_of_the_array_route(self, spec):
-        # kernel_values' scalar closed forms against kernel_of_distance, from
+        # _kernel_values' scalar closed forms against kernel_of_distance, from
         # 0 and below the zero snap to past the far clamp; the Bessel route
         # is that route, to the bit
         rng = np.random.default_rng(11)
         r = np.concatenate([[0.0, 1e-20, 1e-13, 1e-9, 1e3, 1e300],
                             spec.lengthscale * rng.uniform(0.0, 10.0, size=200)])
-        got = np.array(kernels.kernel_values(spec, r.tolist()))
+        got = np.array(kernels._kernel_values(spec, r.tolist()))
         want = kernel_of_distance(spec, r)
         if spec.family == MATERN and spec.nu not in (0.5, 1.5, 2.5):
             assert got.tobytes() == want.tobytes()
         else:
             assert np.all(np.abs(got - want) <= 4 * 2.0**-52)
+
+
+class TestFarCornerKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 5]),
+        n=st.integers(1, 8),
+        kernel=st.sampled_from([(SQUARED_EXPONENTIAL, None), (MATERN, 0.5), (MATERN, 1.5),
+                                (MATERN, 2.5), (MATERN, 1.2)]),
+        ell=st.floats(0.05, 1.0),
+        log_width=st.floats(-7.0, 0.0),
+        corners=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_computed_value_in_the_box_is_in_range(self, d, n, kernel, ell, log_width,
+                                                         corners, seed):
+        """Oracle: every cross_matrix value between a data point x_j and a
+        query in the box [lower, upper], at its corners, or one ulp outside
+        a face or a corner lies in [far_j - e_k, 1 + e_k].  The data lie
+        uniform in the box or at its corners, where a far corner is at the
+        box's diagonal."""
+        spec = KernelSpec(kernel[0], ell, kernel[1])
+        rng = np.random.default_rng(seed)
+        width = 10.0**log_width
+        lower = rng.uniform(size=d) * (1.0 - width)
+        upper = lower + width
+        box_corners = np.array([np.where(bits, upper, lower)
+                                for bits in itertools.product((False, True), repeat=d)])
+        if corners:
+            X = box_corners[rng.integers(len(box_corners), size=n)]
+        else:
+            X = lower + rng.uniform(size=(n, d)) * (upper - lower)
+        below, above = np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf)
+        outside = lower + rng.uniform(size=(2 * d, d)) * (upper - lower)
+        for i in range(d):
+            outside[2 * i, i], outside[2 * i + 1, i] = below[i], above[i]
+        widened = np.array([np.where(bits, above, below)
+                            for bits in itertools.product((False, True), repeat=d)])
+        xs = np.vstack([lower + rng.uniform(size=(40, d)) * (upper - lower), box_corners,
+                        outside, widened])
+        e_k, far = kernels.far_corner_kernels(spec, X, lower, upper)
+        assert len(far) == n
+        k = cross_matrix(spec, X, xs)
+        assert np.all(k >= np.array(far)[:, None] - e_k)
+        assert np.all(k <= 1.0 + e_k)
 
 
 class TestGramMatrix:
