@@ -334,6 +334,15 @@ def far_corner_kernels(spec: KernelSpec, X: np.ndarray, lower, upper):
     rounding and that of cross_matrix's; the closed forms and the Bessel
     route stray by a few eps, which e_k = 64 eps covers twice over.  In
     Python floats: on a cell's handful of points numpy calls cost more."""
+    return 64 * 2.0**-52, _kernel_values(spec, _far_corner_distances(X, lower, upper))
+
+
+def _far_corner_distances(X: np.ndarray, lower, upper) -> list[float]:
+    """For each row x_j of X, a float at least the exact distance from x_j
+    to the farthest corner of the box [lower, upper] widened by one ulp a
+    side: the computed distance stretched by (d + 4) eps, eps = 2^-52, past
+    the rounding of its own differences, sum and square root and of
+    cross_matrix's (see far_corner_kernels)."""
     low = [math.nextafter(a, -math.inf) for a in lower.tolist()]
     high = [math.nextafter(b, math.inf) for b in upper.tolist()]
     stretch = 1.0 + (X.shape[1] + 4) * 2.0**-52
@@ -344,7 +353,7 @@ def far_corner_kernels(spec: KernelSpec, X: np.ndarray, lower, upper):
             side = max(x - a, b - x)  # to the farthest face
             sq += side * side
         r.append(math.sqrt(sq) * stretch)
-    return 64 * 2.0**-52, _kernel_values(spec, r)
+    return r
 
 
 def cross_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:

@@ -151,16 +151,36 @@ class RunTrace:
         return self.rows[-1].cumulative_regret
 
 
-def search_draw(rng: np.random.Generator, n_candidates: int, n_refinements: int, d: int):
-    """A search's uniforms from one rng call, the same doubles as one call per
-    pass: cand_u, shape (n_candidates, d), then probe_u, shape (n_refinements,
-    n_probes, d), one group of n_probes = max(8, 2 d) rows per round."""
+def _draw_rows(n_candidates: int, n_refinements: int, d: int) -> tuple[int, int]:
+    """(rows, n_probes) of a search's draw: n_candidates rows, then
+    n_probes = max(8, 2 d) rows per refinement round, d uniforms a row."""
     if min(n_candidates, n_refinements, d) < 0:
         raise ValueError(f"search_draw needs counts >= 0, got n_candidates={n_candidates}, "
                          f"n_refinements={n_refinements}, d={d}")
     n_probes = max(8, 2 * d)
-    u = rng.uniform(size=(n_candidates + n_refinements * n_probes, d))
+    return n_candidates + n_refinements * n_probes, n_probes
+
+
+def search_draw(rng: np.random.Generator, n_candidates: int, n_refinements: int, d: int):
+    """A search's uniforms from one rng call, the same doubles as one call per
+    pass: cand_u, shape (n_candidates, d), then probe_u, shape (n_refinements,
+    n_probes, d), one group of n_probes = max(8, 2 d) rows per round."""
+    rows, n_probes = _draw_rows(n_candidates, n_refinements, d)
+    u = rng.uniform(size=(rows, d))
     return u[:n_candidates], u[n_candidates:].reshape(n_refinements, n_probes, d)
+
+
+def _first_row(rng: np.random.Generator, n_candidates: int, n_refinements: int,
+               d: int) -> np.ndarray:
+    """search_draw's first candidate row, cand_u[0] (n_candidates >= 1), with
+    rng left in the state search_draw leaves: the rest of the draw is skipped,
+    not made.  For a PCG64 generator such as run's, which takes one 64-bit
+    output per uniform and holds no buffered 32-bit value for advance to
+    drop."""
+    rows, _ = _draw_rows(n_candidates, n_refinements, d)
+    u = rng.uniform(size=d)
+    rng.bit_generator.advance((rows - 1) * d)
+    return u
 
 
 def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np.ndarray,
@@ -206,7 +226,7 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     best, best_score = found or _pick(cands, np.asarray(score_fn(cands), dtype=float))
     best_x = cands[best].copy()
     n_refinements, n_probes, _ = probe_u.shape
-    if not n_refinements:  # as a cell without data is searched
+    if not n_refinements:  # acq_refinements = 0: the candidate pass alone
         return best_x, best_score
     # round r's steps, its offsets times its radius, 0.25 (upper - lower)
     # halved r times, exactly
@@ -281,34 +301,43 @@ def _cell_score(config: RunConfig, model: GpModel, omega_t: float, incumbent: fl
 
 @dataclass(eq=False, slots=True)
 class _Search:
-    """A cell's search under its key (model.n, omega_t): its search_draw
-    until the search is made, then its (score, x), -inf and None before;
-    for a cell with data, once _select has taken it up, the reach of its
-    score over its box (GpModel.box_reach), or inf where it is searched
-    without one."""
+    """A cell's search under its key (model.n, omega_t): its draw until the
+    search is made, search_draw's for a cell with data and its first row
+    (_first_row) for one without, then its (score, x), -inf and None
+    before; for a cell with data, once _select has taken it up, the reach
+    of its score over its box (GpModel.box_reach), or inf where it is
+    searched without one."""
 
     key: tuple
-    draw: tuple | None
+    draw: tuple | np.ndarray | None
     reach: float | None = None
     score: float = -math.inf
     x: np.ndarray | None = None
 
 
-def _search(cell: Cell, score_fn) -> None:
-    """Search a cell on its held draw with its score_fn, and hold the
-    (score, x) in place of the draw; a cell without data, whose surface is
-    flat, is given its first candidate row and no round."""
-    held = cell.search
-    cand_u, probe_u = held.draw if cell.model.n else (held.draw[0][:1], held.draw[1][:0])
-    x, s = maximize_acquisition(score_fn, cell.lower, cell.upper, cand_u, probe_u,
-                                extra_points=cell.model.points)
-    # keep the point inside the half-open ownership region: an exact hit on a
-    # shared upper face would belong to the neighbour cell, so it moves in
-    # and is scored again
+def _owned(cell: Cell, x: np.ndarray) -> np.ndarray:
+    """x, kept inside the cell's half-open ownership region: an exact hit
+    on a shared upper face would belong to the neighbour cell, so there x
+    is copied and moved in by one ulp."""
     clamp = (cell.upper < 1.0) & (x >= cell.upper)
-    if clamp.any():
-        x = np.where(clamp, np.nextafter(cell.upper, cell.lower), x)
-        s = float(np.asarray(score_fn(x[None, :]))[0])
+    return np.where(clamp, np.nextafter(cell.upper, cell.lower), x) if clamp.any() else x
+
+
+def _score_at(score_fn, x: np.ndarray) -> float:
+    """score_fn at the one point x; a NaN raises with x."""
+    return _pick(x[None, :], np.asarray(score_fn(x[None, :]), dtype=float))[1]
+
+
+def _search(cell: Cell, score_fn) -> None:
+    """Search a cell with data on its held draw with its score_fn, and hold
+    the (score, x) in place of the draw; a point moved in from an upper
+    face is scored again."""
+    held = cell.search
+    x, s = maximize_acquisition(score_fn, cell.lower, cell.upper, *held.draw,
+                                extra_points=cell.model.points)
+    owned = _owned(cell, x)
+    if owned is not x:
+        x, s = owned, _score_at(score_fn, owned)
     held.draw, held.score, held.x = None, s, x
 
 
@@ -319,47 +348,59 @@ def _select(config: RunConfig, cover: Cover, omega_t: float,
 
     A cell's surface depends only on its model and omega_t, so each cell
     holds its last search (_Search) under the key (model.n, omega_t), and is
-    stale, and takes a new search_draw, only when that key changes: after an
+    stale, and takes a new draw, only when that key changes: after an
     observation, when a split creates it, or at every step when omega_t
     moves (theory_ei); the budget sets the effort, not the surface, and is
     left out.  Every stale cell takes its draw, in cover order, before the
     first search.
 
-    A search is made only where it can win.  Cells without data are
-    searched first: their score is exact and cheap.  The cells with data
-    whose search is still to make, stale now or deferred at an earlier
-    step, follow in decreasing order of their reach (GpModel.box_reach),
-    computed once per key, until one's reach is below the best score found
-    so far: no point of it or of the cells after it can tie that score, so
-    they keep their draw and reach, deferred, and are searched from that
-    draw at the first later step whose best they reach.  A lone cell new to
-    this wait is searched first without a reach when no score is found yet,
-    as GP-EI's one cell, and under UCB, whose width grows with a cell's
-    gain, so that such a cell all but never scores below the cells searched
-    before it (1 of 313 such reaches on cover_ucb_rkhs2 skipped a search,
-    and a reach costs about a twentieth of a search).  So every search made
-    is one that searching every stale cell would make, and the winner is
-    the same."""
+    A cell without data has the prior's posterior (0, 1) at every point, so
+    every such cell has the same flat score: EI against incumbent 0 at
+    omega_t, or UCB at gain 0.  Its search takes its first candidate, the
+    first row of its draw (_first_row, which skips the rest), moved in from
+    a shared upper face as _search moves a point, and that score, computed
+    once a step, at the first such cell's point; the search of every stale
+    cell would pick that point, as the first candidate wins every tie.
+
+    A search of a cell with data is made only where it can win.  The cells
+    with data whose search is still to make, stale now or deferred at an
+    earlier step, follow the cells without data in decreasing order of
+    their reach (GpModel.box_reach), computed once per key, until one's
+    reach is below the best score found so far: no point of it or of the
+    cells after it can tie that score, so they keep their draw and reach,
+    deferred, and are searched from that draw at the first later step whose
+    best they reach.  A lone cell new to this wait is searched first
+    without a reach when no score is found yet, as GP-EI's one cell, and
+    under UCB, whose width grows with a cell's gain, so that such a cell
+    all but never scores below the cells searched before it (1 of 313 such
+    reaches on cover_ucb_rkhs2 skipped a search, and a reach costs about a
+    twentieth of a search).  So every search made is one that searching
+    every stale cell would make, and the winner is the same."""
     # an equal share of the candidates, floored at 128 but never above them
     budget = max(min(128, config.acq_candidates), config.acq_candidates // cover.cell_count)
     for cell in cover.cells:
         key = cell.model.n, omega_t
         if cell.search is None or cell.search.key != key:
-            cell.search = _Search(key, search_draw(rng, budget, config.acq_refinements,
-                                                   cell.lower.size))
+            draw = search_draw if cell.model.n else _first_row
+            cell.search = _Search(key, draw(rng, budget, config.acq_refinements,
+                                            cell.lower.size))
 
     def score_fn(cell):
         best = cell.model.incumbent()
         return _cell_score(config, cell.model, omega_t, 0.0 if best is None else best[1])
 
-    waiting, best = [], -math.inf
+    waiting, best, flat = [], -math.inf, None
     for cell in cover.cells:
-        if cell.search.x is None:
+        held = cell.search
+        if held.x is None:
             if cell.model.n:
                 waiting.append(cell)
                 continue
-            _search(cell, score_fn(cell))
-        best = max(best, cell.search.score)
+            x = _owned(cell, cell.lower + held.draw * (cell.upper - cell.lower))
+            if flat is None:
+                flat = _score_at(score_fn(cell), x)
+            held.draw, held.score, held.x = None, flat, x
+        best = max(best, held.score)
     need = [cell for cell in waiting if cell.search.reach is None]
     # reaches order several new cells; a lone one's can only skip its search
     bound = len(need) > 1 or (best > -math.inf and config.algorithm != ALG_PI_UCB)

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -677,6 +678,37 @@ class TestFarCornerKernels:
         k = cross_matrix(spec, X, xs)
         assert np.all(k >= np.array(far)[:, None] - e_k)
         assert np.all(k <= 1.0 + e_k)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 5]),
+        n=st.integers(1, 8),
+        log_width=st.floats(-7.0, 0.0),
+        corners=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_distances_reach_the_widened_far_corner(self, d, n, log_width, corners, seed):
+        """Oracle in exact rational arithmetic: the square of every returned
+        distance is at least the exact squared distance from its point to
+        the farthest corner of the box widened by one ulp a side, so the
+        (d + 4) eps stretch covers the rounding of the sum it stretches."""
+        rng = np.random.default_rng(seed)
+        width = 10.0**log_width
+        lower = rng.uniform(size=d) * (1.0 - width)
+        upper = lower + width
+        if corners:
+            X = np.where(rng.integers(2, size=(n, d)).astype(bool), upper, lower)
+        else:
+            X = lower + rng.uniform(size=(n, d)) * (upper - lower)
+        low = [Fraction(a) for a in np.nextafter(lower, -np.inf).tolist()]
+        high = [Fraction(b) for b in np.nextafter(upper, np.inf).tolist()]
+        r = kernels._far_corner_distances(X, lower, upper)
+        assert len(r) == n
+        for row, got in zip(X.tolist(), r):
+            exact = sum(max(Fraction(x) - a, b - Fraction(x)) ** 2
+                        for x, a, b in zip(row, low, high))
+            assert Fraction(got) ** 2 >= exact
 
 
 class TestGramMatrix:

@@ -286,8 +286,9 @@ class TestOneDraw:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_flat_search_scores_only_the_first_candidate(self, d):
-        # a cell without data: the whole draw is made, and the search is
-        # given its first candidate row and no probe row
+        # the one-row search that a cell without data stands for (see
+        # TestFlatSearches): the whole draw is made, and the search is given
+        # its first candidate row and no probe row
         setup = np.random.default_rng(2000 + d)
         for n_candidates in (1, 7, 128):
             for n_refinements in (0, 1, 30):
@@ -322,6 +323,113 @@ class TestOneDraw:
             maximize_acquisition(nan_score, np.zeros(2), np.ones(2), cand_u[:1],
                                  probe_u[:0])
         np.testing.assert_array_equal(err.value.point, first)
+
+
+def one_row_search(cell, score_fn, draw):
+    """The search a cell without data stands for: maximize_acquisition on
+    its draw's first candidate row and no probe row, and a point on a shared
+    upper face moved in by one ulp and scored again."""
+    cand_u, probe_u = draw
+    x, s = maximize_acquisition(score_fn, cell.lower, cell.upper, cand_u[:1], probe_u[:0],
+                                extra_points=cell.model.points)
+    clamp = (cell.upper < 1.0) & (x >= cell.upper)
+    if clamp.any():
+        x = np.where(clamp, np.nextafter(cell.upper, cell.lower), x)
+        s = float(np.asarray(score_fn(x[None, :]))[0])
+    return x, s
+
+
+class TestFlatSearches:
+    """A cell without data is searched in closed form: its draw is
+    search_draw's first candidate row, the rest skipped, and its (x, score)
+    is the one-row search's, with one score call a step for all such cells."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_first_row_is_the_draws_and_skips_the_rest(self, d):
+        setup = np.random.default_rng(3000 + d)
+        for n_candidates in (1, 128, 4096):
+            for n_refinements in (0, 5, 30):
+                seed = int(setup.integers(2**32))
+                ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                cand_u, _ = search_draw(ref_rng, n_candidates, n_refinements, d)
+                row = optimizers._first_row(rng, n_candidates, n_refinements, d)
+                assert row.tobytes() == cand_u[0].tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("alg, omega_mode", [
+        (ALG_IMPROVED_GP_EI, OMEGA_FIXED), (ALG_IMPROVED_GP_EI, OMEGA_THEORY_EI),
+        (ALG_IMPROVED_GP_EI, OMEGA_POLYLOG_T), (ALG_PI_UCB, OMEGA_POLYLOG_T)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_one_row_search(self, alg, omega_mode, d, monkeypatch):
+        # an initial cover, one cell of it with data: every cell without
+        # data holds the one-row search's point and score, the score made
+        # by one posterior call, and the generator is left where full draws
+        # for every cell leave it
+        cfg = small_config(alg, T=100, omega_mode=omega_mode, omega_c=0.7)
+        omega_t = optimizers._omega(cfg, 1.3)
+        cover = initial_cover(d, cfg.horizon_T, KERNEL, cfg.lam)
+        data = cover.cells[1]
+        data.model.update((data.lower + data.upper) / 2, 0.5)
+        empty_reads, real = [], GpModel.posterior_many
+        monkeypatch.setattr(GpModel, "posterior_many",
+                            lambda self, xs: (empty_reads.append(1) if not self.n else None)
+                            or real(self, xs))
+        seed = 500 + d
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        optimizers._select(cfg, cover, omega_t, rng)
+        assert len(empty_reads) == 1
+        monkeypatch.setattr(GpModel, "posterior_many", real)
+        budget = max(128, cfg.acq_candidates // cover.cell_count)
+        flat = set()
+        for cell in cover.cells:
+            draw = search_draw(ref_rng, budget, cfg.acq_refinements, d)
+            if cell.model.n:
+                continue
+            score_fn = optimizers._cell_score(cfg, cell.model, omega_t, 0.0)
+            x, score = one_row_search(cell, score_fn, draw)
+            assert cell.search.x.tobytes() == x.tobytes()
+            assert cell.search.score == score
+            assert cell.search.draw is None
+            flat.add(score)
+        assert len(flat) == 1 and len(cover.cells) > 2
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_a_point_on_a_shared_upper_face_moves_in(self):
+        # the first candidate 0.5 + (1 - 2^-53) 0.25 rounds to the upper face
+        # 0.75, which the neighbour owns: the point moves in by one ulp, and
+        # every cell without data takes the one flat score
+        cells = [partition.Cell(np.array([a, 0.0]), np.array([a + 0.25, 1.0]),
+                                GpModel(KERNEL, 0.01)) for a in (0.5, 0.75)]
+        cover = partition.Cover(cells, math.nan, math.nan)
+        row = np.array([1.0 - 2.0**-53, 0.5])
+        cells[0].search = optimizers._Search((0, 1.0), row.copy())
+        cfg = small_config(ALG_IMPROVED_GP_EI)
+        rng = np.random.default_rng(7)
+        win, x = optimizers._select(cfg, cover, 1.0, rng)
+        score_fn = optimizers._cell_score(cfg, cells[0].model, 1.0, 0.0)
+        want = one_row_search(cells[0], score_fn, (row[None, :], np.empty((0, 8, 2))))
+        assert want[0][0] == np.nextafter(0.75, 0.0)
+        assert x.tobytes() == want[0].tobytes() and win is cells[0]
+        assert cells[0].search.score == cells[1].search.score == want[1]
+
+    @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_nan_flat_score_raises_at_its_point(self, alg, monkeypatch):
+        # the one-row search raises at the first candidate of the first
+        # cell without data, and so does the closed form
+        monkeypatch.setattr(optimizers, "ei_scores",
+                            lambda means, inc, stds: np.full(len(means), np.nan))
+        monkeypatch.setattr(optimizers, "ucb_score",
+                            lambda means, stds, beta: np.full(len(means), np.nan))
+        cfg = small_config(alg, T=20, omega_mode=OMEGA_POLYLOG_T)
+        cover = initial_cover(2, cfg.horizon_T, KERNEL, cfg.lam)
+        first = cover.cells[0]
+        score_fn = optimizers._cell_score(cfg, first.model, 1.0, 0.0)
+        with pytest.raises(AcquisitionNumericsError) as want:
+            one_row_search(first, score_fn, search_draw(
+                np.random.default_rng(8), 128, cfg.acq_refinements, 2))
+        with pytest.raises(AcquisitionNumericsError) as got:
+            optimizers._select(cfg, cover, 1.0, np.random.default_rng(8))
+        assert got.value.point.tobytes() == want.value.point.tobytes()
 
 
 class TestLookAheadWindows:
@@ -924,37 +1032,44 @@ class TestCoverSearchCache:
     def test_only_the_observed_cell_is_searched_again(self, alg, monkeypatch):
         # only the observed cell and a split's children take a new draw:
         # every initial cell at step 1, exactly one cell after a step that
-        # did not split; a search runs only on a draw not yet searched, in
-        # the step of the draw or, deferred, at a later one, so the searches
-        # made up to any step never outnumber the draws
-        draws, draw = [], optimizers.search_draw
+        # did not split.  A cell without data takes its draw's first row and
+        # is searched in closed form, with no maximize_acquisition call, so
+        # step 1, with no data yet, makes no such call; a cell with data
+        # takes a full draw, and its search runs only on a draw not yet
+        # searched, in the step of the draw or, deferred, at a later one, so
+        # the searches made up to any step never outnumber the full draws
+        draws = []
 
-        def counting_draw(*args):
-            draws.append(1)
-            return draw(*args)
+        def counting(kind, draw):
+            def counted(*args):
+                draws.append(kind)
+                return draw(*args)
+            return counted
 
-        monkeypatch.setattr(optimizers, "search_draw", counting_draw)
+        monkeypatch.setattr(optimizers, "search_draw",
+                            counting("full", optimizers.search_draw))
+        monkeypatch.setattr(optimizers, "_first_row", counting("row", optimizers._first_row))
         oracle, opt = rkhs_oracle(seed=404)
         rec = _StepRecorder(oracle, monkeypatch)
         drawn = []
 
         def observe(x):
-            drawn.append(len(draws))
+            drawn.append(list(draws))
             draws.clear()
             return rec(x)
 
         observe.dim, observe.target = oracle.dim, oracle.target
         trace = optimizers.run(self.polylog_config(alg), observe, opt)
         counts = [rec.initial_cells] + [r.cell_count for r in trace.rows]
-        assert drawn[0] == rec.per_step[0] == counts[0]
+        assert drawn[0] == ["row"] * counts[0] and rec.per_step[0] == 0
         unsplit = 0
         for t in range(2, trace.horizon + 1):
             if counts[t - 1] == counts[t - 2]:  # step t-1 did not split
-                assert drawn[t - 1] == 1, t
+                assert len(drawn[t - 1]) == 1, t
                 unsplit += 1
             else:
-                assert drawn[t - 1] >= 1, t
-            assert sum(rec.per_step[:t]) <= sum(drawn[:t]), t
+                assert len(drawn[t - 1]) >= 1, t
+            assert sum(rec.per_step[:t]) <= sum(kinds.count("full") for kinds in drawn[:t]), t
         assert unsplit >= 5
         assert sum(rec.per_step) < trace.horizon * counts[-1] / 2
 
@@ -994,20 +1109,28 @@ class TestCoverSearchCache:
     def test_select_draws_for_the_stale_cells_before_searching(self, alg, omega_mode,
                                                                monkeypatch):
         # a step's select phase makes every stale cell's draw, in cover
-        # order, before its first search; each search runs on its own cell's
-        # draw, made at this step or, for a deferred search, at an earlier
-        # one, and only on a cell whose search was still to make; every cell
-        # ends the step under this step's key, and a cell neither stale nor
-        # searched keeps its search as it was.  The winner is the first cell
-        # of largest score among the searched cells, with that search's x,
-        # and every cell left deferred has a reach, its box bound times
-        # 1 + _BOUND_RTOL, below the winner's score
-        select, draw, search = (optimizers._select, optimizers.search_draw,
-                                optimizers.maximize_acquisition)
+        # order, before its first search, and leaves the generator where
+        # full draws for those cells leave it; each search runs on its own
+        # cell's draw, made at this step or, for a deferred search, at an
+        # earlier one, and only on a cell with data whose search was still
+        # to make; a stale cell without data takes its draw's first row and,
+        # with no search call, that row's point and the step's one flat
+        # score; every cell ends the step under this step's key, and a cell
+        # neither stale nor searched keeps its search as it was.  The winner
+        # is the first cell of largest score among the searched cells, with
+        # that search's x, and every cell left deferred has a reach, its box
+        # bound times 1 + _BOUND_RTOL, below the winner's score
+        select, draw, first_row, search = (optimizers._select, optimizers.search_draw,
+                                           optimizers._first_row,
+                                           optimizers.maximize_acquisition)
         events, steps = [], []
 
         def recording_draw(*args):
             events.append(("draw", draw(*args)))
+            return events[-1][1]
+
+        def recording_row(*args):
+            events.append(("draw", first_row(*args)))
             return events[-1][1]
 
         def recording_search(score_fn, lower, upper, cand_u, probe_u, **kwargs):
@@ -1021,7 +1144,13 @@ class TestCoverSearchCache:
             stale = [c for c, held in zip(cover.cells, before)
                      if held is None or held.key != (c.model.n, omega_t)]
             events.clear()
+            replay = np.random.Generator(np.random.PCG64())
+            replay.bit_generator.state = rng.bit_generator.state
+            budget = max(128, config.acq_candidates // cover.cell_count)
+            for cell in stale:
+                search_draw(replay, budget, config.acq_refinements, cell.lower.size)
             out = select(config, cover, omega_t, rng)
+            assert rng.bit_generator.state == replay.bit_generator.state
             after = [cell.search for cell in cover.cells]
             keys = [(cell.model.n, omega_t) for cell in cover.cells]
             # as this step leaves them; a deferred search is made later
@@ -1030,35 +1159,50 @@ class TestCoverSearchCache:
                 config, cell.model, omega_t, cell.model.incumbent()[1]).reach(
                 cell.lower, cell.upper) for cell, held in zip(cover.cells, after)]
             steps.append((list(cover.cells), stale, waiting, list(events),
-                          [a is b for a, b in zip(after, before)], made, reaches, keys, out))
+                          [a is b for a, b in zip(after, before)], made, reaches, keys,
+                          [cell.model.n > 0 for cell in cover.cells], out))
             return out
 
         monkeypatch.setattr(optimizers, "search_draw", recording_draw)
+        monkeypatch.setattr(optimizers, "_first_row", recording_row)
         monkeypatch.setattr(optimizers, "maximize_acquisition", recording_search)
         monkeypatch.setattr(optimizers, "_select", recording_select)
         oracle, opt = rkhs_oracle(seed=411)
         cfg = dataclasses.replace(self.polylog_config(alg), omega_mode=omega_mode)
         run(cfg, oracle, opt)
-        after_split, deferred, late, drawn = 0, 0, 0, {}
-        for t, (cells, stale, waiting, step_events, kept, made, reaches, keys,
+        after_split, deferred, late, drawn, flat_steps = 0, 0, 0, {}, 0
+        for t, (cells, stale, waiting, step_events, kept, made, reaches, keys, data,
                 (win, x)) in enumerate(steps):
             n = len(stale)
             kinds = [kind for kind, *_ in step_events]
             assert kinds == ["draw"] * n + ["search"] * (len(kinds) - n), t
-            for cell, (_, (cand_u, _)) in zip(stale, step_events[:n]):
-                drawn[cell] = t, cand_u
+            flat = set()
+            for cell, (_, held_draw) in zip(stale, step_events[:n]):
+                drawn[cell] = t, held_draw
+                [i] = [i for i, c in enumerate(cells) if c is cell]
+                assert isinstance(held_draw, tuple) == data[i], t
+                if data[i]:
+                    continue
+                # the first row, its point moved in off a shared upper face
+                point = cell.lower + held_draw * (cell.upper - cell.lower)
+                clamp = (cell.upper < 1.0) & (point >= cell.upper)
+                point = np.where(clamp, np.nextafter(cell.upper, cell.lower), point)
+                assert made[i][2].tobytes() == point.tobytes(), t
+                flat.add(made[i][1])
+            assert len(flat) <= 1, t
+            flat_steps += len(flat)
             searched = []
             for _, lower, used in step_events[n:]:
                 [i] = [i for i, cell in enumerate(cells) if cell.lower is lower]
-                assert waiting[i] and i not in searched, t
-                assert np.shares_memory(used, drawn[cells[i]][1]), t
+                assert waiting[i] and data[i] and i not in searched, t
+                assert np.shares_memory(used, drawn[cells[i]][1][0]), t
                 late += drawn[cells[i]][0] < t
                 searched.append(i)
             if omega_mode == OMEGA_THEORY_EI:
                 assert stale == cells, t
             assert [key for key, *_ in made] == keys, t
             for i, (_, _, held_x, _) in enumerate(made):
-                assert (held_x is not None) == (i in searched or not waiting[i]), t
+                assert (held_x is not None) == (i in searched or not waiting[i] or not data[i]), t
                 assert kept[i] == (cells[i] not in stale), t
             scores = [score if held_x is not None else -math.inf
                       for _, score, held_x, _ in made]
@@ -1070,7 +1214,7 @@ class TestCoverSearchCache:
                     assert gp._SCORE_FLOOR <= reach < scores[i], t
                     assert reach == again, t  # the reach of the cell's current model
             after_split += t > 0 and len(cells) > len(steps[t - 1][0])
-        assert after_split >= 1
+        assert after_split >= 1 and flat_steps >= 1
         if omega_mode == OMEGA_POLYLOG_T:
             assert any(len(stale) < len(cells) for cells, stale, *_ in steps)
             assert late >= 1  # a deferred search made on an earlier step's draw
@@ -1100,14 +1244,15 @@ class TestCoverSearchCache:
     def test_search_reuses_the_maximizer_score(self, alg, monkeypatch):
         # a search of a cell with data reads the posterior once for the
         # candidate batch and once per window of refinement rounds, with the
-        # row counts the window rule gives for the scores it saw; a search of
-        # a cell without data is given one candidate row and no probe row of
-        # its draw, and reads one point; without a face clamp the select
-        # phase reads nothing else, so a step whose searches are all deferred
-        # reads nothing
-        state = {"reads": 0, "searches": 0, "expected": 0, "clamped": False}
+        # row counts the window rule gives for the scores it saw; the cells
+        # without data are searched without a search call, and a step reads
+        # one point for all of them, the flat score; without a face clamp in
+        # a search the select phase reads nothing else, so a step whose
+        # searches are all deferred and whose cells without data are all
+        # searched already reads nothing
+        state = {"reads": 0, "searches": 0, "expected": 0, "clamped": False, "flat": 0}
         select = optimizers._select
-        steps, empty_searches, windows = [], [], []
+        steps, windows = [], []
         real_posterior_many = GpModel.posterior_many
         search = optimizers.maximize_acquisition
         cfg = self.polylog_config(alg)
@@ -1117,9 +1262,12 @@ class TestCoverSearchCache:
             state["reads"] += 1
             return real_posterior_many(self, xs)
 
-        def counting_select(*args):
+        def counting_select(config, cover, omega_t, rng):
             state["reads"] = 0  # drop the reads of the previous step's update
-            return select(*args)
+            state["flat"] = sum(1 for c in cover.cells if not c.model.n and (
+                c.search is None or c.search.key != (0, omega_t)))
+            state["expected"] += state["flat"] > 0
+            return select(config, cover, omega_t, rng)
 
         def counting_search(score_fn, lower, upper, cand_u, probe_u, extra_points):
             state["searches"] += 1
@@ -1134,18 +1282,12 @@ class TestCoverSearchCache:
             reads = state["reads"] - before
             assert reads == len(scores)
             rows = [len(pv) for pv in scores]
-            empty = len(extra_points) == 0  # the cell's sampled points
-            if empty:
-                assert (len(cand_u), len(probe_u)) == (1, 0)
-                assert rows == [1]
-            else:
-                assert probe_u.shape == (cfg.acq_refinements, n_probes, 2)
-                assert rows == _replayed_row_counts(scores, n_probes,
-                                                    cfg.acq_refinements,
-                                                    len(extra_points))
-                windows.extend(rows[1:])
+            assert len(extra_points)  # the cell's sampled points
+            assert probe_u.shape == (cfg.acq_refinements, n_probes, 2)
+            assert rows == _replayed_row_counts(scores, n_probes, cfg.acq_refinements,
+                                                len(extra_points))
+            windows.extend(rows[1:])
             state["expected"] += reads
-            empty_searches.append(empty)
             state["clamped"] |= bool(np.any((upper < 1.0) & (x >= upper)))
             return x, s
 
@@ -1167,7 +1309,10 @@ class TestCoverSearchCache:
                 assert step["reads"] == step["expected"], t
                 checked += 1
         assert checked >= 5
-        assert any(empty_searches) and not all(empty_searches)
+        # one read scores several cells without data, and cells with data
+        # are searched
+        assert any(step["flat"] > 1 for step in steps)
+        assert any(step["searches"] for step in steps)
         # both one-round windows and wider ones occur
         assert n_probes in windows and max(windows) > n_probes
         if alg == ALG_IMPROVED_GP_EI:  # EI defers the searches of cells with data
@@ -1278,12 +1423,13 @@ class TestDeferredSearches:
             assert sum(taken for _, taken in log) > 0
 
     def test_ties_go_to_the_first_cell_in_cover_order(self, monkeypatch):
-        # a stubbed cover of three cells with data and one without, whose
-        # searches return set scores and whose reaches are set: the empty
-        # cell is searched first, then the others in decreasing reach while
-        # it reaches the best so far (a reach equal to it may tie, and is
-        # searched), and the first cell of largest score wins, though it was
-        # searched after the one it ties
+        # a stubbed cover of three cells with data, whose searches return
+        # set scores and whose reaches are set, and one without: the empty
+        # cell takes its flat score, EI at (0, 1), without a search call,
+        # then the others are searched in decreasing reach while it reaches
+        # the best so far (a reach equal to it may tie, and is searched), and
+        # the first cell of largest score wins, though it was searched after
+        # the one it ties
         rng = np.random.default_rng(0)
         cells = []
         for i in range(4):
@@ -1293,7 +1439,7 @@ class TestDeferredSearches:
             cells.append(partition.Cell(np.array([0.25 * i, 0.0]),
                                         np.array([0.25 * i + 0.25, 1.0]), model))
         cover = partition.Cover(cells, math.nan, math.nan)
-        score = {0: 2.0, 1: 2.0, 2: 1.0, 3: 0.5}
+        score = {0: 2.0, 1: 2.0, 2: 1.0}
         reach = {0: 2.0, 1: 5.0, 2: 1.9}
         index = {id(c.model): i for i, c in enumerate(cells)}
         order = []
@@ -1308,7 +1454,8 @@ class TestDeferredSearches:
                             lambda self, lower, upper, of: reach[index[id(self)]])
         cfg = small_config(ALG_IMPROVED_GP_EI)
         win, x = optimizers._select(cfg, cover, 1.0, rng)
-        assert order == [3, 1, 0]
+        assert order == [1, 0]
+        assert cells[3].search.score == float(optimizers.ei_scores(0.0, 0.0, 1.0))
         assert win is cells[0] and x is cells[0].search.x
         assert cells[2].search.x is None and cells[2].search.draw is not None
         # the next step at the same key draws nothing and searches nothing
@@ -1391,15 +1538,14 @@ class TestPosteriorReads:
         # per step: the search's score calls (the candidate batch, then one
         # per window of refinement rounds) and the update's read, each a
         # posterior_many call, and the best sampled mean after it, one more
-        # walk of kernel blocks; step 1's cell has no data, so its search
-        # scores one point and no refinement, and neither it nor the
-        # update's read walks any block
-        assert len(searches) == cfg.horizon_T
-        assert [len(pv) for pv in searches[0][0]] == [1]
-        for scores, n in searches[1:]:
+        # walk of kernel blocks; step 1's cell has no data, so it makes no
+        # search call but one posterior_many call for its flat score, and
+        # neither that call nor the update's read walks any block
+        assert len(searches) == cfg.horizon_T - 1
+        for scores, n in searches:
             assert [len(pv) for pv in scores] == _replayed_row_counts(
                 scores, 8, cfg.acq_refinements, n)
-        assert len(calls) == sum(len(scores) for scores, _ in searches) + cfg.horizon_T
+        assert len(calls) == sum(len(scores) for scores, _ in searches) + 1 + cfg.horizon_T
         assert len(walks) == len(calls) - 2 + cfg.horizon_T
 
 
