@@ -9,7 +9,8 @@ posterior
 where lam is the regularizer (noise variance).  New observations extend the
 lower-triangular factor by one row instead of refitting; a full refit with a
 jitter ladder is the fallback when roundoff spoils the extension pivot, and
-later extensions keep the jitter that refit needed.
+later extensions keep the jitter that refit needed.  The Gram matrix K_t of
+the points is kept beside the factor and grows by the same kernel column.
 
 The model also accumulates the information gain of the selected points,
 
@@ -32,6 +33,7 @@ from scipy.linalg import lapack
 from .kernels import (
     BLOCK,
     KernelSpec,
+    block_edges,
     cross_blocks,
     cross_matrix,
     far_corner_kernels,
@@ -107,9 +109,10 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 def _means_and(blocks, alpha, m, per_block) -> tuple[np.ndarray, np.ndarray]:
     """(means, per_block(kc) for each kernel block kc) over m points, from
     a walk of their kernel blocks (start, stop, kc) against the data of
-    weights alpha: the one walk of posterior_many and incumbent, over
-    cross_blocks, and of posterior_argmax's screen, over screen_blocks'
-    float32 blocks; the means in alpha's dtype, the rest float64.  A walk of
+    weights alpha: the one walk of posterior_many, over cross_blocks, of
+    incumbent, over the kept Gram matrix's columns at the same block_edges,
+    and of posterior_argmax's screen, over screen_blocks' float32 blocks;
+    the means in alpha's dtype, the rest float64.  A walk of
     fewer than 2 * BLOCK points is one block, whose arrays it returns as they are
     (posterior_argmax screens only larger passes)."""
     if 0 < m < 2 * BLOCK:
@@ -159,7 +162,9 @@ class GpModel:
     posterior_many calls solve the O(n^2) triangular system only at the
     points whose bounds let them win, laid out so that their means and
     stddevs are the full pass's to the bit; incumbent gives the sampled
-    point of largest mean."""
+    point of largest mean, from the Gram matrix of the points, which the
+    model keeps beside the factor with gram_matrix's bits: one more n x n
+    float64 array, 8 MB at n = 1,000."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         # with 1/lam infinite, the gain's log1p(var / lam) would be too
@@ -173,6 +178,8 @@ class GpModel:
         # (K + (lam+jitter)*I)^{-1} y; _set_factor sets both
         self._L: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
+        # gram_matrix(kernel, _X), to the bit; set by update and _refit
+        self._K: np.ndarray | None = None
         self._incumbent: tuple[np.ndarray, float] | None = None  # set by incumbent()
         self._jitter = 0.0  # added by the last refit; extensions keep it
         self._info_gain = 0.0
@@ -206,11 +213,16 @@ class GpModel:
 
     def incumbent(self) -> tuple[np.ndarray, float] | None:
         """(x, mean) of the sampled point of largest posterior mean, the
-        first on ties; None without data.  posterior_many's means alone, once
-        per factor at its first read, so a split's children cost no pass."""
+        first on ties; None without data.  posterior_many's means to the bit,
+        once per factor at its first read, so a split's children cost no
+        pass: one gemv over the kept Gram matrix below 2 * BLOCK points, and
+        one per column block of cross_blocks' edges above, so that a BLAS
+        that splits a gemv over threads splits it as posterior_many's walk;
+        no kernel value is computed again."""
         if self.n and self._incumbent is None:
-            means, _ = _means_and(cross_blocks(self.kernel, self._X, self._X), self._alpha,
-                                  self.n, lambda kc: 0.0)
+            K = self._K
+            blocks = ((start, stop, K[:, start:stop]) for start, stop in block_edges(self.n))
+            means, _ = _means_and(blocks, self._alpha, self.n, lambda kc: 0.0)
             i = int(np.argmax(means))
             self._incumbent = self._X[i].copy(), float(means[i])
         return self._incumbent
@@ -370,6 +382,9 @@ class GpModel:
         return float(mean[0]), float(std[0])
 
     def _refit(self) -> None:
+        """Factor gram_matrix(kernel, _X) + (lam + jitter) I from scratch at
+        the least jitter of _JITTER_LADDER that factors, and keep that Gram
+        matrix as _K."""
         K = gram_matrix(self.kernel, self._X)
         last_err: GpNumericsError | None = None
         for jitter in _JITTER_LADDER:
@@ -377,13 +392,15 @@ class GpModel:
             try:
                 self._set_factor(_cholesky_lower(A))
                 self._jitter = jitter
+                self._K = K
                 return
             except GpNumericsError as err:
                 last_err = err
         raise last_err
 
     def update(self, x, y: float) -> float:
-        """Condition on one more (x, y) pair; O(n^2) factor extension.
+        """Condition on one more (x, y) pair; O(n^2) extension of the factor
+        and of the Gram matrix by the point's kernel column.
 
         Returns the posterior stddev at x before conditioning."""
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -397,6 +414,7 @@ class GpModel:
             self._X = x[None, :]
             self._y = np.array([float(y)])
             self._set_factor(np.array([[math.sqrt(1.0 + self.lam)]]))
+            self._K = np.array([[1.0]])
             return sigma_prev
 
         c = cross_matrix(self.kernel, self._X, x[None, :])[:, 0]
@@ -415,6 +433,13 @@ class GpModel:
         L[n, :n] = b
         L[n, n] = math.sqrt(pivot_sq)
         self._set_factor(L)
+        # cross_matrix is elementwise and symmetric in its two point sets, so
+        # c is the new row and column of gram_matrix(kernel, _X) to the bit
+        K = np.empty((n + 1, n + 1))
+        K[:n, :n] = self._K
+        K[n, :n] = K[:n, n] = c
+        K[n, n] = 1.0
+        self._K = K
         return sigma_prev
 
     def accumulated_info_gain(self) -> float:

@@ -488,23 +488,30 @@ for family, nu in ast.literal_eval(sys.argv[1]):
 """
 
 
-@pytest.fixture(scope="module")
-def screen_errors():
-    """_MARGINS_CODE's measurements under 1 and 2 BLAS threads, run side by
-    side in new interpreters, keyed by the thread count."""
+def blas_thread_runs(code, *args):
+    """The stdout of `python -c code *args` under 1 and 2 BLAS threads, run
+    side by side in new interpreters, keyed by the thread count."""
     src = str(Path(gp.__file__).resolve().parents[1])
     path = os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
     procs = {threads: subprocess.Popen(
-        [sys.executable, "-c", _MARGINS_CODE, repr(SCREENED)],
+        [sys.executable, "-c", code, *args],
         env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                  PYTHONPATH=path),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for threads in ("1", "2")}
-    worst = {}
+    outs = {}
     for threads, proc in procs.items():
         out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
-        worst[threads] = [tuple(map(float, line.split())) for line in out.splitlines()]
-    return worst
+        outs[threads] = out
+    return outs
+
+
+@pytest.fixture(scope="module")
+def screen_errors():
+    """_MARGINS_CODE's measurements under 1 and 2 BLAS threads, keyed by the
+    thread count."""
+    return {threads: [tuple(map(float, line.split())) for line in out.splitlines()]
+            for threads, out in blas_thread_runs(_MARGINS_CODE, repr(SCREENED)).items()}
 
 
 # A GP-EI candidate pass at n = 100 (4096 + n points), 2 passes to warm up,
@@ -785,23 +792,29 @@ class TestIncumbent:
         assert x.tobytes() == want_x.tobytes() and mean == want_mean
 
     def test_one_posterior_pass_per_factor(self, matern25, monkeypatch):
-        # one walk of the data's kernel blocks per factor, and no
-        # posterior_many call: the stddevs it would solve are not read
+        # one pass over the kept Gram matrix per factor, and neither a walk
+        # of kernel blocks nor a posterior_many call: no kernel value is
+        # computed again, and the stddevs posterior_many would solve are not
+        # read
         rng = np.random.default_rng(26)
         p = rng.uniform(size=2)
         model = GpModel(matern25, 1e-16)
-        walks, calls = [], []
-        real_blocks, real_many = gp.cross_blocks, GpModel.posterior_many
+        passes, walks, calls = [], [], []
+        real_edges, real_blocks = gp.block_edges, gp.cross_blocks
+        real_many = GpModel.posterior_many
+        monkeypatch.setattr(gp, "block_edges",
+                            lambda *args: passes.append(1) or real_edges(*args))
         monkeypatch.setattr(gp, "cross_blocks",
                             lambda *args: walks.append(1) or real_blocks(*args))
         monkeypatch.setattr(GpModel, "posterior_many",
                             lambda self, xs: calls.append(1) or real_many(self, xs))
         for x in (p, rng.uniform(size=2), p):  # first point, extension, refit
             model.update(x, rng.normal())
-            del walks[:], calls[:]
-            for _ in range(3):
-                model.incumbent()
-            assert len(walks) == 1 and not calls
+            del passes[:], walks[:], calls[:]
+            first = model.incumbent()
+            for _ in range(2):
+                assert model.incumbent() is first
+            assert len(passes) == 1 and not walks and not calls
         assert model._jitter > 0
 
     def test_means_are_posterior_many_bytes_over_several_blocks(self, matern25):
@@ -814,6 +827,99 @@ class TestIncumbent:
         x, mean = model.incumbent()
         want_x, want_mean = first_mean_argmax(model)
         assert x.tobytes() == want_x.tobytes() and mean == want_mean
+
+
+# Every mean of incumbent's pass over the kept Gram matrix, against
+# posterior_many's at the same points, for models of one to four kernel
+# blocks: a BLAS on several threads splits a gemv by its shape, so one gemv
+# over all columns rounds some means differently from posterior_many's walk
+_ALL_MEANS_CODE = """
+import numpy as np
+from gpbandit import gp, kernels
+from gpbandit.gp import GpModel
+from gpbandit.kernels import MATERN, KernelSpec
+
+rng = np.random.default_rng(34)
+for n in (700, 2 * kernels.BLOCK + 6, 3 * kernels.BLOCK + 3, 5 * kernels.BLOCK + 1):
+    model = GpModel(KernelSpec(MATERN, 0.2, 2.5), 0.01)
+    model._X, model._y = rng.uniform(size=(n, 2)), rng.normal(size=n)
+    model._refit()
+    seen, real = [], gp._means_and
+    gp._means_and = lambda *args: seen.append(real(*args)) or seen[-1]
+    model.incumbent()
+    gp._means_and = real
+    [(means, _)] = seen
+    print(n, means.tobytes() == model.posterior_many(model.points)[0].tobytes())
+"""
+
+
+def assert_kept_gram(model):
+    """The model's kept Gram matrix is gram_matrix's to the bit, and its
+    incumbent is first_mean_argmax's bytes."""
+    want = gram_matrix(model.kernel, model._X)
+    assert model._K.dtype == want.dtype and model._K.tobytes() == want.tobytes()
+    x, mean = model.incumbent()
+    want_x, want_mean = first_mean_argmax(model)
+    assert x.tobytes() == want_x.tobytes()
+    assert np.float64(mean).tobytes() == np.float64(want_mean).tobytes()
+
+
+class TestKeptGram:
+    """GpModel keeps gram_matrix(kernel, points) through the first point,
+    every extension and every jitter refit, and incumbent's means over it
+    are posterior_many's."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family,nu", SCREENED + [(MATERN, 1.2)])
+    def test_after_every_update(self, family, nu, d):
+        # an exact duplicate at lam = 1e-16 forces a jitter refit, and a
+        # near-duplicate within _ZERO_SNAP * l of it takes the snap to 1
+        kernel = KernelSpec(family, 0.3, nu)
+        rng = np.random.default_rng([31, d, int(10 * (nu or 0))])
+        p = rng.uniform(size=d)
+        near = p + 0.1 * kernels._ZERO_SNAP * kernel.lengthscale
+        assert near.tobytes() != p.tobytes()
+        points = np.vstack([p, rng.uniform(size=(4, d)), p, rng.uniform(size=(3, d)), near,
+                            rng.uniform(size=(3, d))])
+        model = GpModel(kernel, 1e-16)
+        refits = 0
+        for x in points:
+            jitter = model._jitter
+            model.update(x, rng.normal())
+            refits += model._jitter != jitter
+            assert_kept_gram(model)
+        assert refits and model._jitter > 0
+
+    def test_every_mean_is_posterior_many_bytes_under_1_and_2_blas_threads(self):
+        for out in blas_thread_runs(_ALL_MEANS_CODE).values():
+            assert [line.split()[1] for line in out.splitlines()] == ["True"] * 4, out
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_near_duplicates_snap_on_extension(self, matern25, d):
+        # at lam = 0.01 the near-duplicates extend the factor, so the snapped
+        # values come from the extension's kernel column, not a refit
+        rng = np.random.default_rng([32, d])
+        X = rng.uniform(size=(6, d))
+        model = GpModel(matern25, 0.01)
+        for x in np.vstack([X, X + 0.5 * kernels._ZERO_SNAP * matern25.lengthscale]):
+            model.update(x, rng.normal())
+            assert_kept_gram(model)
+        assert model._jitter == 0.0
+        assert (model._K[:6, 6:] == 1.0).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_se_past_the_exp_clamp(self, d):
+        # at l = 0.001 unit-box distances pass _EXP_ZERO * l, where the
+        # kernel clamps them
+        kernel = KernelSpec(SQUARED_EXPONENTIAL, 0.001)
+        rng = np.random.default_rng([33, d])
+        X = rng.uniform(size=(12, d))
+        model = GpModel(kernel, 0.01)
+        for x in X:
+            model.update(x, rng.normal())
+            assert_kept_gram(model)
+        r = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+        assert (r > kernels._EXP_ZERO * kernel.lengthscale).any()
 
 
 class TestVarianceMonotonicity:

@@ -1519,6 +1519,11 @@ class TestPosteriorReads:
         walks, real_blocks = [], gp.cross_blocks
         monkeypatch.setattr(gp, "cross_blocks",
                             lambda *args: walks.append(1) or real_blocks(*args))
+        # GpModel.incumbent's pass over the kept Gram matrix, the one caller
+        # of gp.block_edges
+        means, real_edges = [], gp.block_edges
+        monkeypatch.setattr(gp, "block_edges",
+                            lambda *args: means.append(1) or real_edges(*args))
         searches, search = [], optimizers.maximize_acquisition
 
         def recording_search(score_fn, *args, **kwargs):
@@ -1537,16 +1542,18 @@ class TestPosteriorReads:
         run(cfg, oracle, opt)
         # per step: the search's score calls (the candidate batch, then one
         # per window of refinement rounds) and the update's read, each a
-        # posterior_many call, and the best sampled mean after it, one more
-        # walk of kernel blocks; step 1's cell has no data, so it makes no
-        # search call but one posterior_many call for its flat score, and
-        # neither that call nor the update's read walks any block
+        # posterior_many call, and the best sampled mean after it, one pass
+        # over the kept Gram matrix, which walks no kernel block; step 1's
+        # cell has no data, so it makes no search call but one posterior_many
+        # call for its flat score, and neither that call nor the update's
+        # read walks any block
         assert len(searches) == cfg.horizon_T - 1
         for scores, n in searches:
             assert [len(pv) for pv in scores] == _replayed_row_counts(
                 scores, 8, cfg.acq_refinements, n)
         assert len(calls) == sum(len(scores) for scores, _ in searches) + 1 + cfg.horizon_T
-        assert len(walks) == len(calls) - 2 + cfg.horizon_T
+        assert len(walks) == len(calls) - 2
+        assert len(means) == cfg.horizon_T
 
 
 class TestReport:
