@@ -127,6 +127,29 @@ def _rho(u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     return out
 
 
+def ei_float(u: float, v: float) -> float:
+    """rho(u, v) at one pair of Python floats, u finite and v >= 0.
+
+    A second evaluation of ei_scores' score, kept only for score bounds
+    (GpModel.box_reach), where ei_scores' numpy calls on 1-element arrays
+    cost about 30 times this arithmetic.  It follows _rho and _tau op for op:
+    ndtr for Phi, the tail form below _TAIL_Z, and the limit max(0, u) where
+    u / v is not finite.  Its bits may differ from ei_scores' (math.exp is
+    not np.exp), so a bound takes it with gp's relative slack; a test holds
+    it to ei_scores within 1e-12 relative wherever the score is at least
+    gp's score floor."""
+    hinge = max(0.0, u)
+    if v == 0.0:
+        return hinge
+    z = u / v  # inf where a subnormal v overflows it
+    if not math.isfinite(z):
+        return hinge
+    zz = z * z  # inf for |z| > 1e154, where phi's exp(-inf) and phi / inf are 0
+    phi = math.exp(zz * -0.5) / _SQRT_2PI
+    t = phi / zz if z < _TAIL_Z else float(ndtr(z)) * z + phi
+    return max(t * v, hinge)
+
+
 def ucb_score(mean, stddev, beta: float):
     """mean + beta * stddev (vectorized).
 

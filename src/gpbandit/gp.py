@@ -49,8 +49,10 @@ _PIVOT_FLOOR = 1e-14
 _VAR_MARGIN = 1e-12
 # the relative slack of _reach on a score bound, held at or above
 # _SCORE_FLOOR, far above EI's subnormal tail: computed EI tracks the exact
-# one to ~1e-12 relative, and computed UCB (beta >= 0) is monotone in both
-# mean and std
+# one to under 1e-11 relative for z = u / v >= -15, and to 3.1e-10 at worst
+# above the floor, near z = -36, where its direct form z Phi(z) + phi(z)
+# cancels (against mpmath), so the slack covers the error of both scores a
+# bound compares; computed UCB (beta >= 0) is monotone in both mean and std
 _BOUND_RTOL = 1e-9
 _SCORE_FLOOR = 1e-280
 # float32's machine epsilon (2^-23) and least normal value: the units of
@@ -147,10 +149,14 @@ def _mean_margin(e_k: float, n: int, asum: float) -> float:
 
 
 def _reach(bound):
-    """Score bounds, elementwise, times 1 + _BOUND_RTOL and at least
-    _SCORE_FLOOR, below which a score's rounding is not bounded: no point
-    whose reach is below a computed score ties or beats it."""
-    return np.maximum(bound * (1.0 + _BOUND_RTOL), _SCORE_FLOOR)
+    """Score bounds times 1 + _BOUND_RTOL and at least _SCORE_FLOOR, below
+    which a score's rounding is not bounded: no point whose reach is below a
+    computed score ties or beats it.  Elementwise on an array; on one float,
+    a float, without numpy's per-call cost."""
+    bound = bound * (1.0 + _BOUND_RTOL)
+    if isinstance(bound, float):
+        return max(bound, _SCORE_FLOOR)
+    return np.maximum(bound, _SCORE_FLOOR)
 
 
 class GpModel:
@@ -172,6 +178,7 @@ class GpModel:
             raise ValueError(f"regularizer must be positive with 1/lam finite, got {lam}")
         self.kernel = kernel
         self.lam = float(lam)
+        self.n = 0  # the number of points, set with _X and by _refit
         self._X: np.ndarray | None = None  # (n, d)
         self._y: np.ndarray = np.zeros(0)
         # row-major lower factor of K + (lam+jitter)*I, and
@@ -181,6 +188,8 @@ class GpModel:
         # gram_matrix(kernel, _X), to the bit; set by update and _refit
         self._K: np.ndarray | None = None
         self._incumbent: tuple[np.ndarray, float] | None = None  # set by incumbent()
+        # (box, _box_bound(*box)) of box_reach's last box, box a pair of tuples
+        self._bound: tuple | None = None
         self._jitter = 0.0  # added by the last refit; extensions keep it
         self._info_gain = 0.0
 
@@ -193,10 +202,6 @@ class GpModel:
         return model
 
     @property
-    def n(self) -> int:
-        return 0 if self._X is None else self._X.shape[0]
-
-    @property
     def points(self) -> np.ndarray:
         return np.zeros((0, 0)) if self._X is None else self._X.copy()
 
@@ -206,10 +211,10 @@ class GpModel:
 
     def _set_factor(self, L: np.ndarray) -> None:
         """Take L as the factor of the current data, set alpha with it, and
-        drop the incumbent of the previous factor."""
+        drop the incumbent and the box bound of the previous factor."""
         self._L = L
         self._alpha = _solve_lower(L, _solve_lower(L, self._y), trans=1)
-        self._incumbent = None
+        self._incumbent = self._bound = None
 
     def incumbent(self) -> tuple[np.ndarray, float] | None:
         """(x, mean) of the sampled point of largest posterior mean, the
@@ -367,14 +372,24 @@ class GpModel:
         return mean, math.sqrt(max(var, 0.0))
 
     def box_reach(self, lower, upper, score) -> float:
-        """A value that no score(*posterior_many(xs)) computed at points xs
-        of the box [lower, upper] exceeds, for a model with data and a score
-        as posterior_argmax takes: _reach of the score at _box_bound's
-        (mean, stddev); inf where those are not finite."""
-        mean, std = self._box_bound(lower, upper)
+        """A value that no score computed from posterior_many's means and
+        stddevs at points of the box [lower, upper] exceeds, for a model
+        with data: _reach of score(mean, stddev) at _box_bound's bounds;
+        inf where those are not finite.  score is the float form of a score
+        that posterior_argmax takes: it maps one mean and one stddev, as
+        Python floats, to a float within 1e-12 relative of the array form
+        (acquisition.ei_float for EI, mean + beta * stddev for UCB), so
+        _reach's slack covers it as it covers the array form.
+        The bound of the last box is kept until the factor changes, as
+        theory_ei asks for a new reach of an unchanged cell at every step;
+        a box is matched by its coordinates."""
+        box = tuple(lower), tuple(upper)
+        if self._bound is None or self._bound[0] != box:
+            self._bound = box, self._box_bound(*box)
+        mean, std = self._bound[1]
         if not (math.isfinite(mean) and math.isfinite(std)):
             return math.inf
-        return float(_reach(score(np.array([mean]), np.array([std]))[0]))
+        return _reach(score(mean, std))
 
     def posterior(self, x) -> tuple[float, float]:
         """Posterior (mean, stddev) at one point; (0, 1) with no data."""
@@ -383,9 +398,10 @@ class GpModel:
 
     def _refit(self) -> None:
         """Factor gram_matrix(kernel, _X) + (lam + jitter) I from scratch at
-        the least jitter of _JITTER_LADDER that factors, and keep that Gram
-        matrix as _K."""
+        the least jitter of _JITTER_LADDER that factors, keep that Gram
+        matrix as _K, and set n from _X."""
         K = gram_matrix(self.kernel, self._X)
+        self.n = len(K)
         last_err: GpNumericsError | None = None
         for jitter in _JITTER_LADDER:
             A = K + (self.lam + jitter) * np.eye(self.n)
@@ -412,6 +428,7 @@ class GpModel:
 
         if self._X is None:
             self._X = x[None, :]
+            self.n = 1
             self._y = np.array([float(y)])
             self._set_factor(np.array([[math.sqrt(1.0 + self.lam)]]))
             self._K = np.array([[1.0]])
@@ -423,6 +440,7 @@ class GpModel:
         if not (np.isfinite(b).all() and math.isfinite(pivot_sq)):
             raise GpNumericsError("factor extension is not finite")
         self._X = np.vstack([self._X, x[None, :]])
+        self.n += 1
         self._y = np.append(self._y, float(y))
         if pivot_sq <= _PIVOT_FLOOR:
             self._refit()

@@ -333,7 +333,9 @@ def far_corner_kernels(spec: KernelSpec, X: np.ndarray, lower, upper):
     side and stretched by (d + 4) eps, eps = 2^-52, which covers its own
     rounding and that of cross_matrix's; the closed forms and the Bessel
     route stray by a few eps, which e_k = 64 eps covers twice over.  In
-    Python floats: on a cell's handful of points numpy calls cost more."""
+    Python floats: on a cell's handful of points numpy calls cost more.
+    lower and upper are d floats each: tuples, as a cell keeps its box, or
+    1-D arrays."""
     return 64 * 2.0**-52, _kernel_values(spec, _far_corner_distances(X, lower, upper))
 
 
@@ -343,8 +345,8 @@ def _far_corner_distances(X: np.ndarray, lower, upper) -> list[float]:
     side: the computed distance stretched by (d + 4) eps, eps = 2^-52, past
     the rounding of its own differences, sum and square root and of
     cross_matrix's (see far_corner_kernels)."""
-    low = [math.nextafter(a, -math.inf) for a in lower.tolist()]
-    high = [math.nextafter(b, math.inf) for b in upper.tolist()]
+    low = [math.nextafter(a, -math.inf) for a in lower]
+    high = [math.nextafter(b, math.inf) for b in upper]
     stretch = 1.0 + (X.shape[1] + 4) * 2.0**-52
     r = []
     for row in X.tolist():

@@ -33,12 +33,23 @@ def split_constants(d: int, nu: float) -> tuple[float, float]:
 
 @dataclass(eq=False)
 class Cell:
-    """Axis-aligned box with its own local dataset and GP."""
+    """Axis-aligned box with its own local dataset and GP.
+
+    The box is kept twice, each form set once with it: lower and upper as
+    float arrays for the work on many points (draws, splits), and box, the
+    pair (lower, upper) as tuples of Python floats, for the per-step work on
+    one point or one bound (contains, move_in, GpModel.box_reach), where a
+    numpy call on d numbers costs more than the arithmetic."""
 
     lower: np.ndarray
     upper: np.ndarray
     model: GpModel
-    diameter: float = field(init=False)  # of the box, set once with it
+    diameter: float = field(init=False)  # of the box
+    box: tuple[tuple[float, ...], tuple[float, ...]] = field(init=False, repr=False)
+    # per axis, whether the upper face lies on the domain's and is closed
+    _closed: tuple[bool, ...] = field(init=False, repr=False)
+    # split_pass's capacity diameter ** (-1 / b), set at the cell's first pass
+    capacity: float | None = field(init=False, default=None)
     # the select phase's last search of the cell, made or deferred, under
     # its key (model.n, omega_t)
     search: object | None = field(init=False, default=None)
@@ -49,15 +60,28 @@ class Cell:
         if not np.all(self.lower < self.upper):
             raise ValueError("cell must have lower < upper componentwise")
         self.diameter = float(np.linalg.norm(self.upper - self.lower))
+        self.box = tuple(self.lower.tolist()), tuple(self.upper.tolist())
+        self._closed = tuple(b >= 1.0 for b in self.box[1])
 
-    def contains(self, x: np.ndarray) -> bool:
-        """Ownership test: half-open, closed on domain-boundary upper faces."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.lower):
-            return False
-        at_domain_face = self.upper >= 1.0
-        ok_upper = np.where(at_domain_face, x <= self.upper, x < self.upper)
-        return bool(np.all(ok_upper))
+    def contains(self, x) -> bool:
+        """Ownership test: half-open, closed on domain-boundary upper faces;
+        False where a coordinate of x is NaN."""
+        xs = np.asarray(x, dtype=float).tolist()
+        for xi, a, b, closed in zip(xs, *self.box, self._closed, strict=True):
+            if not (a <= xi and (xi <= b if closed else xi < b)):
+                return False
+        return True
+
+    def move_in(self, x: np.ndarray) -> np.ndarray:
+        """x, a point of the closed box, kept in the cell's ownership region:
+        an exact hit on a shared upper face would belong to the neighbour
+        cell, so there x is copied and moved in by one ulp; x itself where
+        it needs no move."""
+        xs, moved = x.tolist(), False
+        for i, (a, b, closed) in enumerate(zip(*self.box, self._closed)):
+            if not closed and xs[i] >= b:
+                xs[i], moved = math.nextafter(b, a), True
+        return np.array(xs) if moved else x
 
 
 @dataclass
@@ -98,7 +122,9 @@ def split_pass(cover: Cover) -> int:
     Children that break the rule at once are left for the next pass."""
     n_split = 0
     for cell in list(cover.cells):
-        if not cell.diameter ** (-1.0 / cover.b) < cell.model.n + 1:
+        if cell.capacity is None:
+            cell.capacity = cell.diameter ** (-1.0 / cover.b)
+        if not cell.capacity < cell.model.n + 1:
             continue
         mid = 0.5 * (cell.lower + cell.upper)
         children = []

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 
-from gpbandit.acquisition import beta_value, ei_scores, tau, ucb_score
+from gpbandit import gp
+from gpbandit.acquisition import beta_value, ei_float, ei_scores, tau, ucb_score
 from gpbandit.kernels import MATERN, KernelSpec
 from gpbandit.optimizers import (
     ALG_GP_EI,
@@ -297,6 +298,64 @@ class TestEiErrors:
     def test_non_finite_mean(self, means, incumbent, stds, text):
         with pytest.raises(ValueError, match="means and incumbent must be finite, " + text):
             ei_scores(means, incumbent, stds)
+
+
+def _ei_array(u: float, v: float) -> float:
+    return float(ei_scores(np.array([u]), 0.0, np.array([v]))[0])
+
+
+class TestEiFloat:
+    """ei_float, the float form of rho that score bounds take, against
+    ei_scores and an exact reference."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        u=st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_EDGES)),
+        v=st.one_of(st.floats(0.0, 1e3), st.sampled_from(
+            [0.0, 5e-324, 1e-310, 2.2e-308, 1e-300, 1e-6, 1.0, 1e300])),
+    )
+    @example(u=1.0, v=0.0)  # v = 0: the limit max(0, u)
+    @example(u=-1.0, v=1e-310)  # subnormal v: u / v overflows
+    @example(u=-37.0, v=1.0)  # the direct form just above _TAIL_Z
+    @example(u=-38.5, v=1.0)  # z < _TAIL_Z: the tail form
+    @example(u=-35.5, v=1.0)  # just above the score floor
+    @example(u=1e300, v=1e-6)  # z^2 overflows
+    def test_matches_ei_scores(self, u, v):
+        # within 1e-12 relative wherever the score is at least the bound's
+        # floor; below it, both are nonnegative and under the floor
+        got, want = ei_float(u, v), _ei_array(u, v)
+        assert type(got) is float
+        if want >= gp._SCORE_FLOOR:
+            assert abs(got - want) <= 1e-12 * want
+        else:
+            assert 0.0 <= got < gp._SCORE_FLOOR
+
+    @pytest.mark.parametrize("v", [0.0, 5e-324, 1e-310])
+    def test_zero_and_subnormal_stddev_give_the_hinge(self, v):
+        for u in (1.0, -1.0, 2.5):
+            assert ei_float(u, v) == max(0.0, u) == _ei_array(u, v)
+
+    def test_tail_form_below_tail_z(self):
+        # z < _TAIL_Z takes phi(z) / z^2, as _tau does; the direct form
+        # there is 0 - 0
+        for z in (-38.01, -40.0, -1e3, -1e200):
+            assert ei_float(z, 1.0) == _ei_array(z, 1.0)
+        z = -38.2
+        assert ei_float(z, 1.0) == pytest.approx(
+            math.exp(-0.5 * z * z) / SQRT_2PI / (z * z), rel=1e-12)
+
+    def test_against_mpmath_near_the_floor(self):
+        # z in [-36.5, -30], where the direct form z Phi(z) + phi(z) cancels
+        # most: the float form tracks the exact rho to ~3.0e-10 relative, as
+        # the array form does, within half gp's bound slack, which covers the
+        # error of the two scores a bound compares
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        worst = 0.0
+        for z in np.linspace(-36.5, -30.0, 651).tolist():
+            exact = z * mpmath.ncdf(z) + mpmath.npdf(z)
+            worst = max(worst, float(abs(ei_float(z, 1.0) - exact) / exact))
+        assert worst <= gp._BOUND_RTOL / 2
 
 
 class TestUcbScore:

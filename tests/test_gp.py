@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from gpbandit import gp, kernels
-from gpbandit.acquisition import ei_scores, ucb_score
+from gpbandit.acquisition import ei_float, ei_scores, ucb_score
 from gpbandit.gp import GpModel
 from gpbandit.kernels import (
     MATERN,
@@ -638,7 +638,9 @@ class TestBoxBound:
         else:
             def score(means, stds):
                 return ucb_score(means, stds, scale)
-        reach = model.box_reach(lower, upper, score)
+        reach = model.box_reach(lower, upper, (
+            lambda m, s: ei_float(m - incumbent, scale * s)) if kind == "ei" else (
+            lambda m, s: m + scale * s))
         xs = box_points(lower, upper, X, rng)
         for batch in [xs] + [x[None, :] for x in xs]:
             means, stds = model.posterior_many(batch)
@@ -649,9 +651,11 @@ class TestBoxBound:
 
     @pytest.mark.parametrize("shift, want", [(0.0, "slack"), (1e3, "floor")])
     def test_reach_is_the_bound_with_slack_and_floor(self, matern25, shift, want):
-        # score at _box_bound's (mean, stddev), times 1 + _BOUND_RTOL, and
-        # never below _SCORE_FLOOR: an EI that vanishes on the box (its
-        # incumbent far above every mean) and a negative UCB reach the floor
+        # the float score at _box_bound's (mean, stddev), times
+        # 1 + _BOUND_RTOL, and never below _SCORE_FLOOR: an EI that vanishes
+        # on the box (its incumbent far above every mean) and a negative UCB
+        # reach the floor; the float scores are the array scores' within
+        # 1e-12 relative
         rng = np.random.default_rng(3)
         model = GpModel.fit(matern25, 0.01, 0.25 + 0.5 * rng.uniform(size=(4, 2)),
                             rng.normal(size=4))
@@ -659,20 +663,51 @@ class TestBoxBound:
         mean, std = model._box_bound(lower, upper)
         incumbent = model.incumbent()[1] + shift
 
-        def ei(means, stds):
-            return ei_scores(means, incumbent, 2.0 * stds)
+        def ei(mean, std):
+            return ei_float(mean - incumbent, 2.0 * std)
 
-        def ucb(means, stds):
-            return ucb_score(means - 2 * shift, stds, 0.5)
+        def ucb(mean, std):
+            return mean - 2 * shift + 0.5 * std
 
-        for score in (ei, ucb):
-            value = float(score(np.array([mean]), np.array([std]))[0])
+        arrays = (ei_scores(np.array([mean]), incumbent, 2.0 * np.array([std]))[0],
+                  ucb_score(np.array([mean - 2 * shift]), np.array([std]), 0.5)[0])
+        for score, array in zip((ei, ucb), arrays):
+            value = score(mean, std)
+            assert type(value) is float and type(model.box_reach(lower, upper, score)) is float
             if want == "slack":
+                assert value == pytest.approx(array, rel=1e-12, abs=0)
                 assert value > 0 and model.box_reach(lower, upper, score) == (
                     value * (1.0 + gp._BOUND_RTOL))
             else:
-                assert value < gp._SCORE_FLOOR
+                assert value < gp._SCORE_FLOOR and array < gp._SCORE_FLOOR
                 assert model.box_reach(lower, upper, score) == gp._SCORE_FLOOR
+
+    def test_bound_is_kept_per_factor_and_box(self, matern25, monkeypatch):
+        # box_reach keeps its last box's bound until the factor changes: the
+        # same box again costs no far_corner_kernels call, another box never
+        # reads the kept bound, and an update drops it
+        calls, real = [], gp.far_corner_kernels
+        monkeypatch.setattr(gp, "far_corner_kernels",
+                            lambda *args: calls.append(args) or real(*args))
+        rng = np.random.default_rng(5)
+        model = GpModel.fit(matern25, 0.01, 0.5 * rng.uniform(size=(5, 2)), rng.normal(size=5))
+
+        def ucb(mean, std):
+            return mean + 2.0 * std
+
+        def fresh(box):  # the reach of a model that has kept no bound
+            other = GpModel.fit(matern25, 0.01, model.points, model.observations)
+            return other.box_reach(*box, ucb)
+
+        a = (0.0, 0.0), (0.5, 0.5)
+        b = (0.0, 0.0), (0.5, 0.25)
+        reach = model.box_reach(*a, ucb)
+        assert model.box_reach(*a, ucb) == reach and len(calls) == 1
+        assert model.box_reach(np.zeros(2), np.full(2, 0.5), ucb) == reach and len(calls) == 1
+        assert model.box_reach(*b, ucb) == fresh(b) != reach and len(calls) == 3
+        assert model.box_reach(*a, ucb) == reach and len(calls) == 4
+        model.update(rng.uniform(size=2) * 0.5, 3.0)
+        assert model.box_reach(*a, ucb) == fresh(a) != reach and len(calls) == 6
 
 
 class TestJitterRefit:
@@ -920,6 +955,30 @@ class TestKeptGram:
             assert_kept_gram(model)
         r = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
         assert (r > kernels._EXP_ZERO * kernel.lengthscale).any()
+
+
+class TestStoredCount:
+    """GpModel.n, a count set with the points, is len(points) through the
+    first point, every extension and every jitter refit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_count_follows_every_update(self, matern25, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(12, 2))
+        X[1] = X[0]  # at lam = 1e-16, a repeated point refits with jitter
+        model = GpModel(matern25, 1e-16)
+        assert model.n == 0 == len(model.observations)
+        for i, x in enumerate(X):
+            model.update(x, rng.normal())
+            assert model.n == i + 1 == len(model.points) == len(model.observations)
+        assert model._jitter > 0
+
+    def test_refit_sets_the_count_of_injected_points(self, matern25):
+        rng = np.random.default_rng(8)
+        model = GpModel.fit(matern25, 0.01, rng.uniform(size=(3, 2)), rng.normal(size=3))
+        model._X, model._y = rng.uniform(size=(7, 2)), rng.normal(size=7)
+        model._refit()
+        assert model.n == 7 and model._L.shape == (7, 7)
 
 
 class TestVarianceMonotonicity:

@@ -1422,6 +1422,44 @@ class TestDeferredSearches:
             assert all(taken == new for new, taken in log[1:])
             assert sum(taken for _, taken in log) > 0
 
+    @pytest.mark.parametrize("alg", [ALG_IMPROVED_GP_EI, ALG_PI_UCB])
+    def test_reach_scores_the_bound_in_floats(self, alg, monkeypatch):
+        # a cell score's reach is _reach of its float form at _box_bound's
+        # (mean, stddev), within 1e-12 relative of the array form's (UCB to
+        # the bit), and makes no ei_scores or ucb_score call
+        calls = []
+        for name in ("ei_scores", "ucb_score"):
+            real = getattr(optimizers, name)
+            monkeypatch.setattr(optimizers, name,
+                                lambda *args, real=real: calls.append(1) or real(*args))
+        cfg = small_config(alg, T=20, omega_mode=OMEGA_POLYLOG_T)
+        rng = np.random.default_rng(44)
+        for trial in range(40):
+            lower = rng.uniform(size=2) * 0.5
+            cell = partition.Cell(lower, lower + 0.5 * rng.uniform(0.01, 1.0, size=2),
+                                  GpModel(KERNEL, 0.01))
+            for _ in range(int(rng.integers(1, 8))):
+                cell.model.update(rng.uniform(cell.lower, cell.upper), rng.normal())
+            # Python floats, as run's omega_t and incumbent() give them; the
+            # incumbent moved up toward EI's deep tail
+            omega = float(10.0 ** rng.uniform(-1, 1))
+            incumbent = cell.model.incumbent()[1] + float(rng.choice([0.0, 1.0, 5.0]))
+            score = optimizers._cell_score(cfg, cell.model, omega, incumbent)
+            del calls[:]
+            got = score.reach(*cell.box)
+            assert type(got) is float and not calls
+            mean, std = cell.model._box_bound(*cell.box)
+            if alg == ALG_PI_UCB:
+                beta = optimizers.beta_value(cfg.B, cfg.R, cell.model.accumulated_info_gain(),
+                                             cfg.delta)
+                want = gp._reach(optimizers.ucb_score(np.array([mean]), np.array([std]),
+                                                      beta))[0]
+                assert got == want
+            else:
+                want = gp._reach(optimizers.ei_scores(np.array([mean]), incumbent,
+                                                      omega * np.array([std])))[0]
+                assert got == pytest.approx(want, rel=1e-12, abs=0), trial
+
     def test_ties_go_to_the_first_cell_in_cover_order(self, monkeypatch):
         # a stubbed cover of three cells with data, whose searches return
         # set scores and whose reaches are set, and one without: the empty
@@ -1582,6 +1620,31 @@ class TestReport:
         for row in rows:
             want = float(oracle.target(row.x_plus))
             assert np.float64(row.f_at_x_plus).tobytes() == np.float64(want).tobytes()
+
+
+    def test_first_cell_wins_a_tie_and_gains_add_in_cover_order(self):
+        # one pass: an empty cell is skipped, two cells whose incumbents tie
+        # give the first one's x+, and the gains add left to right from 0.0
+        cells = []
+        for i, points in enumerate([[], [[0.3, 0.5]], [[0.6, 0.5]], [[0.8, 0.5], [0.9, 0.1]]]):
+            model = GpModel(KERNEL, 0.01)
+            for x in points:
+                model.update(np.array(x), 1.0 if len(points) == 1 else -1.0)
+            cells.append(partition.Cell(np.array([0.25 * i, 0.0]),
+                                        np.array([0.25 * i + 0.25, 1.0]), model))
+        cover = partition.Cover(cells, math.nan, math.nan)
+
+        def target(x):
+            return float(x[0])
+
+        target.target = target
+        assert cells[1].model.incumbent()[1] == cells[2].model.incumbent()[1]
+        x_plus, f_plus, gain = optimizers._report(cover, target, None)
+        assert x_plus.tobytes() == cells[1].model.incumbent()[0].tobytes() and f_plus == 0.3
+        want = 0.0
+        for cell in cells:
+            want += cell.model.accumulated_info_gain()
+        assert gain == want
 
 
 class TestRunConfigValidation:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpbandit import optimizers
 from gpbandit.gp import GpModel
@@ -85,6 +87,74 @@ class TestLocate:
     def test_outside_rejected(self):
         cover = make_cover(d=2, T=10)
         assert not any(c.contains(np.array([1.2, 0.5])) for c in cover.cells)
+
+
+def contains_on_arrays(cell, x) -> bool:
+    """The ownership rule on arrays, the reference for Cell.contains:
+    half-open, closed on domain-boundary upper faces."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < cell.lower):
+        return False
+    return bool(np.all(np.where(cell.upper >= 1.0, x <= cell.upper, x < cell.upper)))
+
+
+def move_in_on_arrays(cell, x):
+    """The upper-face move on arrays, the reference for Cell.move_in."""
+    clamp = (cell.upper < 1.0) & (x >= cell.upper)
+    return np.where(clamp, np.nextafter(cell.upper, cell.lower), x) if clamp.any() else x
+
+
+def cell_of(lower, upper) -> Cell:
+    return Cell(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float),
+                GpModel(KernelSpec(MATERN, 0.2, 2.5), 0.01))
+
+
+@st.composite
+def cell_and_point(draw):
+    """A dyadic cell of [0, 1]^d and a point whose coordinates sit on its
+    lower or upper faces (interior or on the domain's), one ulp off them,
+    inside, outside, at +-0.0 or NaN."""
+    d = draw(st.integers(1, 4))
+    level = draw(st.integers(0, 4))
+    k = [draw(st.integers(0, 2**level - 1)) for _ in range(d)]
+    lower = np.array(k, dtype=float) / 2**level
+    upper = (np.array(k, dtype=float) + 1) / 2**level
+    x = []
+    for a, b in zip(lower.tolist(), upper.tolist()):
+        x.append(draw(st.one_of(
+            st.sampled_from([a, b, -a, math.nextafter(a, -1.0), math.nextafter(b, 2.0),
+                             math.nextafter(b, a), a - 0.25, b + 0.25, 0.0, -0.0, 1.0,
+                             math.nan]),
+            st.floats(a, b), st.floats(-1.0, 2.0))))
+    return cell_of(lower, upper), np.array(x)
+
+
+class TestOwnershipOnFloats:
+    @settings(max_examples=400, deadline=None)
+    @given(cell_and_point())
+    @example((cell_of([0.0, 0.0], [0.5, 0.5]), np.array([0.25, 0.5])))  # interior upper face
+    @example((cell_of([0.5], [1.0]), np.array([1.0])))  # the domain's upper face
+    @example((cell_of([0.0, 0.0], [1.0, 1.0]), np.array([-0.0, math.nan])))
+    def test_contains_and_move_in_keep_the_array_rule(self, args):
+        cell, x = args
+        assert cell.contains(x) is contains_on_arrays(cell, x)
+        assert cell.contains(list(x)) is contains_on_arrays(cell, x)
+        box = np.clip(x, cell.lower, cell.upper)  # move_in takes points of the box
+        got, want = cell.move_in(box), move_in_on_arrays(cell, box)
+        assert (got is box) == (want is box)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if not np.isnan(box).any():
+            assert cell.contains(got)
+
+    def test_box_is_the_bounds_as_floats(self):
+        cell = cell_of([0.25, 0.0], [0.5, 1.0])
+        assert cell.box == ((0.25, 0.0), (0.5, 1.0))
+        assert all(type(v) is float for side in cell.box for v in side)
+
+    def test_wrong_length_raises(self):
+        cell = cell_of([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            cell.contains(np.array([0.5, 0.5, 0.5]))
 
 
 class TestSplitRule:
@@ -230,8 +300,9 @@ class TestDiameterSetOnce:
     def test_run_matches_a_fresh_norm(self, monkeypatch):
         # Improved GP-EI on Hartmann-3 at T = 20: every split pass splits
         # exactly the cells that the rule, with the norm computed afresh,
-        # picks among the cells present when it starts, and every cell's
-        # stored diameter is that norm
+        # picks among the cells present when it starts, every cell's stored
+        # diameter is that norm and its kept capacity that norm's power, and
+        # every cell's model counts the points it was handed
         target, d, opt, _ = standard_function("hartmann3")
         cfg = RunConfig(algorithm=ALG_IMPROVED_GP_EI, horizon_T=20,
                         omega_mode=OMEGA_POLYLOG_T, kernel=KernelSpec(MATERN, 0.2, 2.5))
@@ -250,6 +321,9 @@ class TestDiameterSetOnce:
             assert n_split == len(want)
             for cell in cover.cells:
                 assert cell.diameter == fresh_norm(cell)
+                assert cell.model.n == len(cell.model.points) == len(cell.model.observations)
+            for cell in before:
+                assert cell.capacity == fresh_norm(cell) ** (-1.0 / cover.b)
             passes.append(n_split)
             return n_split
 
