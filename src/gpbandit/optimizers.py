@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .acquisition import beta_value, ei_float, ei_scores, ucb_score
 from .gp import GpModel
@@ -189,21 +190,34 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     search_draw): candidates lower + cand_u (upper - lower) plus any sampled
     points, then shrinking-radius rounds, round r's probes offset by
     2 probe_u[r] - 1.  Returns the best point and its score; ties go to the
-    first-seen point.
+    first-seen point.  A draw of another dimension, with a value outside
+    [0, 1] (NaN included) or with rounds of no probe raises ValueError.
 
     Rounds are scored in look-ahead windows, several per score_fn call.  The
-    radius halves every round, so a round's probes depend only on the best
-    point at its start: the first round in a window that improves is taken,
-    the rounds after it are dropped, and a NaN raises only in a round before
-    it.  A posterior-plus-score call costs some 20-30 us whatever its size
-    and 1-2.5 us more per 100 kernel pairs, so the first window, and each
-    after an improvement, holds max(1, _WINDOW_PAIRS // (max(1, n) *
-    n_probes)) rounds for n sampled points: 12 rounds of 8 probes at n = 1,
-    and one round from n = 12 on.  A window doubles after one without an
-    improvement, up to the rounds left.  Every window is one round unless
-    n_probes is a multiple of 4: such row groups are what
-    GpModel.posterior_many scores to the same bits wherever they sit, so the
-    result is the one-round search's.
+    radius halves every round, so a round's probes depend only on its centre,
+    the best point at its start.  A window's first round is centred on the
+    best point; each later one on the row its predecessor is predicted to
+    pick, or on its predecessor's centre where no improvement is predicted.
+    A round is used while its centre is the best point at its start, to the
+    byte; the first that is not ends the window, its rounds and those after
+    it are dropped, and a NaN raises only in a used round.  So the result is
+    the one-round search's.
+
+    A posterior-plus-score call costs some 20-30 us whatever its size and
+    1-2.5 us more per 100 kernel pairs, so the floor, the first window and
+    each after one that dropped a round, holds max(1, _WINDOW_PAIRS //
+    (max(1, n) * n_probes)) rounds for n sampled points: 12 rounds of 8
+    probes at n = 1, and one round from n = 7 on.  A window doubles after
+    one used in full, up to the rounds left.  Where the floor is several
+    rounds, every round of a window is centred on the best point, and an
+    improvement in a window's last round also resets it to the floor.
+    Where the floor is one round (n >= 7 at 8 probes), a window of two or
+    more rounds after a used round that improved predicts its picks: each
+    round's probe of largest slope . offset, if positive, for the
+    least-squares slope of that round's finite scores against its probes
+    (_predicted_picks).  Every window is one round unless n_probes is a
+    multiple of 4: such row groups are what GpModel.posterior_many scores
+    to the same bits wherever they sit.
 
     A score_fn may carry an `argmax(points)` attribute, a shortcut for the
     candidate pass: it returns the (index, score) that the first-index
@@ -215,6 +229,11 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     for name, u, ndim in (("cand_u", cand_u, 2), ("probe_u", probe_u, 3)):
         if u.ndim != ndim or u.shape[-1] != d:
             raise ValueError(f"{name} has shape {u.shape}, but the box has d = {d}")
+        if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):  # a NaN fails both
+            raise ValueError(f"{name} must hold uniforms in [0, 1], "
+                             f"got values in [{u.min()}, {u.max()}]")
+    if len(probe_u) and not probe_u.shape[1]:
+        raise ValueError(f"probe_u has shape {probe_u.shape}: rounds without a probe")
     cands = lower + cand_u * (upper - lower)
     if extra_points is not None and len(extra_points):
         cands = np.vstack([cands, np.atleast_2d(np.asarray(extra_points, dtype=float))])
@@ -235,22 +254,71 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     pairs = max(1, n) * n_probes  # the kernel pairs of one round
     growth = 2 if n_probes % 4 == 0 else 1
     floor = max(1, _WINDOW_PAIRS // pairs) if growth == 2 and pairs else 1
-    r, window = 0, floor
+    predict = growth == 2 and floor == 1
+    r, window, last = 0, floor, None  # last: the last round used, where it improved
     while r < n_refinements:
         stop = min(r + window, n_refinements)
-        probes = best_x + steps[r:stop]
-        np.maximum(probes, lower, out=probes)  # np.clip, without its wrappers
-        np.minimum(probes, upper, out=probes)
+        picks = (_predicted_picks(*last, steps[r:stop]) if predict and last and stop - r > 1
+                 else None)
+        if picks is None:  # every round centred on the best point
+            probes = best_x + steps[r:stop]
+            np.maximum(probes, lower, out=probes)  # np.clip, without its wrappers
+            np.minimum(probes, upper, out=probes)
+        else:  # each later round centred on its predecessor's predicted pick
+            probes, next_centres, centre = np.empty((stop - r, n_probes, d)), [], best_x
+            for p, step, pick in zip(probes, steps[r:stop], picks):
+                np.add(centre, step, out=p)
+                np.maximum(p, lower, out=p)
+                np.minimum(p, upper, out=p)
+                centre = centre if pick < 0 else p[pick]
+                next_centres.append(centre)
         pv = np.asarray(score_fn(probes.reshape(-1, d)), dtype=float)
+        rounds = zip(probes, pv.reshape(stop - r, n_probes))
         window *= growth
-        for round_probes, round_pv in zip(probes, pv.reshape(stop - r, n_probes)):
-            r += 1
-            i, score = _pick(round_probes, round_pv)
-            if score > best_score:
-                best_score, best_x = score, round_probes[i].copy()
-                window = floor
-                break
+        if picks is None:  # the first improvement ends the window
+            for round_probes, round_pv in rounds:
+                r += 1
+                i, score = _pick(round_probes, round_pv)
+                if score > best_score:
+                    best_score, best_x = score, round_probes[i].copy()
+                    last = round_probes, round_pv
+                    if r < stop or not predict:  # a predicting window's last round resets nothing
+                        window = floor
+                        break
+                else:
+                    last = None
+        else:  # the next round is used only where it is centred on the best point
+            for (round_probes, round_pv), pick, next_centre in zip(rounds, picks, next_centres):
+                r += 1
+                i, score = _pick(round_probes, round_pv)
+                if score > best_score:
+                    best_score, best_x = score, round_probes[i].copy()
+                    last = round_probes, round_pv
+                else:
+                    i, last = -1, None
+                if i != pick and r < stop and next_centre.tobytes() != best_x.tobytes():
+                    window = floor
+                    break
     return best_x, best_score
+
+
+@np.errstate(all="ignore")  # scores near the float limit overflow to a useless slope
+def _predicted_picks(probes, scores, steps) -> list[int] | None:
+    """Each round's predicted pick: the index of its step of largest gain
+    slope . step where that gain is positive, else -1 (no improvement).  The
+    slope is that of the least-squares plane through one round's probes and
+    their finite scores; None where its normal matrix is singular, as when
+    probes clamped to a face leave a coordinate flat.  A prediction only
+    decides which rounds share a call, never what is scored or picked."""
+    finite = np.isfinite(scores)
+    if not finite.all():
+        probes, scores = probes[finite], scores[finite]
+    m = len(scores)
+    x = probes - np.add.reduce(probes) / m
+    _, slope, info = lapack.dposv(x.T @ x, x.T @ (scores - np.add.reduce(scores) / m))
+    if info:  # not positive definite: singular, or fewer than d + 1 finite scores
+        return None
+    return [g.index(top) if (top := max(g)) > 0 else -1 for g in (steps @ slope).tolist()]
 
 
 def _pick(points, scores) -> tuple[int, float]:
