@@ -9,8 +9,7 @@ posterior
 where lam is the regularizer (noise variance).  New observations extend the
 lower-triangular factor by one row instead of refitting; a full refit with a
 jitter ladder is the fallback when roundoff spoils the extension pivot, and
-later extensions keep the jitter that refit needed.  The Gram matrix K_t of
-the points is kept beside the factor and grows by the same kernel column.
+later extensions keep the jitter that refit needed.
 
 The model also accumulates the information gain of the selected points,
 
@@ -33,7 +32,6 @@ from scipy.linalg import lapack
 from .kernels import (
     BLOCK,
     KernelSpec,
-    block_edges,
     cross_blocks,
     cross_matrix,
     far_corner_kernels,
@@ -111,10 +109,9 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
 def _means_and(blocks, alpha, m, per_block) -> tuple[np.ndarray, np.ndarray]:
     """(means, per_block(kc) for each kernel block kc) over m points, from
     a walk of their kernel blocks (start, stop, kc) against the data of
-    weights alpha: the one walk of posterior_many, over cross_blocks, of
-    incumbent, over the kept Gram matrix's columns at the same block_edges,
-    and of posterior_argmax's screen, over screen_blocks' float32 blocks;
-    the means in alpha's dtype, the rest float64.  A walk of
+    weights alpha: the one walk of posterior_many, over cross_blocks, and of
+    posterior_argmax's screen, over screen_blocks' float32 blocks; the means
+    in alpha's dtype, the rest float64.  A walk of
     fewer than 2 * BLOCK points is one block, whose arrays it returns as they are
     (posterior_argmax screens only larger passes)."""
     if 0 < m < 2 * BLOCK:
@@ -168,9 +165,7 @@ class GpModel:
     posterior_many calls solve the O(n^2) triangular system only at the
     points whose bounds let them win, laid out so that their means and
     stddevs are the full pass's to the bit; incumbent gives the sampled
-    point of largest mean, from the Gram matrix of the points, which the
-    model keeps beside the factor with gram_matrix's bits: one more n x n
-    float64 array, 8 MB at n = 1,000."""
+    point of largest mean, in O(n) from the weights of the data."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         # with 1/lam infinite, the gain's log1p(var / lam) would be too
@@ -185,8 +180,6 @@ class GpModel:
         # (K + (lam+jitter)*I)^{-1} y; _set_factor sets both
         self._L: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        # gram_matrix(kernel, _X), to the bit; set by update and _refit
-        self._K: np.ndarray | None = None
         self._incumbent: tuple[np.ndarray, float] | None = None  # set by incumbent()
         # (box, _box_bound(*box)) of box_reach's last box, box a pair of tuples
         self._bound: tuple | None = None
@@ -218,16 +211,17 @@ class GpModel:
 
     def incumbent(self) -> tuple[np.ndarray, float] | None:
         """(x, mean) of the sampled point of largest posterior mean, the
-        first on ties; None without data.  posterior_many's means to the bit,
-        once per factor at its first read, so a split's children cost no
-        pass: one gemv over the kept Gram matrix below 2 * BLOCK points, and
-        one per column block of cross_blocks' edges above, so that a BLAS
-        that splits a gemv over threads splits it as posterior_many's walk;
-        no kernel value is computed again."""
+        first on ties; None without data.  Computed once per factor, at its
+        first read, so a split's children cost nothing more.  With s the
+        shift on the factor's diagonal, (K + s I) alpha = y, so the means at
+        the sampled points are K alpha = y - s alpha (Rasmussen and
+        Williams, GPML, 2.2): O(n), and no kernel value is computed again.
+        The diagonal holds 1 + (lam + jitter) rounded, so s is that less 1,
+        a subtraction without rounding; lam + jitter itself would be off by
+        that rounding, which a jitter refit's large alpha magnifies."""
         if self.n and self._incumbent is None:
-            K = self._K
-            blocks = ((start, stop, K[:, start:stop]) for start, stop in block_edges(self.n))
-            means, _ = _means_and(blocks, self._alpha, self.n, lambda kc: 0.0)
+            shift = (1.0 + (self.lam + self._jitter)) - 1.0
+            means = self._y - shift * self._alpha
             i = int(np.argmax(means))
             self._incumbent = self._X[i].copy(), float(means[i])
         return self._incumbent
@@ -398,8 +392,7 @@ class GpModel:
 
     def _refit(self) -> None:
         """Factor gram_matrix(kernel, _X) + (lam + jitter) I from scratch at
-        the least jitter of _JITTER_LADDER that factors, keep that Gram
-        matrix as _K, and set n from _X."""
+        the least jitter of _JITTER_LADDER that factors, and set n from _X."""
         K = gram_matrix(self.kernel, self._X)
         self.n = len(K)
         last_err: GpNumericsError | None = None
@@ -408,7 +401,6 @@ class GpModel:
             try:
                 self._set_factor(_cholesky_lower(A))
                 self._jitter = jitter
-                self._K = K
                 return
             except GpNumericsError as err:
                 last_err = err
@@ -416,7 +408,7 @@ class GpModel:
 
     def update(self, x, y: float) -> float:
         """Condition on one more (x, y) pair; O(n^2) extension of the factor
-        and of the Gram matrix by the point's kernel column.
+        by the point's kernel column.
 
         Returns the posterior stddev at x before conditioning."""
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -431,7 +423,6 @@ class GpModel:
             self.n = 1
             self._y = np.array([float(y)])
             self._set_factor(np.array([[math.sqrt(1.0 + self.lam)]]))
-            self._K = np.array([[1.0]])
             return sigma_prev
 
         c = cross_matrix(self.kernel, self._X, x[None, :])[:, 0]
@@ -451,13 +442,6 @@ class GpModel:
         L[n, :n] = b
         L[n, n] = math.sqrt(pivot_sq)
         self._set_factor(L)
-        # cross_matrix is elementwise and symmetric in its two point sets, so
-        # c is the new row and column of gram_matrix(kernel, _X) to the bit
-        K = np.empty((n + 1, n + 1))
-        K[:n, :n] = self._K
-        K[n, :n] = K[:n, n] = c
-        K[n, n] = 1.0
-        self._K = K
         return sigma_prev
 
     def accumulated_info_gain(self) -> float:

@@ -409,26 +409,17 @@ def _distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.sqrt(r, out=r)
 
 
-def block_edges(m: int):
-    """(start, stop) of the column blocks of a kernel matrix of m columns:
-    blocks of BLOCK, the remainder joining the last block, since a narrow
+def cross_blocks(spec: KernelSpec, xs, ys):
+    """(start, stop, cross_matrix(spec, xs, ys[start:stop])) over blocks of
+    BLOCK rows of ys, the remainder joining the last block, since a narrow
     tail block would take other BLAS paths (gemv's row tail, dtrtrs's single
     right-hand side) and round its columns differently from one call over
-    all m.  A BLAS that splits a gemv over threads splits it by its shape,
-    so a walk over these blocks rounds alike however the matrix was built."""
-    start = 0
+    them all.  The caller drops each block before the next."""
+    start, m = 0, len(ys)
     while start < m:
         stop = start + BLOCK if m - start >= 2 * BLOCK else m
-        yield start, stop
-        start = stop
-
-
-def cross_blocks(spec: KernelSpec, xs, ys):
-    """(start, stop, cross_matrix(spec, xs, ys[start:stop])) over the rows of
-    ys, in block_edges(len(ys)).  The caller drops each block before the
-    next."""
-    for start, stop in block_edges(len(ys)):
         yield start, stop, cross_matrix(spec, xs, ys[start:stop])
+        start = stop
 
 
 def gram_matrix(spec: KernelSpec, points) -> np.ndarray:

@@ -515,8 +515,7 @@ def run(config: RunConfig, objective, true_optimum: float) -> RunTrace:
     """Run config.algorithm for config.horizon_T steps on its cover, one call
     per phase a step: _select, _observe, split_pass (not for GP-EI) and
     _report.  A cell's EI incumbent and its candidate for x+ are both its
-    GpModel.incumbent(), computed once per model version from the Gram
-    matrix the model keeps, with no kernel value computed again."""
+    GpModel.incumbent(), computed once per model version in O(n)."""
     d = objective.dim
     rng = np.random.default_rng(config.seed)
     splits = config.algorithm != ALG_GP_EI

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_blocks, gram_matrix
+from .kernels import MATERN, KernelSpec, cross_blocks, gram_matrix
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -82,12 +82,11 @@ class RkhsFunction:
                 raise ValueError(f"rkhs target file lacks field {name!r}")
             return payload[name]
 
-        def number(name):
-            value = field(name)
+        def number(value, name):
             # bool is an int subclass, and JSON's true would read as 1.0
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not math.isfinite(value)):
-                raise ValueError(f"rkhs target field {name!r} must be a finite number")
+                raise ValueError(f"rkhs target field {name} must be a finite number")
             return float(value)
 
         def array(name, ndim):
@@ -105,9 +104,13 @@ class RkhsFunction:
         kspec = field("kernel")
         if not isinstance(kspec, dict):
             raise ValueError("rkhs target field 'kernel' must be an object")
+        family, nu = kspec.get("family"), kspec.get("nu")
+        lengthscale = number(kspec.get("lengthscale"), "'kernel': 'lengthscale'")
+        if nu is not None or family == MATERN:  # null only where no nu is read
+            nu = number(nu, "'kernel': 'nu'")
         try:
-            kernel = KernelSpec(kspec.get("family"), kspec.get("lengthscale"), kspec.get("nu"))
-        except (TypeError, ValueError) as err:
+            kernel = KernelSpec(family, lengthscale, nu)
+        except ValueError as err:
             raise ValueError(f"rkhs target field 'kernel': {err}") from None
         centers = array("centers", 2)
         weights = array("weights", 1)
@@ -122,8 +125,8 @@ class RkhsFunction:
             kernel=kernel,
             centers=centers,
             weights=weights,
-            rkhs_norm_sq=number("rkhs_norm_sq"),
-            optimum_value=number("optimum_value"),
+            rkhs_norm_sq=number(field("rkhs_norm_sq"), "'rkhs_norm_sq'"),
+            optimum_value=number(field("optimum_value"), "'optimum_value'"),
             optimum_point=optimum_point,
         )
 

@@ -626,9 +626,15 @@ class TestCli:
         (lambda good: dict(good, weights=good["weights"][1:]), "field 'weights'"),
         (lambda good: dict(good, optimum_point=[0.5]), "field 'optimum_point'"),
         (lambda good: dict(good, rkhs_norm_sq=True), "field 'rkhs_norm_sq'"),
+        (lambda good: dict(good, kernel=dict(good["kernel"], lengthscale=True)),
+         "field 'kernel': 'lengthscale' must be a finite number"),
+        (lambda good: dict(good, kernel=dict(good["kernel"], nu=True)),
+         "field 'kernel': 'nu' must be a finite number"),
+        (lambda good: dict(good, kernel=dict(good["kernel"], nu=None)),
+         "field 'kernel': 'nu' must be a finite number"),
     ], ids=["not_object", "no_kernel", "no_lengthscale", "no_optimum_value",
             "no_weights", "centers_1d", "short_weights", "short_optimum_point",
-            "bool_norm"])
+            "bool_norm", "bool_lengthscale", "bool_nu", "null_matern_nu"])
     def test_malformed_rkhs_file_returns_error(self, tmp_path, capsys, command,
                                                edit, message):
         # valid JSON of the wrong shape fails in the loader with the field

@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, bench_config, make_target  # noqa: E402
 
 SEED0_TRACE_SHA256 = {
-    "gp_ei_h3": "b2bb4eb5f1c291d5e20da7696d5ef0d9ca329fbd153d155665065f7d894b58e3",
+    "gp_ei_h3": "4a5cedab71ffebdebf74af2287d2028759f834eb8c124e97b41b9a0943d3bd6d",
     "cover_ei_h3": "4c8f37bedb7729b81fa0cc927db3339430677a3107fea3f2023fa100388de3f9",
     "cover_ucb_rkhs2": "66c4003818d9c3cab5e7549b71ceade16477d27ac9a86670c60469cd6f675aac",
 }

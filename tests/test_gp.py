@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -775,13 +776,47 @@ class TestJitterRefit:
         assert model._jitter > 0
 
 
-def first_mean_argmax(model):
-    """The sampled point of largest posterior mean, and that mean, from the
-    first-index argmax of one posterior pass over the points."""
-    points = model.points
-    means, _ = model.posterior_many(points)
-    i = int(np.argmax(means))
-    return points[i], float(means[i])
+_U = 2.0**-53  # float64's unit roundoff
+
+
+def diagonal_shift(model) -> float:
+    """The shift s on the model's factor's diagonal: L L^T = K + s I."""
+    return (1.0 + (model.lam + model._jitter)) - 1.0
+
+
+def assert_incumbent_oracle(model):
+    """Hold model.incumbent() to a 50-digit mpmath solve of (K + s I) a = y
+    on the model's float64 Gram matrix K, with s = diagonal_shift(model),
+    whose means at the sampled points are mu = K a.
+
+    incumbent computes mu_i as fl(y_i - fl(s ah_i)) from the factor's
+    weights ah.  With |d1|, |d2| <= u = 2^-53 for the two roundings,
+    that is (y_i - s ah_i (1 + d1)) (1 + d2), which is off from y_i - s ah_i
+    by at most u |y_i - s ah_i| + u (1 + u) s |ah_i|
+    <= (1 + u) u (|y_i| + 2 s |ah_i|); and y_i - s ah_i is off from
+    mu_i = y_i - s a_i by s |ah_i - a_i|.  So
+
+        |muh_i - mu_i| <= s |ah_i - a_i| + 2 u (|y_i| + 2 s |ah_i|),
+
+    where the factor 2 on the rounding term covers the (1 + u) and the
+    oracle's own error, below 1e-30 here.  The mean returned must meet
+    this bound at a point of x's bytes, and x must be the oracle's first
+    argmax wherever the oracle's top two means are further apart than twice
+    the largest bound."""
+    x, mean = model.incumbent()
+    X, y, alpha = model.points, model.observations, model._alpha
+    s = diagonal_shift(model)
+    with mpmath.workdps(50):
+        K = mpmath.matrix(gram_matrix(model.kernel, X).tolist())
+        a = mpmath.lu_solve(K + s * mpmath.eye(len(y)), mpmath.matrix(y.tolist()))
+        mu = K * a
+        bound = [s * abs(alpha[i] - a[i]) + 2 * _U * (abs(y[i]) + 2 * s * abs(alpha[i]))
+                 for i in range(len(y))]
+        at = [i for i in range(len(y)) if X[i].tobytes() == x.tobytes()]
+        assert any(abs(mean - mu[i]) <= bound[i] for i in at), (mean, [mu[i] for i in at])
+        first, *rest = sorted(range(len(y)), key=lambda i: (-mu[i], i))
+        if not rest or mu[first] - mu[rest[0]] > 2 * max(bound):
+            assert x.tobytes() == X[first].tobytes()
 
 
 class TestIncumbent:
@@ -792,11 +827,7 @@ class TestIncumbent:
     def test_first_argmax_of_the_posterior_means(self, matern25, seed):
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(15, 2))
-        model = GpModel.fit(matern25, 0.01, X, rng.normal(size=15))
-        x, mean = model.incumbent()
-        want_x, want_mean = first_mean_argmax(model)
-        assert x.tobytes() == want_x.tobytes()
-        assert mean == want_mean
+        assert_incumbent_oracle(GpModel.fit(matern25, 0.01, X, rng.normal(size=15)))
 
     def test_ties_go_to_the_first_point(self, matern25):
         # zero observations give alpha = 0, so every mean is exactly 0
@@ -815,119 +846,72 @@ class TestIncumbent:
             before = model.incumbent()
             model.update(x, y)
             assert model.incumbent() is not before
-            assert model.incumbent()[1] == first_mean_argmax(model)[1]
+            assert_incumbent_oracle(model)
         assert model._jitter > 0
         model = jitter_refit_model(kernel, d, rng)
-        x, mean = model.incumbent()
-        want_x, want_mean = first_mean_argmax(model)
-        assert x.tobytes() == want_x.tobytes() and mean == want_mean
-        model.update(rng.uniform(size=d), mean + 1.0)
-        x, mean = model.incumbent()
-        want_x, want_mean = first_mean_argmax(model)
-        assert x.tobytes() == want_x.tobytes() and mean == want_mean
+        assert_incumbent_oracle(model)
+        model.update(rng.uniform(size=d), model.incumbent()[1] + 1.0)
+        assert_incumbent_oracle(model)
 
     def test_one_posterior_pass_per_factor(self, matern25, monkeypatch):
-        # one pass over the kept Gram matrix per factor, and neither a walk
-        # of kernel blocks nor a posterior_many call: no kernel value is
-        # computed again, and the stddevs posterior_many would solve are not
-        # read
+        # one computation per factor, which neither walks kernel blocks nor
+        # calls posterior_many: no kernel value is computed again, and no
+        # stddev is solved
         rng = np.random.default_rng(26)
         p = rng.uniform(size=2)
         model = GpModel(matern25, 1e-16)
-        passes, walks, calls = [], [], []
-        real_edges, real_blocks = gp.block_edges, gp.cross_blocks
-        real_many = GpModel.posterior_many
-        monkeypatch.setattr(gp, "block_edges",
-                            lambda *args: passes.append(1) or real_edges(*args))
+        walks, calls = [], []
+        real_blocks, real_many = gp.cross_blocks, GpModel.posterior_many
         monkeypatch.setattr(gp, "cross_blocks",
                             lambda *args: walks.append(1) or real_blocks(*args))
         monkeypatch.setattr(GpModel, "posterior_many",
                             lambda self, xs: calls.append(1) or real_many(self, xs))
         for x in (p, rng.uniform(size=2), p):  # first point, extension, refit
             model.update(x, rng.normal())
-            del passes[:], walks[:], calls[:]
+            del walks[:], calls[:]
             first = model.incumbent()
             for _ in range(2):
                 assert model.incumbent() is first
-            assert len(passes) == 1 and not walks and not calls
+            assert not walks and not calls
         assert model._jitter > 0
-
-    def test_means_are_posterior_many_bytes_over_several_blocks(self, matern25):
-        # 1030 points are walked in two kernel blocks, the second ragged
-        rng = np.random.default_rng(27)
-        n = 2 * kernels.BLOCK + 6
-        model = GpModel(matern25, 0.01)
-        model._X, model._y = rng.uniform(size=(n, 2)), rng.normal(size=n)
-        model._refit()
-        x, mean = model.incumbent()
-        want_x, want_mean = first_mean_argmax(model)
-        assert x.tobytes() == want_x.tobytes() and mean == want_mean
-
-
-# Every mean of incumbent's pass over the kept Gram matrix, against
-# posterior_many's at the same points, for models of one to four kernel
-# blocks: a BLAS on several threads splits a gemv by its shape, so one gemv
-# over all columns rounds some means differently from posterior_many's walk
-_ALL_MEANS_CODE = """
-import numpy as np
-from gpbandit import gp, kernels
-from gpbandit.gp import GpModel
-from gpbandit.kernels import MATERN, KernelSpec
-
-rng = np.random.default_rng(34)
-for n in (700, 2 * kernels.BLOCK + 6, 3 * kernels.BLOCK + 3, 5 * kernels.BLOCK + 1):
-    model = GpModel(KernelSpec(MATERN, 0.2, 2.5), 0.01)
-    model._X, model._y = rng.uniform(size=(n, 2)), rng.normal(size=n)
-    model._refit()
-    seen, real = [], gp._means_and
-    gp._means_and = lambda *args: seen.append(real(*args)) or seen[-1]
-    model.incumbent()
-    gp._means_and = real
-    [(means, _)] = seen
-    print(n, means.tobytes() == model.posterior_many(model.points)[0].tobytes())
-"""
-
-
-def assert_kept_gram(model):
-    """The model's kept Gram matrix is gram_matrix's to the bit, and its
-    incumbent is first_mean_argmax's bytes."""
-    want = gram_matrix(model.kernel, model._X)
-    assert model._K.dtype == want.dtype and model._K.tobytes() == want.tobytes()
-    x, mean = model.incumbent()
-    want_x, want_mean = first_mean_argmax(model)
-    assert x.tobytes() == want_x.tobytes()
-    assert np.float64(mean).tobytes() == np.float64(want_mean).tobytes()
 
 
 class TestKeptGram:
-    """GpModel keeps gram_matrix(kernel, points) through the first point,
-    every extension and every jitter refit, and incumbent's means over it
-    are posterior_many's."""
+    """The incumbent against its oracle (assert_incumbent_oracle) over update
+    sequences that keep the factor of K + s I through the first point,
+    extensions and jitter refits: duplicates and near-duplicates, kernel
+    values snapped to 1 on extension and SE values clamped to 0."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("family,nu", SCREENED + [(MATERN, 1.2)])
-    def test_after_every_update(self, family, nu, d):
-        # an exact duplicate at lam = 1e-16 forces a jitter refit, and a
+    @staticmethod
+    def run_sequence(kernel, d, lam):
+        # an exact duplicate forces a jitter refit at lam = 1e-16, and a
         # near-duplicate within _ZERO_SNAP * l of it takes the snap to 1
-        kernel = KernelSpec(family, 0.3, nu)
-        rng = np.random.default_rng([31, d, int(10 * (nu or 0))])
+        rng = np.random.default_rng([31, d, int(10 * (kernel.nu or 0))])
         p = rng.uniform(size=d)
         near = p + 0.1 * kernels._ZERO_SNAP * kernel.lengthscale
         assert near.tobytes() != p.tobytes()
         points = np.vstack([p, rng.uniform(size=(4, d)), p, rng.uniform(size=(3, d)), near,
                             rng.uniform(size=(3, d))])
-        model = GpModel(kernel, 1e-16)
+        model = GpModel(kernel, lam)
         refits = 0
         for x in points:
             jitter = model._jitter
             model.update(x, rng.normal())
             refits += model._jitter != jitter
-            assert_kept_gram(model)
+            assert_incumbent_oracle(model)
+        return model, refits
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family,nu", SCREENED + [(MATERN, 1.2)])
+    def test_after_every_update(self, family, nu, d):
+        model, refits = self.run_sequence(KernelSpec(family, 0.3, nu), d, 1e-16)
         assert refits and model._jitter > 0
 
-    def test_every_mean_is_posterior_many_bytes_under_1_and_2_blas_threads(self):
-        for out in blas_thread_runs(_ALL_MEANS_CODE).values():
-            assert [line.split()[1] for line in out.splitlines()] == ["True"] * 4, out
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family,nu", SCREENED + [(MATERN, 1.2)])
+    @pytest.mark.parametrize("lam", [1e-12, 1e-8, 0.01])
+    def test_at_larger_lambdas(self, lam, family, nu, d):
+        self.run_sequence(KernelSpec(family, 0.3, nu), d, lam)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_near_duplicates_snap_on_extension(self, matern25, d):
@@ -938,9 +922,9 @@ class TestKeptGram:
         model = GpModel(matern25, 0.01)
         for x in np.vstack([X, X + 0.5 * kernels._ZERO_SNAP * matern25.lengthscale]):
             model.update(x, rng.normal())
-            assert_kept_gram(model)
+        assert_incumbent_oracle(model)
         assert model._jitter == 0.0
-        assert (model._K[:6, 6:] == 1.0).any()
+        assert (gram_matrix(matern25, model.points)[:6, 6:] == 1.0).any()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_se_past_the_exp_clamp(self, d):
@@ -952,7 +936,7 @@ class TestKeptGram:
         model = GpModel(kernel, 0.01)
         for x in X:
             model.update(x, rng.normal())
-            assert_kept_gram(model)
+        assert_incumbent_oracle(model)
         r = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
         assert (r > kernels._EXP_ZERO * kernel.lengthscale).any()
 

@@ -866,21 +866,21 @@ class TestRunGpEi:
 
     @pytest.mark.parametrize("kernel, omega_mode, candidates, digest", [
         (KERNEL, OMEGA_FIXED, 4096,
-         "bea7f0ab4ecbb054c7f75aa7d0cb0ef8b4e8e43a4300870e559d614f38533d30"),
+         "961a47ca3084ad5fbe9153e19bc3a7acc9e04262fee6ffc507af82915df7aa50"),
         (KERNEL, OMEGA_THEORY_EI, 4096,
-         "6b759993edc4822335dcada27c4220c6691fd75277f96f64d4a6b6c685eb3179"),
+         "9bee15e5e5dccb35ed4c649af56d5fdfafded46e87bf3f4c65d32cc9f2cc987f"),
         (KernelSpec("se", 0.2), OMEGA_FIXED, 4096,
-         "1118270397b294c4cb71423ebeb0350e8ba32840980aa6bf91222ce79963749d"),
+         "f0d54241ade405ae729832d8cbddaaf65d899053fa254fd370df91fb9383ebd2"),
         (KERNEL, OMEGA_FIXED, 64,
-         "65ecfcc50398388587fb4f8608f20da45b501e09d640cba91368bad1077efe8d"),
+         "beb96dae8255a688062917f63bd74e6888b377dadc767e15df603e297089a3aa"),
         (KernelSpec(MATERN, 0.2, 0.5), OMEGA_FIXED, 4096,
-         "76a0e33c854207accbdb2e0bb8ad57317cf483c84c78eac866833a96629e5b55"),
+         "e76bc476e49beb3714454f34e0c4859b3d69dd86d15662180b8f3b6177bf6485"),
         (KernelSpec(MATERN, 0.2, 1.5), OMEGA_FIXED, 4096,
-         "7f2269e884b2543325c2b4f038d269ba053c19a1f12f33a02240488f23d28e17"),
+         "1e6f96eb14134be933b5660b064cee2fd159880f089a613d0a3c532c69f439c7"),
         (KernelSpec(MATERN, 0.2, 1.2), OMEGA_FIXED, 4096,
          "284aa1bea719dd67dae9a0940bd4955ade68e344ff498e23c7f8414753499a00"),
         (KernelSpec(MATERN, 0.05, 2.5), OMEGA_FIXED, 4096,
-         "2b2dadcb2aa408bc5b0224a26b291adb780aeb02caf90463cf94c10bd767ecc6"),
+         "9937da17c734d3e601c5acbddcb1777b89d829638da5254d1938db28faf7fab3"),
     ], ids=["matern_fixed", "theory_ei", "se", "candidates64", "matern05", "matern15",
             "bessel12", "matern25_short"])
     def test_trace_unchanged(self, kernel, omega_mode, candidates, digest):
@@ -1110,10 +1110,10 @@ class TestPrunedCandidatePass:
             "e4653ca3a811c2965eeedcfaa515680affe9d8b8cedccdea67fc9d07d4f47e62")
 
     @pytest.mark.parametrize("omega_mode, digest", [
-        (OMEGA_FIXED, "6a35aef6813efc644204b3fcf95230e92857d8d74a6f4a0a83b1e9f631847d45"),
+        (OMEGA_FIXED, "5c5812761b207ea95e9bc32ff4f482229af783379a6b740f923eb1886d490a11"),
         (OMEGA_THEORY_EI,
-         "a6f9168972727f4ab2aaf151bc43cdc6090e8491d3e2e7176c6c7f8ca5e9cfe3"),
-    ])
+         "86619917f80e3787a7577fdc6dd439d469fed07b1d23d31c23800d330ef8d793"),
+    ], ids=[OMEGA_FIXED, OMEGA_THEORY_EI])
     def test_pruned_run_trace_unchanged(self, omega_mode, digest, monkeypatch):
         # GP-EI on Hartmann-3 at the default 4096 candidates takes the
         # pruned pass at every step with data; the hashes were recorded
@@ -1771,11 +1771,11 @@ class TestPosteriorReads:
         walks, real_blocks = [], gp.cross_blocks
         monkeypatch.setattr(gp, "cross_blocks",
                             lambda *args: walks.append(1) or real_blocks(*args))
-        # GpModel.incumbent's pass over the kept Gram matrix, the one caller
-        # of gp.block_edges
-        means, real_edges = [], gp.block_edges
-        monkeypatch.setattr(gp, "block_edges",
-                            lambda *args: means.append(1) or real_edges(*args))
+        # GpModel.incumbent's reads; each computation returns a new tuple,
+        # held here so that no id is reused
+        means, real_incumbent = [], GpModel.incumbent
+        monkeypatch.setattr(GpModel, "incumbent",
+                            lambda self: means.append(real_incumbent(self)) or means[-1])
         searches, search = [], optimizers.maximize_acquisition
 
         def recording_search(score_fn, lower, upper, cand_u, probe_u, extra_points):
@@ -1794,8 +1794,8 @@ class TestPosteriorReads:
         run(cfg, oracle, opt)
         # per step: the search's score calls (the candidate batch, then one
         # per window of refinement rounds) and the update's read, each a
-        # posterior_many call, and the best sampled mean after it, one pass
-        # over the kept Gram matrix, which walks no kernel block; step 1's
+        # posterior_many call, and the best sampled mean after it, computed
+        # once per model version, which walks no kernel block; step 1's
         # cell has no data, so it makes no search call but one posterior_many
         # call for its flat score, and neither that call nor the update's
         # read walks any block
@@ -1805,7 +1805,7 @@ class TestPosteriorReads:
                 search_calls, *replay)[0]
         assert len(calls) == sum(len(search[0]) for search in searches) + 1 + cfg.horizon_T
         assert len(walks) == len(calls) - 2
-        assert len(means) == cfg.horizon_T
+        assert len({id(mean) for mean in means if mean is not None}) == cfg.horizon_T
 
 
 class TestReport:

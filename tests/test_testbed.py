@@ -89,6 +89,15 @@ class TestRkhsFunction:
         assert g(x) == pytest.approx(f(x), abs=1e-12)
         assert g.optimum_value == f.optimum_value
 
+    def test_se_target_round_trips_without_nu(self, tmp_path):
+        # an SE kernel reads no nu, so its file holds null there
+        kernel = KernelSpec(kernels.SQUARED_EXPONENTIAL, 0.3)
+        f = make_rkhs_function(kernel, 2, 5, np.random.default_rng(46), optimum_budget=1000)
+        path = tmp_path / "target.json"
+        f.save(path)
+        assert '"nu": null' in path.read_text()
+        assert RkhsFunction.load(path).kernel == kernel
+
 
 class TestNoisyOracle:
     def test_noise_statistics(self):
