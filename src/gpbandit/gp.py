@@ -9,7 +9,9 @@ posterior
 where lam is the regularizer (noise variance).  New observations extend the
 lower-triangular factor by one row instead of refitting; a full refit with a
 jitter ladder is the fallback when roundoff spoils the extension pivot, and
-later extensions keep the jitter that refit needed.
+later extensions keep the jitter that refit needed.  At the sampled points
+the means are y - s (K_t + s I)^{-1} y, s the shift the factor's diagonal
+holds, so the incumbent reads them in O(n).
 
 The model also accumulates the information gain of the selected points,
 

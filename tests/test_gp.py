@@ -779,15 +779,11 @@ class TestJitterRefit:
 _U = 2.0**-53  # float64's unit roundoff
 
 
-def diagonal_shift(model) -> float:
-    """The shift s on the model's factor's diagonal: L L^T = K + s I."""
-    return (1.0 + (model.lam + model._jitter)) - 1.0
-
-
 def assert_incumbent_oracle(model):
     """Hold model.incumbent() to a 50-digit mpmath solve of (K + s I) a = y
-    on the model's float64 Gram matrix K, with s = diagonal_shift(model),
-    whose means at the sampled points are mu = K a.
+    on the model's float64 Gram matrix K, with s = (1 + (lam + jitter)) - 1
+    the shift on its factor's diagonal, whose means at the sampled points
+    are mu = K a.
 
     incumbent computes mu_i as fl(y_i - fl(s ah_i)) from the factor's
     weights ah.  With |d1|, |d2| <= u = 2^-53 for the two roundings,
@@ -799,13 +795,13 @@ def assert_incumbent_oracle(model):
         |muh_i - mu_i| <= s |ah_i - a_i| + 2 u (|y_i| + 2 s |ah_i|),
 
     where the factor 2 on the rounding term covers the (1 + u) and the
-    oracle's own error, below 1e-30 here.  The mean returned must meet
+    oracle's own error at 50 digits.  The mean returned must meet
     this bound at a point of x's bytes, and x must be the oracle's first
     argmax wherever the oracle's top two means are further apart than twice
     the largest bound."""
     x, mean = model.incumbent()
     X, y, alpha = model.points, model.observations, model._alpha
-    s = diagonal_shift(model)
+    s = (1.0 + (model.lam + model._jitter)) - 1.0
     with mpmath.workdps(50):
         K = mpmath.matrix(gram_matrix(model.kernel, X).tolist())
         a = mpmath.lu_solve(K + s * mpmath.eye(len(y)), mpmath.matrix(y.tolist()))
@@ -922,7 +918,7 @@ class TestKeptGram:
         model = GpModel(matern25, 0.01)
         for x in np.vstack([X, X + 0.5 * kernels._ZERO_SNAP * matern25.lengthscale]):
             model.update(x, rng.normal())
-        assert_incumbent_oracle(model)
+            assert_incumbent_oracle(model)
         assert model._jitter == 0.0
         assert (gram_matrix(matern25, model.points)[:6, 6:] == 1.0).any()
 
@@ -936,7 +932,7 @@ class TestKeptGram:
         model = GpModel(kernel, 0.01)
         for x in X:
             model.update(x, rng.normal())
-        assert_incumbent_oracle(model)
+            assert_incumbent_oracle(model)
         r = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
         assert (r > kernels._EXP_ZERO * kernel.lengthscale).any()
 

@@ -884,11 +884,10 @@ class TestRunGpEi:
     ], ids=["matern_fixed", "theory_ei", "se", "candidates64", "matern05", "matern15",
             "bessel12", "matern25_short"])
     def test_trace_unchanged(self, kernel, omega_mode, candidates, digest):
-        # GP-EI as the one-cell cover: the stripped trace is pinned by the
-        # hashes of the loop it replaced; the last four, recorded with a
-        # float64 candidate pass, cover the kernels the float32 screen
-        # bounds (nu = 5/2 at l = 0.05 has its widest margins) and the
-        # Bessel route at nu = 1.2, which takes the full pass
+        # GP-EI as the one-cell cover, its stripped trace pinned; the last
+        # four cover the kernels the float32 screen bounds (nu = 5/2 at
+        # l = 0.05 has its widest margins) and the Bessel route at nu = 1.2,
+        # which takes the full pass
         target, d, opt, _ = standard_function("hartmann3")
         cfg = RunConfig(
             algorithm=ALG_GP_EI, horizon_T=30, omega_mode=omega_mode, kernel=kernel,
@@ -1116,8 +1115,7 @@ class TestPrunedCandidatePass:
     ], ids=[OMEGA_FIXED, OMEGA_THEORY_EI])
     def test_pruned_run_trace_unchanged(self, omega_mode, digest, monkeypatch):
         # GP-EI on Hartmann-3 at the default 4096 candidates takes the
-        # pruned pass at every step with data; the hashes were recorded
-        # with the full pass
+        # pruned pass at every step with data, and its trace is pinned
         picks, real = [], GpModel.posterior_argmax
         monkeypatch.setattr(GpModel, "posterior_argmax",
                             lambda *a: picks.append(real(*a)) or picks[-1])
