@@ -9,9 +9,11 @@ posterior
 where lam is the regularizer (noise variance).  New observations extend the
 lower-triangular factor by one row instead of refitting; a full refit with a
 jitter ladder is the fallback when roundoff spoils the extension pivot, and
-later extensions keep the jitter that refit needed.  At the sampled points
-the means are y - s (K_t + s I)^{-1} y, s the shift the factor's diagonal
-holds, so the incumbent reads them in O(n).
+later extensions keep the jitter that refit needed.  With L the factor, a
+mean is (L^{-1} k_t(x))^T (L^{-1} y), from the variance's own solve, so a
+point's bits depend only on it in any batch of two or more.  At the sampled
+points the means are y - s (K_t + s I)^{-1} y, s the shift the factor's
+diagonal holds, so the incumbent reads them in O(n).
 
 The model also accumulates the information gain of the selected points,
 
@@ -59,7 +61,7 @@ _SCORE_FLOOR = 1e-280
 # the rounding of posterior_argmax's float32 means
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
-_EPS = 2.0**-52  # float64's, the unit of _box_bound's summation margin
+_EPS = 2.0**-52  # float64's, the unit of _box_bound's and _mean_gap's margins
 # the screen runs while sum |alpha| < _SCREEN_ALPHA, which keeps the weights
 # and the means inside float32's range
 _SCREEN_ALPHA = 1e30
@@ -108,42 +110,19 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def _means_and(blocks, alpha, m, per_block) -> tuple[np.ndarray, np.ndarray]:
-    """(means, per_block(kc) for each kernel block kc) over m points, from
-    a walk of their kernel blocks (start, stop, kc) against the data of
-    weights alpha: the one walk of posterior_many, over cross_blocks, and of
-    posterior_argmax's screen, over screen_blocks' float32 blocks; the means
-    in alpha's dtype, the rest float64.  A walk of
-    fewer than 2 * BLOCK points is one block, whose arrays it returns as they are
-    (posterior_argmax screens only larger passes)."""
-    if 0 < m < 2 * BLOCK:
-        [(_, _, kc)] = blocks
-        return np.matmul(kc.T, alpha), per_block(kc)
-    mean = np.empty(m, dtype=alpha.dtype)
-    other = np.empty(m)
-    for start, stop, kc in blocks:  # (n, block)
-        np.matmul(kc.T, alpha, out=mean[start:stop])
-        other[start:stop] = per_block(kc)
-        del kc  # freed before the next block is built
-    return mean, other
-
-
-def _column_max(kc: np.ndarray) -> np.ndarray:
-    return np.max(kc, axis=0)
-
-
 def _mean_margin(e_k: float, n: int, asum: float) -> float:
     """e_mu, a bound on |mu32 - mu64| at a point of the screen, from the
     bound e_k of kernels.screen_blocks on its n float32 kernel values and
     asum = sum|alpha|.  A float32 mean, sum_j k32_j alpha32_j, is within
     e_k sum|alpha| of the exact sum of the float64 kernel values, and it and
-    the float64 gemv each round by at most (n + 2) u32 sum|alpha|
+    a float64 sum each round by at most (n + 2) u32 sum|alpha|
     (u32 = 2^-24), so
 
         e_mu = (e_k + (n + 4) eps) sum|alpha| + 2 n tiny32,   eps = 2 u32,
 
     bounds |mu32 - mu64| with the rounding of mu32 + e_mu to spare; tiny32,
-    float32's least normal value, covers products below its normal range."""
+    float32's least normal value, covers products below its normal range.
+    GpModel._mean_gap adds the float64 mean's own solve."""
     return (e_k + (n + 4) * _EPS32) * asum + 2 * n * _TINY32
 
 
@@ -161,13 +140,13 @@ def _reach(bound):
 class GpModel:
     """GP regressor owned by a single run loop; posterior reads are const.
 
-    posterior_many gives means and stddevs; posterior_argmax gives the
-    argmax of a score of them: a sweep of kernels.screen_blocks' float32
-    kernel values bounds every query point's mean and stddev, and float64
-    posterior_many calls solve the O(n^2) triangular system only at the
-    points whose bounds let them win, laid out so that their means and
-    stddevs are the full pass's to the bit; incumbent gives the sampled
-    point of largest mean, in O(n) from the weights of the data."""
+    posterior_many gives means and stddevs, each column's bytes its own in
+    any batch of two or more; posterior_argmax gives the argmax of a score
+    of them: a sweep of kernels.screen_blocks' float32 kernel values bounds
+    every query point's mean and stddev, and float64 posterior_many calls
+    solve the O(n^2) triangular system only at the points whose bounds let
+    them win; incumbent gives the sampled point of largest mean, in O(n)
+    from the weights of the data."""
 
     def __init__(self, kernel: KernelSpec, lam: float):
         # with 1/lam infinite, the gain's log1p(var / lam) would be too
@@ -178,9 +157,10 @@ class GpModel:
         self.n = 0  # the number of points, set with _X and by _refit
         self._X: np.ndarray | None = None  # (n, d)
         self._y: np.ndarray = np.zeros(0)
-        # row-major lower factor of K + (lam+jitter)*I, and
-        # (K + (lam+jitter)*I)^{-1} y; _set_factor sets both
+        # row-major lower factor L of K + (lam+jitter)*I, beta = L^{-1} y
+        # and alpha = (K + (lam+jitter)*I)^{-1} y; _set_factor sets all three
         self._L: np.ndarray | None = None
+        self._beta: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._incumbent: tuple[np.ndarray, float] | None = None  # set by incumbent()
         # (box, _box_bound(*box)) of box_reach's last box, box a pair of tuples
@@ -205,10 +185,11 @@ class GpModel:
         return self._y.copy()
 
     def _set_factor(self, L: np.ndarray) -> None:
-        """Take L as the factor of the current data, set alpha with it, and
-        drop the incumbent and the box bound of the previous factor."""
+        """Take L as the factor of the current data, set beta and alpha with
+        it, and drop the incumbent and the box bound of the previous factor."""
         self._L = L
-        self._alpha = _solve_lower(L, _solve_lower(L, self._y), trans=1)
+        self._beta = _solve_lower(L, self._y)
+        self._alpha = _solve_lower(L, self._beta, trans=1)
         self._incumbent = self._bound = None
 
     def incumbent(self) -> tuple[np.ndarray, float] | None:
@@ -228,14 +209,15 @@ class GpModel:
             self._incumbent = self._X[i].copy(), float(means[i])
         return self._incumbent
 
-    def _block_stddevs(self, kc: np.ndarray) -> np.ndarray:
-        """Posterior stddevs at the columns of a kernel block.  A column's
-        bytes do not depend on the other columns of a block of two or more;
-        dtrtrs rounds a single right-hand side differently."""
+    def _block_posterior(self, kc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior (means v^T beta, stddevs sqrt(1 - v^T v)) at the columns
+        of a kernel block, from one solve v = L^{-1} kc.  A column's bytes do
+        not depend on the others of a block of two or more; dtrtrs rounds a
+        single right-hand side differently."""
         v = _solve_lower(self._L, kc)
         var = np.einsum("ij,ij->j", v, v)
         np.subtract(1.0, var, out=var)
-        return np.sqrt(np.maximum(var, 0.0, out=var))
+        return np.einsum("ij,i->j", v, self._beta), np.sqrt(np.maximum(var, 0.0, out=var))
 
     def _stddev_bound(self, kmax: np.ndarray) -> np.ndarray:
         """Upper bounds on the posterior stddevs at points whose largest
@@ -253,60 +235,83 @@ class GpModel:
     def posterior_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior (means, stddevs) at a batch of query points.
 
-        A stddev's bytes do not depend on the other columns of a batch of
-        two or more: posterior_many(xs[idx])[1] is posterior_many(xs)[1][idx]
-        for any idx of at least two entries."""
+        A column's mean and stddev bytes depend only on that column in a
+        batch of two or more: posterior_many(xs[idx]) is posterior_many(xs)
+        at idx for any idx of at least two entries."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2:
             xs = np.atleast_2d(xs)
+        m = len(xs)
         if self.n == 0:
-            return np.zeros(len(xs)), np.ones(len(xs))
-        return _means_and(cross_blocks(self.kernel, self._X, xs), self._alpha, len(xs),
-                          self._block_stddevs)
+            return np.zeros(m), np.ones(m)
+        blocks = cross_blocks(self.kernel, self._X, xs)
+        if 0 < m < 2 * BLOCK:
+            [(_, _, kc)] = blocks
+            return self._block_posterior(kc)
+        mean, std = np.empty(m), np.empty(m)
+        for start, stop, kc in blocks:  # (n, block)
+            mean[start:stop], std[start:stop] = self._block_posterior(kc)
+            del kc  # freed before the next block is built
+        return mean, std
+
+    def _mean_gap(self) -> float:
+        """A bound on |fl(v^T beta) - k^T alpha| at every kernel column k
+        cross_matrix computes, how far posterior_many's mean may stray from
+        the kernel sum the screen and _box_bound bound; inf where the shift
+        s = (1 + (lam + jitter)) - 1 is too small.  In O(n), with eps = 2^-52
+        and g = (n + 2) eps >= 2 gamma_{n+1} (Higham, Accuracy and Stability
+        of Numerical Algorithms): the solves give (L + D2)^T alpha = beta and
+        (L + D3) v = k, |D2|, |D3| <= gamma_n |L| (Thm 8.5), so v^T beta -
+        k^T alpha = v^T (D2 - D3)^T alpha, and the dot product adds
+        gamma_n |v| |beta|.  L L^T = K + s I + D, |D| <= gamma_{n+1} |L| |L^T|
+        (Thm 10.3), so |L|_F^2 = tr(L L^T) <= F^2 = n (1 + s) (1 + g).  Off
+        its unit diagonal K is within e = (d + 68) eps + 1e-12 of the kernel
+        at the exact distances, a positive semidefinite matrix ((d + 4) eps
+        for the distances' rounding, as s |dk/ds| < 1, 1e-12 for kernels'
+        snap of scaled distances below 1e-12 to 0, as |dk/ds| <= 1, and
+        64 eps for the evaluation, as in far_corner_kernels).  So sigma_min(L)^2
+        >= sigma^2 = s - n e - g F^2 and, as |k| <= sqrt(n) (1 + e), |v| <= V
+        = sqrt(n) (1 + e) / (sigma - g F):
+
+            |fl(v^T beta) - k^T alpha| <= g V (|beta| + 2 F |alpha|),
+
+        g's factor 2 covering this bound's own rounding.  Underflow, 2^-1075
+        at most a product or quotient, moves the right-hand sides by at most
+        (n + 2 F) sqrt(n) 2^-1075 in norm: the last term."""
+        n, s = self.n, (1.0 + (self.lam + self._jitter)) - 1.0
+        g, e = (n + 2) * _EPS, (self._X.shape[1] + 68) * _EPS + 1e-12
+        f = math.sqrt(n * (1.0 + s) * (1.0 + g))
+        sigma2 = s - n * e - g * f * f
+        root = math.sqrt(sigma2) - g * f if sigma2 > 0 else 0.0
+        if not root > 0:
+            return math.inf
+        v = math.sqrt(n) * (1.0 + e) / root
+        anorm, bnorm = math.hypot(*self._alpha.tolist()), math.hypot(*self._beta.tolist())
+        under = ((n + 2 * f) * math.sqrt(n) * (anorm + v) + n) * 2.0**-1074
+        return g * v * (bnorm + 2 * f * anorm) + under
 
     def _screen(self, xs: np.ndarray):
         """(upper bounds on the means, upper bounds on the stddevs) at xs
         from one walk of kernels.screen_blocks' float32 kernel blocks, with
-        the weights in float32, or None where it gives none or sum|alpha|
-        reaches _SCREEN_ALPHA.  A column's largest float64 kernel value is
-        at least its float32 one less e_k, which _stddev_bound turns into a
-        stddev bound."""
-        asum = float(np.sum(np.abs(self._alpha)))
+        the weights in float32, or None where it gives none, sum|alpha|
+        reaches _SCREEN_ALPHA or _mean_gap is not finite.  A column's
+        largest float64 kernel value is at least its float32 one less e_k,
+        which _stddev_bound turns into a stddev bound."""
+        asum, gap = float(np.sum(np.abs(self._alpha))), self._mean_gap()
         # false for NaN and inf too
-        screen = screen_blocks(self.kernel, self._X, xs) if asum < _SCREEN_ALPHA else None
+        ok = asum < _SCREEN_ALPHA and gap < math.inf
+        screen = screen_blocks(self.kernel, self._X, xs) if ok else None
         if screen is None:
             return None
         e_k, blocks = screen
-        mean, kmax = _means_and(blocks, self._alpha.astype(np.float32), len(xs), _column_max)
+        alpha = self._alpha.astype(np.float32)
+        high, kmax = np.empty(len(xs), np.float32), np.empty(len(xs))
+        for start, stop, kc in blocks:  # (n, block)
+            np.matmul(kc.T, alpha, out=high[start:stop])
+            kmax[start:stop] = np.max(kc, axis=0)
         kmax -= e_k
-        high = mean.astype(float)
-        high += _mean_margin(e_k, self.n, asum)
+        high = high.astype(float) + (_mean_margin(e_k, self.n, asum) + gap)
         return high, self._stddev_bound(np.maximum(kmax, 0.0, out=kmax))
-
-    def _scores_at(self, xs: np.ndarray, idx: np.ndarray, score) -> np.ndarray:
-        """score at xs[idx], idx ascending, from one posterior_many call
-        whose means and stddevs there are posterior_many(xs)'s to the bit.
-
-        A stddev's bytes do not depend on the other columns of a batch of
-        two or more.  A mean's depend on where gemv computes it: in its
-        4-column groups, whose rounding does not depend on the group, or in
-        the ragged tail of the last len % 4 columns.  So the columns of idx
-        outside posterior_many(xs)'s tail are padded with copies to a
-        multiple of 4, and if idx reaches into that tail, the whole tail
-        follows them, after at least 4 columns."""
-        m = len(xs)
-        t = m % 4
-        split = int(np.searchsorted(idx, m - t))
-        pad = -split % 4
-        if split < len(idx):
-            pad += 4 * (split == 0)
-            cols = np.concatenate([idx[:split], np.repeat(idx[:1], pad), np.arange(m - t, m)])
-            at = np.concatenate([np.arange(split), idx[split:] + (len(cols) - m)])
-        else:
-            cols = np.concatenate([idx, np.repeat(idx[:1], pad)]) if pad else idx
-            at = slice(0, split)
-        mean, std = self.posterior_many(xs[cols])
-        return score(mean[at], std[at])
 
     def posterior_argmax(self, xs, score):
         """(index, value) of the first-index argmax of
@@ -326,24 +331,21 @@ class GpModel:
         that bound stays below a value already computed cannot win.
         The screen is a sweep of float32 kernel values over every point,
         whose kernel values and means are within kernels.screen_blocks' e_k
-        and _mean_margin's e_mu of the float64 ones; the eight points of largest bound are
-        scored exactly to set that threshold (four more than a gemv group
-        cost one call nothing and raise the threshold where the bound ranks
-        the best point below its top four), and one posterior_many call
-        solves the points that pass it, laid out by _scores_at so that
-        their means and stddevs read as in the full pass.  While the
-        threshold is at or below _SCORE_FLOOR every point is kept."""
+        and _mean_margin's e_mu plus _mean_gap of the float64 ones; the
+        eight points of largest bound (the bound may rank the best below a
+        few others) are scored exactly to set that threshold, and one
+        posterior_many call solves the points that pass it, a lone one
+        beside a copy of itself, so that all read as in the full pass.
+        While the threshold is at or below _SCORE_FLOOR every point is kept."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.n == 0 or len(xs) < 2 * BLOCK:
-            return None
-        screen = self._screen(xs)
+        screen = self._screen(xs) if self.n and len(xs) >= 2 * BLOCK else None
         if screen is None:
             return None
         bound = score(*screen)
-        seeds = np.sort(np.argpartition(bound, -8)[-8:])
-        top = float(np.max(self._scores_at(xs, seeds, score)))
+        seeds = np.argpartition(bound, -8)[-8:]
+        top = float(np.max(score(*self.posterior_many(xs[seeds]))))
         keep = np.flatnonzero(_reach(bound) >= top)
-        values = self._scores_at(xs, keep, score)
+        values = score(*self.posterior_many(xs[keep if len(keep) > 1 else np.repeat(keep, 2)]))
         i = int(np.argmax(values))
         return int(keep[i]), float(values[i])
 
@@ -354,15 +356,15 @@ class GpModel:
         computed k(x, x_j) lies in [far_j - e_k, 1 + e_k], with (e_k, far)
         from kernels.far_corner_kernels, so the mean is at most sum_j
         alpha_j (1 if alpha_j > 0 else far_j) plus (2 e_k + (n + 4) eps)
-        sum|alpha|, which covers e_k twice and both sums' rounding, and the
-        variance _stddev_bound's one-point rule at max_j far_j - e_k; in
+        sum|alpha|, for e_k twice and the sums' rounding, plus _mean_gap, and
+        the variance _stddev_bound's one-point rule at max_j far_j - e_k; in
         Python floats, as numpy calls on a cell's few points cost more."""
         e_k, far = far_corner_kernels(self.kernel, self._X, lower, upper)
         mean = asum = 0.0
         for wj, kj in zip(self._alpha.tolist(), far):
             mean += wj if wj > 0 else wj * kj
             asum += abs(wj)
-        mean += (2 * e_k + (self.n + 4) * _EPS) * asum
+        mean += (2 * e_k + (self.n + 4) * _EPS) * asum + self._mean_gap()
         kmax = max(max(far) - e_k, 0.0)
         var = 1.0 + _VAR_MARGIN - kmax * kmax / (1.0 + (self.lam + self._jitter))
         return mean, math.sqrt(max(var, 0.0))

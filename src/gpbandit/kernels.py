@@ -62,8 +62,7 @@ _EXP_ZERO = 745.2
 # cross_blocks builds a kernel matrix in column blocks of this many, so a
 # caller holds a few n x BLOCK float64 arrays (400 KB each at n = 100)
 # however many columns it asks for.  Each block is a fresh array; its
-# temporaries live in the per-thread scratch below.  A multiple of 4, so that
-# block edges never cut BLAS's 4-row unrolling.
+# temporaries live in the per-thread scratch below.
 BLOCK = 512
 
 # A temporary of _SCRATCH_MIN to _SCRATCH_MAX float64 elements' bytes is a view
@@ -411,10 +410,10 @@ def _distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def cross_blocks(spec: KernelSpec, xs, ys):
     """(start, stop, cross_matrix(spec, xs, ys[start:stop])) over blocks of
-    BLOCK rows of ys, the remainder joining the last block, since a narrow
-    tail block would take other BLAS paths (gemv's row tail, dtrtrs's single
-    right-hand side) and round its columns differently from one call over
-    them all.  The caller drops each block before the next."""
+    BLOCK rows of ys, the remainder joining the last block, since a tail
+    block of one column would take dtrtrs's single right-hand side path and
+    round it differently from one call over them all.  The caller drops
+    each block before the next."""
     start, m = 0, len(ys)
     while start < m:
         stop = start + BLOCK if m - start >= 2 * BLOCK else m

@@ -193,15 +193,17 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     first-seen point.  A draw of another dimension, with a value outside
     [0, 1] (NaN included) or with rounds of no probe raises ValueError.
 
-    Rounds are scored in look-ahead windows, several per score_fn call.  The
-    radius halves every round, so a round's probes depend only on its centre,
-    the best point at its start.  A window's first round is centred on the
-    best point; each later one on the row its predecessor is predicted to
-    pick, or on its predecessor's centre where no improvement is predicted.
-    A round is used while its centre is the best point at its start, to the
-    byte; the first that is not ends the window, its rounds and those after
-    it are dropped, and a NaN raises only in a used round.  So the result is
-    the one-round search's.
+    Rounds are scored in look-ahead windows, several per score_fn call, which
+    must give a row the same bytes in every batch of n_probes or more rows,
+    as GpModel.posterior_many does from two on.  The radius halves every
+    round, so a round's probes depend only on its centre, the best point at
+    its start.  A window's first round is centred on the best point; each
+    later one on the row its predecessor is predicted to pick, or on its
+    predecessor's centre where no improvement is predicted.  A round is used
+    while its centre is the best point at its start, to the byte; the first
+    that is not ends the window, its rounds and those after it are dropped,
+    and a NaN raises only in a used round.  So the result is the one-round
+    search's.
 
     A posterior-plus-score call costs some 20-30 us whatever its size and
     1-2.5 us more per 100 kernel pairs, so the floor, the first window and
@@ -215,9 +217,7 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     more rounds after a used round that improved predicts its picks: each
     round's probe of largest slope . offset, if positive, for the
     least-squares slope of that round's finite scores against its probes
-    (_predicted_picks).  Every window is one round unless n_probes is a
-    multiple of 4: such row groups are what GpModel.posterior_many scores
-    to the same bits wherever they sit.
+    (_predicted_picks).
 
     A score_fn may carry an `argmax(points)` attribute, a shortcut for the
     candidate pass: it returns the (index, score) that the first-index
@@ -251,10 +251,8 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
     # halved r times, exactly
     steps = (2.0 * probe_u - 1.0) * (
         0.25 * (upper - lower) * 0.5 ** np.arange(n_refinements)[:, None, None])
-    pairs = max(1, n) * n_probes  # the kernel pairs of one round
-    growth = 2 if n_probes % 4 == 0 else 1
-    floor = max(1, _WINDOW_PAIRS // pairs) if growth == 2 and pairs else 1
-    predict = growth == 2 and floor == 1
+    floor = max(1, _WINDOW_PAIRS // (max(1, n) * n_probes))
+    predict = floor == 1
     r, window, last = 0, floor, None  # last: the last round used, where it improved
     while r < n_refinements:
         stop = min(r + window, n_refinements)
@@ -274,7 +272,7 @@ def maximize_acquisition(score_fn, lower, upper, cand_u: np.ndarray, probe_u: np
                 next_centres.append(centre)
         pv = np.asarray(score_fn(probes.reshape(-1, d)), dtype=float)
         rounds = zip(probes, pv.reshape(stop - r, n_probes))
-        window *= growth
+        window *= 2
         if picks is None:  # the first improvement ends the window
             for round_probes, round_pv in rounds:
                 r += 1

@@ -19,9 +19,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, bench_config, make_target  # noqa: E402
 
 SEED0_TRACE_SHA256 = {
-    "gp_ei_h3": "4a5cedab71ffebdebf74af2287d2028759f834eb8c124e97b41b9a0943d3bd6d",
+    "gp_ei_h3": "5e252e9157d833c18baa03d52e9e646e9d572cac671db72928210e8450205b18",
     "cover_ei_h3": "4c8f37bedb7729b81fa0cc927db3339430677a3107fea3f2023fa100388de3f9",
-    "cover_ucb_rkhs2": "66c4003818d9c3cab5e7549b71ceade16477d27ac9a86670c60469cd6f675aac",
+    "cover_ucb_rkhs2": "54083271b9fec2e531eda04854bc3354e6dd7ee9901da947aeebd10171991363",
 }
 
 

@@ -239,14 +239,13 @@ def _replayed_windows(calls, lower, upper, probe_u, n):
     predicted round).  A round is used while its centre is the best point at
     its start; the first that is not ends its window, and it and the rounds
     after it are dropped.  Windows hold max(1, 100 // (max(1, n) n_probes))
-    rounds first and after one with a dropped round (one round throughout
-    unless n_probes is a multiple of 4), and twice the last window's after
-    one used in full, at most the rounds left.  Where that floor is several
-    rounds no round is predicted, and a window whose last round improves is
-    followed by the floor too."""
+    rounds first and after one with a dropped round, and twice the last
+    window's after one used in full, at most the rounds left.  Where that
+    floor is several rounds no round is predicted, and a window whose last
+    round improves is followed by the floor too."""
     n_refinements, n_probes, _ = probe_u.shape
-    floor = max(1, 100 // (max(1, n) * n_probes)) if n_probes % 4 == 0 else 1
-    stay = floor > 1 or n_probes % 4 != 0
+    floor = max(1, 100 // (max(1, n) * n_probes))
+    stay = floor > 1
     cand_rows, cand_scores = calls[0]
     top = int(np.argmax(cand_scores))
     best_x, best = cand_rows[top], cand_scores[top]
@@ -281,7 +280,7 @@ def _replayed_windows(calls, lower, upper, probe_u, n):
             if improved:
                 best_x, best = rows[k][top], scores[k][top]
         reset |= stay and improved
-        window = floor if reset else 2 * window if n_probes % 4 == 0 else 1
+        window = floor if reset else 2 * window
     return want, predicted
 
 
@@ -297,9 +296,9 @@ class TestOneDraw:
     @pytest.mark.parametrize("with_extra", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_matches_interleaved_draws(self, d, with_extra):
-        # cells of 1 to 12 sampled points: up to 11 (at 8 probes) or 4 (at
-        # 12) the first window and each after an improvement hold several
-        # rounds; probe groups of 10 or 14 rows (d = 5, 7) stay one round
+        # cells of 1 to 12 sampled points: up to 11 (at 8 probes), 9 (at
+        # 10), 7 (at 14) or 4 (at 12) the first window and each after an
+        # improvement hold several rounds
         setup = np.random.default_rng(1000 + d)
         center = setup.uniform(size=d)
         n_probes = max(8, 2 * d)
@@ -490,8 +489,7 @@ class TestLookAheadWindows:
     """Rounds scored in look-ahead windows against the one-round-at-a-time
     reference (_interleaved_maximizer): the same point to the byte, the same
     score, the same rng state after, and a NaN raises only in a round the
-    reference scores, at the point it reports.  Probe groups that are not a
-    multiple of 4 rows (d = 5, 7) are scored one round per call."""
+    reference scores, at the point it reports."""
 
     @staticmethod
     def scores(d, setup):
@@ -567,10 +565,7 @@ class TestLookAheadWindows:
                                *args)
             assert got == want
             windows += any(len(c) > n_probes for c in calls[1:])
-            if n_probes % 4:
-                assert all(len(c) == n_probes for c in calls[1:])
-        if n_probes % 4 == 0:
-            assert windows >= 10  # searches that scored several rounds at once
+        assert windows >= 10  # searches that scored several rounds at once
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_nan_in_a_dropped_round_does_not_raise(self, d):
@@ -591,8 +586,7 @@ class TestLookAheadWindows:
             got = self.outcome(drawn_search, self.nan_at(score, dropped),
                                *args)
             assert got == want
-        # one-round windows drop no round
-        assert dropped_cases >= 4 if max(8, 2 * d) % 4 == 0 else dropped_cases == 0
+        assert dropped_cases >= 4
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_nan_in_a_consumed_round_raises_at_the_same_point(self, d):
@@ -642,8 +636,7 @@ class TestPredictedWindows:
     predecessors are predicted to pick.  Against the one-round-at-a-time
     reference (_interleaved_maximizer): the same point to the byte, the same
     score and the same rng state after, a NaN in a dropped round never
-    raises, and one in a used round raises at the reference's point.
-    Probe groups of 10 or 14 rows (d = 5, 7) are never predicted."""
+    raises, and one in a used round raises at the reference's point."""
 
     N_EXTRA = 8
 
@@ -711,10 +704,8 @@ class TestPredictedWindows:
             predicted[score.__name__] = predicted.get(score.__name__, 0) + len(rounds)
             infinite += sum(bool(np.isposinf(pv).any()) for _, pv in calls[1:])
         assert infinite >= 3  # rounds that scored +inf
-        if max(8, 2 * d) % 4:
-            assert not any(predicted.values())
-        else:  # every surface has used rounds centred on a predicted pick
-            assert min(predicted.values()) >= 3, predicted
+        # every surface has used rounds centred on a predicted pick
+        assert min(predicted.values()) >= 3, predicted
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_scores_near_the_float_limit(self, d):
@@ -727,7 +718,7 @@ class TestPredictedWindows:
             got, _, _ = self.windowed(huge, args)
             assert got == TestLookAheadWindows.outcome(_interleaved_maximizer, huge, *args)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_nan_in_a_dropped_round_does_not_raise(self, d):
         # NaN at every point the windowed search scores but the reference
         # never does: the rounds of a window after its first miss
@@ -745,7 +736,7 @@ class TestPredictedWindows:
                 assert TestLookAheadWindows.outcome(drawn_search, nan_score, *args) == want
         assert dropped_cases >= 8
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
     def test_nan_in_a_used_predicted_round_raises_at_the_same_point(self, d):
         # NaN at every probe of a round the windowed search centred on a
         # predicted pick: the reference scores that round too, and raises
@@ -866,21 +857,21 @@ class TestRunGpEi:
 
     @pytest.mark.parametrize("kernel, omega_mode, candidates, digest", [
         (KERNEL, OMEGA_FIXED, 4096,
-         "961a47ca3084ad5fbe9153e19bc3a7acc9e04262fee6ffc507af82915df7aa50"),
+         "25805e0ee9a470b93deadd20cab9a27042ce6f0bf22df3e60e7f7105ee491762"),
         (KERNEL, OMEGA_THEORY_EI, 4096,
          "9bee15e5e5dccb35ed4c649af56d5fdfafded46e87bf3f4c65d32cc9f2cc987f"),
         (KernelSpec("se", 0.2), OMEGA_FIXED, 4096,
-         "f0d54241ade405ae729832d8cbddaaf65d899053fa254fd370df91fb9383ebd2"),
+         "0f61d2fe98a8eb9f36e5657f60e60d63747b4479ebfafac93f04901878772a31"),
         (KERNEL, OMEGA_FIXED, 64,
-         "beb96dae8255a688062917f63bd74e6888b377dadc767e15df603e297089a3aa"),
+         "dc3f9e748a143b7135f3c16b2e8ce88e9b8793bb6ddb47c727670f6341295181"),
         (KernelSpec(MATERN, 0.2, 0.5), OMEGA_FIXED, 4096,
-         "e76bc476e49beb3714454f34e0c4859b3d69dd86d15662180b8f3b6177bf6485"),
+         "331c873790f7254f09e1489b34d5876fd7807a06ca3b04ee8fd147ebae6c957d"),
         (KernelSpec(MATERN, 0.2, 1.5), OMEGA_FIXED, 4096,
-         "1e6f96eb14134be933b5660b064cee2fd159880f089a613d0a3c532c69f439c7"),
+         "c175f9a294f3305c63edcc247099dc2226a8d4859b736545ca8ea7029cdc9686"),
         (KernelSpec(MATERN, 0.2, 1.2), OMEGA_FIXED, 4096,
          "284aa1bea719dd67dae9a0940bd4955ade68e344ff498e23c7f8414753499a00"),
         (KernelSpec(MATERN, 0.05, 2.5), OMEGA_FIXED, 4096,
-         "9937da17c734d3e601c5acbddcb1777b89d829638da5254d1938db28faf7fab3"),
+         "0af00188d44e012a9c9977f93474ef88c2643b359f31de3bc02f253ddc036325"),
     ], ids=["matern_fixed", "theory_ei", "se", "candidates64", "matern05", "matern15",
             "bessel12", "matern25_short"])
     def test_trace_unchanged(self, kernel, omega_mode, candidates, digest):
@@ -951,8 +942,8 @@ def assert_one_point_pick(rng, y, config, incumbent, monkeypatch):
     sbar = model._stddev_bound(cross_matrix(KERNEL, model.points, xs).max(axis=0))
     assert np.all(sbar * sbar - std * std <= 1.5 * gp._VAR_MARGIN)
     score = optimizers._cell_score(config, model, 1.0, incumbent)
-    solved, real = [], GpModel._block_stddevs
-    monkeypatch.setattr(GpModel, "_block_stddevs",
+    solved, real = [], GpModel._block_posterior
+    monkeypatch.setattr(GpModel, "_block_posterior",
                         lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
     got = score.argmax(xs)
     monkeypatch.undo()
@@ -983,8 +974,8 @@ class TestPrunedCandidatePass:
     def test_forced_survivor_counts(self, copies, monkeypatch):
         # copies of the best point, the first in the first block, among
         # candidates whose screened bound is far below its score: the eight
-        # largest bounds are solved, then every copy in one call, padded
-        # with copies to a multiple of 4, and the first copy wins
+        # largest bounds are solved, then every copy in one call, a lone one
+        # beside a copy of itself, and the first copy wins
         rng = np.random.default_rng(copies)
         model, incumbent = pass_model("matern25_d3", rng)
         pool = rng.uniform(size=(8000, 3))
@@ -997,11 +988,11 @@ class TestPrunedCandidatePass:
         at[0] = min(at[0], 511)
         xs = np.insert(low[:4096 - copies], at - np.arange(copies), pool[star], axis=0)
         assert len(xs) == 4096 and np.all(xs[at] == pool[star])
-        solved, real = [], GpModel._block_stddevs
-        monkeypatch.setattr(GpModel, "_block_stddevs",
+        solved, real = [], GpModel._block_posterior
+        monkeypatch.setattr(GpModel, "_block_posterior",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
         got = score.argmax(xs)
-        assert solved == [8, copies + -copies % 4]
+        assert solved == [8, max(copies, 2)]
         monkeypatch.undo()
         want = full_argmax(score, xs)
         assert want[0] == at[0]
@@ -1031,8 +1022,8 @@ class TestPrunedCandidatePass:
         score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
         xs = rng.uniform(size=(4096, 3))
         assert np.all(score(xs) == 0.0)
-        solved, real = [], GpModel._block_stddevs
-        monkeypatch.setattr(GpModel, "_block_stddevs",
+        solved, real = [], GpModel._block_posterior
+        monkeypatch.setattr(GpModel, "_block_posterior",
                             lambda self, kc: solved.append(kc.shape[1]) or real(self, kc))
         got = score.argmax(xs)
         assert solved == [8] + [512] * 8
@@ -1063,9 +1054,10 @@ class TestPrunedCandidatePass:
         rng = np.random.default_rng(9)
         model, incumbent = pass_model("matern25_d3", rng)
         score = optimizers._cell_score(small_config(), model, 1.0, incumbent)
-        alpha = model._alpha.copy()
-        alpha[3] = np.nan
-        monkeypatch.setattr(model, "_alpha", alpha)
+        for name in ("_alpha", "_beta"):  # the screen's weights and the means'
+            weights = getattr(model, name).copy()
+            weights[3] = np.nan
+            monkeypatch.setattr(model, name, weights)
         xs = rng.uniform(size=(4096, 3))
         assert score.argmax(xs) is None
         for fn in (score, lambda q: score(q)):
@@ -1106,7 +1098,7 @@ class TestPrunedCandidatePass:
         assert sum(pick is not None for pick in picks) >= 1
         text = strip_wallclock("\n".join(trace_csv_lines(trace, "x", opt)))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "e4653ca3a811c2965eeedcfaa515680affe9d8b8cedccdea67fc9d07d4f47e62")
+            "0a5e47233b8cc8ae27f3e1730b6e0713d88dafc959c0e1af83ad30d603b113db")
 
     @pytest.mark.parametrize("omega_mode, digest", [
         (OMEGA_FIXED, "5c5812761b207ea95e9bc32ff4f482229af783379a6b740f923eb1886d490a11"),
